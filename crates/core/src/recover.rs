@@ -84,8 +84,9 @@ impl RecoveryConfig {
             hessian_correction: true,
             interpolate_missing_models: false,
             // Off by default: the paper refreshes on a fixed interval, and
-            // the exp_trace ablation showed the adaptive trigger's extra
-            // refreshes slightly hurt at reduced scale. Enable per run.
+            // the scenario lab's `ablation-digits` row shows the adaptive
+            // trigger's extra refreshes slightly hurt at reduced scale.
+            // Enable per run.
             divergence_patience: None,
         }
     }

@@ -4,7 +4,8 @@
 //! gradient *directions*; when clients disagree on many coordinates
 //! (non-IID data), that average carries less information. These metrics
 //! quantify the effect directly from a [`HistoryStore`] — no extra
-//! training needed — and explain the `exp_noniid` results.
+//! training needed — and explain the non-IID results (the scenario lab's
+//! `noniid-*` rows report the mean as `sign_agreement`).
 
 use fuiov_storage::{HistoryStore, Round};
 

@@ -61,11 +61,6 @@ pub struct FlConfig {
     pub parallel_clients: bool,
     /// Learning-rate schedule applied on top of `lr`.
     pub lr_schedule: LrSchedule,
-    /// Fraction of in-range vehicles the RSU samples each round
-    /// (classic FedAvg client sampling; 1.0 = everyone, the paper's
-    /// setting). At least one vehicle is always sampled when any is in
-    /// range.
-    pub client_fraction: f32,
 }
 
 impl FlConfig {
@@ -91,7 +86,6 @@ impl FlConfig {
             keep_full_gradients: false,
             parallel_clients: true,
             lr_schedule: LrSchedule::Constant,
-            client_fraction: 1.0,
         }
     }
 
@@ -151,20 +145,6 @@ impl FlConfig {
         self.lr_schedule = schedule;
         self
     }
-
-    /// Sets the per-round client sampling fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if outside `(0, 1]`.
-    pub fn client_fraction(mut self, fraction: f32) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "FlConfig: client_fraction must be in (0, 1]"
-        );
-        self.client_fraction = fraction;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -205,18 +185,6 @@ mod tests {
         assert_eq!(cfg.lr_at(0), 1.0);
         assert_eq!(cfg.lr_at(5), 0.5);
         assert_eq!(cfg.lr_at(10), 0.25);
-    }
-
-    #[test]
-    fn client_fraction_builder() {
-        let cfg = FlConfig::new(5, 0.1).client_fraction(0.3);
-        assert_eq!(cfg.client_fraction, 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "client_fraction must be in (0, 1]")]
-    fn rejects_zero_fraction() {
-        let _ = FlConfig::new(5, 0.1).client_fraction(0.0);
     }
 
     #[test]

@@ -14,10 +14,8 @@ use crate::hierarchy::{self, AggregationTree};
 use crate::mobility::ChurnSchedule;
 use fuiov_storage::history::FullGradientStore;
 use fuiov_storage::{ClientId, HistoryStore, Round};
-use fuiov_tensor::rng::{rng_for, streams};
 use fuiov_tensor::vector;
 use parking_lot::Mutex;
-use rand::seq::SliceRandom;
 
 /// Summary of one training round.
 #[derive(Debug, Clone)]
@@ -140,8 +138,8 @@ impl Server {
         std::mem::take(&mut self.forget_requests)
     }
 
-    /// Sets the seed used for per-round client sampling (only relevant
-    /// when `client_fraction < 1`).
+    /// Sets the seed of the per-round hash sampler (only relevant when
+    /// the sampling fraction is below 1, see [`Server::with_sample_frac`]).
     pub fn with_sampling_seed(mut self, seed: u64) -> Self {
         self.sampling_seed = seed;
         self
@@ -157,28 +155,12 @@ impl Server {
     }
 
     /// Overrides the per-round hash-sampling fraction (`1.0` = everyone).
-    /// Defaults to `FUIOV_SAMPLE_FRAC` at construction. This is the
-    /// seeded-stream sampler layered on *top* of the legacy
-    /// `client_fraction` shuffle (which is kept for back-compat).
+    /// Defaults to `FUIOV_SAMPLE_FRAC` at construction. Each in-range
+    /// vehicle is kept by a seeded per-(vehicle, round) hash draw (see
+    /// [`hierarchy::apply_sampling`]).
     pub fn with_sample_frac(mut self, frac: f64) -> Self {
         self.sample_frac = if frac > 0.0 && frac < 1.0 { frac } else { 1.0 };
         self
-    }
-
-    /// Applies the configured client sampling to a set of in-range
-    /// vehicle indices. Deterministic per (seed, round); keeps at least
-    /// one vehicle when any is in range.
-    fn sample_active(&self, mut active: Vec<usize>, round: Round) -> Vec<usize> {
-        if self.cfg.client_fraction >= 1.0 || active.len() <= 1 {
-            return active;
-        }
-        let k = (((active.len() as f32) * self.cfg.client_fraction).round() as usize)
-            .clamp(1, active.len());
-        let mut rng = rng_for(self.sampling_seed, streams::CHURN + 0xA11 + round as u64);
-        active.shuffle(&mut rng);
-        active.truncate(k);
-        active.sort_unstable();
-        active
     }
 
     /// Current global parameters.
@@ -427,8 +409,12 @@ impl Server {
         let total = self.cfg.rounds;
         for _ in self.round..total {
             let t = self.round;
-            let active = self.sample_active(schedule.active_in(t), t);
-            let active = hierarchy::apply_sampling(active, self.sampling_seed, t, self.sample_frac);
+            let active = hierarchy::apply_sampling(
+                schedule.active_in(t),
+                self.sampling_seed,
+                t,
+                self.sample_frac,
+            );
             self.run_round(clients, &active);
             for (v, client) in clients.iter().enumerate() {
                 if schedule.membership(v).leaves_after == Some(t) {
@@ -561,37 +547,6 @@ mod tests {
         assert_eq!(h.clients_in_round(0), vec![0, 2]);
         assert_eq!(h.clients_in_round(2), vec![0, 1, 2]);
         assert_eq!(h.clients_in_round(4), vec![0, 2]);
-    }
-
-    #[test]
-    fn client_sampling_reduces_participants() {
-        let mut clients = make_clients(4);
-        let cfg = FlConfig::new(6, 0.1)
-            .batch_size(10)
-            .parallel_clients(false)
-            .client_fraction(0.5);
-        let mut s = Server::new(cfg, spec().build(1).params()).with_sampling_seed(3);
-        let schedule = ChurnSchedule::static_membership(4, 6);
-        s.train(&mut clients, &schedule);
-        for summary in s.summaries() {
-            assert_eq!(summary.participants.len(), 2, "round {}", summary.round);
-        }
-        // Different rounds sample different subsets (with 4C2=6 options,
-        // 6 rounds almost surely differ somewhere).
-        let all_same = s
-            .summaries()
-            .windows(2)
-            .all(|w| w[0].participants == w[1].participants);
-        assert!(!all_same, "sampling should vary across rounds");
-        // Sampling is deterministic given the seed.
-        let mut clients2 = make_clients(4);
-        let cfg2 = FlConfig::new(6, 0.1)
-            .batch_size(10)
-            .parallel_clients(false)
-            .client_fraction(0.5);
-        let mut s2 = Server::new(cfg2, spec().build(1).params()).with_sampling_seed(3);
-        s2.train(&mut clients2, &schedule);
-        assert_eq!(s.params(), s2.params());
     }
 
     #[test]

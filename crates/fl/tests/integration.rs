@@ -112,9 +112,10 @@ fn sampling_plus_churn_trains_and_accounts_traffic() {
     let schedule = ChurnSchedule::sample(&churn, n, rounds, seed);
     let cfg = FlConfig::new(rounds, 0.2)
         .batch_size(20)
-        .parallel_clients(false)
-        .client_fraction(0.75);
-    let mut server = Server::new(cfg, SPEC.build(seed).params()).with_sampling_seed(seed);
+        .parallel_clients(false);
+    let mut server = Server::new(cfg, SPEC.build(seed).params())
+        .with_sampling_seed(seed)
+        .with_sample_frac(0.75);
     server.train(&mut clients, &schedule);
 
     let report = CommsReport::from_summaries(SPEC.param_count(), server.summaries());

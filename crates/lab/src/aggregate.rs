@@ -1,14 +1,16 @@
 //! Aggregation: trials → Table-I-style comparison tables + CI-gated
 //! shape-claim verdicts.
 //!
-//! Trials are grouped by `(row, variant)`; each metric column gets its
+//! Trials are grouped by `(row, variant)`; each metric column — and each
+//! observability counter of the trials' embedded RunReports — gets its
 //! mean and spread (min..max) across the group's seeds. A row's
 //! [`ShapeAssert`]s are then evaluated against the aggregated means and
-//! reported as machine-readable pass/fail outcomes — the "expected
-//! shape:" footnotes of the old `exp_*` binaries, promoted to a gate.
+//! reported as machine-readable pass/fail outcomes: a paper's "expected
+//! shape" promoted to a gate. Asserts address counters as
+//! `counters.<name>` (e.g. `counters.fl.upload_bytes_sign`).
 
 use crate::json::Json;
-use crate::matrix::{AssertOp, Operand, ScenarioRow};
+use crate::matrix::{AssertOp, Operand, ScenarioRow, ShapeAssert};
 use crate::runner::TrialReport;
 use fuiov_eval::table::Table;
 use std::collections::BTreeMap;
@@ -46,6 +48,37 @@ pub struct Aggregate {
     pub n: usize,
     /// Per-metric statistics.
     pub metrics: BTreeMap<String, Stats>,
+    /// Per-counter statistics (the trials' windowed observability
+    /// counters).
+    pub counters: BTreeMap<String, Stats>,
+}
+
+/// Prefix under which asserts and tables address counters.
+const COUNTER_PREFIX: &str = "counters.";
+
+impl Aggregate {
+    /// The statistics of a metric, or of a counter when the name carries
+    /// the `counters.` prefix.
+    pub fn stat(&self, name: &str) -> Option<&Stats> {
+        match name.strip_prefix(COUNTER_PREFIX) {
+            Some(counter) => self.counters.get(counter),
+            None => self.metrics.get(name),
+        }
+    }
+}
+
+/// Folds one observation into a name → stats map (mean finalised later).
+fn observe(stats: &mut BTreeMap<String, Stats>, name: &str, v: f64) {
+    let s = stats.entry(name.to_string()).or_insert(Stats {
+        mean: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        n: 0,
+    });
+    s.mean += v;
+    s.min = s.min.min(v);
+    s.max = s.max.max(v);
+    s.n += 1;
 }
 
 /// Groups trials by `(row, variant)` (insertion order preserved) and
@@ -65,21 +98,16 @@ pub fn aggregate(reports: &[TrialReport]) -> Vec<Aggregate> {
         .map(|key| {
             let trials = &groups[&key];
             let mut metrics: BTreeMap<String, Stats> = BTreeMap::new();
+            let mut counters: BTreeMap<String, Stats> = BTreeMap::new();
             for t in trials {
                 for (name, &v) in &t.metrics {
-                    let s = metrics.entry(name.clone()).or_insert(Stats {
-                        mean: 0.0,
-                        min: f64::INFINITY,
-                        max: f64::NEG_INFINITY,
-                        n: 0,
-                    });
-                    s.mean += v;
-                    s.min = s.min.min(v);
-                    s.max = s.max.max(v);
-                    s.n += 1;
+                    observe(&mut metrics, name, v);
+                }
+                for (name, &v) in &t.counters {
+                    observe(&mut counters, name, v as f64);
                 }
             }
-            for s in metrics.values_mut() {
+            for s in metrics.values_mut().chain(counters.values_mut()) {
                 s.mean /= s.n as f64;
             }
             Aggregate {
@@ -88,6 +116,7 @@ pub fn aggregate(reports: &[TrialReport]) -> Vec<Aggregate> {
                 task: trials[0].task.clone(),
                 n: trials.len(),
                 metrics,
+                counters,
             }
         })
         .collect()
@@ -117,32 +146,62 @@ pub fn metric_columns(aggs: &[Aggregate]) -> Vec<String> {
     acc
 }
 
-/// Renders the aggregates as one comparison table: `mean` per metric
-/// cell, with the spread appended (`±`) when a cell has several trials.
-pub fn render_table(aggs: &[Aggregate]) -> String {
-    let columns = metric_columns(aggs);
-    let mut headers: Vec<&str> = vec!["row", "variant", "task", "n"];
-    for c in &columns {
-        headers.push(c.as_str());
-    }
-    let mut table = Table::new(&headers);
-    for a in aggs {
-        let mut cells = vec![
-            a.row_id.clone(),
-            a.variant.clone(),
-            a.task.clone(),
-            a.n.to_string(),
-        ];
-        for c in &columns {
-            cells.push(match a.metrics.get(c) {
-                None => "-".to_string(),
-                Some(s) if s.n > 1 => format!("{:.3} ±{:.3}", s.mean, s.spread() / 2.0),
-                Some(s) => format!("{:.3}", s.mean),
-            });
+/// Renders one comparison table per row, headed by the row id and task:
+/// a line per variant with the `mean` of every metric the row's trials
+/// report plus every counter its asserts gate on, and the spread
+/// appended (`±`) when a cell has several trials.
+pub fn render_table(rows: &[ScenarioRow], aggs: &[Aggregate]) -> String {
+    let mut tables = Vec::new();
+    for row in rows {
+        let group: Vec<Aggregate> = aggs
+            .iter()
+            .filter(|g| g.row_id == row.id)
+            .cloned()
+            .collect();
+        if group.is_empty() {
+            continue;
         }
-        table.row(&cells);
+        let mut columns = metric_columns(&group);
+        for name in row.asserts.iter().flat_map(counter_operands) {
+            if !columns.contains(&name) {
+                columns.push(name);
+            }
+        }
+        let mut headers: Vec<&str> = vec!["variant", "n"];
+        headers.extend(columns.iter().map(String::as_str));
+        let mut table = Table::new(&headers);
+        for g in &group {
+            let mut cells = vec![g.variant.clone(), g.n.to_string()];
+            for c in &columns {
+                cells.push(match g.stat(c) {
+                    None => "-".to_string(),
+                    Some(s) if s.n > 1 => format!("{:.3} ±{:.3}", s.mean, s.spread() / 2.0),
+                    Some(s) => format!("{:.3}", s.mean),
+                });
+            }
+            table.row(&cells);
+        }
+        let task = row.task.name();
+        tables.push(format!(
+            "### {} ({task})\n\n{}",
+            row.id,
+            table.to_markdown()
+        ));
     }
-    table.to_markdown()
+    tables.join("\n")
+}
+
+/// The `counters.*` names an assert reads.
+fn counter_operands(claim: &ShapeAssert) -> Vec<String> {
+    let rhs = match &claim.rhs {
+        Operand::Metric(m) => Some(m),
+        Operand::Const(_) => None,
+    };
+    std::iter::once(&claim.lhs)
+        .chain(rhs)
+        .filter(|n| n.starts_with(COUNTER_PREFIX))
+        .cloned()
+        .collect()
 }
 
 /// One evaluated shape claim.
@@ -181,10 +240,10 @@ pub fn check_asserts(rows: &[ScenarioRow], aggs: &[Aggregate]) -> Vec<AssertOutc
     for row in rows {
         for agg in aggs.iter().filter(|a| a.row_id == row.id) {
             for claim in &row.asserts {
-                let lhs = agg.metrics.get(&claim.lhs).map(|s| s.mean);
+                let lhs = agg.stat(&claim.lhs).map(|s| s.mean);
                 let rhs = match &claim.rhs {
                     Operand::Const(c) => Some(*c),
-                    Operand::Metric(m) => agg.metrics.get(m).map(|s| s.mean),
+                    Operand::Metric(m) => agg.stat(m).map(|s| s.mean),
                 };
                 let (pass, lhs, rhs) = match (lhs, rhs) {
                     (Some(l), Some(r)) => (holds(l, claim.op, r, claim.tol), l, r),
@@ -247,7 +306,9 @@ mod tests {
             repeat: 0,
             metrics: metrics.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
             digests: BTreeMap::new(),
-            counters: BTreeMap::new(),
+            counters: [("fl.upload_bytes_sign".to_string(), 40 * seed)]
+                .into_iter()
+                .collect(),
         }
     }
 
@@ -273,7 +334,9 @@ mod tests {
             r#"{"id":"a","task":"tiny","asserts":["#,
             r#"{"lhs":"acc.retraining","op":">=","rhs":"acc.ours","tol":0.05},"#,
             r#"{"lhs":"acc.ours","op":">","rhs":0.9},"#,
-            r#"{"lhs":"acc.typo","op":">=","rhs":0}]}"#
+            r#"{"lhs":"acc.typo","op":">=","rhs":0},"#,
+            r#"{"lhs":"counters.fl.upload_bytes_sign","op":"<","rhs":100},"#,
+            r#"{"lhs":"counters.fl.missing","op":">=","rhs":0}]}"#
         ))
         .unwrap();
         let reports = vec![trial(
@@ -283,29 +346,45 @@ mod tests {
             &[("acc.retraining", 0.7), ("acc.ours", 0.72)],
         )];
         let outcomes = check_asserts(&rows, &aggregate(&reports));
-        assert_eq!(outcomes.len(), 3);
+        assert_eq!(outcomes.len(), 5);
         // 0.70 >= 0.72 - 0.05 holds.
         assert!(outcomes[0].pass);
         // 0.72 > 0.9 fails.
         assert!(!outcomes[1].pass);
         // Missing metric fails loudly.
         assert!(!outcomes[2].pass);
+        // Counters are read through the `counters.` prefix; a missing one
+        // fails like a missing metric.
+        assert_eq!(outcomes[3].lhs, 40.0);
+        assert!(outcomes[3].pass);
+        assert!(!outcomes[4].pass);
         let json = outcomes_to_json(&outcomes);
         assert!(json.contains("\"pass\":false"));
         assert!(Json::parse(&json).is_ok());
     }
 
     #[test]
-    fn table_renders_all_columns() {
-        let reports = vec![trial(
-            "a",
-            "base",
-            1,
-            &[("acc.ours", 0.5), ("mia.ours", 0.02)],
-        )];
-        let t = render_table(&aggregate(&reports));
-        assert!(t.contains("acc.ours"));
+    fn tables_render_per_row_with_asserted_counters() {
+        let rows = parse_matrix(concat!(
+            r#"{"id":"a","task":"tiny","asserts":["#,
+            r#"{"lhs":"counters.fl.upload_bytes_sign","op":">","rhs":0}]}"#,
+            "\n",
+            r#"{"id":"b","task":"tiny"}"#
+        ))
+        .unwrap();
+        let reports = vec![
+            trial("a", "base", 1, &[("acc.ours", 0.5), ("mia.ours", 0.02)]),
+            trial("b", "base", 1, &[("acc.ours", 0.25)]),
+        ];
+        let t = render_table(&rows, &aggregate(&reports));
+        assert!(t.contains("### a (tiny)"), "{t}");
+        assert!(t.contains("### b (tiny)"), "{t}");
         assert!(t.contains("mia.ours"));
         assert!(t.contains("0.500"));
+        assert!(t.contains("counters.fl.upload_bytes_sign"));
+        assert!(t.contains("40.000"));
+        // Row b reports no MIA column and gates on no counter.
+        let b = &t[t.find("### b").unwrap()..];
+        assert!(!b.contains("mia.ours") && !b.contains("counters."), "{b}");
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! `run` executes the selected slice of the matrix and writes three
 //! artifacts under `--out` (default `target/lab`): `trials.jsonl` (one
-//! PR-5-style report line per trial), `tables.md` (the aggregated
-//! Table-I-style comparison), and `asserts.json` (machine-readable
+//! RunReport line per trial), `tables.md` (one aggregated comparison
+//! table per row), and `asserts.json` (machine-readable
 //! shape-claim verdicts). The exit code is non-zero iff a claim failed —
 //! that is the CI gate.
 //!
@@ -112,14 +112,15 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             plan.task.name(),
             plan.seed
         );
-        let report = run_trial(plan);
+        let report =
+            run_trial(plan).map_err(|e| format!("{} / {}: {e}", plan.row_id, plan.variant))?;
         jsonl.push_str(&report.to_jsonl());
         jsonl.push('\n');
         reports.push(report);
     }
 
     let aggs = aggregate(&reports);
-    let table = render_table(&aggs);
+    let table = render_table(&rows, &aggs);
     let outcomes = check_asserts(&rows, &aggs);
 
     let write = |name: &str, contents: &str| -> Result<(), String> {

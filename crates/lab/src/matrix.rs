@@ -89,6 +89,15 @@ pub enum MatrixError {
         /// What was wrong.
         msg: String,
     },
+    /// Two fields of a row rule each other out (`forget_malicious` next to
+    /// a baseline that forgets a single client, `keep_models_every` next
+    /// to FedRecover).
+    Conflict {
+        /// 1-based source line.
+        line: usize,
+        /// What conflicts.
+        msg: String,
+    },
 }
 
 impl fmt::Display for MatrixError {
@@ -124,13 +133,14 @@ impl fmt::Display for MatrixError {
             MatrixError::BadAssert { line, msg } => {
                 write!(f, "line {line}: bad assert: {msg}")
             }
+            MatrixError::Conflict { line, msg } => write!(f, "line {line}: {msg}"),
         }
     }
 }
 
 impl std::error::Error for MatrixError {}
 
-/// The base scenario a row builds on (a [`fuiov_bench::Scenario`]
+/// The base scenario a row builds on (a [`crate::scenario::Scenario`]
 /// constructor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Task {
@@ -219,6 +229,16 @@ impl Method {
         Method::ALL.into_iter().find(|m| m.name() == s)
     }
 
+    /// Whether the method can only forget one client (the baselines
+    /// score a single vehicle's removal), which rules out
+    /// `forget_malicious`.
+    fn single_client_only(self) -> bool {
+        matches!(
+            self,
+            Method::Retraining | Method::FedRecover | Method::FedRecovery
+        )
+    }
+
     /// The Table-I comparison set (a row's default `methods`).
     pub fn table1_set() -> Vec<Method> {
         vec![
@@ -241,14 +261,18 @@ pub enum EvalKind {
     /// Gradient-difference reconstruction error against the stored sign
     /// directions ("Verifiably Forgotten?", arXiv 2505.11097).
     Recon,
+    /// Attack success rate of the trial's attack (label-flip or backdoor
+    /// ASR, Fig. 1). A trial without an attack is a typed error.
+    Asr,
 }
 
 impl EvalKind {
-    /// The metric prefix ("mia" / "recon").
+    /// The metric prefix ("mia" / "recon" / "asr").
     pub fn name(self) -> &'static str {
         match self {
             EvalKind::Mia => "mia",
             EvalKind::Recon => "recon",
+            EvalKind::Asr => "asr",
         }
     }
 }
@@ -274,6 +298,7 @@ impl EvalSpec {
         let kind = match kind {
             "mia" => EvalKind::Mia,
             "recon" => EvalKind::Recon,
+            "asr" => EvalKind::Asr,
             _ => return None,
         };
         Some(EvalSpec {
@@ -328,6 +353,12 @@ pub struct Overrides {
     pub buffer_size: Option<usize>,
     /// L-BFGS pair refresh interval.
     pub pair_refresh_interval: Option<usize>,
+    /// §IV-B's adaptive refresh: refresh the pairs early after this many
+    /// rounds of growing divergence.
+    pub divergence_patience: Option<usize>,
+    /// Keep only every k-th global model (join rounds pinned) and recover
+    /// by interpolating the missing ones — the checkpoint-thinning knob.
+    pub keep_models_every: Option<usize>,
     /// Re-quantise the stored history at this δ before recovery
     /// (requires full gradients; the Fig. 3 sweep knob).
     pub requantize_delta: Option<f32>,
@@ -360,6 +391,8 @@ const OVERRIDE_KEYS: &[(&str, &str)] = &[
     ("hessian_correction", "bool"),
     ("buffer_size", "uint"),
     ("pair_refresh_interval", "uint"),
+    ("divergence_patience", "uint"),
+    ("keep_models_every", "uint"),
     ("requantize_delta", "number"),
     ("via_jobs", "bool"),
     ("transport", "string"),
@@ -431,6 +464,13 @@ impl Overrides {
                 "pair_refresh_interval" => {
                     o.pair_refresh_interval = Some(uint(val, "a non-negative integer")?);
                 }
+                "divergence_patience" => {
+                    o.divergence_patience = Some(uint(val, "a non-negative integer")?);
+                }
+                "keep_models_every" => match uint(val, "a positive integer")? {
+                    0 => return Err(mismatch("a positive integer")),
+                    k => o.keep_models_every = Some(k),
+                },
                 "requantize_delta" => {
                     o.requantize_delta = Some(val.as_f64().ok_or(mismatch("a number"))? as f32);
                 }
@@ -516,6 +556,12 @@ impl Overrides {
         if let Some(v) = self.pair_refresh_interval {
             pairs.push(("pair_refresh_interval".into(), Json::Num(v as f64)));
         }
+        if let Some(v) = self.divergence_patience {
+            pairs.push(("divergence_patience".into(), Json::Num(v as f64)));
+        }
+        if let Some(v) = self.keep_models_every {
+            pairs.push(("keep_models_every".into(), Json::Num(v as f64)));
+        }
         if let Some(v) = self.requantize_delta {
             pairs.push(("requantize_delta".into(), Json::Num(f64::from(v))));
         }
@@ -557,6 +603,8 @@ impl Overrides {
             hessian_correction: pick!(hessian_correction),
             buffer_size: pick!(buffer_size),
             pair_refresh_interval: pick!(pair_refresh_interval),
+            divergence_patience: pick!(divergence_patience),
+            keep_models_every: pick!(keep_models_every),
             requantize_delta: pick!(requantize_delta),
             via_jobs: pick!(via_jobs),
             transport: pick!(transport),
@@ -740,6 +788,9 @@ pub struct ScenarioRow {
     pub methods: Vec<Method>,
     /// Extra eval columns.
     pub evals: Vec<EvalSpec>,
+    /// Forget every attacker at once (Fig. 1) instead of the single
+    /// designated client.
+    pub forget_malicious: bool,
     /// Row-level overrides.
     pub overrides: Overrides,
     /// Variants (empty = just the base configuration).
@@ -785,6 +836,9 @@ impl ScenarioRow {
                 Json::Arr(self.evals.iter().map(|e| Json::Str(e.metric())).collect()),
             ));
         }
+        if self.forget_malicious {
+            pairs.push(("forget_malicious".into(), Json::Bool(true)));
+        }
         if self.overrides != Overrides::default() {
             pairs.push(("overrides".into(), self.overrides.to_json()));
         }
@@ -814,7 +868,8 @@ impl ScenarioRow {
     }
 }
 
-/// Default `base_seed` when a row omits it (the exp_* binaries' default).
+/// Default `base_seed` when a row omits it (every reproduction in
+/// `EXPERIMENTS.md` runs at this seed).
 pub const DEFAULT_SEED: u64 = 42;
 
 fn parse_row(v: &Json, line: usize) -> Result<ScenarioRow, MatrixError> {
@@ -827,6 +882,7 @@ fn parse_row(v: &Json, line: usize) -> Result<ScenarioRow, MatrixError> {
     let mut note = String::new();
     let mut methods = Method::table1_set();
     let mut evals = Vec::new();
+    let mut forget_malicious = false;
     let mut overrides = Overrides::default();
     let mut variants = Vec::new();
     let mut asserts = Vec::new();
@@ -890,6 +946,7 @@ fn parse_row(v: &Json, line: usize) -> Result<ScenarioRow, MatrixError> {
                     })
                     .collect::<Result<_, _>>()?;
             }
+            "forget_malicious" => forget_malicious = val.as_bool().ok_or(mismatch("a boolean"))?,
             "overrides" => overrides = Overrides::from_json(val, line, "overrides")?,
             "variants" => {
                 let arr = val
@@ -959,6 +1016,29 @@ fn parse_row(v: &Json, line: usize) -> Result<ScenarioRow, MatrixError> {
         }
     }
 
+    let thinned = std::iter::once(&overrides)
+        .chain(variants.iter().map(|v| &v.overrides))
+        .any(|o| o.keep_models_every.is_some());
+    let conflict = methods
+        .iter()
+        .chain(evals.iter().map(|e| &e.method))
+        .find_map(|m| {
+            let (field, why) = if forget_malicious && m.single_client_only() {
+                ("forget_malicious", "forgets one client")
+            } else if thinned && *m == Method::FedRecover {
+                ("keep_models_every", "replays every stored model")
+            } else {
+                return None;
+            };
+            Some(format!(
+                "{field} cannot run with '{}', which {why}",
+                m.name()
+            ))
+        });
+    if let Some(msg) = conflict {
+        return Err(MatrixError::Conflict { line, msg });
+    }
+
     Ok(ScenarioRow {
         id: id.ok_or(MatrixError::MissingField { line, field: "id" })?,
         task: task.ok_or(MatrixError::MissingField {
@@ -971,6 +1051,7 @@ fn parse_row(v: &Json, line: usize) -> Result<ScenarioRow, MatrixError> {
         note,
         methods,
         evals,
+        forget_malicious,
         overrides,
         variants,
         asserts,
@@ -1073,8 +1154,9 @@ mod tests {
     fn full_row_round_trips() {
         let src = concat!(
             r#"{"id":"table1_digits","task":"digits","repeats":3,"base_seed":7,"smoke":true,"#,
-            r#""methods":["ours","sign_replay","not"],"evals":["mia.ours","recon.ours"],"#,
-            r#""overrides":{"rounds":20,"lr":0.05,"hessian_correction":false},"#,
+            r#""methods":["ours","sign_replay","not"],"evals":["mia.ours","recon.ours","asr.ours"],"#,
+            r#""forget_malicious":true,"overrides":{"rounds":20,"lr":0.05,"hessian_correction":false,"#,
+            r#""divergence_patience":3,"keep_models_every":5},"#,
             r#""variants":[{"name":"fanout4","overrides":{"tree_fanout":4}}],"#,
             r#""asserts":[{"lhs":"acc.ours","op":">=","rhs":"acc.unlearned","tol":0.05}]}"#
         );
@@ -1091,6 +1173,31 @@ mod tests {
         let err =
             parse_matrix(r#"{"id": "t", "task": "tiny", "overrides": {"lr": true}}"#).unwrap_err();
         assert!(matches!(err, MatrixError::TypeMismatch { .. }), "{err}");
+        let err = parse_matrix(r#"{"id":"t","task":"tiny","overrides":{"keep_models_every":0}}"#)
+            .unwrap_err();
+        assert!(matches!(err, MatrixError::TypeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn conflicting_fields_are_typed_errors() {
+        let err = parse_matrix(r#"{"id":"t","task":"tiny","forget_malicious":true}"#).unwrap_err();
+        assert!(
+            matches!(err, MatrixError::Conflict { line: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("retraining"), "{err}");
+        let err = parse_matrix(concat!(
+            r#"{"id":"t","task":"tiny","forget_malicious":true,"methods":["ours"],"#,
+            r#""evals":["asr.fedrecover"]}"#
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("fedrecover"), "{err}");
+        let err = parse_matrix(concat!(
+            r#"{"id":"t","task":"tiny","methods":["fedrecover"],"#,
+            r#""variants":[{"name":"k2","overrides":{"keep_models_every":2}}]}"#
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("keep_models_every"), "{err}");
     }
 
     #[test]

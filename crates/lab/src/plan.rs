@@ -41,18 +41,26 @@ pub struct TrialPlan {
     pub methods: Vec<Method>,
     /// Eval columns to attach.
     pub evals: Vec<EvalSpec>,
+    /// Forget every attacker instead of the designated client.
+    pub forget_malicious: bool,
     /// Row overrides merged with variant overrides (variant wins).
     pub overrides: Overrides,
 }
 
 impl TrialPlan {
     /// Canonical single-line encoding (the fingerprint input and the
-    /// `lab plan` output format).
+    /// `lab plan` output format). `forget_malicious` appears only when
+    /// set, so plans that predate it keep their fingerprints.
     pub fn canonical(&self) -> String {
         let methods: Vec<&str> = self.methods.iter().map(|m| m.name()).collect();
         let evals: Vec<String> = self.evals.iter().map(EvalSpec::metric).collect();
+        let forget = if self.forget_malicious {
+            " forget_malicious=true"
+        } else {
+            ""
+        };
         format!(
-            "row={} variant={} task={} repeat={} seed={} smoke={} methods=[{}] evals=[{}] overrides={}",
+            "row={} variant={} task={} repeat={} seed={} smoke={} methods=[{}] evals=[{}]{forget} overrides={}",
             self.row_id,
             self.variant,
             self.task.name(),
@@ -112,6 +120,7 @@ pub fn expand(rows: &[ScenarioRow], filter: &PlanFilter) -> Vec<TrialPlan> {
                     smoke: row.smoke,
                     methods: row.methods.clone(),
                     evals: row.evals.clone(),
+                    forget_malicious: row.forget_malicious,
                     overrides: overrides.clone(),
                 });
             }

@@ -1,30 +1,30 @@
 //! Trial execution: one [`TrialPlan`] in, one [`TrialReport`] out.
 //!
-//! The runner drives the *existing* facade — [`fuiov_bench::Scenario`]
-//! training, the backtrack/recover pipeline, every baseline, the job
-//! service, and the loopback transport — addressed entirely through
-//! scenario fields, so a matrix row can reach any knob the `exp_*`
-//! binaries could. Method accuracies follow the exact recipe of
-//! `fuiov_bench::experiments::table1_row` (same configs, same seed
-//! streams), so a lab trial reproduces the retired `exp_table1` /
-//! `exp_iot` numbers bitwise; `crates/lab/tests/parity.rs` pins this.
+//! The runner drives the facade — [`Scenario`] training, the
+//! backtrack/recover pipeline, every baseline, the job service, and the
+//! loopback transport — addressed entirely through scenario fields.
+//! Each method follows the recipe of the experiment it reproduces (same
+//! configs, same seed streams); `crates/lab/tests/parity.rs` pins the
+//! outputs bitwise.
 //!
 //! Every trial emits one JSON line: metrics, FNV-1a parameter digests
 //! per method (the golden-trace hash family), and the windowed
-//! observability counters of the run (the PR-5 RunReport, embedded).
+//! observability counters of the run (the embedded RunReport). The
+//! training traffic of a trial lives in those counters
+//! (`fl.participant_rounds`, `fl.download_bytes`,
+//! `fl.upload_bytes_{full,sign}`).
 
 use crate::json::Json;
 use crate::matrix::{EvalKind, Method, Task};
 use crate::plan::TrialPlan;
-use fuiov_attacks::{reconstruction_error, Backdoor, LabelFlip};
+use crate::scenario::{ours_config, Attack, Scenario};
+use fuiov_attacks::{backdoor_asr, label_flip_asr, reconstruction_error, Backdoor, LabelFlip};
 use fuiov_baselines::{
     fedrecover, fedrecovery, not_unlearn, retrain, FedRecoverConfig, FedRecoveryConfig,
 };
-use fuiov_bench::experiments::ours_config;
-use fuiov_bench::{Attack, Scenario};
 use fuiov_core::{
     backtrack_set, membership_advantage, recover_set, ClientPoolOracle, JobConfig, JobService,
-    NoOracle, RecoveryConfig, Unlearner,
+    NoOracle, RecoveryConfig,
 };
 use fuiov_fl::comms::round_bytes;
 use fuiov_fl::{Client, FlConfig, Server};
@@ -33,7 +33,36 @@ use fuiov_obs::Snapshot;
 use fuiov_storage::HistoryStore;
 use fuiov_testkit::digest_params;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Duration;
+
+/// Why a trial cannot run: its plan asks for something its scenario does
+/// not have.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TrialError {
+    /// An `asr.*` eval column on a trial without an attack.
+    AsrWithoutAttack {
+        /// The eval column (`asr.<method>`).
+        eval: String,
+    },
+    /// `forget_malicious` on a trial without malicious clients.
+    NoMaliciousClients,
+}
+
+impl fmt::Display for TrialError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrialError::AsrWithoutAttack { eval } => {
+                write!(f, "eval '{eval}' needs an attack (set overrides.attack)")
+            }
+            TrialError::NoMaliciousClients => f.write_str(
+                "forget_malicious needs malicious clients (set attack and malicious_fraction)",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TrialError {}
 
 /// The outcome of one trial: everything the aggregator (and the JSONL
 /// artifact) needs.
@@ -186,7 +215,14 @@ pub fn scenario_of(plan: &TrialPlan) -> Scenario {
     }
     match o.attack.as_deref() {
         Some("label_flip") => sc.attack = Some(Attack::LabelFlip(LabelFlip::paper_default())),
-        Some("backdoor") => sc.attack = Some(Attack::Backdoor(Backdoor::paper_default(0.5))),
+        Some("backdoor") => {
+            // The paper's black patch cannot show on the synthetic digits'
+            // black background; the bright patch is the visible
+            // equivalent (DESIGN.md §2).
+            let mut backdoor = Backdoor::paper_default(0.5);
+            backdoor.trigger.value = 1.0;
+            sc.attack = Some(Attack::Backdoor(backdoor));
+        }
         _ => {}
     }
     if let Some(v) = o.malicious_fraction {
@@ -233,6 +269,12 @@ fn recovery_cfg(plan: &TrialPlan, history: &HistoryStore, lr: f32) -> RecoveryCo
     }
     if let Some(r) = plan.overrides.pair_refresh_interval {
         cfg = cfg.pair_refresh_interval(r);
+    }
+    if let Some(p) = plan.overrides.divergence_patience {
+        cfg = cfg.divergence_patience(Some(p));
+    }
+    if plan.overrides.keep_models_every.is_some() {
+        cfg = cfg.interpolate_missing_models(true);
     }
     cfg
 }
@@ -305,26 +347,62 @@ fn loopback_check(dim: usize, clients: usize) -> (u64, u64) {
 
 /// Runs one trial to completion.
 ///
+/// # Errors
+///
+/// Returns a [`TrialError`] before training when the plan asks for
+/// something its scenario lacks (an `asr.*` eval without an attack,
+/// `forget_malicious` without attackers).
+///
 /// # Panics
 ///
 /// Panics if a pipeline stage fails — matrix rows describe valid
 /// configurations, so a failure here is a bug, not an input error.
-pub fn run_trial(plan: &TrialPlan) -> TrialReport {
+pub fn run_trial(plan: &TrialPlan) -> Result<TrialReport, TrialError> {
     let before = Snapshot::capture();
     let sc = scenario_of(plan);
-    let mut trained = sc.train();
+    if sc.attack.is_none() {
+        if let Some(e) = plan.evals.iter().find(|e| e.kind == EvalKind::Asr) {
+            return Err(TrialError::AsrWithoutAttack { eval: e.metric() });
+        }
+    }
     let forgotten = sc.forgotten_id();
-
-    // The history every replay method reads: the recorded one, or its
-    // re-quantisation at the row's δ (the Fig. 3 sweep knob).
-    let requant = plan
-        .overrides
-        .requantize_delta
-        .map(|d| trained.history.requantized(&trained.full_store, d));
-    let history = requant.as_ref().unwrap_or(&trained.history);
+    // The clients every history-replay method erases: all attackers at
+    // once (Fig. 1), or the designated client.
+    let forgotten_set = if plan.forget_malicious {
+        let ids = sc.malicious_ids();
+        if ids.is_empty() {
+            return Err(TrialError::NoMaliciousClients);
+        }
+        ids
+    } else {
+        vec![forgotten]
+    };
+    let mut trained = sc.train();
 
     let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
     let mut digests: BTreeMap<String, String> = BTreeMap::new();
+    metrics.insert(
+        "storage.gradient_savings".into(),
+        trained.history.gradient_savings_ratio(),
+    );
+
+    // The history every replay method reads: the recorded one,
+    // re-quantised at the row's δ (the Fig. 3 sweep knob) and/or thinned
+    // to every k-th model (the checkpoint-thinning knob).
+    let mut replay = plan
+        .overrides
+        .requantize_delta
+        .map(|d| trained.history.requantized(&trained.full_store, d));
+    if let Some(k) = plan.overrides.keep_models_every {
+        let thin = replay
+            .as_ref()
+            .unwrap_or(&trained.history)
+            .thinned_models(k);
+        metrics.insert("thinning.models_stored".into(), thin.rounds().len() as f64);
+        metrics.insert("thinning.model_bytes".into(), thin.model_bytes() as f64);
+        replay = Some(thin);
+    }
+    let history = replay.as_ref().unwrap_or(&trained.history);
 
     // Every method whose parameters are needed: scored methods plus any
     // method an eval column points at.
@@ -335,46 +413,47 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
         }
     }
 
-    // Parameter vectors per method, computed in table1_row's order so a
-    // lab trial is bitwise-identical to the retired exp_* paths.
+    // Parameter vectors per method, in Table I's order.
     let mut params: BTreeMap<Method, Vec<f32>> = BTreeMap::new();
 
     if wanted.contains(&Method::Original) {
         params.insert(Method::Original, trained.final_params.clone());
     }
     if wanted.contains(&Method::Unlearned) {
-        let bt = backtrack_set(history, &[forgotten]).expect("backtrack");
+        let bt = backtrack_set(history, &forgotten_set).expect("backtrack");
         params.insert(Method::Unlearned, bt.params);
     }
     if wanted.contains(&Method::Ours) {
         let cfg = recovery_cfg(plan, history, sc.lr);
         let out = if plan.overrides.via_jobs == Some(true) {
             let mut svc = JobService::new(JobConfig::new(cfg));
-            let id = svc.submit(history, &[forgotten]);
+            let id = svc.submit(history, &forgotten_set);
             svc.run_to_completion(&mut NoOracle);
             metrics.insert("jobs.used".into(), 1.0);
             svc.take_outcome(id)
                 .expect("job finished")
                 .expect("ours (jobs)")
         } else {
-            Unlearner::new(history, cfg)
-                .forget_and_recover(forgotten)
-                .expect("ours")
+            recover_set(history, &forgotten_set, &cfg, &mut NoOracle, |_, _| {}).expect("ours")
         };
         metrics.insert("replay.rounds".into(), out.rounds_replayed as f64);
         metrics.insert("replay.fallbacks".into(), out.estimator_fallbacks as f64);
         params.insert(Method::Ours, out.params);
     }
     if wanted.contains(&Method::FedRecover) {
+        // Exact corrections come only from vehicles still in range: a
+        // departed vehicle cannot answer (the paper's Challenge II).
+        let departed = sc.departed_ids();
         let cfg = FedRecoverConfig::new(sc.lr);
         let refs: Vec<&mut Box<dyn Client>> = trained
             .clients
             .iter_mut()
-            .filter(|c| c.id() != forgotten)
+            .filter(|c| c.id() != forgotten && !departed.contains(&c.id()))
             .collect();
         let mut oracle = ClientPoolOracle::new(refs);
         let out = fedrecover(history, &trained.full_store, forgotten, &cfg, &mut oracle)
             .expect("fedrecover");
+        metrics.insert("fedrecover.exact_queries".into(), out.exact_queries as f64);
         params.insert(Method::FedRecover, out.params);
     }
     if wanted.contains(&Method::FedRecovery) {
@@ -397,7 +476,7 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
     }
     if wanted.contains(&Method::SignReplay) {
         let cfg = recovery_cfg(plan, history, sc.lr).without_hessian();
-        let out = recover_set(history, &[forgotten], &cfg, &mut NoOracle, |_, _| {})
+        let out = recover_set(history, &forgotten_set, &cfg, &mut NoOracle, |_, _| {})
             .expect("sign replay");
         params.insert(Method::SignReplay, out.params);
     }
@@ -406,7 +485,7 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
             trained.spec,
             &trained.final_params,
             history,
-            &[forgotten],
+            &forgotten_set,
             None,
         )
         .expect("not");
@@ -418,7 +497,7 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
             trained.spec,
             &trained.final_params,
             history,
-            &[forgotten],
+            &forgotten_set,
             Some(&cfg),
         )
         .expect("not finetune");
@@ -443,8 +522,9 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
     };
     metrics.insert("sign_agreement".into(), f64::from(agreement));
 
-    // Eval columns: MIA advantage and reconstruction error against each
-    // requested method's parameters.
+    // Eval columns against each requested method's parameters: MIA
+    // advantage and reconstruction error probe the designated client,
+    // ASR the trial's attack.
     if !plan.evals.is_empty() {
         let member = sc.client_shard(forgotten);
         let mut model = trained.spec.build(0);
@@ -463,6 +543,15 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
                     {
                         metrics.insert(e.metric(), f64::from(err));
                     }
+                }
+                EvalKind::Asr => {
+                    let mut m = trained.model_with(p);
+                    let asr = match &sc.attack {
+                        Some(Attack::LabelFlip(a)) => label_flip_asr(&mut m, &trained.test, a),
+                        Some(Attack::Backdoor(a)) => backdoor_asr(&mut m, &trained.test, a),
+                        None => unreachable!("asr evals are rejected before training"),
+                    };
+                    metrics.insert(e.metric(), f64::from(asr));
                 }
             }
         }
@@ -485,7 +574,7 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
     }
 
     let report = fuiov_obs::RunReport::since(&before);
-    TrialReport {
+    Ok(TrialReport {
         row_id: plan.row_id.clone(),
         variant: plan.variant.clone(),
         task: plan.task.name().to_string(),
@@ -494,7 +583,7 @@ pub fn run_trial(plan: &TrialPlan) -> TrialReport {
         metrics,
         digests,
         counters: report.snapshot.counters,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -539,6 +628,13 @@ mod tests {
         assert_eq!(sc.tree_fanout, Some(2));
         assert_eq!(sc.sample_frac, Some(0.5));
         assert!(matches!(sc.attack, Some(Attack::LabelFlip(_))));
+        let sc = scenario_of(&tiny_plan(
+            r#"{"id":"t","task":"tiny","overrides":{"attack":"backdoor"}}"#,
+        ));
+        match sc.attack {
+            Some(Attack::Backdoor(b)) => assert_eq!(b.trigger.value, 1.0, "bright trigger"),
+            other => panic!("expected a backdoor, got {other:?}"),
+        }
     }
 
     #[test]
@@ -547,7 +643,7 @@ mod tests {
             r#"{"id":"t","task":"tiny","methods":["original","unlearned","ours"],"#,
             r#""evals":["mia.ours","recon.ours"],"overrides":{"rounds":8}}"#
         ));
-        let r = run_trial(&plan);
+        let r = run_trial(&plan).unwrap();
         assert!(r.metrics.contains_key("acc.original"));
         assert!(r.metrics.contains_key("acc.ours"));
         assert!(r.metrics.contains_key("mia.ours"));
@@ -558,16 +654,25 @@ mod tests {
         assert!((0.0..=1.0).contains(&acc), "accuracy out of range: {acc}");
         let mia = r.metrics["mia.ours"];
         assert!((-1.0..=1.0).contains(&mia), "advantage out of range: {mia}");
+        // The §I storage claim on the tiny MLP (d = 4970): ⌈d/4⌉ packed
+        // bytes against 4d bytes of f32 per client-round.
+        let savings = r.metrics["storage.gradient_savings"];
+        assert!(
+            (savings - (1.0 - 1243.0 / 19880.0)).abs() < 1e-12,
+            "{savings}"
+        );
     }
 
     #[test]
     fn via_jobs_matches_direct_recovery_bitwise() {
         let direct = run_trial(&tiny_plan(
             r#"{"id":"d","task":"tiny","methods":["ours"],"overrides":{"rounds":8}}"#,
-        ));
+        ))
+        .unwrap();
         let jobs = run_trial(&tiny_plan(
             r#"{"id":"j","task":"tiny","methods":["ours"],"overrides":{"rounds":8,"via_jobs":true}}"#,
-        ));
+        ))
+        .unwrap();
         assert_eq!(direct.digests["ours"], jobs.digests["ours"]);
         assert_eq!(jobs.metrics["jobs.used"], 1.0);
     }
@@ -577,9 +682,27 @@ mod tests {
         let plan = tiny_plan(
             r#"{"id":"t","task":"tiny","methods":["ours","not"],"overrides":{"rounds":8}}"#,
         );
-        let a = run_trial(&plan);
-        let b = run_trial(&plan);
+        let a = run_trial(&plan).unwrap();
+        let b = run_trial(&plan).unwrap();
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.digests, b.digests);
+    }
+
+    #[test]
+    fn plans_missing_what_they_ask_for_are_typed_errors() {
+        let no_attack =
+            tiny_plan(r#"{"id":"t","task":"tiny","methods":["ours"],"evals":["asr.ours"]}"#);
+        assert_eq!(
+            run_trial(&no_attack),
+            Err(TrialError::AsrWithoutAttack {
+                eval: "asr.ours".into()
+            })
+        );
+        let no_attackers =
+            tiny_plan(r#"{"id":"t","task":"tiny","methods":["ours"],"forget_malicious":true}"#);
+        assert_eq!(
+            run_trial(&no_attackers),
+            Err(TrialError::NoMaliciousClients)
+        );
     }
 }

@@ -74,6 +74,7 @@ fn row_strategy() -> impl Strategy<Value = ScenarioRow> {
                     note: String::new(),
                     methods: Method::table1_set(),
                     evals: Vec::new(),
+                    forget_malicious: false,
                     overrides,
                     variants,
                     asserts: Vec::new(),
@@ -96,7 +97,7 @@ fn matrix_strategy() -> impl Strategy<Value = Vec<ScenarioRow>> {
     })
 }
 
-const ROW_FIELDS: [&str; 11] = [
+const ROW_FIELDS: [&str; 12] = [
     "id",
     "task",
     "repeats",
@@ -105,6 +106,7 @@ const ROW_FIELDS: [&str; 11] = [
     "note",
     "methods",
     "evals",
+    "forget_malicious",
     "overrides",
     "variants",
     "asserts",

@@ -115,3 +115,76 @@ fn ci_seed_matrices_match_the_seed_matrix_file() {
          and lab jobs over the seed matrix, found {matrices}"
     );
 }
+
+/// The ids of every row in `scenarios.jsonl` (comment and blank lines
+/// skipped; each row line carries one `"id":"…"`).
+fn matrix_row_ids() -> Vec<String> {
+    let matrix = fs::read_to_string(root().join("scenarios.jsonl")).expect("scenarios.jsonl");
+    matrix
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let rest = &l[l.find("\"id\":\"").expect("row has an id") + 6..];
+            rest[..rest.find('"').expect("id is a string")].to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn experiments_cite_only_rows_that_exist() {
+    // Every measured table in EXPERIMENTS.md names the `lab run --rows`
+    // that regenerates it; a renamed or deleted row must not leave a
+    // table pointing at nothing.
+    let ids = matrix_row_ids();
+    let doc = fs::read_to_string(root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let mut cited = 0;
+    for (i, line) in doc.lines().enumerate() {
+        for (pos, _) in line.match_indices("--rows ") {
+            let list = &line[pos + "--rows ".len()..];
+            let end = list
+                .find(|c: char| c.is_whitespace() || c == '`' || c == ')')
+                .unwrap_or(list.len());
+            for id in list[..end].split(',') {
+                cited += 1;
+                assert!(
+                    ids.iter().any(|r| r == id),
+                    "EXPERIMENTS.md line {}: row `{id}` is not in scenarios.jsonl",
+                    i + 1
+                );
+            }
+        }
+    }
+    assert!(
+        cited >= 15,
+        "EXPERIMENTS.md should name the rows behind its tables, found {cited}"
+    );
+}
+
+#[test]
+fn docs_name_only_exp_binaries_that_exist() {
+    let bins = root().join("crates/bench/src/bin");
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(root().join(doc)).expect("doc exists");
+        for (i, line) in text.lines().enumerate() {
+            for (pos, _) in line.match_indices("exp_") {
+                let word_start = line[..pos]
+                    .chars()
+                    .next_back()
+                    .is_none_or(|c| !(c.is_alphanumeric() || c == '_'));
+                let name: String = line[pos..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                if !word_start || name == "exp_" {
+                    continue; // part of a longer word, or the `exp_*` glob
+                }
+                assert!(
+                    bins.join(format!("{name}.rs")).exists(),
+                    "{doc} line {}: names `{name}`, which is not a binary in crates/bench",
+                    i + 1
+                );
+            }
+        }
+    }
+}
