@@ -5,7 +5,8 @@
 //! - compact L-BFGS HVP vs the dense Algorithm-2-as-written
 //!   materialisation — the ablation justifying the compact form
 //!   (DESIGN.md §5);
-//! - one full recovery round at the paper's MNIST model size.
+//! - one full recovery round at the paper's MNIST model size;
+//! - the MNIST CNN's conv and linear layers at one client batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fuiov_core::lbfgs::LbfgsApprox;
@@ -95,8 +96,8 @@ fn bench_gemm(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("gemm");
     group.sample_size(10);
-    // 32×144×6272 is conv2 of the paper's MNIST CNN at batch 32: the
-    // 32×(16·3²) weight matrix times the batched im2col column matrix.
+    // 32×144×6272 is the shape of a 16→32 3×3 convolution over a 14²
+    // batch of 32 written as one GEMM (weights times unfolded patches).
     // 256³ is a cache-pressure probe for the column tiling.
     for &(m, k, n) in &[(32usize, 144usize, 6272usize), (256, 256, 256)] {
         let a = Mat::from_vec(m, k, random_vec(m * k, 11));
@@ -601,34 +602,60 @@ fn bench_history_tiering(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_conv_backends(c: &mut Criterion) {
-    use fuiov_nn::layers::{Conv2d, ConvBackend, Layer};
+fn bench_nn_layers(c: &mut Criterion) {
+    // The layers of the paper's MNIST CNN at one client batch (50): conv1
+    // 1→8 @ 28², conv2 8→16 @ 14², fc1 784→64. The conv backward runs on
+    // the gradient that ReLU and 2×2 max pooling hand it in training, so
+    // at least three quarters of it is exactly zero.
+    use fuiov_nn::layers::{Conv2d, Layer, Linear, MaxPool2, Relu};
     use fuiov_nn::Tensor4;
     use rand::SeedableRng;
 
+    let batch = 50;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let input = |rng: &mut rand::rngs::StdRng, c: usize, hw: usize| {
+        let len = batch * c * hw * hw;
+        Tensor4::from_vec(
+            batch,
+            c,
+            hw,
+            hw,
+            (0..len).map(|_| rng.gen_range(0.0f32..1.0)).collect(),
+        )
+    };
+
     let mut group = c.benchmark_group("conv2d");
-    group.sample_size(20);
-    for &(ch_in, ch_out, hw) in &[(8usize, 16usize, 16usize), (16, 32, 32)] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let direct = Conv2d::new(&mut rng, ch_in, ch_out, 3, 1);
-        let gemm = direct.clone().with_backend(ConvBackend::Im2col);
-        let x = Tensor4::from_vec(
-            4,
-            ch_in,
-            hw,
-            hw,
-            (0..4 * ch_in * hw * hw)
-                .map(|i| (i as f32 * 0.137).sin())
-                .collect(),
-        );
-        let label = format!("{ch_in}x{ch_out}x{hw}");
-        for (name, layer) in [("direct", direct), ("im2col", gemm)] {
-            let mut layer = layer;
-            group.bench_function(BenchmarkId::new(name, &label), |b| {
-                b.iter(|| black_box(layer.forward(&x)));
-            });
-        }
+    group.sample_size(10);
+    for &(ch_in, ch_out, hw) in &[(1usize, 8usize, 28usize), (8, 16, 14)] {
+        let mut conv = Conv2d::new(&mut rng, ch_in, ch_out, 3, 1);
+        let x = input(&mut rng, ch_in, hw);
+        let label = format!("{ch_in}x{ch_out}@{hw}");
+        group.throughput(Throughput::Elements(
+            (batch * ch_out * hw * hw * ch_in * 9) as u64,
+        ));
+        group.bench_function(BenchmarkId::new("forward", &label), |b| {
+            b.iter(|| black_box(conv.forward(&x)));
+        });
+        let (mut relu, mut pool) = (Relu::new(), MaxPool2::new());
+        let pooled = pool.forward(&relu.forward(&conv.forward(&x)));
+        let upstream = input(&mut rng, ch_out, hw / 2);
+        assert_eq!(pooled.shape(), upstream.shape());
+        let g = relu.backward(&pool.backward(&upstream));
+        group.bench_function(BenchmarkId::new("backward", &label), |b| {
+            b.iter(|| black_box(conv.backward(&g)));
+        });
     }
+    group.finish();
+
+    let mut group = c.benchmark_group("linear");
+    group.sample_size(10);
+    let (fin, fout) = (784, 64);
+    let mut fc = Linear::new(&mut rng, fin, fout);
+    let x = input(&mut rng, fin, 1);
+    group.throughput(Throughput::Elements((batch * fin * fout) as u64));
+    group.bench_function(BenchmarkId::new("forward", format!("{fin}x{fout}")), |b| {
+        b.iter(|| black_box(fc.forward(&x)));
+    });
     group.finish();
 }
 
@@ -642,6 +669,6 @@ criterion_group!(
     bench_direction_decode,
     bench_simd_kernels,
     bench_history_tiering,
-    bench_conv_backends
+    bench_nn_layers
 );
 criterion_main!(benches);

@@ -1,5 +1,11 @@
 //! Fully-connected layer: `y = W·x + b`.
+//!
+//! The forward pass vectorises across batch items: each output keeps
+//! `vector::dot`'s sequence (`f64` products summed in input order from
+//! `-0.0`, one cast to `f32`, then `+ bias`), so the result is bit for bit
+//! the per-item dot product at any vector width.
 
+use super::lanes::{to_lanes, LANES};
 use super::Layer;
 use crate::init;
 use crate::tensor4::Tensor4;
@@ -67,16 +73,21 @@ impl Layer for Linear {
             self.in_features,
             "linear: input features mismatch"
         );
-        let n = x.n();
-        let mut out = Tensor4::zeros(n, self.out_features, 1, 1);
-        for b in 0..n {
-            let xi = x.item(b);
-            let oi = &mut out.as_mut_slice()[b * self.out_features..(b + 1) * self.out_features];
-            for (o, (row, bias)) in oi
-                .iter_mut()
-                .zip(self.weight.chunks_exact(self.in_features).zip(&self.bias))
-            {
-                *o = fuiov_tensor::vector::dot(row, xi) + bias;
+        let (n, fin, fout) = (x.n(), self.in_features, self.out_features);
+        let mut out = Tensor4::zeros(n, fout, 1, 1);
+        let mut xl = Vec::new();
+        for b0 in (0..n).step_by(LANES) {
+            to_lanes(x.as_slice(), fin, b0, &mut xl);
+            for (o, (row, &bias)) in self.weight.chunks_exact(fin).zip(&self.bias).enumerate() {
+                let mut acc = [-0.0f64; LANES];
+                for (&wv, xs) in row.iter().zip(&xl) {
+                    for j in 0..LANES {
+                        acc[j] += f64::from(wv) * f64::from(xs[j]);
+                    }
+                }
+                for (j, &a) in acc[..(n - b0).min(LANES)].iter().enumerate() {
+                    out.as_mut_slice()[(b0 + j) * fout + o] = a as f32 + bias;
+                }
             }
         }
         self.cached_input = Some(x.clone());
@@ -151,12 +162,61 @@ impl Layer for Linear {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil;
+    use super::super::testutil::{self, bits, signed_values};
     use super::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(11)
+    }
+
+    /// The per-item `vector::dot` forward the kernel replaced: the
+    /// reference for the per-output order.
+    fn reference_forward(l: &Linear, x: &Tensor4) -> Tensor4 {
+        let n = x.n();
+        let mut out = Tensor4::zeros(n, l.out_features, 1, 1);
+        for b in 0..n {
+            let xi = x.item(b);
+            let oi = &mut out.as_mut_slice()[b * l.out_features..(b + 1) * l.out_features];
+            for (o, (row, bias)) in oi
+                .iter_mut()
+                .zip(l.weight.chunks_exact(l.in_features).zip(&l.bias))
+            {
+                *o = fuiov_tensor::vector::dot(row, xi) + bias;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn forward_matches_the_dot_product_loop_bitwise() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x11ee);
+        for case in 0..120 {
+            let fin = if case % 10 == 0 {
+                rng.gen_range(700..=800)
+            } else {
+                rng.gen_range(1..=80)
+            };
+            let fout = rng.gen_range(1..=12usize);
+            let n = if case % 7 == 0 {
+                60
+            } else {
+                rng.gen_range(1..=20)
+            };
+            let mut layer = Linear::new(&mut rng, fin, fout);
+            // Exact-zero weights, ±0.0 inputs and −0.0 biases: every
+            // product and partial sum can be a signed zero.
+            let params = signed_values(&mut rng, layer.param_count(), 0.2);
+            layer.write_params(&params);
+            let x = Tensor4::from_vec(n, fin, 1, 1, signed_values(&mut rng, n * fin, 0.3));
+            let y = layer.forward(&x);
+            assert_eq!(
+                bits(y.as_slice()),
+                bits(reference_forward(&layer, &x).as_slice()),
+                "case {case}: {n} x {fin} -> {fout}"
+            );
+        }
     }
 
     #[test]

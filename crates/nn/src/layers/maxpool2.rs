@@ -46,16 +46,17 @@ impl Layer for MaxPool2 {
             for ch in 0..c {
                 for y in 0..oh {
                     for xx in 0..ow {
-                        let mut best_val = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = x.index(b, ch, 2 * y + dy, 2 * xx + dx);
-                                let v = x.as_slice()[idx];
-                                if v > best_val {
-                                    best_val = v;
-                                    best_idx = idx;
-                                }
+                        // Seeded from the window's own first element, so a
+                        // window of −∞ or NaN still routes its gradient to
+                        // itself (and a leading NaN propagates).
+                        let mut best_idx = x.index(b, ch, 2 * y, 2 * xx);
+                        let mut best_val = x.as_slice()[best_idx];
+                        for (dy, dx) in [(0, 1), (1, 0), (1, 1)] {
+                            let idx = x.index(b, ch, 2 * y + dy, 2 * xx + dx);
+                            let v = x.as_slice()[idx];
+                            if v > best_val {
+                                best_val = v;
+                                best_idx = idx;
                             }
                         }
                         out.as_mut_slice()[oi] = best_val;
@@ -131,6 +132,39 @@ mod tests {
         let g = Tensor4::from_vec(1, 1, 1, 1, vec![2.0]);
         let gi = p.backward(&g);
         assert_eq!(gi.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn all_negative_infinity_window_routes_inside_its_own_item() {
+        let mut p = MaxPool2::new();
+        let mut data = vec![1.0; 2 * 4];
+        data[4..].fill(f32::NEG_INFINITY); // item 1's only window
+        let x = Tensor4::from_vec(2, 1, 2, 2, data);
+        let y = p.forward(&x);
+        assert_eq!(y.as_slice(), &[1.0, f32::NEG_INFINITY]);
+        let gi = p.backward(&Tensor4::from_vec(2, 1, 1, 1, vec![0.0, 3.0]));
+        assert_eq!(gi.as_slice(), &[0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn all_nan_window_outputs_nan() {
+        let mut p = MaxPool2::new();
+        let x = Tensor4::from_vec(
+            1,
+            1,
+            2,
+            4,
+            vec![f32::NAN, f32::NAN, 1.0, 2.0, f32::NAN, f32::NAN, 3.0, 4.0],
+        );
+        let y = p.forward(&x);
+        assert!(
+            y.as_slice()[0].is_nan(),
+            "NaN window must not output {}",
+            y.as_slice()[0]
+        );
+        assert_eq!(y.as_slice()[1], 4.0);
+        let gi = p.backward(&Tensor4::from_vec(1, 1, 1, 2, vec![5.0, 6.0]));
+        assert_eq!(gi.as_slice(), &[5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 6.0]);
     }
 
     #[test]

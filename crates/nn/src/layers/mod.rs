@@ -12,6 +12,7 @@ mod batchnorm;
 mod conv2d;
 mod dropout;
 mod flatten;
+mod lanes;
 mod linear;
 mod maxpool2;
 mod relu;
@@ -19,7 +20,7 @@ mod relu;
 pub use activation::{LeakyRelu, Sigmoid, Tanh};
 pub use avgpool2::AvgPool2;
 pub use batchnorm::BatchNorm2;
-pub use conv2d::{Conv2d, ConvBackend};
+pub use conv2d::Conv2d;
 pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
@@ -83,6 +84,27 @@ impl Clone for Box<dyn Layer> {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+
+    /// `f32` bit patterns, for bitwise comparisons.
+    pub fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `len` values: a share `zeros` of them exactly `+0.0` or `-0.0`
+    /// (half each), the rest uniform in `[-1, 1)`.
+    pub fn signed_values<R: rand::Rng>(rng: &mut R, len: usize, zeros: f64) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                if !rng.gen_bool(zeros) {
+                    rng.gen_range(-1.0f32..1.0)
+                } else if rng.gen_bool(0.5) {
+                    0.0
+                } else {
+                    -0.0
+                }
+            })
+            .collect()
+    }
 
     /// Numerically checks ∂loss/∂input of a layer against finite
     /// differences, where the "loss" is `Σ coeffᵢ · outᵢ` for fixed random

@@ -546,7 +546,7 @@ fn gemm_band(
     // One j-panel of `b` is repacked contiguously (inner × MICRO_COLS) and
     // reused by every row block in the band: the k loop then streams 64-byte
     // sequential lines instead of taking a `4·n`-byte stride per k, which is
-    // what the prefetcher can actually follow on tall-n im2col GEMMs.
+    // what the prefetcher can actually follow on GEMMs with a large `n`.
     let mut packed = Vec::new();
     let mut j0 = 0;
     while j0 + MICRO_COLS <= n {

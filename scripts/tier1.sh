@@ -62,6 +62,17 @@ stage_doc() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 }
 
+stage_nn_native() {
+  # The nn suite again under the host's native codegen, the configuration
+  # local builds and the benchmark use: there LLVM vectorises the conv and
+  # linear kernels at the host's full width (AVX2 or AVX-512) instead of
+  # SSE2. Their bitwise reference tests and the CNN bit pins must hold at
+  # both widths. A separate target directory keeps the portable artifacts
+  # of the other stages from being rebuilt.
+  RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+    cargo test -p fuiov-nn --release -q
+}
+
 stage_golden() {
   # Golden-trace regression (fails on any digest drift — bless intentional
   # changes with FUIOV_BLESS=1, see DESIGN.md §6).
@@ -154,7 +165,7 @@ stage_bench_smoke() {
   cargo run --release -q -p fuiov-lab --bin lab -- bench-smoke
 }
 
-ALL_STAGES="guard build test fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke"
+ALL_STAGES="guard build test nn_native fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke"
 
 stages() {
   echo "$ALL_STAGES" | tr ' ' '\n'

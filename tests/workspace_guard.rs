@@ -73,6 +73,20 @@ fn ci_runs_the_same_stages_as_tier1() {
         invoked >= 10,
         "ci.yml must drive its checks through tier1.sh stages, found {invoked}"
     );
+    // And the other way round: every stage tier1.sh runs is a CI step.
+    let all = script
+        .lines()
+        .find_map(|l| l.strip_prefix("ALL_STAGES=\""))
+        .and_then(|l| l.strip_suffix('"'))
+        .expect("tier1.sh lists ALL_STAGES");
+    for stage in all.split_whitespace() {
+        assert!(
+            ci.lines()
+                .filter_map(|l| l.trim().strip_prefix("run: bash scripts/tier1.sh"))
+                .any(|args| args.split_whitespace().any(|s| s == stage)),
+            "tier1.sh stage `{stage}` has no CI step in ci.yml"
+        );
+    }
 }
 
 #[test]
