@@ -213,7 +213,7 @@ pub fn fedrecover(
             // path and consumed in fixed `remaining` order, keeping the
             // recovered model bitwise identical at any pool width.
             if stacked_dirty {
-                stacked = StackedLbfgs::build(dim, approxes.iter().map(|(c, a)| (*c, a)));
+                stacked.rebuild(approxes.iter().map(|(c, a)| (*c, a)));
                 stacked_dirty = false;
             }
             roster.clear();

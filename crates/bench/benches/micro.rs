@@ -5,7 +5,8 @@
 //! - compact L-BFGS HVP vs the dense Algorithm-2-as-written
 //!   materialisation — the ablation justifying the compact form
 //!   (DESIGN.md §5);
-//! - one full recovery round at the paper's MNIST model size;
+//! - one full recovery round at the paper's MNIST model size, and what a
+//!   pair refresh costs there (approximation build, stack rebuild);
 //! - the MNIST CNN's conv and linear layers at one client batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -87,6 +88,48 @@ fn bench_lbfgs(c: &mut Criterion) {
     group.bench_function("hvp_dim64", |b| b.iter(|| black_box(approx.hvp(&v))));
     group.bench_function("dense_materialise_dim64", |b| {
         b.iter(|| black_box(approx.dense()))
+    });
+    group.finish();
+}
+
+fn bench_pair_refresh(c: &mut Criterion) {
+    // What one §IV-B pair refresh costs at the paper shape: rebuilding a
+    // client's approximation from its s = 2 buffered pairs, and
+    // re-stacking 99 remaining clients (4 factor rows each) for the next
+    // fused sweep.
+    let dim = 52_138;
+    let dws = vec![random_vec(dim, 1), random_vec(dim, 2)];
+    let dgs: Vec<Vec<f32>> = dws
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let mut g = w.clone();
+            vector::scale(2.0, &mut g);
+            vector::axpy(0.01, &random_vec(dim, 10 + i as u64), &mut g);
+            g
+        })
+        .collect();
+    let dw_refs: Vec<&[f32]> = dws.iter().map(Vec::as_slice).collect();
+    let dg_refs: Vec<&[f32]> = dgs.iter().map(Vec::as_slice).collect();
+
+    let mut group = c.benchmark_group("lbfgs");
+    group.throughput(Throughput::Elements((2 * 2 * dim) as u64));
+    group.bench_function(BenchmarkId::new("build", "52138x2"), |b| {
+        b.iter(|| black_box(LbfgsApprox::from_slices(&dw_refs, &dg_refs).expect("valid pairs")));
+    });
+    group.finish();
+
+    let approx = LbfgsApprox::from_slices(&dw_refs, &dg_refs).expect("valid pairs");
+    let clients = 99;
+    let mut stacked = StackedLbfgs::build(dim, (0..clients).map(|cid| (cid, &approx)));
+    let mut group = c.benchmark_group("stack");
+    group.sample_size(10);
+    group.throughput(Throughput::Bytes((clients * 4 * dim * 4) as u64));
+    group.bench_function(BenchmarkId::new("rebuild", "99x4x52138"), |b| {
+        b.iter(|| {
+            stacked.rebuild((0..clients).map(|cid| (cid, &approx)));
+            black_box(stacked.total_columns())
+        });
     });
     group.finish();
 }
@@ -663,6 +706,7 @@ criterion_group!(
     benches,
     bench_aggregation,
     bench_lbfgs,
+    bench_pair_refresh,
     bench_gemm,
     bench_recovery_round,
     bench_batched_recovery_round,

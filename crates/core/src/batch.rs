@@ -8,15 +8,18 @@
 //!
 //! 1. **Fused inbound pass** — all clients' factor columns
 //!    `[ΔG₁ ΔW₁ │ ΔG₂ ΔW₂ │ …]` live in one `Σᵢ2sᵢ × d` matrix (stored
-//!    *transposed* so each logical column is a contiguous row), and a
-//!    single [`Mat::row_dots_into`] sweep computes every `colᵀ·v` at once,
+//!    *transposed* so each logical column is a contiguous row — the very
+//!    layout every [`LbfgsApprox`] keeps its own `2s × d` factor block in,
+//!    so stacking a client is one block copy), and a single
+//!    [`Mat::row_dots_into`] sweep computes every `colᵀ·v` at once,
 //!    parallelised over stacked columns via the row-band pool.
 //! 2. **Middle solves** — per client, the tiny `2sᵢ × 2sᵢ` factored system
 //!    is solved against its slice of the fused dots (scratch recycled
 //!    across clients).
 //! 3. **Fused outbound pass** — per client, `σv − ΔG·p₁ − σΔW·p₂` is
 //!    accumulated straight into that client's estimate row of the round
-//!    scratch, reading the client's `2s` stacked rows as parallel streams.
+//!    scratch, reading the client's `2s` stacked rows as parallel streams
+//!    (the same kernel a lone [`LbfgsApprox::hvp`] runs on its own block).
 //!
 //! **Bitwise identity.** Each stacked column's dot accumulates `f64`
 //! contributions in ascending element order with the `v[r] == 0.0` skip —
@@ -54,10 +57,11 @@ struct StackedEntry {
 /// All remaining clients' L-BFGS factors stacked into one matrix, ready to
 /// serve a whole recovery round with one fused inbound sweep.
 ///
-/// Rebuild (via [`StackedLbfgs::build`]) whenever any client's
+/// Re-stack (via [`StackedLbfgs::rebuild`]) whenever any client's
 /// approximation changes — pair refreshes are rare (every
-/// `pair_refresh_interval` rounds), so the copy amortises across many
-/// replayed rounds.
+/// `pair_refresh_interval` rounds), and each client's factors already
+/// sit in the stack's row layout, so a rebuild is one block copy per
+/// client into the buffer the stack already owns.
 #[derive(Debug, Clone)]
 pub struct StackedLbfgs {
     dim: usize,
@@ -76,49 +80,62 @@ impl StackedLbfgs {
     ///
     /// # Panics
     ///
-    /// Panics if an approximation's dimension differs from `dim` or the
-    /// client ids are not strictly ascending.
+    /// As [`StackedLbfgs::rebuild`].
     pub fn build<'a, I>(dim: usize, approxes: I) -> Self
     where
         I: IntoIterator<Item = (ClientId, &'a LbfgsApprox)>,
     {
-        let mut entries = Vec::new();
-        let mut clients = Vec::new();
-        let mut data: Vec<f32> = Vec::new();
+        let mut stacked = StackedLbfgs {
+            dim,
+            stack: Mat::zeros(0, 0),
+            entries: Vec::new(),
+            clients: Vec::new(),
+        };
+        stacked.rebuild(approxes);
+        stacked
+    }
+
+    /// Re-stacks `approxes` (ascending client order, the stack's
+    /// dimension) into the buffer this stack already owns. Every approximation keeps
+    /// its factors in the stack's row layout, so each client costs one
+    /// block copy; the buffer is reserved to the exact new size once and
+    /// reused across rebuilds. The result is indistinguishable from a
+    /// fresh [`StackedLbfgs::build`] (equal [`StackedLbfgs::fingerprint`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an approximation's dimension differs from `dim` or the
+    /// client ids are not strictly ascending.
+    pub fn rebuild<'a, I>(&mut self, approxes: I)
+    where
+        I: IntoIterator<Item = (ClientId, &'a LbfgsApprox)>,
+    {
+        let dim = self.dim;
+        let approxes: Vec<(ClientId, &LbfgsApprox)> = approxes.into_iter().collect();
+        let rows: usize = approxes.iter().map(|(_, a)| a.factors().rows()).sum();
+        let mut data = std::mem::replace(&mut self.stack, Mat::zeros(0, 0)).into_vec();
+        data.clear();
+        data.reserve_exact(rows * dim);
+        self.entries.clear();
+        self.clients.clear();
         let mut offset = 0usize;
         for (client, approx) in approxes {
             assert_eq!(approx.dim(), dim, "StackedLbfgs: dimension mismatch");
             assert!(
-                clients.last().is_none_or(|&last| last < client),
+                self.clients.last().is_none_or(|&last| last < client),
                 "StackedLbfgs: clients must be strictly ascending"
             );
-            let s = approx.pairs();
-            for j in 0..s {
-                data.extend(approx.dg_mat().col(j));
-            }
-            for j in 0..s {
-                data.extend(approx.dw_mat().col(j));
-            }
-            entries.push(StackedEntry {
+            data.extend_from_slice(approx.factors().as_slice());
+            self.entries.push(StackedEntry {
                 offset,
-                pairs: s,
+                pairs: approx.pairs(),
                 sigma: approx.sigma(),
                 middle: approx.middle_lu().clone(),
             });
-            clients.push(client);
-            offset += 2 * s;
+            self.clients.push(client);
+            offset += approx.factors().rows();
         }
-        let stack = if offset == 0 {
-            Mat::zeros(0, dim.max(1))
-        } else {
-            Mat::from_vec(offset, dim, data)
-        };
-        StackedLbfgs {
-            dim,
-            stack,
-            entries,
-            clients,
-        }
+        self.stack = Mat::from_vec(offset, dim, data);
     }
 
     /// Whether no client is stacked.
@@ -264,62 +281,71 @@ impl StackedLbfgs {
         self.apply(entry, ps, v, out, false);
     }
 
-    // `-1.0 * x` is deliberate: it replays `axpy(-1.0, …)`'s exact `a * xi`
-    // multiply so the combination stays bit-for-bit the per-client chain.
-    #[allow(clippy::neg_multiply)]
     fn apply(&self, entry: usize, ps: &[f32], v: &[f32], out: &mut [f32], accumulate: bool) {
         let e = &self.entries[entry];
-        let s = e.pairs;
-        assert_eq!(v.len(), self.dim, "apply: dimension mismatch");
-        assert_eq!(out.len(), self.dim, "apply: output dimension mismatch");
-        let p = &ps[e.offset..e.offset + 2 * s];
-        let (p1, p2) = p.split_at(s);
-        let sigma = e.sigma;
-        // Per element: the same f64 dot (ascending j, no zero skip) and
-        // f32 combination sequence as `apply_compact` / the original
-        // matvec + scale + axpy chain.
-        if s == 2 {
-            // The paper's buffer size — fully zipped streams, no indexing.
-            let (g0, g1) = (self.stack.row(e.offset), self.stack.row(e.offset + 1));
-            let (w0, w1) = (self.stack.row(e.offset + 2), self.stack.row(e.offset + 3));
-            let (pg0, pg1) = (f64::from(p1[0]), f64::from(p1[1]));
-            let (pw0, pw1) = (f64::from(p2[0]), f64::from(p2[1]));
-            for (((((&vr, slot), &x0), &x1), &y0), &y1) in
-                v.iter().zip(out.iter_mut()).zip(g0).zip(g1).zip(w0).zip(w1)
-            {
-                let mut acc_g = 0.0f64;
-                acc_g += f64::from(x0) * pg0;
-                acc_g += f64::from(x1) * pg1;
-                let part_g = acc_g as f32;
-                let mut acc_w = 0.0f64;
-                acc_w += f64::from(y0) * pw0;
-                acc_w += f64::from(y1) * pw1;
-                let part_w = acc_w as f32;
-                let mut t = vr * sigma;
-                t += -1.0 * part_g;
-                t += -sigma * part_w;
-                if accumulate {
-                    *slot += 1.0 * t;
-                } else {
-                    *slot = t;
-                }
-            }
-            return;
-        }
-        // The client's 2s stacked rows, read as parallel sequential
-        // streams: element r of logical factor column j is rows_?[j][r].
-        let rows_g: Vec<&[f32]> = (0..s).map(|j| self.stack.row(e.offset + j)).collect();
-        let rows_w: Vec<&[f32]> = (0..s).map(|j| self.stack.row(e.offset + s + j)).collect();
-        for (r, (&vr, slot)) in v.iter().zip(out.iter_mut()).enumerate() {
+        let p = &ps[e.offset..e.offset + 2 * e.pairs];
+        apply_block(
+            &self.stack,
+            e.offset,
+            e.pairs,
+            e.sigma,
+            p,
+            v,
+            out,
+            accumulate,
+        );
+    }
+}
+
+/// The outbound kernel of the compact representation, shared by the stack
+/// and [`LbfgsApprox::hvp_into`]: for the `2s` factor rows of `factors`
+/// starting at `offset` (`ΔG` rows, then `ΔW` rows) and the middle-solve
+/// solution `p = [p₁; p₂]`, writes (or, with `accumulate`, adds via
+/// `axpy(1.0, …)`) `σ·v[r] − (ΔG·p₁)[r] − σ·(ΔW·p₂)[r]` into `out[r]`.
+///
+/// Per element, both row dots accumulate in `f64` over ascending `j` with
+/// no zero skip (exactly [`fuiov_tensor::vector::dot`] as `Mat::matvec`
+/// calls it) and the combination replays the textbook chain's `scale` +
+/// two `axpy`s, so every caller produces the same bits as the original
+/// five-pass implementation.
+///
+/// # Panics
+///
+/// Panics if `out.len() != v.len()`, `p.len() != 2s`, or the rows are out
+/// of range.
+// `-1.0 * x` is deliberate: it replays `axpy(-1.0, …)`'s exact `a * xi`
+// multiply so the combination stays bit-for-bit the per-client chain.
+#[allow(clippy::neg_multiply, clippy::too_many_arguments)]
+pub(crate) fn apply_block(
+    factors: &Mat,
+    offset: usize,
+    s: usize,
+    sigma: f32,
+    p: &[f32],
+    v: &[f32],
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    assert_eq!(v.len(), factors.cols(), "apply: dimension mismatch");
+    assert_eq!(out.len(), v.len(), "apply: output dimension mismatch");
+    assert_eq!(p.len(), 2 * s, "apply: solution length mismatch");
+    let (p1, p2) = p.split_at(s);
+    if s == 2 {
+        // The paper's buffer size — fully zipped streams, no indexing.
+        let (g0, g1) = (factors.row(offset), factors.row(offset + 1));
+        let (w0, w1) = (factors.row(offset + 2), factors.row(offset + 3));
+        let (pg0, pg1) = (f64::from(p1[0]), f64::from(p1[1]));
+        let (pw0, pw1) = (f64::from(p2[0]), f64::from(p2[1]));
+        for (((((&vr, slot), &x0), &x1), &y0), &y1) in
+            v.iter().zip(out.iter_mut()).zip(g0).zip(g1).zip(w0).zip(w1)
+        {
             let mut acc_g = 0.0f64;
-            for (row, &pj) in rows_g.iter().zip(p1) {
-                acc_g += f64::from(row[r]) * f64::from(pj);
-            }
+            acc_g += f64::from(x0) * pg0;
+            acc_g += f64::from(x1) * pg1;
             let part_g = acc_g as f32;
             let mut acc_w = 0.0f64;
-            for (row, &pj) in rows_w.iter().zip(p2) {
-                acc_w += f64::from(row[r]) * f64::from(pj);
-            }
+            acc_w += f64::from(y0) * pw0;
+            acc_w += f64::from(y1) * pw1;
             let part_w = acc_w as f32;
             let mut t = vr * sigma;
             t += -1.0 * part_g;
@@ -329,6 +355,31 @@ impl StackedLbfgs {
             } else {
                 *slot = t;
             }
+        }
+        return;
+    }
+    // The client's 2s stacked rows, read as parallel sequential
+    // streams: element r of logical factor column j is rows_?[j][r].
+    let rows_g: Vec<&[f32]> = (0..s).map(|j| factors.row(offset + j)).collect();
+    let rows_w: Vec<&[f32]> = (0..s).map(|j| factors.row(offset + s + j)).collect();
+    for (r, (&vr, slot)) in v.iter().zip(out.iter_mut()).enumerate() {
+        let mut acc_g = 0.0f64;
+        for (row, &pj) in rows_g.iter().zip(p1) {
+            acc_g += f64::from(row[r]) * f64::from(pj);
+        }
+        let part_g = acc_g as f32;
+        let mut acc_w = 0.0f64;
+        for (row, &pj) in rows_w.iter().zip(p2) {
+            acc_w += f64::from(row[r]) * f64::from(pj);
+        }
+        let part_w = acc_w as f32;
+        let mut t = vr * sigma;
+        t += -1.0 * part_g;
+        t += -sigma * part_w;
+        if accumulate {
+            *slot += 1.0 * t;
+        } else {
+            *slot = t;
         }
     }
 }
@@ -565,6 +616,56 @@ mod tests {
         let empty = StackedLbfgs::build(dim, std::iter::empty());
         assert_ne!(one.fingerprint(), empty.fingerprint());
         assert_eq!(one.dim(), dim);
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_a_fresh_build() {
+        // Clients removed and added, a client's pair count changed, the
+        // stack emptied and refilled: every in-place rebuild must
+        // fingerprint like a fresh build, and sweep like one.
+        let dim = 33;
+        let a1 = approx_for(11, dim, 1);
+        let a2 = approx_for(22, dim, 2);
+        let a3 = approx_for(33, dim, 3);
+        let a3b = approx_for(44, dim, 3);
+        let steps: Vec<Vec<(ClientId, &LbfgsApprox)>> = vec![
+            vec![(2, &a1), (5, &a2), (9, &a3)],
+            vec![(2, &a1), (9, &a3), (11, &a2)],
+            vec![(2, &a3b), (9, &a3), (11, &a2)],
+            vec![(0, &a2)],
+            vec![],
+            vec![(1, &a1), (4, &a3), (7, &a2), (8, &a3b)],
+        ];
+        let v: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.7).cos()).collect();
+        let mut stacked = StackedLbfgs::build(dim, std::iter::empty());
+        for step in &steps {
+            stacked.rebuild(step.iter().copied());
+            let fresh = StackedLbfgs::build(dim, step.iter().copied());
+            assert_eq!(stacked.fingerprint(), fresh.fingerprint());
+            assert_eq!(stacked.len(), step.len());
+            let (mut got, mut want) = (RoundScratch::new(), RoundScratch::new());
+            stacked.fused_dots(&v, &mut got.dots);
+            fresh.fused_dots(&v, &mut want.dots);
+            stacked.solve_middles(&got.dots, &mut got.ps, &mut got.rhs, &mut got.p);
+            fresh.solve_middles(&want.dots, &mut want.ps, &mut want.rhs, &mut want.p);
+            for (e, &(client, approx)) in step.iter().enumerate() {
+                assert_eq!(stacked.entry_for(client), Some(e));
+                let mut out = vec![0.0f32; dim];
+                stacked.write_hvp(e, &got.ps, &v, &mut out);
+                assert_eq!(
+                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    approx
+                        .hvp(&v)
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>()
+                );
+            }
+            assert_eq!(
+                got.ps.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want.ps.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -187,10 +187,17 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// Reads `n` raw `f32`s into `out`. The bytes are taken (and so
+    /// bounds-checked against the payload) before anything is reserved: a
+    /// length field that claims more than the payload holds fails typed
+    /// instead of allocating for it.
     fn f32s_exact(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), UnlearnError> {
+        let len = n
+            .checked_mul(4)
+            .ok_or(UnlearnError::BadJobCheckpoint("truncated payload"))?;
+        let bytes = self.take(len)?;
         out.clear();
         out.reserve(n);
-        let bytes = self.take(n * 4)?;
         for chunk in bytes.chunks_exact(4) {
             out.push(f32::from_bits(u32::from_le_bytes(
                 chunk.try_into().expect("4 bytes"),
@@ -250,9 +257,9 @@ fn encode_state(state: &ReplayState) -> Vec<u8> {
     for (client, approx) in &state.approxes {
         put_u64(&mut out, *client as u64);
         put_u32(&mut out, approx.pairs() as u32);
-        for j in 0..approx.pairs() {
-            put_f32s(&mut out, &approx.dw_mat().col(j));
-            put_f32s(&mut out, &approx.dg_mat().col(j));
+        for (dw, dg) in approx.dw_cols().zip(approx.dg_cols()) {
+            put_f32s(&mut out, dw);
+            put_f32s(&mut out, dg);
         }
     }
     // v2 tail: replay scope + sibling reuses, appended last so the fixed
@@ -301,6 +308,14 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
         if capacity == 0 {
             return Err(UnlearnError::BadJobCheckpoint("zero-capacity pair buffer"));
         }
+        // Every buffer is created at the replay's buffer size, and the
+        // resume contract is the sealing config — so any other capacity
+        // is corrupt, and is refused before a buffer is sized by it.
+        if capacity != config.buffer_size {
+            return Err(UnlearnError::BadJobCheckpoint(
+                "pair buffer capacity differs from the buffer size",
+            ));
+        }
         let n_pairs = r.u32()? as usize;
         if n_pairs > capacity {
             return Err(UnlearnError::BadJobCheckpoint("pair count over capacity"));
@@ -322,8 +337,9 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
     for _ in 0..n_approxes {
         let client = r.u64()? as ClientId;
         let s = r.u32()? as usize;
-        let mut dws = Vec::with_capacity(s);
-        let mut dgs = Vec::with_capacity(s);
+        // Each pair occupies at least its two length fields.
+        let mut dws = Vec::with_capacity(s.min(r.buf.len() / 8));
+        let mut dgs = Vec::with_capacity(s.min(r.buf.len() / 8));
         for _ in 0..s {
             let dw = r.f32s()?;
             let dg = r.f32s()?;
@@ -901,12 +917,7 @@ impl JobService {
         let JobPhase::Running(state) = &mut job.phase else {
             return;
         };
-        if state.config.hessian_correction && state.stacked_dirty {
-            let dim = state.params.len();
-            state.stacked = StackedLbfgs::build(dim, state.approxes.iter().map(|(c, a)| (*c, a)));
-            state.stacked_dirty = false;
-            fuiov_obs::counter!("core.stack_rebuilds").inc();
-        }
+        state.flush_stack();
         let payload = encode_state(state);
         let next_round = state.next_round;
         if let Some(log) = &mut self.log {

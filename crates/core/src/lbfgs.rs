@@ -61,10 +61,12 @@ impl Error for LbfgsError {}
 /// A ready-to-apply compact L-BFGS Hessian approximation.
 #[derive(Debug, Clone)]
 pub struct LbfgsApprox {
-    /// `d × s` model differences.
-    dw: Mat,
-    /// `d × s` gradient differences.
-    dg: Mat,
+    /// `2s × d` factor block in [`StackedLbfgs`]'s row layout: rows
+    /// `0..s` are the `ΔG` columns, rows `s..2s` the `ΔW` columns, both
+    /// oldest → newest. The stack copies this block verbatim.
+    ///
+    /// [`StackedLbfgs`]: crate::batch::StackedLbfgs
+    factors: Mat,
     /// Factored `2s × 2s` middle matrix.
     middle: Lu,
     sigma: f32,
@@ -107,35 +109,19 @@ impl LbfgsApprox {
         {
             return Err(LbfgsError::ShapeMismatch);
         }
-
-        let last = dws.len() - 1;
-        let sy = vector::dot(dgs[last].as_ref(), dws[last].as_ref());
-        let ss = vector::dot(dws[last].as_ref(), dws[last].as_ref());
-        if sy <= 0.0 || ss <= 0.0 || !sy.is_finite() || !ss.is_finite() {
-            return Err(LbfgsError::BadCurvature { sy });
+        let s = dws.len();
+        let mut data = Vec::with_capacity(2 * s * dim);
+        for g in dgs {
+            data.extend_from_slice(g.as_ref());
         }
-        let sigma = sy / ss;
-
-        let dw = Mat::from_cols(dws);
-        let dg = Mat::from_cols(dgs);
-
-        // A = ΔWᵀ ΔG; L = tril(A) strictly below diagonal; D = diag(A).
-        let a = dw.tr_matmul(&dg);
-        let l = a.tril_strict();
-        let d = a.diag();
-
-        // Middle matrix M = [ -D  Lᵀ ; L  σ·ΔWᵀΔW ].
-        let mut neg_d = d;
-        neg_d.scale_in_place(-1.0);
-        let lt = l.transpose();
-        let mut sww = dw.tr_matmul(&dw);
-        sww.scale_in_place(sigma);
-        let m = Mat::block2x2(&neg_d, &lt, &l, &sww);
-
+        for w in dws {
+            data.extend_from_slice(w.as_ref());
+        }
+        let factors = Mat::from_vec(2 * s, dim, data);
+        let (sigma, m) = compact_middle(&factors)?;
         let middle = Lu::factor(&m).map_err(|_| LbfgsError::SingularMiddle)?;
         Ok(LbfgsApprox {
-            dw,
-            dg,
+            factors,
             middle,
             sigma,
         })
@@ -143,12 +129,12 @@ impl LbfgsApprox {
 
     /// Model dimension `d`.
     pub fn dim(&self) -> usize {
-        self.dw.rows()
+        self.factors.cols()
     }
 
     /// Number of stored vector pairs `s`.
     pub fn pairs(&self) -> usize {
-        self.dw.cols()
+        self.factors.rows() / 2
     }
 
     /// The initial-scaling coefficient σ.
@@ -179,8 +165,10 @@ impl LbfgsApprox {
     /// Panics if `v.len() != dim()`.
     pub fn hvp_reference(&self, v: &[f32]) -> Vec<f32> {
         let s = self.pairs();
-        let top = self.dg.tr_matvec(v);
-        let mut bottom = self.dw.tr_matvec(v);
+        let dg = Mat::from_cols(&self.dg_cols().collect::<Vec<_>>());
+        let dw = Mat::from_cols(&self.dw_cols().collect::<Vec<_>>());
+        let top = dg.tr_matvec(v);
+        let mut bottom = dw.tr_matvec(v);
         vector::scale(self.sigma, &mut bottom);
         let mut rhs = Vec::with_capacity(2 * s);
         rhs.extend_from_slice(&top);
@@ -188,26 +176,26 @@ impl LbfgsApprox {
         let p = self.middle.solve(&rhs);
         let mut out: Vec<f32> = v.to_vec();
         vector::scale(self.sigma, &mut out);
-        let part_g = self.dg.matvec(&p[..s]);
+        let part_g = dg.matvec(&p[..s]);
         vector::axpy(-1.0, &part_g, &mut out);
-        let part_w = self.dw.matvec(&p[s..]);
+        let part_w = dw.matvec(&p[s..]);
         vector::axpy(-self.sigma, &part_w, &mut out);
         out
     }
 
     /// [`LbfgsApprox::hvp`] into a caller-owned buffer.
     ///
-    /// The implementation makes two fused sweeps over the `d × s` factors
-    /// instead of the textbook five (`ΔGᵀv`, `ΔWᵀv`, `σv`, `ΔG·p`, `ΔW·p`):
-    /// one inbound pass accumulating both halves of the rhs, one outbound
-    /// pass combining `σv − ΔG·p₁ − σΔW·p₂` element by element. Per output
-    /// element the `f32` operation sequence is exactly the naive chain
-    /// (`tr_matvec` per column, `scale`, `solve`, `matvec` + two `axpy`),
-    /// so the result is bitwise identical to the pre-fusion implementation
-    /// — the property the replay golden traces pin.
-    ///
-    /// Only `O(s)` scratch is allocated; the `d`-length temporaries of the
-    /// naive chain are gone.
+    /// A one-client stack: the inbound half is [`Mat::row_dots_into`] over
+    /// the `2s` factor rows (each dot ascending in `r`, skipping
+    /// `v[r] == 0.0` — `tr_matvec`'s per-column order), the `ΔW` half of
+    /// the rhs is rounded to `f32` before the σ scaling (`tr_matvec` then
+    /// `vector::scale`), and the outbound half is the stack's
+    /// `σv − ΔG·p₁ − σΔW·p₂` kernel. Per output element the `f32`
+    /// operation sequence is the textbook chain's, so the result is
+    /// bitwise [`LbfgsApprox::hvp_reference`] — the property the replay
+    /// golden traces pin — up to the sign of a zero where `v[r] == −0.0`
+    /// meets an all-zero factor row (the chain's `matvec` dots start from
+    /// `−0.0`, the kernel's from `+0.0`).
     ///
     /// # Panics
     ///
@@ -216,44 +204,30 @@ impl LbfgsApprox {
         assert_eq!(v.len(), self.dim(), "hvp: dimension mismatch");
         assert_eq!(out.len(), self.dim(), "hvp: output dimension mismatch");
         let s = self.pairs();
-        // rhs = [ΔGᵀ v ; σ ΔWᵀ v]: both per-column f64 accumulators advance
-        // together in one sweep over the rows, preserving `tr_matvec`'s
-        // per-column order (ascending r, skipping v[r] == 0), and the
-        // bottom half is rounded to f32 *before* the σ scaling — exactly
-        // `tr_matvec` then `vector::scale`.
-        let mut acc_g = vec![0.0f64; s];
-        let mut acc_w = vec![0.0f64; s];
-        for (r, &vr) in v.iter().enumerate() {
-            if vr == 0.0 {
-                continue;
-            }
-            let row_g = self.dg.row(r);
-            let row_w = self.dw.row(r);
-            for j in 0..s {
-                acc_g[j] += f64::from(vr) * f64::from(row_g[j]);
-                acc_w[j] += f64::from(vr) * f64::from(row_w[j]);
-            }
+        let mut rhs = vec![0.0f32; 2 * s];
+        self.factors.row_dots_into(v, &mut rhs);
+        for x in &mut rhs[s..] {
+            *x *= self.sigma;
         }
-        let mut rhs = Vec::with_capacity(2 * s);
-        rhs.extend(acc_g.iter().map(|&x| x as f32));
-        rhs.extend(acc_w.iter().map(|&x| (x as f32) * self.sigma));
-
         let p = self.middle.solve(&rhs);
-
-        // out = σ v − ΔG·p[..s] − σ ΔW·p[s..], fused: the two row dots are
-        // `vector::dot`'s f64 accumulation (ascending j, no zero skip) and
-        // the combination replays `scale` + two `axpy`s per element.
-        apply_compact(&self.dg, &self.dw, self.sigma, &p, v, out, false);
+        crate::batch::apply_block(&self.factors, 0, s, self.sigma, &p, v, out, false);
     }
 
-    /// `d × s` gradient-difference factor `ΔG` (batch-engine access).
-    pub(crate) fn dg_mat(&self) -> &Mat {
-        &self.dg
+    /// The `2s × d` factor block, `ΔG` rows then `ΔW` rows (batch-engine
+    /// access).
+    pub(crate) fn factors(&self) -> &Mat {
+        &self.factors
     }
 
-    /// `d × s` model-difference factor `ΔW` (batch-engine access).
-    pub(crate) fn dw_mat(&self) -> &Mat {
-        &self.dw
+    /// The `ΔG` columns, oldest → newest.
+    pub(crate) fn dg_cols(&self) -> impl Iterator<Item = &[f32]> {
+        (0..self.pairs()).map(move |j| self.factors.row(j))
+    }
+
+    /// The `ΔW` columns, oldest → newest.
+    pub(crate) fn dw_cols(&self) -> impl Iterator<Item = &[f32]> {
+        let s = self.pairs();
+        (s..2 * s).map(move |j| self.factors.row(j))
     }
 
     /// Factored middle matrix (batch-engine access).
@@ -278,48 +252,103 @@ impl LbfgsApprox {
     }
 }
 
-/// Shared outbound kernel of the compact representation:
-/// `out[r] (+)= σ·v[r] − (ΔG·p₁)[r] − σ·(ΔW·p₂)[r]`.
+/// Model coordinates (factor-block columns) each step of
+/// [`compact_middle`]'s pass keeps in L1 while every accumulator advances
+/// over them.
+const GRAM_BLOCK: usize = 512;
+
+/// σ and the `2s × 2s` middle matrix `M = [ −D  Lᵀ ; L  σ·ΔWᵀΔW ]` from
+/// one pass over the factor block (`ΔG` rows then `ΔW` rows, as
+/// [`LbfgsApprox`] stores it): the pass walks the columns in blocks of
+/// [`GRAM_BLOCK`] elements, and over each block advances σ's two chains
+/// and then, per pair `i`, the row `[A[i][·] ΔWᵀΔW[i][·]]` four
+/// accumulators at a time, held in registers. (When `s` is odd the last
+/// group of four repeats its first column in the spare lanes, whose sums
+/// are dropped.)
 ///
-/// Row dots accumulate in `f64` over ascending `j` with no zero skip
-/// (exactly [`fuiov_tensor::vector::dot`] as called by `Mat::matvec`), and
-/// the per-element combination replays the naive chain's `scale` + two
-/// `axpy`s, so both callers ([`LbfgsApprox::hvp_into`] and the batched
-/// engine) produce the same bits as the original five-pass implementation.
-// `-1.0 * x` is deliberate: it replays `axpy(-1.0, …)`'s exact `a * xi`
-// multiply so the combination stays bit-for-bit the original chain.
+/// Every accumulator keeps the sequence of `vector::dot` (σ) or
+/// `Mat::tr_matmul` (`A = ΔWᵀΔG`, `ΔWᵀΔW`), only interleaved with the
+/// others:
+///
+/// - `sy = Δgₛᵀ Δwₛ` and `ss = Δwₛᵀ Δwₛ` sum `f64` products in ascending
+///   `r` from `−0.0` with no skip, then round to `f32` once;
+/// - `A[i][j]` and `(ΔWᵀΔW)[i][j]` start from `+0.0`, add
+///   `f64(Δwᵢ[r]) · f64(x[r])` in ascending `r`, skip every `r` where
+///   `Δwᵢ[r] == 0.0`, and round to `f32` once;
+/// - `M` is then assembled element by element exactly as `diag` →
+///   `scale_in_place(−1.0)`, `tril_strict`, `transpose`, `scale_in_place(σ)`
+///   and `block2x2` assembled it (including the `−0.0` that `0.0 · −1.0`
+///   leaves off the `−D` diagonal).
+///
+/// The result is therefore bitwise what those `vector`/`Mat` calls give,
+/// at any `s` (the reference tests compare them).
+///
+/// # Errors
+///
+/// [`LbfgsError::BadCurvature`] when `sy` or `ss` is non-positive or
+/// non-finite.
+// `x * -1.0` is deliberate: it replays `scale_in_place(-1.0)`'s multiply
+// over the whole −D block, off-diagonal zeros included.
 #[allow(clippy::neg_multiply)]
-pub(crate) fn apply_compact(
-    dg: &Mat,
-    dw: &Mat,
-    sigma: f32,
-    p: &[f32],
-    v: &[f32],
-    out: &mut [f32],
-    accumulate: bool,
-) {
-    let s = dg.cols();
-    let (p1, p2) = p.split_at(s);
-    for (r, (&vr, slot)) in v.iter().zip(out.iter_mut()).enumerate() {
-        let mut acc_g = 0.0f64;
-        for (x, &pj) in dg.row(r).iter().zip(p1) {
-            acc_g += f64::from(*x) * f64::from(pj);
+fn compact_middle(factors: &Mat) -> Result<(f32, Mat), LbfgsError> {
+    let s = factors.rows() / 2;
+    let dim = factors.cols();
+    let rows: Vec<&[f32]> = (0..2 * s).map(|k| factors.row(k)).collect();
+    let mut sy = -0.0f64;
+    let mut ss = -0.0f64;
+    // Row i of `gram`: `A[i][0..s]`, then `(ΔWᵀΔW)[i][0..s]` — the same
+    // column order as `rows`, so one group of four serves both blocks.
+    let mut gram = vec![0.0f64; 2 * s * s];
+    let mut start = 0;
+    while start < dim {
+        let span = start..(start + GRAM_BLOCK).min(dim);
+        let (newest_g, newest_w) = (&rows[s - 1][span.clone()], &rows[2 * s - 1][span.clone()]);
+        for (&g, &w) in newest_g.iter().zip(newest_w) {
+            sy += f64::from(g) * f64::from(w);
+            ss += f64::from(w) * f64::from(w);
         }
-        let part_g = acc_g as f32;
-        let mut acc_w = 0.0f64;
-        for (x, &pj) in dw.row(r).iter().zip(p2) {
-            acc_w += f64::from(*x) * f64::from(pj);
+        for (acc_row, w_row) in gram.chunks_exact_mut(2 * s).zip(&rows[s..]) {
+            let w_row = &w_row[span.clone()];
+            for (group, acc) in rows.chunks(4).zip(acc_row.chunks_mut(4)) {
+                let col = |k: usize| &group.get(k).unwrap_or(&group[0])[span.clone()];
+                let mut a = [0.0f64; 4];
+                a[..acc.len()].copy_from_slice(acc);
+                for ((((&w, &x0), &x1), &x2), &x3) in
+                    w_row.iter().zip(col(0)).zip(col(1)).zip(col(2)).zip(col(3))
+                {
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let w = f64::from(w);
+                    a[0] += w * f64::from(x0);
+                    a[1] += w * f64::from(x1);
+                    a[2] += w * f64::from(x2);
+                    a[3] += w * f64::from(x3);
+                }
+                let n = acc.len();
+                acc.copy_from_slice(&a[..n]);
+            }
         }
-        let part_w = acc_w as f32;
-        let mut t = vr * sigma;
-        t += -1.0 * part_g;
-        t += -sigma * part_w;
-        if accumulate {
-            *slot += 1.0 * t;
-        } else {
-            *slot = t;
+        start = span.end;
+    }
+    let (sy, ss) = (sy as f32, ss as f32);
+    if sy <= 0.0 || ss <= 0.0 || !sy.is_finite() || !ss.is_finite() {
+        return Err(LbfgsError::BadCurvature { sy });
+    }
+    let sigma = sy / ss;
+    let mut m = Mat::zeros(2 * s, 2 * s);
+    for i in 0..s {
+        for j in 0..s {
+            let a_ij = gram[i * 2 * s + j] as f32;
+            let a_ji = gram[j * 2 * s + i] as f32;
+            let ww_ij = gram[i * 2 * s + s + j] as f32;
+            m.set(i, j, (if i == j { a_ij } else { 0.0 }) * -1.0);
+            m.set(i, s + j, if j > i { a_ji } else { 0.0 });
+            m.set(s + i, j, if i > j { a_ij } else { 0.0 });
+            m.set(s + i, s + j, ww_ij * sigma);
         }
     }
+    Ok((sigma, m))
 }
 
 /// A FIFO buffer of at most `s` vector pairs, as maintained per client
@@ -614,6 +643,199 @@ mod tests {
                 "fused hvp diverged at d={d} s={s}"
             );
         }
+    }
+
+    /// The chain [`compact_middle`] replaced, kept as its reference: two
+    /// `vector::dot`s for σ, `Mat::from_cols` for both factors, two
+    /// `tr_matmul`s, then `diag`/`tril_strict`/`transpose`/`block2x2`.
+    fn reference_middle(dws: &[Vec<f32>], dgs: &[Vec<f32>]) -> Result<(f32, Mat), LbfgsError> {
+        let last = dws.len() - 1;
+        let sy = vector::dot(&dgs[last], &dws[last]);
+        let ss = vector::dot(&dws[last], &dws[last]);
+        if sy <= 0.0 || ss <= 0.0 || !sy.is_finite() || !ss.is_finite() {
+            return Err(LbfgsError::BadCurvature { sy });
+        }
+        let sigma = sy / ss;
+        let dw = Mat::from_cols(dws);
+        let dg = Mat::from_cols(dgs);
+        let a = dw.tr_matmul(&dg);
+        let l = a.tril_strict();
+        let mut neg_d = a.diag();
+        neg_d.scale_in_place(-1.0);
+        let lt = l.transpose();
+        let mut sww = dw.tr_matmul(&dw);
+        sww.scale_in_place(sigma);
+        Ok((sigma, Mat::block2x2(&neg_d, &lt, &l, &sww)))
+    }
+
+    /// The whole pre-fusion `hvp`: reference middle, its LU, and the
+    /// five-pass apply over `Mat::from_cols` factors.
+    fn reference_hvp(dws: &[Vec<f32>], dgs: &[Vec<f32>], v: &[f32]) -> Vec<f32> {
+        let (sigma, m) = reference_middle(dws, dgs).expect("reference builds");
+        let lu = Lu::factor(&m).expect("reference middle factors");
+        let s = dws.len();
+        let dw = Mat::from_cols(dws);
+        let dg = Mat::from_cols(dgs);
+        let mut rhs = dg.tr_matvec(v);
+        let mut bottom = dw.tr_matvec(v);
+        vector::scale(sigma, &mut bottom);
+        rhs.extend_from_slice(&bottom);
+        let p = lu.solve(&rhs);
+        let mut out = v.to_vec();
+        vector::scale(sigma, &mut out);
+        vector::axpy(-1.0, &dg.matvec(&p[..s]), &mut out);
+        vector::axpy(-sigma, &dw.matvec(&p[s..]), &mut out);
+        out
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Seeded pairs with exact `+0.0` and `−0.0` in every Δw and Δg, and
+    /// mostly positive curvature along each pair (a short pair can still
+    /// come out non-positive; the tests compare that error too).
+    fn signed_zero_pairs(seed: u64, dim: usize, s: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let dws: Vec<Vec<f32>> = (0..s)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| match rng.gen_range(0..10) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-1.0f32..1.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let dgs = dws
+            .iter()
+            .map(|w| {
+                w.iter()
+                    .map(|&x| match rng.gen_range(0..12) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => x * rng.gen_range(0.5f32..3.0) + rng.gen_range(-0.05f32..0.05),
+                    })
+                    .collect()
+            })
+            .collect();
+        (dws, dgs)
+    }
+
+    #[test]
+    fn gram_pass_matches_the_reference_chain_bitwise() {
+        // Every dimension from 1 to 300, the block edges of the fused
+        // pass, and the paper's MNIST size; s = 1..4 each.
+        let dims = (1..=300usize)
+            .chain([511, 512, 513, 1024, 1537])
+            .chain([52_138]);
+        let mut built = 0;
+        for (case, dim) in dims.enumerate() {
+            for s in 1..=4usize {
+                let (dws, dgs) = signed_zero_pairs((case * 8 + s) as u64, dim, s);
+                let fused = LbfgsApprox::new(&dws, &dgs);
+                let Ok((sigma, m)) = reference_middle(&dws, &dgs) else {
+                    let err = reference_middle(&dws, &dgs).unwrap_err();
+                    let LbfgsError::BadCurvature { sy } = err else {
+                        panic!("reference failed unexpectedly: {err}");
+                    };
+                    match fused.unwrap_err() {
+                        LbfgsError::BadCurvature { sy: got } => {
+                            assert_eq!(got.to_bits(), sy.to_bits(), "sy at d={dim} s={s}")
+                        }
+                        other => panic!("d={dim} s={s}: expected BadCurvature, got {other}"),
+                    }
+                    continue;
+                };
+                let factors = {
+                    let mut data = Vec::new();
+                    dgs.iter()
+                        .chain(&dws)
+                        .for_each(|c| data.extend_from_slice(c));
+                    Mat::from_vec(2 * s, dim, data)
+                };
+                let (got_sigma, got_m) = compact_middle(&factors).expect("fused builds");
+                assert_eq!(got_sigma.to_bits(), sigma.to_bits(), "σ at d={dim} s={s}");
+                assert_eq!(
+                    bits(got_m.as_slice()),
+                    bits(m.as_slice()),
+                    "middle matrix at d={dim} s={s}"
+                );
+                let Ok(approx) = fused else {
+                    // A singular middle must be singular for both.
+                    assert!(Lu::factor(&m).is_err(), "d={dim} s={s}");
+                    continue;
+                };
+                assert_eq!(approx.sigma().to_bits(), sigma.to_bits());
+                // Exact +0.0 entries exercise the inbound skip. (No −0.0:
+                // the five-pass chain's `matvec` dots start from −0.0 and
+                // the outbound kernel's from +0.0, so at a −0.0 entry of v
+                // that meets an all-zero factor row the two chains' zeros
+                // differ in sign — a corner older than this kernel.)
+                let v: Vec<f32> = (0..dim)
+                    .map(|i| {
+                        if i % 9 == 0 {
+                            0.0
+                        } else {
+                            (i as f32 * 0.37).sin()
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    bits(&approx.hvp(&v)),
+                    bits(&reference_hvp(&dws, &dgs, &v)),
+                    "hvp at d={dim} s={s}"
+                );
+                built += 1;
+            }
+        }
+        assert!(built > 1000, "only {built} approximations built");
+    }
+
+    #[test]
+    fn gram_pass_skips_zero_dw_rows_exactly() {
+        // An infinite Δg element where every Δw is ±0.0: the tr_matmul
+        // skip keeps 0·∞ = NaN out of A, and the fused pass must skip it
+        // identically. (The newest pair's Δg stays finite so σ is defined.)
+        let dim = 37;
+        let (mut dws, mut dgs) = signed_zero_pairs(91, dim, 3);
+        for (k, w) in dws.iter_mut().enumerate() {
+            w[5] = if k % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        dgs[0][5] = f32::INFINITY;
+        dgs[1][5] = f32::NEG_INFINITY;
+        let factors = {
+            let mut data = Vec::new();
+            dgs.iter()
+                .chain(&dws)
+                .for_each(|c| data.extend_from_slice(c));
+            Mat::from_vec(6, dim, data)
+        };
+        let (sigma, m) = reference_middle(&dws, &dgs).expect("reference builds");
+        let (got_sigma, got_m) = compact_middle(&factors).expect("fused builds");
+        assert_eq!(got_sigma.to_bits(), sigma.to_bits());
+        assert_eq!(bits(got_m.as_slice()), bits(m.as_slice()));
+        assert!(m.as_slice().iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn zero_curvature_newest_pair_is_bad_curvature() {
+        // Δgₛ ⟂ Δwₛ with every product −0.0 (and an older pair that is
+        // fine): sy is `vector::dot`'s −0.0, not +0.0.
+        let dws = vec![vec![1.0, 2.0, -0.0, 0.5], vec![1.0, -0.0, 0.0, 2.0]];
+        let dgs = vec![vec![2.0, 4.0, 0.0, 1.0], vec![-0.0, 5.0, -3.0, -0.0]];
+        let err = LbfgsApprox::new(&dws, &dgs).unwrap_err();
+        let expected = reference_middle(&dws, &dgs).unwrap_err();
+        assert_eq!(err, expected);
+        let (LbfgsError::BadCurvature { sy: got }, LbfgsError::BadCurvature { sy }) =
+            (err, expected)
+        else {
+            panic!("expected BadCurvature from both");
+        };
+        assert_eq!(got.to_bits(), sy.to_bits());
+        assert_eq!(sy.to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -545,6 +545,20 @@ impl ReplayState {
         })
     }
 
+    /// Re-stacks the approximations if a pair refresh dirtied the stack
+    /// (and the Hessian correction is on), reusing the stack's buffer.
+    /// Pure with respect to the replay arithmetic: the round that needs
+    /// the stack would flush it anyway, so flushing early (a cross-job
+    /// sweep, a checkpoint seal) moves no bit.
+    pub(crate) fn flush_stack(&mut self) {
+        if self.config.hessian_correction && self.stacked_dirty {
+            self.stacked
+                .rebuild(self.approxes.iter().map(|(c, a)| (*c, a)));
+            self.stacked_dirty = false;
+            fuiov_obs::counter!("core.stack_rebuilds").inc();
+        }
+    }
+
     /// Whether every round in `F..T` has been replayed.
     pub(crate) fn is_done(&self) -> bool {
         self.next_round >= self.t_end
@@ -581,14 +595,7 @@ impl ReplayState {
             None => return Err(UnlearnError::MissingModel(t)),
         };
         vector::sub_into_aligned(&self.params, &w_t, &mut scratch.dw_t);
-        if self.config.hessian_correction && self.stacked_dirty {
-            self.stacked = StackedLbfgs::build(
-                self.params.len(),
-                self.approxes.iter().map(|(c, a)| (*c, a)),
-            );
-            self.stacked_dirty = false;
-            fuiov_obs::counter!("core.stack_rebuilds").inc();
-        }
+        self.flush_stack();
         Ok(self.config.hessian_correction && !self.stacked.is_empty())
     }
 
@@ -636,11 +643,7 @@ impl ReplayState {
         };
         vector::sub_into_aligned(&self.params, &w_t, &mut scratch.dw_t); // w̄_t − w_t
 
-        if config.hessian_correction && self.stacked_dirty {
-            self.stacked = StackedLbfgs::build(dim, self.approxes.iter().map(|(c, a)| (*c, a)));
-            self.stacked_dirty = false;
-            fuiov_obs::counter!("core.stack_rebuilds").inc();
-        }
+        self.flush_stack();
 
         // Round roster in fixed `remaining` (ascending client) order — the
         // aggregation below consumes estimate rows in exactly this order,
@@ -709,8 +712,8 @@ impl ReplayState {
             let (stacked_ref, dw_t, ps) = (&self.stacked, &scratch.dw_t, &scratch.ps);
             let (roster_ref, view_ref) = (&self.roster, &view);
             // Hoisted so the disabled path adds nothing inside the bands;
-            // when enabled, the extra norm reads are pure observation — the
-            // clipped rows are bitwise unchanged.
+            // when enabled, the clip pass also accumulates both norms —
+            // pure observation, the clipped rows are bitwise unchanged.
             let obs_on = fuiov_obs::enabled();
             pool::par_row_bands_weighted(est_buf, n_part, dim, dim, |rows, band| {
                 for (row, p) in band.chunks_mut(dim).zip(rows) {
@@ -721,9 +724,8 @@ impl ReplayState {
                         stacked_ref.accumulate_correction(e, ps, dw_t, row);
                     }
                     if obs_on {
-                        let pre = vector::l2_norm(row);
-                        vector::clip_elementwise(row, config.clip_threshold);
-                        let post = vector::l2_norm(row);
+                        let (pre, post) =
+                            vector::clip_elementwise_norms(row, config.clip_threshold);
                         fuiov_obs::histogram!("core.clip_pre_norm_micros")
                             .observe_scaled(pre as f64);
                         fuiov_obs::histogram!("core.clip_post_norm_micros")

@@ -177,6 +177,12 @@ impl Mat {
         &self.data
     }
 
+    /// Consumes the matrix into its flat row-major buffer — the inverse of
+    /// [`Mat::from_vec`], for owners that refill one allocation in place.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Matrix product `self · other`.
     ///
     /// Cache-blocked over output columns and parallelised over contiguous

@@ -184,6 +184,40 @@ pub fn clip_elementwise(x: &mut [f32], l: f32) {
     }
 }
 
+/// [`clip_elementwise`] that also measures the row: returns
+/// `(‖x‖₂ before, ‖x‖₂ after)` from the same single pass that clamps it.
+///
+/// Each norm keeps [`l2_norm`]'s exact sequence — `f64` squares summed in
+/// index order from `−0.0`, then `sqrt` and one cast to `f32` — the first
+/// over the unclipped elements, the second over the clamped ones, so the
+/// pair is bitwise `l2_norm`, `clip_elementwise`, `l2_norm` in one read
+/// and one write of the row instead of three passes.
+///
+/// # Panics
+///
+/// Panics if `l` is not strictly positive and finite.
+///
+/// ```
+/// let mut g = vec![3.0, -4.0];
+/// let (pre, post) = fuiov_tensor::vector::clip_elementwise_norms(&mut g, 1.0);
+/// assert_eq!((pre, post), (5.0, 2.0f32.sqrt()));
+/// assert_eq!(g, vec![1.0, -1.0]);
+/// ```
+pub fn clip_elementwise_norms(x: &mut [f32], l: f32) -> (f32, f32) {
+    assert!(
+        l > 0.0 && l.is_finite(),
+        "clip_elementwise: threshold must be positive"
+    );
+    let mut pre = -0.0f64;
+    let mut post = -0.0f64;
+    for v in x {
+        pre += f64::from(*v) * f64::from(*v);
+        *v = v.clamp(-l, l);
+        post += f64::from(*v) * f64::from(*v);
+    }
+    (pre.sqrt() as f32, post.sqrt() as f32)
+}
+
 /// Element-wise sign with a dead-zone threshold `δ ≥ 0` (the paper's §IV
 /// direction quantisation): `+1` if `v > δ`, `-1` if `v < −δ`, else `0`.
 ///
@@ -413,6 +447,49 @@ mod tests {
     #[should_panic(expected = "threshold must be positive")]
     fn clip_elementwise_rejects_nan() {
         clip_elementwise(&mut [1.0], f32::NAN);
+    }
+
+    #[test]
+    fn clip_norms_match_norm_clip_norm_bitwise() {
+        // The fused pass against `l2_norm`, `clip_elementwise`, `l2_norm`:
+        // rows mixing ±0.0, ±∞, NaN, values exactly ±L and values just
+        // past it, at lengths that cover the empty row and odd tails.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc11b);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for case in 0..400 {
+            let l = [1.0f32, 0.8, 1e-3, 3.5][case % 4];
+            let len = [0, 1, 2, 7, 16, 33, 257][case % 7] + case / 7;
+            let row: Vec<f32> = (0..len)
+                .map(|_| match rng.gen_range(0..14) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => l,
+                    3 => -l,
+                    4 if case % 5 == 0 => f32::INFINITY,
+                    5 if case % 5 == 0 => f32::NEG_INFINITY,
+                    6 if case % 7 == 3 => f32::NAN,
+                    7 => l * 1.0000001,
+                    _ => rng.gen_range(-3.0 * l..3.0 * l),
+                })
+                .collect();
+            let mut expect = row.clone();
+            let pre = l2_norm(&expect);
+            clip_elementwise(&mut expect, l);
+            let post = l2_norm(&expect);
+
+            let mut got = row;
+            let (got_pre, got_post) = clip_elementwise_norms(&mut got, l);
+            assert_eq!(bits(&got), bits(&expect), "row, case {case}");
+            assert_eq!(got_pre.to_bits(), pre.to_bits(), "pre norm, case {case}");
+            assert_eq!(got_post.to_bits(), post.to_bits(), "post norm, case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive")]
+    fn clip_norms_rejects_bad_threshold() {
+        clip_elementwise_norms(&mut [1.0], -1.0);
     }
 
     #[test]

@@ -73,6 +73,17 @@ stage_nn_native() {
     cargo test -p fuiov-nn --release -q
 }
 
+stage_core_native() {
+  # The core and tensor suites under native codegen too, the build the
+  # benchmark runs: the replay pins (d = 4,099, tails included), the
+  # L-BFGS Gram-pass, clip-pass and stack-rebuild reference tests and the
+  # tensor kernels' bitwise tests must hold with LLVM vectorising at the
+  # host's width, exactly as they hold in the portable `test` stage. Same
+  # target directory as nn_native, so the two share dependency builds.
+  RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+    cargo test -p fuiov-core -p fuiov-tensor --release -q
+}
+
 stage_golden() {
   # Golden-trace regression (fails on any digest drift — bless intentional
   # changes with FUIOV_BLESS=1, see DESIGN.md §6).
@@ -165,7 +176,7 @@ stage_bench_smoke() {
   cargo run --release -q -p fuiov-lab --bin lab -- bench-smoke
 }
 
-ALL_STAGES="guard build test nn_native fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke"
+ALL_STAGES="guard build test nn_native core_native fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke"
 
 stages() {
   echo "$ALL_STAGES" | tr ' ' '\n'
