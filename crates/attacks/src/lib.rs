@@ -19,7 +19,6 @@ pub mod client;
 pub mod eval;
 pub mod label_flip;
 pub mod reconstruction;
-pub mod replacement;
 
 pub use backdoor::{Backdoor, Corner, Trigger};
 pub use client::{backdoor_client, label_flip_client, ScalingAttacker};
@@ -28,4 +27,3 @@ pub use label_flip::LabelFlip;
 pub use reconstruction::{
     direction_agreement, majority_direction, reconstruct_update, reconstruction_error,
 };
-pub use replacement::ModelReplacement;

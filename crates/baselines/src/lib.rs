@@ -5,8 +5,6 @@
 //! - [`mod@fedrecover`]: FedRecover (Cao et al., S&P'23) — Cauchy-MVT + L-BFGS
 //!   recovery from **full** stored gradients with periodic exact
 //!   corrections from online clients;
-//! - [`mod@federaser`]: FedEraser (Liu et al., IWQoS'21) — replay of sampled
-//!   rounds with norm-preserving calibrated updates from online clients;
 //! - [`mod@fedrecovery`]: FedRecovery (Zhang et al., TIFS'23) — approximate
 //!   unlearning by removing the forgotten client's weighted gradient
 //!   residuals from the final model plus Gaussian noise;
@@ -14,13 +12,11 @@
 //!   layer's weights, optionally fine-tuned from the stored sign history
 //!   (the scenario lab's `not` baseline variant).
 
-pub mod federaser;
 pub mod fedrecover;
 pub mod fedrecovery;
 pub mod not;
 pub mod retrain;
 
-pub use federaser::{federaser, FedEraserConfig, FedEraserOutcome};
 pub use fedrecover::{fedrecover, FedRecoverConfig, FedRecoverOutcome};
 pub use fedrecovery::{fedrecovery, FedRecoveryConfig, FedRecoveryOutcome};
 pub use not::{negate_first_layer, not_unlearn, NotOutcome};

@@ -134,34 +134,6 @@ fn bench_pair_refresh(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gemm(c: &mut Criterion) {
-    use fuiov_tensor::{pool, Mat};
-
-    let mut group = c.benchmark_group("gemm");
-    group.sample_size(10);
-    // 32×144×6272 is the shape of a 16→32 3×3 convolution over a 14²
-    // batch of 32 written as one GEMM (weights times unfolded patches).
-    // 256³ is a cache-pressure probe for the column tiling.
-    for &(m, k, n) in &[(32usize, 144usize, 6272usize), (256, 256, 256)] {
-        let a = Mat::from_vec(m, k, random_vec(m * k, 11));
-        let b_mat = Mat::from_vec(k, n, random_vec(k * n, 12));
-        let label = format!("{m}x{k}x{n}");
-        group.throughput(Throughput::Elements((m * k * n) as u64));
-        group.bench_function(BenchmarkId::new("naive", &label), |b| {
-            b.iter(|| black_box(a.matmul_naive(&b_mat)));
-        });
-        pool::set_threads(1);
-        group.bench_function(BenchmarkId::new("blocked_serial", &label), |b| {
-            b.iter(|| black_box(a.matmul(&b_mat)));
-        });
-        pool::set_threads(0); // hardware width
-        group.bench_function(BenchmarkId::new("blocked_parallel", &label), |b| {
-            b.iter(|| black_box(a.matmul(&b_mat)));
-        });
-    }
-    group.finish();
-}
-
 fn bench_recovery_round(c: &mut Criterion) {
     // One server-side recovery round at paper MNIST size: n clients ×
     // (unpack + hvp + clip) + aggregation. This is the cost that replaces
@@ -352,7 +324,7 @@ fn bench_direction_decode(c: &mut Criterion) {
 }
 
 fn bench_simd_kernels(c: &mut Criterion) {
-    // The SIMD pass headline: each of the four vectorized kernels timed
+    // The SIMD pass headline: each of the three vectorized kernels timed
     // with the dispatcher pinned to the AVX2 path versus the pinned scalar
     // reference. Every pair is asserted bitwise identical before any
     // timing — the speedup must measure the same computation. Pin the
@@ -364,37 +336,8 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let _simd_guard = simd::force_guard();
     pool::set_threads(1);
 
-    // -- GEMM: conv2-shaped packed panel kernel.
-    let (m, k, n) = (32usize, 144usize, 6272usize);
-    let a = Mat::from_vec(m, k, random_vec(m * k, 11));
-    let b_mat = Mat::from_vec(k, n, random_vec(k * n, 12));
-    simd::set_forced(Some(true));
-    let fast = a.matmul(&b_mat);
-    simd::set_forced(Some(false));
-    let slow = a.matmul(&b_mat);
-    assert_eq!(
-        fast.as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<u32>>(),
-        slow.as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<u32>>(),
-        "gemm SIMD path diverged from scalar"
-    );
-
     let mut group = c.benchmark_group("simd_vs_scalar");
     group.sample_size(20);
-    group.throughput(Throughput::Elements((m * k * n) as u64));
-    simd::set_forced(Some(false));
-    group.bench_function("gemm_scalar_32x144x6272", |b| {
-        b.iter(|| black_box(a.matmul(&b_mat)));
-    });
-    simd::set_forced(Some(true));
-    group.bench_function("gemm_simd_32x144x6272", |b| {
-        b.iter(|| black_box(a.matmul(&b_mat)));
-    });
 
     // -- row_dots_into: the stacked-HVP inbound sweep (2s+1 rows × dim).
     let (rows, cols) = (96usize, 52_138usize);
@@ -707,7 +650,6 @@ criterion_group!(
     bench_aggregation,
     bench_lbfgs,
     bench_pair_refresh,
-    bench_gemm,
     bench_recovery_round,
     bench_batched_recovery_round,
     bench_direction_decode,

@@ -474,13 +474,6 @@ impl RoundScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Ensures the estimate matrix holds `rows × dim` elements (contents
-    /// are per-round garbage; every used row is fully overwritten).
-    pub fn ensure_est(&mut self, rows: usize, dim: usize) -> &mut [f32] {
-        self.est.resize(rows * dim, 0.0);
-        &mut self.est[..rows * dim]
-    }
 }
 
 #[cfg(test)]

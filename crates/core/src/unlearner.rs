@@ -60,26 +60,6 @@ impl<'h> Unlearner<'h> {
         recover(self.history, client, &self.config, &mut NoOracle, |_, _| {})
     }
 
-    /// Forgets a *set* of clients at once (e.g. all detected attackers):
-    /// backtrack to the earliest join round among them, then recover with
-    /// the whole set excluded.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::recover::recover_set`].
-    pub fn forget_and_recover_set(
-        &self,
-        clients: &[ClientId],
-    ) -> Result<RecoveryOutcome, UnlearnError> {
-        crate::recover::recover_set(
-            self.history,
-            clients,
-            &self.config,
-            &mut NoOracle,
-            |_, _| {},
-        )
-    }
-
     /// Full pipeline with an oracle for still-online vehicles and a
     /// per-round trace callback.
     ///

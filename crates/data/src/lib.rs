@@ -22,7 +22,6 @@
 //! assert_eq!(client0.len(), 20);
 //! ```
 
-pub mod augment;
 pub mod dataset;
 pub mod image;
 pub mod partition;
@@ -30,7 +29,6 @@ pub mod synth_digits;
 pub mod synth_sensors;
 pub mod synth_signs;
 
-pub use augment::{augment_dataset, Transform};
 pub use dataset::Dataset;
 pub use image::Image;
 pub use synth_digits::DigitStyle;

@@ -6,13 +6,11 @@
 //!   print, matching the paper's Table I format.
 
 pub mod confusion;
-pub mod curve;
 pub mod heterogeneity;
 pub mod metrics;
 pub mod table;
 
 pub use confusion::ConfusionMatrix;
-pub use curve::Curve;
 pub use heterogeneity::{majority_coherence, round_sign_agreement, sign_agreement_curve};
 pub use metrics::{model_distance, per_class_accuracy, test_accuracy, test_loss};
 pub use table::Table;

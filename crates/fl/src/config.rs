@@ -1,6 +1,5 @@
 //! Federated-training configuration.
 
-use crate::schedule::LrSchedule;
 use fuiov_storage::Round;
 
 /// Aggregation rule applied to client gradients each round.
@@ -59,8 +58,6 @@ pub struct FlConfig {
     pub keep_full_gradients: bool,
     /// Run client gradient computations on a thread pool.
     pub parallel_clients: bool,
-    /// Learning-rate schedule applied on top of `lr`.
-    pub lr_schedule: LrSchedule,
 }
 
 impl FlConfig {
@@ -85,13 +82,7 @@ impl FlConfig {
             sign_delta: 1e-6,
             keep_full_gradients: false,
             parallel_clients: true,
-            lr_schedule: LrSchedule::Constant,
         }
-    }
-
-    /// The learning rate in force at `round` under the schedule.
-    pub fn lr_at(&self, round: Round) -> f32 {
-        self.lr_schedule.lr_at(round, self.lr)
     }
 
     /// Sets the client mini-batch size.
@@ -139,12 +130,6 @@ impl FlConfig {
         self.parallel_clients = parallel;
         self
     }
-
-    /// Sets the learning-rate schedule.
-    pub fn lr_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.lr_schedule = schedule;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -174,17 +159,6 @@ mod tests {
         assert_eq!(cfg.aggregation, AggregationRule::TrimmedMean { trim: 1 });
         assert!(cfg.keep_full_gradients);
         assert!(!cfg.parallel_clients);
-    }
-
-    #[test]
-    fn lr_schedule_applies() {
-        let cfg = FlConfig::new(20, 1.0).lr_schedule(LrSchedule::StepDecay {
-            every: 5,
-            factor: 0.5,
-        });
-        assert_eq!(cfg.lr_at(0), 1.0);
-        assert_eq!(cfg.lr_at(5), 0.5);
-        assert_eq!(cfg.lr_at(10), 0.25);
     }
 
     #[test]

@@ -34,17 +34,13 @@ pub mod aggregate;
 pub mod client;
 pub mod comms;
 pub mod config;
-pub mod dp;
 pub mod hierarchy;
 pub mod mobility;
 pub mod rsa;
-pub mod schedule;
 pub mod server;
 
 pub use client::{Client, HonestClient};
 pub use comms::CommsReport;
 pub use config::{AggregationRule, FlConfig};
-pub use dp::DpClient;
 pub use hierarchy::{AggregationTree, CohortConfig, CohortRun, VehicleForget};
-pub use schedule::LrSchedule;
 pub use server::{ForgetRequest, Server, Upload};

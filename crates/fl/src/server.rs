@@ -301,7 +301,7 @@ impl Server {
                     &mut self.agg_out,
                 ),
             }
-            vector::axpy(-self.cfg.lr_at(t), &self.agg_out, &mut self.params);
+            vector::axpy(-self.cfg.lr, &self.agg_out, &mut self.params);
             vector::l2_norm(&self.agg_out)
         };
 

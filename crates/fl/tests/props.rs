@@ -1,7 +1,6 @@
 //! Property-based tests for aggregation rules and schedules.
 
 use fuiov_fl::aggregate::aggregate;
-use fuiov_fl::schedule::LrSchedule;
 use fuiov_fl::AggregationRule;
 use proptest::prelude::*;
 
@@ -64,21 +63,6 @@ proptest! {
                 out[j] >= lo - 1e-4 && out[j] <= hi + 1e-4,
                 "outlier leaked through the median at {j}"
             );
-        }
-    }
-
-    /// Schedules never produce negative or exploding rates.
-    #[test]
-    fn schedules_are_sane(round in 0usize..10_000, base in 0.0001f32..10.0) {
-        for s in [
-            LrSchedule::Constant,
-            LrSchedule::StepDecay { every: 100, factor: 0.9 },
-            LrSchedule::Cosine { total: 1000, floor: 0.05 },
-        ] {
-            let lr = s.lr_at(round, base);
-            prop_assert!(lr.is_finite());
-            prop_assert!(lr >= 0.0);
-            prop_assert!(lr <= base * 1.0001, "{s:?} exceeded base at round {round}");
         }
     }
 

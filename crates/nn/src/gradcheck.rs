@@ -43,10 +43,11 @@ fn probe_loss(layer: &mut dyn Layer, x: &Tensor4, coeff: &[f32]) -> f64 {
 ///
 /// ```
 /// use fuiov_nn::gradcheck::check_input_gradient;
-/// use fuiov_nn::layers::Tanh;
+/// use fuiov_nn::layers::Relu;
 /// use fuiov_nn::Tensor4;
 ///
-/// let mut layer = Tanh::new();
+/// // Every input sits well away from ReLU's kink at 0.
+/// let mut layer = Relu::new();
 /// let x = Tensor4::from_vec(1, 1, 1, 3, vec![-0.5, 0.2, 1.0]);
 /// let report = check_input_gradient(&mut layer, &x, 1e-3, 42);
 /// assert!(report.passes(1e-2));
@@ -127,13 +128,13 @@ pub fn check_param_gradient(layer: &mut dyn Layer, x: &Tensor4, eps: f32, seed: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, Sigmoid};
+    use crate::layers::{Linear, Relu};
     use rand::SeedableRng;
 
     #[test]
-    fn sigmoid_passes() {
-        let mut layer = Sigmoid::new();
-        let x = Tensor4::from_vec(1, 2, 1, 2, vec![-1.0, 0.3, 0.7, 2.0]);
+    fn relu_passes_away_from_the_kink() {
+        let mut layer = Relu::new();
+        let x = Tensor4::from_vec(1, 2, 1, 2, vec![-1.0, 0.3, -0.7, 2.0]);
         let r = check_input_gradient(&mut layer, &x, 1e-3, 1);
         assert!(r.passes(1e-2), "{r:?}");
     }

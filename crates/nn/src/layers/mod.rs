@@ -6,22 +6,14 @@
 //! model can be serialised into one `Vec<f32>` — the representation the
 //! unlearning pipeline operates on.
 
-mod activation;
-mod avgpool2;
-mod batchnorm;
 mod conv2d;
-mod dropout;
 mod flatten;
 mod lanes;
 mod linear;
 mod maxpool2;
 mod relu;
 
-pub use activation::{LeakyRelu, Sigmoid, Tanh};
-pub use avgpool2::AvgPool2;
-pub use batchnorm::BatchNorm2;
 pub use conv2d::Conv2d;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use maxpool2::MaxPool2;
@@ -66,10 +58,6 @@ pub trait Layer: Send {
 
     /// Clears the gradient accumulation buffer.
     fn zero_grads(&mut self) {}
-
-    /// Switches between training and evaluation behaviour (dropout masks,
-    /// batch-norm statistics). Most layers ignore this.
-    fn set_training(&mut self, _training: bool) {}
 
     /// Clones the layer behind a box (layers are held as trait objects).
     fn clone_box(&self) -> Box<dyn Layer>;

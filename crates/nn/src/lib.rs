@@ -29,7 +29,6 @@ pub mod init;
 pub mod layers;
 pub mod loss;
 pub mod model;
-pub mod optim;
 pub mod tensor4;
 
 pub use model::{ModelSpec, Sequential};

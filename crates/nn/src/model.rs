@@ -70,36 +70,6 @@ pub enum ModelSpec {
         /// Output classes.
         classes: usize,
     },
-    /// Extension: the CnnTwoFc shape with batch-norm after each conv —
-    /// used by the regularisation ablations.
-    CnnBn {
-        /// Input channels.
-        in_ch: usize,
-        /// Input height.
-        h: usize,
-        /// Input width.
-        w: usize,
-        /// First conv channel count.
-        c1: usize,
-        /// Second conv channel count.
-        c2: usize,
-        /// Hidden fully-connected width.
-        hidden: usize,
-        /// Output classes.
-        classes: usize,
-    },
-    /// Extension: MLP with inverted dropout on the hidden layer. The drop
-    /// probability is stored in permille so the spec stays `Eq`/`Copy`.
-    MlpDropout {
-        /// Flat input feature count.
-        inputs: usize,
-        /// Hidden width.
-        hidden: usize,
-        /// Output classes.
-        classes: usize,
-        /// Drop probability × 1000 (e.g. `200` = 0.2).
-        drop_permille: u16,
-    },
 }
 
 impl ModelSpec {
@@ -149,21 +119,17 @@ impl ModelSpec {
             ModelSpec::CnnTwoFc { classes, .. }
             | ModelSpec::CnnOneFc { classes, .. }
             | ModelSpec::Mlp { classes, .. }
-            | ModelSpec::Linear { classes, .. }
-            | ModelSpec::CnnBn { classes, .. }
-            | ModelSpec::MlpDropout { classes, .. } => classes,
+            | ModelSpec::Linear { classes, .. } => classes,
         }
     }
 
     /// Expected input shape `(c, h, w)`; flat specs report `(features, 1, 1)`.
     pub fn input_shape(&self) -> (usize, usize, usize) {
         match *self {
-            ModelSpec::CnnTwoFc { in_ch, h, w, .. }
-            | ModelSpec::CnnOneFc { in_ch, h, w, .. }
-            | ModelSpec::CnnBn { in_ch, h, w, .. } => (in_ch, h, w),
-            ModelSpec::Mlp { inputs, .. }
-            | ModelSpec::Linear { inputs, .. }
-            | ModelSpec::MlpDropout { inputs, .. } => (inputs, 1, 1),
+            ModelSpec::CnnTwoFc { in_ch, h, w, .. } | ModelSpec::CnnOneFc { in_ch, h, w, .. } => {
+                (in_ch, h, w)
+            }
+            ModelSpec::Mlp { inputs, .. } | ModelSpec::Linear { inputs, .. } => (inputs, 1, 1),
         }
     }
 
@@ -228,46 +194,6 @@ impl ModelSpec {
                 Box::new(Flatten::new()),
                 Box::new(Linear::new(&mut rng, inputs, classes)),
             ],
-            ModelSpec::CnnBn {
-                in_ch,
-                h,
-                w,
-                c1,
-                c2,
-                hidden,
-                classes,
-            } => {
-                let flat = c2 * (h / 4) * (w / 4);
-                vec![
-                    Box::new(Conv2d::new(&mut rng, in_ch, c1, 3, 1)),
-                    Box::new(crate::layers::BatchNorm2::new(c1)),
-                    Box::new(Relu::new()),
-                    Box::new(MaxPool2::new()),
-                    Box::new(Conv2d::new(&mut rng, c1, c2, 3, 1)),
-                    Box::new(crate::layers::BatchNorm2::new(c2)),
-                    Box::new(Relu::new()),
-                    Box::new(MaxPool2::new()),
-                    Box::new(Flatten::new()),
-                    Box::new(Linear::new(&mut rng, flat, hidden)),
-                    Box::new(Relu::new()),
-                    Box::new(Linear::new(&mut rng, hidden, classes)),
-                ]
-            }
-            ModelSpec::MlpDropout {
-                inputs,
-                hidden,
-                classes,
-                drop_permille,
-            } => vec![
-                Box::new(Flatten::new()),
-                Box::new(Linear::new(&mut rng, inputs, hidden)),
-                Box::new(Relu::new()),
-                Box::new(crate::layers::Dropout::new(
-                    f32::from(drop_permille) / 1000.0,
-                    seed,
-                )),
-                Box::new(Linear::new(&mut rng, hidden, classes)),
-            ],
         };
         Sequential::from_layers(*self, layers)
     }
@@ -285,7 +211,6 @@ pub struct Sequential {
     spec: ModelSpec,
     layers: Vec<Box<dyn Layer>>,
     param_count: usize,
-    training: bool,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -308,7 +233,6 @@ impl Sequential {
             spec,
             layers,
             param_count,
-            training: true,
         }
     }
 
@@ -320,22 +244,6 @@ impl Sequential {
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.param_count
-    }
-
-    /// Switches every layer between training and evaluation behaviour
-    /// (dropout masks, batch-norm statistics). Models start in training
-    /// mode; [`Sequential::predict`] and [`Sequential::accuracy`]
-    /// temporarily switch to evaluation mode themselves.
-    pub fn set_training(&mut self, training: bool) {
-        self.training = training;
-        for layer in &mut self.layers {
-            layer.set_training(training);
-        }
-    }
-
-    /// Whether the model is in training mode.
-    pub fn is_training(&self) -> bool {
-        self.training
     }
 
     /// Forward pass through all layers (caches activations for backward).
@@ -428,13 +336,9 @@ impl Sequential {
         out
     }
 
-    /// Predicted class for each batch item (evaluated in eval mode; the
-    /// previous mode is restored afterwards).
+    /// Predicted class for each batch item.
     pub fn predict(&mut self, x: &Tensor4) -> Vec<usize> {
-        let was_training = self.training;
-        self.set_training(false);
         let logits = self.forward(x);
-        self.set_training(was_training);
         (0..logits.n())
             .map(|b| fuiov_tensor::stats::argmax(logits.item(b)).expect("non-empty logits"))
             .collect()
@@ -467,10 +371,7 @@ impl Sequential {
     ///
     /// Panics if `labels.len() != x.n()`.
     pub fn accuracy(&mut self, x: &Tensor4, labels: &[usize]) -> f32 {
-        let was_training = self.training;
-        self.set_training(false);
         let logits = self.forward(x);
-        self.set_training(was_training);
         batch_accuracy(&logits, labels)
     }
 }
@@ -606,52 +507,6 @@ mod tests {
         let acc = m.accuracy(&x, &y);
         let manual = preds.iter().zip(&y).filter(|(p, t)| p == t).count() as f32 / y.len() as f32;
         assert_eq!(acc, manual);
-    }
-
-    #[test]
-    fn cnn_bn_builds_and_flows() {
-        let spec = ModelSpec::CnnBn {
-            in_ch: 1,
-            h: 8,
-            w: 8,
-            c1: 4,
-            c2: 4,
-            hidden: 8,
-            classes: 3,
-        };
-        let mut m = spec.build(0);
-        let x = Tensor4::zeros(2, 1, 8, 8);
-        assert_eq!(m.forward(&x).shape(), (2, 3, 1, 1));
-        // BN adds 2 params per channel over the plain CnnTwoFc.
-        let plain = ModelSpec::CnnTwoFc {
-            in_ch: 1,
-            h: 8,
-            w: 8,
-            c1: 4,
-            c2: 4,
-            hidden: 8,
-            classes: 3,
-        };
-        assert_eq!(m.param_count(), plain.param_count() + 2 * 4 + 2 * 4);
-    }
-
-    #[test]
-    fn dropout_model_eval_mode_is_deterministic() {
-        let spec = ModelSpec::MlpDropout {
-            inputs: 4,
-            hidden: 8,
-            classes: 2,
-            drop_permille: 500,
-        };
-        let mut m = spec.build(1);
-        let x = Tensor4::from_vec(1, 4, 1, 1, vec![0.5, -0.5, 0.3, 0.1]);
-        // predict() runs in eval mode: repeated calls agree.
-        assert_eq!(m.predict(&x), m.predict(&x));
-        assert!(m.is_training());
-        // Training-mode forwards differ across steps (fresh masks).
-        let a = m.forward(&x);
-        let b = m.forward(&x);
-        assert_ne!(a, b);
     }
 
     #[test]

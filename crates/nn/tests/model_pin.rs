@@ -1,11 +1,10 @@
 //! Bit pins for CNN training at the paper's shapes.
 //!
-//! For the MNIST CNN, the GTSRB CNN and the batch-norm CNN, on seeded
-//! batches of 50 and of 10 (the two batch sizes one RSU-cell client trains
-//! with: 60 samples at batch 50), these tests digest the exact bits of
-//! `loss_and_grad` (the loss and the flat gradient), of `predict`, and of
-//! `loss_and_grad` again after one SGD step (so the bias paths run with
-//! non-zero biases). The pinned values are those of the plain scalar conv
+//! For the MNIST CNN and the GTSRB CNN, on seeded batches of 50 and of 10
+//! (the two batch sizes one RSU-cell client trains with: 60 samples at
+//! batch 50), these tests digest the exact bits of `loss_and_grad` (the
+//! loss and the flat gradient), of `predict`, and of `loss_and_grad` again
+//! after one SGD step (so the bias paths run with non-zero biases). The pinned values are those of the plain scalar conv
 //! and linear loops (the test references in `conv2d.rs` and `linear.rs`);
 //! every build must reproduce them bit for bit, portable and
 //! `target-cpu=native` alike.
@@ -121,34 +120,6 @@ fn gtsrb_cnn_bits_are_pinned() {
             (
                 10,
                 [0xea6adddce4465750, 0x2e393fd9eb381965, 0x1f6100878d362091],
-            ),
-        ],
-    );
-}
-
-#[test]
-fn batchnorm_cnn_bits_are_pinned() {
-    let spec = ModelSpec::CnnBn {
-        in_ch: 1,
-        h: 28,
-        w: 28,
-        c1: 8,
-        c2: 16,
-        hidden: 64,
-        classes: 10,
-    };
-    check(
-        "CnnBn (MNIST shape)",
-        spec,
-        3,
-        [
-            (
-                50,
-                [0xca9cb715406b5883, 0x1d166ff0b5f7bb02, 0x8e2bde5b1db04c91],
-            ),
-            (
-                10,
-                [0x2b3274ca1e37a320, 0x717809f4f63efab0, 0xa27102cd771b4d6a],
             ),
         ],
     );

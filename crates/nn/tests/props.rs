@@ -92,13 +92,12 @@ proptest! {
 
     #[test]
     fn sgd_step_moves_against_gradient(seed in any::<u64>(), lr in 0.001f32..1.0) {
-        use fuiov_nn::optim::Sgd;
         let spec = ModelSpec::Linear { inputs: 4, classes: 2 };
         let mut m = spec.build(seed);
         let x = Tensor4::from_vec(1, 4, 1, 1, vec![0.5, -0.5, 0.25, 1.0]);
         let (loss_before, grad) = m.loss_and_grad(&x, &[0]);
         let mut params = m.params();
-        Sgd::new(lr.min(0.1)).step(&mut params, &grad);
+        fuiov_tensor::vector::axpy(-lr.min(0.1), &grad, &mut params);
         m.set_params(&params);
         let (loss_after, _) = m.loss_and_grad(&x, &[0]);
         // Small steps on a smooth convex-ish loss should not increase it

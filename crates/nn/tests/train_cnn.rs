@@ -2,8 +2,8 @@
 //! scale): the substrate must actually learn, not just have correct
 //! gradients.
 
-use fuiov_nn::optim::{Adam, Sgd};
 use fuiov_nn::{ModelSpec, Sequential, Tensor4};
+use fuiov_tensor::vector;
 use rand::{Rng, SeedableRng};
 
 /// A tiny separable task: class = quadrant of the brightest blob in an
@@ -35,12 +35,20 @@ fn blob_dataset(n: usize, seed: u64) -> (Tensor4, Vec<usize>) {
     (Tensor4::from_vec(n, 1, 8, 8, data), labels)
 }
 
+/// Heavy-ball SGD step: `v ← 0.9·v + g`, then `p ← p − lr·v`.
+fn momentum_step(velocity: &mut [f32], params: &mut [f32], grad: &[f32], lr: f32) {
+    for (v, g) in velocity.iter_mut().zip(grad) {
+        *v = 0.9 * *v + g;
+    }
+    vector::axpy(-lr, velocity, params);
+}
+
 fn train(model: &mut Sequential, x: &Tensor4, y: &[usize], steps: usize, lr: f32) -> f32 {
-    let mut sgd = Sgd::new(lr).with_momentum(0.9);
+    let mut velocity = vec![0.0; model.param_count()];
     for _ in 0..steps {
         let (_, grad) = model.loss_and_grad(x, y);
         let mut p = model.params();
-        sgd.step(&mut p, &grad);
+        momentum_step(&mut velocity, &mut p, &grad, lr);
         model.set_params(&p);
     }
     model.accuracy(x, y)
@@ -82,49 +90,4 @@ fn cnn_one_fc_learns_blob_quadrants() {
     let (x, y) = blob_dataset(48, 3);
     let acc = train(&mut m, &x, &y, 60, 0.1);
     assert!(acc > 0.9, "CnnOneFc should master the blob task: {acc}");
-}
-
-#[test]
-fn batchnorm_cnn_learns_and_eval_mode_stays_strong() {
-    let spec = ModelSpec::CnnBn {
-        in_ch: 1,
-        h: 8,
-        w: 8,
-        c1: 4,
-        c2: 4,
-        hidden: 16,
-        classes: 4,
-    };
-    let mut m = spec.build(7);
-    let (x, y) = blob_dataset(48, 4);
-    let train_acc = train(&mut m, &x, &y, 60, 0.05);
-    assert!(train_acc > 0.85, "CnnBn should learn: {train_acc}");
-    // accuracy() runs in eval mode (running stats); after 60 steps the
-    // running statistics should support comparable performance.
-    let eval_acc = m.accuracy(&x, &y);
-    assert!(eval_acc > 0.7, "eval-mode accuracy collapsed: {eval_acc}");
-}
-
-#[test]
-fn adam_trains_the_cnn_too() {
-    let spec = ModelSpec::CnnTwoFc {
-        in_ch: 1,
-        h: 8,
-        w: 8,
-        c1: 4,
-        c2: 4,
-        hidden: 16,
-        classes: 4,
-    };
-    let mut m = spec.build(8);
-    let (x, y) = blob_dataset(48, 5);
-    let mut adam = Adam::new(0.01);
-    for _ in 0..60 {
-        let (_, grad) = m.loss_and_grad(&x, &y);
-        let mut p = m.params();
-        adam.step(&mut p, &grad);
-        m.set_params(&p);
-    }
-    let acc = m.accuracy(&x, &y);
-    assert!(acc > 0.9, "Adam-trained CNN should master the task: {acc}");
 }

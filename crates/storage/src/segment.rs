@@ -27,7 +27,7 @@ use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Record magic, "FUSG".
@@ -653,12 +653,6 @@ impl Drop for SpillFile {
             let _ = std::fs::remove_file(&inner.path);
         }
     }
-}
-
-/// Whether a segment file exists at `path` (test/diagnostic helper —
-/// lets thinning tests assert no spill reload happened).
-pub fn segment_file_exists(path: &Path) -> bool {
-    path.exists()
 }
 
 #[cfg(test)]

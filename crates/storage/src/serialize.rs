@@ -24,6 +24,10 @@ pub enum HistoryDecodeError {
     BadMagic(u32),
     /// Unsupported version.
     BadVersion(u16),
+    /// A field contradicts the format or an earlier field: a negative or
+    /// NaN δ, a direction whose byte count is not `⌈len / 4⌉`, or a model
+    /// or direction whose length differs from the first one's.
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for HistoryDecodeError {
@@ -32,17 +36,32 @@ impl fmt::Display for HistoryDecodeError {
             HistoryDecodeError::Truncated => write!(f, "history blob truncated"),
             HistoryDecodeError::BadMagic(m) => write!(f, "bad history magic {m:#010x}"),
             HistoryDecodeError::BadVersion(v) => write!(f, "unsupported history version {v}"),
+            HistoryDecodeError::Inconsistent(what) => write!(f, "inconsistent history: {what}"),
         }
     }
 }
 
 impl Error for HistoryDecodeError {}
 
+/// Smallest encoded direction record: round, client, length and byte
+/// count, with no packed bytes.
+const MIN_DIRECTION_RECORD: usize = 24;
+
 fn need(buf: &[u8], n: usize) -> Result<(), HistoryDecodeError> {
     if buf.len() < n {
         Err(HistoryDecodeError::Truncated)
     } else {
         Ok(())
+    }
+}
+
+/// Checks that a model or direction has the dimension of the first one
+/// read, which the store would otherwise enforce with a panic.
+fn check_dim(dim: &mut Option<usize>, len: usize) -> Result<(), HistoryDecodeError> {
+    if *dim.get_or_insert(len) == len {
+        Ok(())
+    } else {
+        Err(HistoryDecodeError::Inconsistent("dimension mismatch"))
     }
 }
 
@@ -154,7 +173,9 @@ fn unpack_bytes(bytes: &[u8], len: usize) -> Vec<i8> {
 ///
 /// # Errors
 ///
-/// Returns [`HistoryDecodeError`] on truncation, bad magic or version.
+/// Returns [`HistoryDecodeError`] on truncation, bad magic or version, or
+/// inconsistent fields. No input makes it panic, and it never reserves
+/// more memory than the remaining bytes can fill.
 pub fn decode_history(mut buf: &[u8]) -> Result<HistoryStore, HistoryDecodeError> {
     need(buf, 10)?;
     let magic = buf.get_u32_le();
@@ -166,7 +187,11 @@ pub fn decode_history(mut buf: &[u8]) -> Result<HistoryStore, HistoryDecodeError
         return Err(HistoryDecodeError::BadVersion(version));
     }
     let delta = buf.get_f32_le();
+    if delta.is_nan() || delta < 0.0 {
+        return Err(HistoryDecodeError::Inconsistent("negative or NaN delta"));
+    }
     let mut h = HistoryStore::new(delta);
+    let mut dim = None;
 
     need(buf, 4)?;
     let n_models = buf.get_u32_le() as usize;
@@ -175,20 +200,26 @@ pub fn decode_history(mut buf: &[u8]) -> Result<HistoryStore, HistoryDecodeError
         let round = buf.get_u64_le() as usize;
         let len = buf.get_u32_le() as usize;
         need(buf, len * 4)?;
+        check_dim(&mut dim, len)?;
         let params: Vec<f32> = (0..len).map(|_| buf.get_f32_le()).collect();
         h.record_model(round, params);
     }
 
     need(buf, 4)?;
     let n_dirs = buf.get_u32_le() as usize;
-    let mut raw_dirs: Vec<(usize, usize, Vec<i8>)> = Vec::with_capacity(n_dirs);
+    let mut raw_dirs: Vec<(usize, usize, Vec<i8>)> =
+        Vec::with_capacity(n_dirs.min(buf.len() / MIN_DIRECTION_RECORD));
     for _ in 0..n_dirs {
-        need(buf, 24)?;
+        need(buf, MIN_DIRECTION_RECORD)?;
         let round = buf.get_u64_le() as usize;
         let client = buf.get_u64_le() as usize;
         let len = buf.get_u32_le() as usize;
         let nbytes = buf.get_u32_le() as usize;
+        if nbytes != len.div_ceil(4) {
+            return Err(HistoryDecodeError::Inconsistent("direction byte count"));
+        }
         need(buf, nbytes)?;
+        check_dim(&mut dim, len)?;
         let bytes = &buf[..nbytes];
         let signs = unpack_bytes(bytes, len);
         buf.advance(nbytes);

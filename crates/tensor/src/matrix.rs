@@ -183,41 +183,18 @@ impl Mat {
         self.data
     }
 
-    /// Matrix product `self · other`.
+    /// Matrix product `self · other`: the plain i → k → j triple loop,
+    /// skipping zero entries of `self`.
     ///
-    /// Cache-blocked over output columns and parallelised over contiguous
-    /// output-row bands via [`crate::pool`]. Each output element accumulates
-    /// over `k` in exactly the order of [`Mat::matmul_naive`] (including the
-    /// zero-skip), so the result is bitwise identical to the naive loop at
-    /// every thread count.
+    /// No pipeline path multiplies two dense matrices; this is the
+    /// reference the L-BFGS Gram-pass tests and the tensor properties
+    /// compare against, so it favours an obvious accumulation order over
+    /// speed.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Mat) -> Mat {
-        assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
-        let mut out = Mat::zeros(self.rows, other.cols);
-        let inner = self.cols;
-        let n = other.cols;
-        // Resolve the SIMD dispatch once per product, not per band: every
-        // band of one call runs the same path (paths agree bitwise, so
-        // this is a determinism nicety, not a correctness requirement).
-        let simd = crate::simd::enabled();
-        crate::pool::par_row_bands(&mut out.data, self.rows, n, |rows, band| {
-            gemm_band(&self.data, &other.data, inner, n, rows, band, simd);
-        });
-        out
-    }
-
-    /// Reference GEMM: the original scalar triple loop.
-    ///
-    /// Kept as the golden kernel — [`Mat::matmul`] must reproduce its output
-    /// bit for bit — and as the benchmark baseline in `benches/micro.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_naive(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
         let mut out = Mat::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -520,230 +497,19 @@ fn row_dot_scalar_from(row: &[f32], v: &[f32], from: usize, mut acc: f64) -> f32
     acc as f32
 }
 
-/// Rows of `a` handled per microkernel call; bounds `b`-tile reuse.
-const MICRO_ROWS: usize = 4;
-/// Columns of `out` accumulated in registers per microkernel call.
-const MICRO_COLS: usize = 32;
-
-/// Computes output rows `rows` of `a · b` into `band` (the row-major slice
-/// holding exactly those rows).
-///
-/// Loop order is i-block → j-tile → k → i → j, which keeps the per-element
-/// k-accumulation order (and the `a == 0.0` skip) of the naive i → k → j
-/// loop: for a fixed `(i, j)`, contributions still arrive in ascending `k`.
-/// That invariant is what makes [`Mat::matmul`] bitwise-stable across tile
-/// sizes and thread counts — see DESIGN.md §5.
-///
-/// The tiling exists purely for memory traffic: the microkernel keeps a
-/// `MICRO_ROWS × MICRO_COLS` accumulator block in registers across the whole
-/// k sweep (one store per output element instead of a load+store per k) and
-/// pulls each `b` tile through cache once per `MICRO_ROWS` output rows
-/// instead of once per row.
-fn gemm_band(
-    a: &[f32],
-    b: &[f32],
-    inner: usize,
-    n: usize,
-    rows: std::ops::Range<usize>,
-    band: &mut [f32],
-    simd: bool,
-) {
-    let row0 = rows.start;
-    // One j-panel of `b` is repacked contiguously (inner × MICRO_COLS) and
-    // reused by every row block in the band: the k loop then streams 64-byte
-    // sequential lines instead of taking a `4·n`-byte stride per k, which is
-    // what the prefetcher can actually follow on GEMMs with a large `n`.
-    let mut packed = Vec::new();
-    let mut j0 = 0;
-    while j0 + MICRO_COLS <= n {
-        packed.resize(inner * MICRO_COLS, 0.0);
-        for k in 0..inner {
-            packed[k * MICRO_COLS..(k + 1) * MICRO_COLS]
-                .copy_from_slice(&b[k * n + j0..][..MICRO_COLS]);
-        }
-        let mut i0 = rows.start;
-        while i0 < rows.end {
-            let i1 = (i0 + MICRO_ROWS).min(rows.end);
-            let a_block = &a[i0 * inner..i1 * inner];
-            let out = &mut band[(i0 - row0) * n + j0..];
-            // Monomorphised per row count so the r loop fully unrolls and
-            // the accumulator block stays in registers.
-            match i1 - i0 {
-                4 => gemm_micro_dispatch::<4>(a_block, &packed, inner, n, out, simd),
-                3 => gemm_micro_dispatch::<3>(a_block, &packed, inner, n, out, simd),
-                2 => gemm_micro_dispatch::<2>(a_block, &packed, inner, n, out, simd),
-                _ => gemm_micro_dispatch::<1>(a_block, &packed, inner, n, out, simd),
-            }
-            i0 = i1;
-        }
-        j0 += MICRO_COLS;
-    }
-    if j0 < n {
-        let mut i0 = rows.start;
-        while i0 < rows.end {
-            let i1 = (i0 + MICRO_ROWS).min(rows.end);
-            gemm_tail(
-                &a[i0 * inner..i1 * inner],
-                b,
-                inner,
-                n,
-                j0,
-                &mut band[(i0 - row0) * n..(i1 - row0) * n],
-            );
-            i0 = i1;
-        }
-    }
-}
-
-/// Routes one packed-panel microkernel call to the AVX2 or the scalar
-/// implementation. The flag is resolved once per product in
-/// [`Mat::matmul`]; both paths produce identical bytes (the AVX2 kernel
-/// keeps the per-element ascending-`k` accumulation and the
-/// `aik == 0.0` skip), so the choice is invisible to callers.
-#[inline(always)]
-fn gemm_micro_dispatch<const R: usize>(
-    a_block: &[f32],
-    packed: &[f32],
-    inner: usize,
-    n: usize,
-    out: &mut [f32],
-    simd: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: the dispatcher only reports `true` when the runtime
-        // AVX2 probe passed (`simd::enabled`).
-        unsafe { x86::gemm_micro_avx2::<R>(a_block, packed, inner, n, out) };
-        return;
-    }
-    let _ = simd;
-    gemm_micro::<R>(a_block, packed, inner, n, out);
-}
-
-/// Full-width microkernel over the `R` rows of `a_block`: accumulators live
-/// in registers for the entire k loop, so `out` is written exactly once per
-/// element. `packed` is the current j-panel of `b`, laid out
-/// `inner × MICRO_COLS` row-major; `out` starts at this block's first
-/// output element and keeps the full row stride `n`.
-#[inline(always)]
-fn gemm_micro<const R: usize>(
-    a_block: &[f32],
-    packed: &[f32],
-    inner: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [[0.0f32; MICRO_COLS]; R];
-    for k in 0..inner {
-        let b_tile: &[f32; MICRO_COLS] = packed[k * MICRO_COLS..(k + 1) * MICRO_COLS]
-            .try_into()
-            .expect("tile width is MICRO_COLS");
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let aik = a_block[r * inner + k];
-            if aik == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc_row.iter_mut().zip(b_tile) {
-                *o += aik * bv;
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n..r * n + MICRO_COLS].copy_from_slice(acc_row);
-    }
-}
-
-/// Remainder columns (`n % MICRO_COLS`) via the plain slice loop. `a_block`
-/// holds the block's rows of `a`; `out` the matching full rows of the band.
-fn gemm_tail(a_block: &[f32], b: &[f32], inner: usize, n: usize, j0: usize, out: &mut [f32]) {
-    if inner == 0 {
-        // Empty inner dimension: the product is all zeros and `out` is
-        // already zeroed (also keeps `rows` below well-defined).
-        return;
-    }
-    let rows = a_block.len() / inner;
-    for k in 0..inner {
-        let b_tile = &b[k * n + j0..(k + 1) * n];
-        for i in 0..rows {
-            let aik = a_block[i * inner + k];
-            if aik == 0.0 {
-                continue;
-            }
-            let out_tile = &mut out[i * n + j0..(i + 1) * n];
-            for (o, &bv) in out_tile.iter_mut().zip(b_tile) {
-                *o += aik * bv;
-            }
-        }
-    }
-}
-
-/// AVX2 implementations of the two dense hot kernels. Only compiled on
-/// `x86_64`; only *executed* when `crate::simd::enabled()` says the
-/// runtime probe passed. Every function here is bound by the bitwise
-/// contract of `crate::simd`: identical bytes to the scalar reference at
-/// every input shape, which dictates the vectorization shapes —
-///
-/// * GEMM vectorizes across **output columns** `j`: each output element
-///   is an independent f32 accumulator, so 8 lanes of
-///   `acc += aik · b[k][j..j+8]` perform exactly the scalar per-element
-///   operation sequence (ascending `k`, `aik == 0.0` skipped, separate
-///   multiply and add — never an FMA, which rounds once where
-///   `mul` + `add` round twice).
-/// * `row_dots` vectorizes across **rows**: a row's f64 accumulation is
-///   one serial dependency chain whose order defines the bits, so lanes
-///   must be whole chains (lane = row), never chunks of one chain. An
-///   in-register 8×8 transpose turns contiguous row loads into
-///   column-major vectors so the chains still consume ascending `j`.
+/// AVX2 implementation of the row-dots sweep. Only compiled on `x86_64`;
+/// only *executed* when `crate::simd::enabled()` says the runtime probe
+/// passed. It is bound by the bitwise contract of `crate::simd`: identical
+/// bytes to the scalar reference at every input shape, which dictates the
+/// vectorization shape. A row's f64 accumulation is one serial dependency
+/// chain whose order defines the bits, so lanes must be whole chains
+/// (lane = row), never chunks of one chain. An in-register 8×8 transpose
+/// turns contiguous row loads into column-major vectors so the chains
+/// still consume ascending `j`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{row_dot_scalar_from, row_dots_band_scalar, Mat, MICRO_COLS};
+    use super::{row_dot_scalar_from, row_dots_band_scalar, Mat};
     use std::arch::x86_64::*;
-
-    /// AVX2 twin of `gemm_micro`: the full `R × MICRO_COLS` accumulator
-    /// block lives across the single `k` sweep as `R × 4` ymm registers
-    /// (16 for the common `R = 4` — the whole file; LLVM folds the `b`
-    /// panel loads into the multiplies, so no registers are spent on `b`
-    /// vectors and the broadcast + zero-test happen once per `(k, r)`
-    /// instead of once per subtile). Per element the operation sequence
-    /// is exactly the scalar kernel's: contributions in ascending `k`,
-    /// `aik == 0.0` skipped, `mul` then `add`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available (runtime-probed by
-    /// `crate::simd::caps`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_micro_avx2<const R: usize>(
-        a_block: &[f32],
-        packed: &[f32],
-        inner: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        debug_assert!(R <= 4 && a_block.len() >= R * inner);
-        debug_assert!(packed.len() >= inner * MICRO_COLS);
-        const SUBS: usize = MICRO_COLS / 8;
-        let mut acc = [[_mm256_setzero_ps(); SUBS]; R];
-        for k in 0..inner {
-            let b_row = packed.as_ptr().add(k * MICRO_COLS);
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let aik = *a_block.get_unchecked(r * inner + k);
-                if aik == 0.0 {
-                    continue;
-                }
-                let av = _mm256_set1_ps(aik);
-                for (sub, slot) in acc_r.iter_mut().enumerate() {
-                    let bv = _mm256_loadu_ps(b_row.add(sub * 8));
-                    *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            for (sub, &slot) in acc_r.iter().enumerate() {
-                _mm256_storeu_ps(out.as_mut_ptr().add(r * n + sub * 8), slot);
-            }
-        }
-    }
 
     /// AVX2 twin of `row_dots_band_scalar`: eight rows per block, lane =
     /// row. Each 8×8 tile of the matrix is loaded row-major (contiguous)
@@ -925,7 +691,7 @@ mod tests {
 
     /// Deterministic pseudo-random matrix (no RNG dependency in this crate's
     /// unit tests): SplitMix64-style scramble of the index, with a sprinkle
-    /// of exact zeros to exercise the `a == 0.0` skip path.
+    /// of exact zeros to exercise the `v[j] == 0.0` skip path.
     fn test_mat(rows: usize, cols: usize, salt: u64) -> Mat {
         let mut data = Vec::with_capacity(rows * cols);
         for idx in 0..rows * cols {
@@ -941,31 +707,6 @@ mod tests {
             }
         }
         Mat::from_vec(rows, cols, data)
-    }
-
-    fn bits(m: &Mat) -> Vec<u32> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn blocked_matmul_matches_naive_bitwise() {
-        let _g = crate::pool::test_guard();
-        // Shapes straddling the column-tile boundary and the parallel gate.
-        for &(m, k, n) in &[(3, 5, 7), (17, 33, 259), (64, 50, 300), (1, 1, 1)] {
-            let a = test_mat(m, k, 1);
-            let b = test_mat(k, n, 2);
-            let golden = a.matmul_naive(&b);
-            for t in [1, 2, 5] {
-                crate::pool::set_threads(t);
-                let fast = a.matmul(&b);
-                assert_eq!(
-                    bits(&fast),
-                    bits(&golden),
-                    "blocked GEMM diverged from naive at {m}x{k}x{n}, {t} threads"
-                );
-            }
-            crate::pool::set_threads(0);
-        }
     }
 
     #[test]

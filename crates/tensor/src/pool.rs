@@ -52,28 +52,15 @@ const MIN_ELEMS_PER_WORKER: usize = 16 * 1024;
 /// bands and runs `body(row_range, band)` on each, in parallel when the
 /// resolved thread count and the problem size justify it.
 ///
+/// The spawn gate counts `rows × work_per_row` elements: a fused
+/// dot-product pass writes `rows × 1` outputs while streaming `rows × dim`
+/// inputs, so it passes `work_per_row = dim` and parallelises by the work
+/// it actually does. Kernels whose cost is their output pass
+/// `work_per_row = cols`.
+///
 /// `body` must write each output row as a pure function of the shared
 /// inputs it captures — bands are disjoint, so any schedule produces the
 /// same bytes.
-///
-/// # Panics
-///
-/// Panics if `out.len() != rows * cols` or a worker panics.
-pub fn par_row_bands<F>(out: &mut [f32], rows: usize, cols: usize, body: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    par_row_bands_weighted(out, rows, cols, cols, body);
-}
-
-/// [`par_row_bands`] with an explicit per-row work estimate, for kernels
-/// whose output rows are much narrower than the data each one reads.
-///
-/// The spawn gate of `par_row_bands` counts *output* elements, which is the
-/// right proxy for GEMM-shaped kernels but starves reductions: a fused
-/// dot-product pass writes `rows × 1` outputs while streaming `rows × dim`
-/// inputs. Passing `work_per_row = dim` here lets such kernels parallelise
-/// by the work they actually do. Banding and determinism are unchanged.
 ///
 /// # Panics
 ///
@@ -90,7 +77,7 @@ pub fn par_row_bands_weighted<F>(
     assert_eq!(
         out.len(),
         rows * cols,
-        "par_row_bands: buffer size mismatch"
+        "par_row_bands_weighted: buffer size mismatch"
     );
     let workers = threads()
         .min(rows)
@@ -120,7 +107,7 @@ pub fn par_row_bands_weighted<F>(
             scope.spawn(move |_| body(range, band));
         }
     })
-    .expect("par_row_bands: worker panicked");
+    .expect("par_row_bands_weighted: worker panicked");
 }
 
 /// Maps `f` over `items` in parallel, returning results **in input order**
@@ -191,7 +178,7 @@ mod tests {
         let _g = test_guard();
         set_threads(1);
         let mut out = vec![0.0f32; 6];
-        par_row_bands(&mut out, 3, 2, |range, band| {
+        par_row_bands_weighted(&mut out, 3, 2, 2, |range, band| {
             for (i, r) in range.enumerate() {
                 band[i * 2] = r as f32;
                 band[i * 2 + 1] = r as f32 + 0.5;
@@ -215,10 +202,10 @@ mod tests {
         };
         set_threads(1);
         let mut serial = vec![0.0f32; rows * cols];
-        par_row_bands(&mut serial, rows, cols, fill);
+        par_row_bands_weighted(&mut serial, rows, cols, cols, fill);
         set_threads(4);
         let mut parallel = vec![0.0f32; rows * cols];
-        par_row_bands(&mut parallel, rows, cols, fill);
+        par_row_bands_weighted(&mut parallel, rows, cols, cols, fill);
         set_threads(0);
         assert!(serial
             .iter()
@@ -232,7 +219,7 @@ mod tests {
         set_threads(8);
         let mut out = vec![0.0f32; 4];
         // Would split 2 rows over 8 workers if the size gate were missing.
-        par_row_bands(&mut out, 2, 2, |range, band| {
+        par_row_bands_weighted(&mut out, 2, 2, 2, |range, band| {
             for (i, _r) in range.enumerate() {
                 band[i * 2] = 1.0;
                 band[i * 2 + 1] = 2.0;
@@ -246,8 +233,8 @@ mod tests {
     fn weighted_bands_match_serial_bitwise() {
         let _g = test_guard();
         // 64 single-column output rows, each "costing" 4096 elements: the
-        // weighted gate allows multiple workers where the plain gate would
-        // stay serial. Output must be bitwise identical either way.
+        // weighted gate allows multiple workers where counting outputs
+        // would stay serial. Output must be bitwise identical either way.
         let rows = 64;
         let work = 4096;
         let fill = |range: Range<usize>, band: &mut [f32]| {

@@ -115,21 +115,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_matmul_matches_naive_bitwise_prop(
-        data_a in prop::collection::vec(-5.0f32..5.0, 15),
-        data_b in prop::collection::vec(-5.0f32..5.0, 20),
-    ) {
-        let a = Mat::from_vec(3, 5, data_a);
-        let b = Mat::from_vec(5, 4, data_b);
-        let fast = a.matmul(&b);
-        let golden = a.matmul_naive(&b);
-        prop_assert_eq!(
-            fast.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
-            golden.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
-        );
-    }
-
-    #[test]
     fn transpose_preserves_gram(data in prop::collection::vec(-5.0f32..5.0, 12)) {
         let m = Mat::from_vec(4, 3, data);
         // (AᵀA)ᵀ = AᵀA: the gram matrix is symmetric.

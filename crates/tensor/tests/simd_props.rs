@@ -1,11 +1,11 @@
-//! SIMD == scalar bitwise pinning for the dense kernels.
+//! SIMD == scalar bitwise pinning for the dense row-dots kernel.
 //!
 //! Every case runs the dispatched kernel with the SIMD path *forced on*
 //! (in-process `FUIOV_SIMD=1`; on a host without AVX2 this resolves back
 //! to scalar and the assertion is trivially true) and compares it, bit
 //! for bit, against the pinned scalar reference. Lengths sweep `0..=67`
-//! so every tail-residue class of the 4- and 8-lane kernels — ragged
-//! 8-column groups, ragged 8-row blocks, sub-width inputs — is hit.
+//! so every tail-residue class of the 8-lane kernel — ragged 8-column
+//! groups, ragged 8-row blocks, sub-width inputs — is hit.
 
 use fuiov_tensor::{simd, Mat};
 use proptest::prelude::*;
@@ -46,20 +46,6 @@ fn with_forced_scalar<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// `(a, b)` operand pair for an `m×k · k×n` product, dims bundled in.
-#[allow(clippy::type_complexity)]
-fn gemm_case() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
-    (1usize..=5, 0usize..=67, 0usize..=67).prop_flat_map(|(m, k, n)| {
-        (
-            Just(m),
-            Just(k),
-            Just(n),
-            prop::collection::vec(kernel_f32(), m * k),
-            prop::collection::vec(kernel_f32(), k * n),
-        )
-    })
-}
-
 /// Matrix plus shared vector for the fused row-dots sweep.
 #[allow(clippy::type_complexity)]
 fn row_dots_case() -> impl Strategy<Value = (usize, usize, Vec<f32>, Vec<f32>)> {
@@ -75,19 +61,6 @@ fn row_dots_case() -> impl Strategy<Value = (usize, usize, Vec<f32>, Vec<f32>)> 
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn gemm_simd_matches_scalar_bitwise((m, k, n, a_data, b_data) in gemm_case()) {
-        let a = Mat::from_vec(m, k, a_data);
-        let b = Mat::from_vec(k, n, b_data);
-        let golden = a.matmul_naive(&b);
-        let fast = with_forced_simd(|| a.matmul(&b));
-        let slow = with_forced_scalar(|| a.matmul(&b));
-        prop_assert_eq!(bits(fast.as_slice()), bits(golden.as_slice()),
-            "simd vs naive at {}x{}x{}", m, k, n);
-        prop_assert_eq!(bits(slow.as_slice()), bits(golden.as_slice()),
-            "scalar vs naive at {}x{}x{}", m, k, n);
-    }
 
     #[test]
     fn row_dots_simd_matches_scalar_bitwise((rows, cols, data, v) in row_dots_case()) {

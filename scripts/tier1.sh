@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, lint-clean, golden traces,
-# fault matrix, tier invariance, scenario-lab smoke, bench smoke.
+# fault matrix, tier invariance, scenario-lab smoke, bench smoke, the
+# end-to-end benchmark's own suite.
 #
 # Every stage is a function so CI (.github/workflows/ci.yml) and local runs
 # execute the *same* commands: `scripts/tier1.sh` runs them all in order,
@@ -176,7 +177,21 @@ stage_bench_smoke() {
   cargo run --release -q -p fuiov-lab --bin lab -- bench-smoke
 }
 
-ALL_STAGES="guard build test nn_native core_native fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke"
+stage_perfbench() {
+  # The end-to-end benchmark's own suite (perfbench/ is a workspace of its
+  # own, so no other stage builds it): every workload at tiny shape, its
+  # metric and trace contract, and the environment-knob refusal. It calls
+  # the libraries only through their public APIs, so this is also the
+  # check that no API it uses went away. perfbench refuses to start with
+  # any FUIOV_* variable set, so the suite runs with them cleared.
+  (
+    for v in $(compgen -e | grep '^FUIOV_' || true); do unset "$v"; done
+    CARGO_TARGET_DIR=target/perfbench \
+      cargo test --release --manifest-path perfbench/Cargo.toml -p perfbench -q
+  )
+}
+
+ALL_STAGES="guard build test nn_native core_native fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke perfbench"
 
 stages() {
   echo "$ALL_STAGES" | tr ' ' '\n'

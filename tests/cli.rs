@@ -143,3 +143,63 @@ fn bad_invocations_fail_with_usage() {
         .expect("run info missing file");
     assert!(!out.status.success());
 }
+
+#[test]
+fn info_on_a_crafted_history_fails_with_a_decoding_error() {
+    // Magic "FUHS", version 1, δ = 1e-6, then the sections of each case.
+    let header = |rest: &[u8]| -> Vec<u8> {
+        let mut b = 0x4655_4853u32.to_le_bytes().to_vec();
+        b.extend_from_slice(&1u16.to_le_bytes());
+        b.extend_from_slice(&1e-6f32.to_le_bytes());
+        b.extend_from_slice(rest);
+        b
+    };
+    let le32 = |v: u32| v.to_le_bytes();
+    let le64 = |v: u64| v.to_le_bytes();
+    // No models, one direction claiming 40 elements in 2 bytes.
+    let short_direction = [
+        &le32(0)[..],
+        &le32(1),
+        &le64(0),
+        &le64(1),
+        &le32(40),
+        &le32(2),
+        &[0xFF, 0xFF],
+        &le32(0),
+    ]
+    .concat();
+    // No models and u32::MAX directions, none present.
+    let huge_count = [&le32(0)[..], &le32(u32::MAX)].concat();
+    // Two models of lengths 2 and 1.
+    let ragged_models = [
+        &le32(2)[..],
+        &le64(0),
+        &le32(2),
+        &1f32.to_le_bytes(),
+        &2f32.to_le_bytes(),
+        &le64(1),
+        &le32(1),
+        &1f32.to_le_bytes(),
+        &le32(0),
+        &le32(0),
+    ]
+    .concat();
+    for (name, rest) in [
+        ("short", short_direction),
+        ("huge", huge_count),
+        ("ragged", ragged_models),
+    ] {
+        let path = tmp(&format!("crafted-{name}.bin"));
+        std::fs::write(&path, header(&rest)).unwrap();
+        let out = bin()
+            .args(["info", "--history", path.to_str().unwrap()])
+            .output()
+            .expect("run info");
+        let _ = std::fs::remove_file(&path);
+        // Exit code 1 is the CLI's own failure; a panic exits with 101
+        // and an abort leaves no code at all.
+        assert_eq!(out.status.code(), Some(1), "{name}: {:?}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("decoding"), "{name}: {stderr}");
+    }
+}

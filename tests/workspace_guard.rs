@@ -202,3 +202,183 @@ fn docs_name_only_exp_binaries_that_exist() {
         }
     }
 }
+
+/// Identifiers a crate's `lib.rs` declares (`pub fn`, `pub struct`, …,
+/// `macro_rules!`) or names anywhere in a `pub use` statement.
+fn lib_items(krate: &Path) -> Vec<String> {
+    let lib = fs::read_to_string(krate.join("src/lib.rs")).unwrap_or_default();
+    let code: String = lib
+        .lines()
+        .map(|l| l.split("//").next().unwrap_or(""))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let words = |s: &str| -> Vec<String> {
+        s.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .map(str::to_string)
+            .collect()
+    };
+    let mut items = Vec::new();
+    for stmt in code.split(';') {
+        if let Some(pos) = stmt.find("pub use ") {
+            items.extend(words(&stmt[pos..]));
+        }
+    }
+    const DECLARERS: [&str; 9] = [
+        "mod",
+        "fn",
+        "struct",
+        "enum",
+        "trait",
+        "type",
+        "const",
+        "static",
+        "macro_rules",
+    ];
+    let tokens = words(&code);
+    for pair in tokens.windows(2) {
+        if DECLARERS.contains(&pair[0].as_str()) {
+            items.push(pair[1].clone());
+        }
+    }
+    items
+}
+
+/// Whether `path` (module names, outermost first) names a module file
+/// under `src/` of `krate`; a single name may also be a binary target.
+fn is_module_file(krate: &Path, path: &[&str]) -> bool {
+    let dir = path.iter().fold(krate.join("src"), |d, seg| d.join(seg));
+    dir.with_extension("rs").exists()
+        || dir.join("mod.rs").exists()
+        || (path.len() == 1
+            && krate
+                .join("src/bin")
+                .join(format!("{}.rs", path[0]))
+                .exists())
+}
+
+/// The names one path segment stands for: `name`, or each entry of a
+/// `{a, b/c}` group (commas and slashes both separate entries).
+fn segment_names(seg: &str) -> Vec<&str> {
+    seg.trim()
+        .trim_start_matches('{')
+        .trim_end_matches('}')
+        .split([',', '/'])
+        .map(str::trim)
+        .filter(|n| !n.is_empty())
+        .collect()
+}
+
+#[test]
+fn docs_name_only_modules_that_exist() {
+    let crates_dir = root().join("crates");
+    let mut bad = Vec::new();
+    // Inline code spans naming `<crate>::<name>` (or `fuiov_<crate>::<name>`):
+    // `<name>` must be a module file of the crate or an item its lib.rs
+    // declares or re-exports.
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(root().join(doc)).expect("doc exists");
+        for (i, line) in text.lines().enumerate() {
+            for span in line.split('`').skip(1).step_by(2) {
+                for (pos, _) in span.match_indices("::") {
+                    let head = &span[..pos];
+                    let word = head
+                        .rsplit(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .next()
+                        .unwrap_or("");
+                    // `fuiov_fl::…` is the crate `fl` under its package name.
+                    let first = word.strip_prefix("fuiov_").unwrap_or(word);
+                    let krate = crates_dir.join(first);
+                    if first.is_empty() || !krate.is_dir() {
+                        continue;
+                    }
+                    let rest = &span[pos + 2..];
+                    let name = if rest.starts_with('{') {
+                        &rest[..rest.find('}').map_or(rest.len(), |e| e + 1)]
+                    } else {
+                        let end = rest
+                            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                            .unwrap_or(rest.len());
+                        &rest[..end]
+                    };
+                    let items = lib_items(&krate);
+                    for n in segment_names(name) {
+                        if !(is_module_file(&krate, &[n]) || items.iter().any(|it| it == n)) {
+                            bad.push(format!(
+                                "{doc} line {}: `{first}::{n}` is neither a module of \
+                                 crates/{first} nor an item its lib.rs declares or re-exports",
+                                i + 1
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // DESIGN §3's crate table: every entry of a *Key modules* cell (a code
+    // span opening a top-level, comma-separated item) is a module file.
+    let design = fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    let section = &design[design.find("## 3.").expect("DESIGN §3")..];
+    let section = &section[..section[5..].find("\n## ").map_or(section.len(), |e| e + 5)];
+    let mut rows = 0;
+    for line in section.lines().filter(|l| l.starts_with("| `crates/")) {
+        let cells: Vec<&str> = line.split('|').collect();
+        let krate_name = cells[1]
+            .split('`')
+            .nth(1)
+            .and_then(|p| p.strip_prefix("crates/"))
+            .expect("crate cell names crates/<dir>");
+        let krate = crates_dir.join(krate_name);
+        rows += 1;
+        let (mut depth, mut in_code, mut start) = (0i32, false, 0);
+        let cell = cells[3];
+        let mut items = Vec::new();
+        for (j, c) in cell.char_indices() {
+            match c {
+                '`' => in_code = !in_code,
+                '(' if !in_code => depth += 1,
+                ')' if !in_code => depth -= 1,
+                ',' if !in_code && depth == 0 => {
+                    items.push(&cell[start..j]);
+                    start = j + 1;
+                }
+                _ => {}
+            }
+        }
+        items.push(&cell[start..]);
+        for item in items {
+            let Some(entry) = item
+                .trim()
+                .strip_prefix('`')
+                .and_then(|s| s.split('`').next())
+            else {
+                continue;
+            };
+            if entry.contains('.') {
+                continue; // a file such as `benches/micro.rs`, not a module
+            }
+            let segs: Vec<&str> = entry.split("::").collect();
+            let (last, parents) = segs.split_last().expect("non-empty entry");
+            for n in segment_names(last) {
+                let mut path = parents.to_vec();
+                path.push(n);
+                if !is_module_file(&krate, &path) {
+                    bad.push(format!(
+                        "DESIGN §3: `{}` in the crates/{krate_name} row is not a module file",
+                        path.join("::")
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        rows >= 10,
+        "DESIGN §3 should list every crate, found {rows}"
+    );
+    assert!(
+        bad.is_empty(),
+        "docs name missing modules:\n{}",
+        bad.join("\n")
+    );
+}
