@@ -26,6 +26,7 @@ use fuiov_storage::history::FullGradientStore;
 use fuiov_storage::{ClientId, HistoryStore};
 use fuiov_tensor::{pool, vector};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// FedRecover's knobs.
 #[derive(Debug, Clone, Copy)]
@@ -110,13 +111,16 @@ pub fn fedrecover(
         .filter(|&c| c != forgotten)
         .collect();
 
-    // Seed buffers from pre-F rounds with full gradients.
+    // Seed buffers from pre-F rounds with full gradients. A seed round's
+    // ΔW = w_r − w_F is one row shared by every client with a pair from
+    // that round, as in `fuiov_core::recover`.
     let mut buffers: BTreeMap<ClientId, PairBuffer> = BTreeMap::new();
     let mut approxes: BTreeMap<ClientId, LbfgsApprox> = BTreeMap::new();
     let seed_start = f_round.saturating_sub(config.buffer_size);
     let w_f = history
         .model(f_round)
         .ok_or(UnlearnError::MissingModel(f_round))?;
+    let mut seed_dws: Vec<Option<Arc<[f32]>>> = vec![None; f_round - seed_start];
     for &client in &remaining {
         let mut buf = PairBuffer::new(config.buffer_size);
         if let Some(g_f) = full.gradient(f_round, client) {
@@ -124,7 +128,10 @@ pub fn fedrecover(
                 let (Some(w_r), Some(g_r)) = (history.model(r), full.gradient(r, client)) else {
                     continue;
                 };
-                buf.push(vector::sub(&w_r, &w_f), vector::sub(g_r, g_f));
+                let dw = seed_dws[r - seed_start]
+                    .get_or_insert_with(|| vector::sub(&w_r, &w_f).into())
+                    .clone();
+                buf.push(dw, vector::sub(g_r, g_f));
             }
         }
         if let Ok(a) = buf.approximation() {
@@ -167,8 +174,10 @@ pub fn fedrecover(
 
         if correction_round {
             // Correction rounds stay serial: the oracle is `&mut` and the
-            // vector-pair refresh mutates shared state per client.
+            // vector-pair refresh mutates shared state per client. Every
+            // refreshed client shares the round's one ΔW row.
             let mut grads: Vec<Vec<f32>> = Vec::new();
+            let mut dw_row: Option<Arc<[f32]>> = None;
             for &client in &remaining {
                 let Some(g_hist) = full.gradient(t, client) else {
                     continue;
@@ -179,11 +188,11 @@ pub fn fedrecover(
                     // Use the exact gradient and refresh this client's
                     // vector pairs with ground truth.
                     if vector::l2_norm(dw_t) > 1e-12 {
-                        vector::sub_into(&exact, g_hist, &mut scratch.dg);
+                        let dw = dw_row.get_or_insert_with(|| Arc::from(&dw_t[..])).clone();
                         let buf = buffers
                             .entry(client)
                             .or_insert_with(|| PairBuffer::new(config.buffer_size));
-                        buf.push_from_slices(dw_t, &scratch.dg);
+                        buf.push(dw, vector::sub(&exact, g_hist));
                         if let Ok(a) = buf.approximation() {
                             approxes.insert(client, a);
                             stacked_dirty = true;

@@ -98,7 +98,7 @@ fn bench_pair_refresh(c: &mut Criterion) {
     // re-stacking 99 remaining clients (4 factor rows each) for the next
     // fused sweep.
     let dim = 52_138;
-    let dws = vec![random_vec(dim, 1), random_vec(dim, 2)];
+    let dws = [random_vec(dim, 1), random_vec(dim, 2)];
     let dgs: Vec<Vec<f32>> = dws
         .iter()
         .enumerate()
@@ -132,6 +132,61 @@ fn bench_pair_refresh(c: &mut Criterion) {
         });
     });
     group.finish();
+}
+
+fn bench_stack_kernels(c: &mut Criterion) {
+    // The two per-round passes of the stacked engine at the paper shape,
+    // on one pool thread: the inbound sweep (every stacked row dotted
+    // with w̄ₜ − wₜ) and the outbound Eq. 6 corrections of 99 clients,
+    // each into its own estimate row. Every client stacks the same s = 2
+    // approximation, so their pairs share two ΔW rows, as after a pair
+    // refresh that every client took part in.
+    let dim = 52_138;
+    let clients = 99;
+    let dws = [random_vec(dim, 1), random_vec(dim, 2)];
+    let dgs: Vec<Vec<f32>> = dws
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let mut g = w.clone();
+            vector::scale(2.0, &mut g);
+            vector::axpy(0.01, &random_vec(dim, 10 + i as u64), &mut g);
+            g
+        })
+        .collect();
+    let approx = LbfgsApprox::new(&dws, &dgs).expect("valid pairs");
+    let stacked = StackedLbfgs::build(dim, (0..clients).map(|cid| (cid, &approx)));
+    let v = random_vec(dim, 77);
+    let mut scratch = RoundScratch::new();
+    pool::set_threads(1);
+
+    let mut group = c.benchmark_group("stack");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements((clients * 2 * 2 * dim) as u64));
+    group.bench_function(BenchmarkId::new("sweep", "99x2x52138"), |b| {
+        b.iter(|| {
+            stacked.fused_dots(&v, &mut scratch.dots);
+            black_box(scratch.dots.len())
+        });
+    });
+    stacked.fused_dots(&v, &mut scratch.dots);
+    stacked.solve_middles(
+        &scratch.dots,
+        &mut scratch.ps,
+        &mut scratch.rhs,
+        &mut scratch.p,
+    );
+    scratch.est.resize(clients * dim, 0.0);
+    group.bench_function(BenchmarkId::new("apply", "99x2x52138"), |b| {
+        b.iter(|| {
+            for (entry, row) in scratch.est.chunks_mut(dim).enumerate() {
+                stacked.accumulate_correction(entry, &scratch.ps, &v, row);
+            }
+            black_box(scratch.est[0])
+        });
+    });
+    group.finish();
+    pool::set_threads(0);
 }
 
 fn bench_recovery_round(c: &mut Criterion) {
@@ -650,6 +705,7 @@ criterion_group!(
     bench_aggregation,
     bench_lbfgs,
     bench_pair_refresh,
+    bench_stack_kernels,
     bench_recovery_round,
     bench_batched_recovery_round,
     bench_direction_decode,

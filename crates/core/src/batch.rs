@@ -6,31 +6,35 @@
 //! inbound passes all stream `v` again. This module restructures the round
 //! into block linear algebra over one stacked factor matrix:
 //!
-//! 1. **Fused inbound pass** — all clients' factor columns
-//!    `[ΔG₁ ΔW₁ │ ΔG₂ ΔW₂ │ …]` live in one `Σᵢ2sᵢ × d` matrix (stored
-//!    *transposed* so each logical column is a contiguous row — the very
-//!    layout every [`LbfgsApprox`] keeps its own `2s × d` factor block in,
-//!    so stacking a client is one block copy), and a single
-//!    [`Mat::row_dots_into`] sweep computes every `colᵀ·v` at once,
-//!    parallelised over stacked columns via the row-band pool.
+//! 1. **Fused inbound pass** — the clients' factor columns live in one
+//!    matrix, stored *transposed* so each column is a contiguous row:
+//!    every client's `ΔG` rows, then each distinct `ΔW` row **once**. The
+//!    pairs are `(ΔW, ΔGⁱ)` (§IV-B): a model difference carries no client
+//!    index, and every client with a pair from the same round holds the
+//!    same `ΔW` handle, so the stack copies that row once and each client's
+//!    entry records where its `ΔW` rows sit. A single
+//!    [`Mat::row_dots_into`] sweep computes every row's `rowᵀ·v` at once,
+//!    parallelised over rows via the row-band pool.
 //! 2. **Middle solves** — per client, the tiny `2sᵢ × 2sᵢ` factored system
-//!    is solved against its slice of the fused dots (scratch recycled
-//!    across clients).
+//!    is solved against its `ΔG` dots and the dots of its `ΔW` rows, read
+//!    by index (scratch recycled across clients).
 //! 3. **Fused outbound pass** — per client, `σv − ΔG·p₁ − σΔW·p₂` is
 //!    accumulated straight into that client's estimate row of the round
-//!    scratch, reading the client's `2s` stacked rows as parallel streams
-//!    (the same kernel a lone [`LbfgsApprox::hvp`] runs on its own block).
+//!    scratch, streaming the client's own `ΔG` rows and the shared `ΔW`
+//!    rows, which stay in cache across clients (the same kernel a lone
+//!    [`LbfgsApprox::hvp`] runs on its own rows).
 //!
-//! **Bitwise identity.** Each stacked column's dot accumulates `f64`
+//! **Bitwise identity.** Each stacked row's dot accumulates `f64`
 //! contributions in ascending element order with the `v[r] == 0.0` skip —
-//! exactly [`Mat::tr_matvec`]'s per-column order. The rhs rounds the
-//! `ΔW`-half to `f32` *before* the σ scaling (matching `tr_matvec` then
-//! `vector::scale`), the middle solve is the same [`Lu`] factorisation,
-//! and the outbound combination replays the per-element `scale` + `axpy`
-//! sequence of the per-client path. Every `f32` operation therefore
-//! happens in the same order with the same inputs, and the recovered model
-//! is bit-for-bit the per-client result at every thread count
-//! (see `tests/props.rs` and the frozen golden trace).
+//! exactly [`Mat::tr_matvec`]'s per-column order — and depends only on that
+//! row and `v`, so a row dotted once serves every client that shares it
+//! with the same bits. The rhs rounds the `ΔW`-half to `f32` *before* the
+//! σ scaling (matching `tr_matvec` then `vector::scale`), the middle solve
+//! is the same [`Lu`] factorisation, and the outbound combination replays
+//! the per-element `scale` + `axpy` sequence of the per-client path. Every
+//! `f32` operation therefore happens in the same order with the same
+//! inputs, and the recovered model is bit-for-bit the per-client result at
+//! every thread count (see `tests/props.rs` and the frozen golden trace).
 //!
 //! [`Mat::row_dots_into`]: fuiov_tensor::Mat::row_dots_into
 //! [`Mat::tr_matvec`]: fuiov_tensor::Mat::tr_matvec
@@ -41,14 +45,21 @@ use fuiov_storage::ClientId;
 use fuiov_tensor::simd::AVec;
 use fuiov_tensor::solve::Lu;
 use fuiov_tensor::Mat;
+use std::collections::HashMap;
 
-/// One client's block inside the stack.
+/// One client's entry in the stack.
 #[derive(Debug, Clone)]
 struct StackedEntry {
-    /// First stacked row of this client's block (`ΔG` columns first, then
-    /// `ΔW` columns).
+    /// Where the client's block starts in the logical per-client layout
+    /// (`Σ 2s` over the clients before it): the offset of its middle-solve
+    /// solution in `ps`, and what [`StackedLbfgs::fingerprint`] records.
     offset: usize,
-    /// Pair count `s` (the block spans `2s` stacked rows).
+    /// Stacked row of the client's first `ΔG` column; its `s` `ΔG` rows
+    /// are contiguous.
+    g_row: usize,
+    /// Stacked rows of the client's `ΔW` columns, oldest → newest.
+    w_rows: Vec<usize>,
+    /// Pair count `s`.
     pairs: usize,
     sigma: f32,
     middle: Lu,
@@ -59,14 +70,16 @@ struct StackedEntry {
 ///
 /// Re-stack (via [`StackedLbfgs::rebuild`]) whenever any client's
 /// approximation changes — pair refreshes are rare (every
-/// `pair_refresh_interval` rounds), and each client's factors already
-/// sit in the stack's row layout, so a rebuild is one block copy per
-/// client into the buffer the stack already owns.
+/// `pair_refresh_interval` rounds), and each rebuild copies every
+/// client's `ΔG` rows and each distinct `ΔW` row once into the buffer
+/// the stack already owns.
 #[derive(Debug, Clone)]
 pub struct StackedLbfgs {
     dim: usize,
-    /// `Σᵢ2sᵢ × dim`, row-major: row `offsetᵢ + j` is client i's `ΔG`
-    /// column j; row `offsetᵢ + sᵢ + j` its `ΔW` column j.
+    /// Row-major, `dim` columns: the clients' `ΔG` rows in client order,
+    /// then every distinct `ΔW` row once, in order of first use. Two
+    /// clients share a `ΔW` row exactly when their approximations hold
+    /// the same handle ([`std::sync::Arc::ptr_eq`]).
     stack: Mat,
     entries: Vec<StackedEntry>,
     /// Ascending client ids, parallel to `entries`.
@@ -96,11 +109,11 @@ impl StackedLbfgs {
     }
 
     /// Re-stacks `approxes` (ascending client order, the stack's
-    /// dimension) into the buffer this stack already owns. Every approximation keeps
-    /// its factors in the stack's row layout, so each client costs one
-    /// block copy; the buffer is reserved to the exact new size once and
-    /// reused across rebuilds. The result is indistinguishable from a
-    /// fresh [`StackedLbfgs::build`] (equal [`StackedLbfgs::fingerprint`]).
+    /// dimension) into the buffer this stack already owns: every client's
+    /// `ΔG` rows, then each distinct `ΔW` handle's row once. The buffer is
+    /// reserved to the exact new size once and reused across rebuilds.
+    /// The result is indistinguishable from a fresh
+    /// [`StackedLbfgs::build`] (equal [`StackedLbfgs::fingerprint`]).
     ///
     /// # Panics
     ///
@@ -112,30 +125,55 @@ impl StackedLbfgs {
     {
         let dim = self.dim;
         let approxes: Vec<(ClientId, &LbfgsApprox)> = approxes.into_iter().collect();
-        let rows: usize = approxes.iter().map(|(_, a)| a.factors().rows()).sum();
-        let mut data = std::mem::replace(&mut self.stack, Mat::zeros(0, 0)).into_vec();
-        data.clear();
-        data.reserve_exact(rows * dim);
+        let g_total: usize = approxes.iter().map(|(_, a)| a.pairs()).sum();
         self.entries.clear();
         self.clients.clear();
-        let mut offset = 0usize;
-        for (client, approx) in approxes {
+        // Each distinct ΔW handle, keyed by its address (every handle is
+        // alive for the whole rebuild), with its stacked row.
+        let mut w_index: HashMap<*const f32, usize> = HashMap::new();
+        let mut distinct_w: Vec<&[f32]> = Vec::new();
+        let (mut offset, mut g_row) = (0usize, 0usize);
+        for &(client, approx) in &approxes {
             assert_eq!(approx.dim(), dim, "StackedLbfgs: dimension mismatch");
             assert!(
                 self.clients.last().is_none_or(|&last| last < client),
                 "StackedLbfgs: clients must be strictly ascending"
             );
-            data.extend_from_slice(approx.factors().as_slice());
+            let w_rows = approx
+                .dw_rows()
+                .iter()
+                .map(|row| {
+                    *w_index.entry(row.as_ptr()).or_insert_with(|| {
+                        distinct_w.push(&row[..]);
+                        g_total + distinct_w.len() - 1
+                    })
+                })
+                .collect();
             self.entries.push(StackedEntry {
                 offset,
+                g_row,
+                w_rows,
                 pairs: approx.pairs(),
                 sigma: approx.sigma(),
                 middle: approx.middle_lu().clone(),
             });
             self.clients.push(client);
-            offset += approx.factors().rows();
+            offset += 2 * approx.pairs();
+            g_row += approx.pairs();
         }
-        self.stack = Mat::from_vec(offset, dim, data);
+        let rows = g_total + distinct_w.len();
+        let mut data = std::mem::replace(&mut self.stack, Mat::zeros(0, 0)).into_vec();
+        data.clear();
+        data.reserve_exact(rows * dim);
+        for (_, approx) in &approxes {
+            for row in approx.dg_rows() {
+                data.extend_from_slice(row);
+            }
+        }
+        for row in distinct_w {
+            data.extend_from_slice(row);
+        }
+        self.stack = Mat::from_vec(rows, dim, data);
     }
 
     /// Whether no client is stacked.
@@ -148,7 +186,8 @@ impl StackedLbfgs {
         self.entries.len()
     }
 
-    /// Total stacked factor columns `Σᵢ2sᵢ`.
+    /// Number of stacked rows: `Σᵢ sᵢ` `ΔG` rows plus one row per distinct
+    /// `ΔW` handle — the length of [`StackedLbfgs::fused_dots`]'s output.
     pub fn total_columns(&self) -> usize {
         self.stack.rows()
     }
@@ -164,31 +203,37 @@ impl StackedLbfgs {
     }
 
     /// Order-sensitive FNV-1a fingerprint of everything that feeds the
-    /// stacked arithmetic: the dimension, each client's id / block offset /
-    /// pair count / `σ` bits, and every stacked factor element's `f32`
-    /// bits. Two stacks with equal fingerprints produce bitwise-identical
-    /// sweeps, so `core::jobs` seals this value into each checkpoint and
+    /// stacked arithmetic, over the logical per-client layout: the
+    /// dimension and client count; each client's id, block offset
+    /// (`Σ 2s` before it), pair count and `σ` bits; then each client's
+    /// `ΔG` rows followed by its `ΔW` rows, every element's `f32` bits. It
+    /// is [`fuiov_storage::segment::fnv1a64`] of that byte sequence, fed
+    /// in pieces, so it does not depend on which rows the stack shares:
+    /// two stacks with equal fingerprints produce bitwise-identical
+    /// sweeps, and `core::jobs` seals this value into each checkpoint and
     /// verifies it after rebuilding the stack on resume.
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes =
-            Vec::with_capacity(16 + self.entries.len() * 28 + self.stack.rows() * self.dim * 4);
-        bytes.extend_from_slice(&(self.dim as u64).to_le_bytes());
-        bytes.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        let mut h = Fnv1aWords::new();
+        h.u64(self.dim as u64);
+        h.u64(self.entries.len() as u64);
         for (client, e) in self.clients.iter().zip(&self.entries) {
-            bytes.extend_from_slice(&(*client as u64).to_le_bytes());
-            bytes.extend_from_slice(&(e.offset as u64).to_le_bytes());
-            bytes.extend_from_slice(&(e.pairs as u64).to_le_bytes());
-            bytes.extend_from_slice(&e.sigma.to_bits().to_le_bytes());
+            h.u64(*client as u64);
+            h.u64(e.offset as u64);
+            h.u64(e.pairs as u64);
+            h.u32(e.sigma.to_bits());
         }
-        for r in 0..self.stack.rows() {
-            for &x in self.stack.row(r) {
-                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        for e in &self.entries {
+            for r in e.g_row..e.g_row + e.pairs {
+                h.f32s(self.stack.row(r));
+            }
+            for &r in &e.w_rows {
+                h.f32s(self.stack.row(r));
             }
         }
-        fuiov_storage::segment::fnv1a64(&bytes)
+        h.finish()
     }
 
-    /// Pass 1: the fused inbound sweep. Computes every stacked column's
+    /// Pass 1: the fused inbound sweep. Computes every stacked row's
     /// `f64`-accumulated dot with the shared `v` into `dots` (resized to
     /// [`StackedLbfgs::total_columns`]), one parallel row-band pass over
     /// the whole stack.
@@ -205,10 +250,10 @@ impl StackedLbfgs {
         }
     }
 
-    /// The range form of pass 1: computes stacked columns
+    /// The range form of pass 1: computes stacked rows
     /// `rows.start..rows.end`'s dots with `v` into `band` (one slot per
-    /// column), without touching the rest of the stack. Each column's dot
-    /// is a pure function of that column and `v`, so any partition of
+    /// row), without touching the rest of the stack. Each row's dot is a
+    /// pure function of that row and `v`, so any partition of
     /// `0..total_columns()` into range calls reproduces
     /// [`StackedLbfgs::fused_dots`] bit-for-bit — the property
     /// [`fused_dots_multi`] builds its cross-job sweep on.
@@ -222,10 +267,11 @@ impl StackedLbfgs {
         self.stack.row_dots_range_into(v, rows, band);
     }
 
-    /// Pass 2: every client's middle solve against its slice of the fused
-    /// dots. `ps` receives the solutions at the same offsets as `dots`
-    /// (client i's `p` occupies `ps[offsetᵢ..offsetᵢ+2sᵢ]`); the two
-    /// scratch vectors are recycled across clients and calls.
+    /// Pass 2: every client's middle solve against its dots — its `ΔG`
+    /// rows' and, by index, its `ΔW` rows'. `ps` receives the solutions
+    /// in client order, client i's `p` at `ps[offsetᵢ..offsetᵢ+2sᵢ]` with
+    /// `offsetᵢ = Σ_{j<i} 2sⱼ`; the two scratch vectors are recycled
+    /// across clients and calls.
     ///
     /// # Panics
     ///
@@ -244,16 +290,11 @@ impl StackedLbfgs {
         );
         ps.clear();
         for e in &self.entries {
-            let s = e.pairs;
             // rhs = [ΔGᵀv ; σ·ΔWᵀv]: the ΔW dots were rounded to f32 by
             // pass 1, so scaling here matches tr_matvec → vector::scale.
             rhs_scratch.clear();
-            rhs_scratch.extend_from_slice(&dots[e.offset..e.offset + s]);
-            rhs_scratch.extend(
-                dots[e.offset + s..e.offset + 2 * s]
-                    .iter()
-                    .map(|&x| x * e.sigma),
-            );
+            rhs_scratch.extend_from_slice(&dots[e.g_row..e.g_row + e.pairs]);
+            rhs_scratch.extend(e.w_rows.iter().map(|&r| dots[r] * e.sigma));
             e.middle.solve_into(rhs_scratch, p_scratch);
             ps.extend_from_slice(p_scratch);
         }
@@ -285,8 +326,8 @@ impl StackedLbfgs {
         let e = &self.entries[entry];
         let p = &ps[e.offset..e.offset + 2 * e.pairs];
         apply_block(
-            &self.stack,
-            e.offset,
+            |j| self.stack.row(e.g_row + j),
+            |j| self.stack.row(e.w_rows[j]),
             e.pairs,
             e.sigma,
             p,
@@ -297,11 +338,78 @@ impl StackedLbfgs {
     }
 }
 
+/// FNV-1a over a byte sequence fed in pieces of whole 32-bit words: the
+/// value [`fuiov_storage::segment::fnv1a64`] gives the concatenation.
+/// That hash folds 8-byte little-endian words, then any tail bytes one by
+/// one; every piece here is a multiple of 4 bytes long, so a word can
+/// straddle two pieces only by its upper half, which waits in `pending`.
+#[derive(Clone)]
+struct Fnv1aWords {
+    h: u64,
+    pending: Option<u32>,
+}
+
+impl Fnv1aWords {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn new() -> Self {
+        Fnv1aWords {
+            h: 0xcbf2_9ce4_8422_2325,
+            pending: None,
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.h ^= w;
+        self.h = self.h.wrapping_mul(Self::PRIME);
+    }
+
+    fn u32(&mut self, x: u32) {
+        match self.pending.take() {
+            Some(lo) => self.word(u64::from(lo) | (u64::from(x) << 32)),
+            None => self.pending = Some(x),
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.u32(x as u32);
+        self.u32((x >> 32) as u32);
+    }
+
+    fn f32s(&mut self, xs: &[f32]) {
+        let mut xs = xs;
+        if self.pending.is_some() {
+            let Some((&first, rest)) = xs.split_first() else {
+                return;
+            };
+            self.u32(first.to_bits());
+            xs = rest;
+        }
+        let mut pairs = xs.chunks_exact(2);
+        for pair in &mut pairs {
+            self.word(u64::from(pair[0].to_bits()) | (u64::from(pair[1].to_bits()) << 32));
+        }
+        if let [last] = pairs.remainder() {
+            self.pending = Some(last.to_bits());
+        }
+    }
+
+    fn finish(mut self) -> u64 {
+        if let Some(tail) = self.pending.take() {
+            for b in tail.to_le_bytes() {
+                self.h ^= u64::from(b);
+                self.h = self.h.wrapping_mul(Self::PRIME);
+            }
+        }
+        self.h
+    }
+}
+
 /// The outbound kernel of the compact representation, shared by the stack
-/// and [`LbfgsApprox::hvp_into`]: for the `2s` factor rows of `factors`
-/// starting at `offset` (`ΔG` rows, then `ΔW` rows) and the middle-solve
-/// solution `p = [p₁; p₂]`, writes (or, with `accumulate`, adds via
-/// `axpy(1.0, …)`) `σ·v[r] − (ΔG·p₁)[r] − σ·(ΔW·p₂)[r]` into `out[r]`.
+/// and [`LbfgsApprox::hvp_into`]: for `s` pairs whose `ΔG` row `j` is
+/// `g(j)` and `ΔW` row `j` is `w(j)`, and the middle-solve solution
+/// `p = [p₁; p₂]`, writes (or, with `accumulate`, adds via `axpy(1.0, …)`)
+/// `σ·v[r] − (ΔG·p₁)[r] − σ·(ΔW·p₂)[r]` into `out[r]`.
 ///
 /// Per element, both row dots accumulate in `f64` over ascending `j` with
 /// no zero skip (exactly [`fuiov_tensor::vector::dot`] as `Mat::matvec`
@@ -311,14 +419,14 @@ impl StackedLbfgs {
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != v.len()`, `p.len() != 2s`, or the rows are out
-/// of range.
+/// Panics if `out.len() != v.len()`, `p.len() != 2s`, or a row's length
+/// differs from `v.len()`.
 // `-1.0 * x` is deliberate: it replays `axpy(-1.0, …)`'s exact `a * xi`
 // multiply so the combination stays bit-for-bit the per-client chain.
 #[allow(clippy::neg_multiply, clippy::too_many_arguments)]
-pub(crate) fn apply_block(
-    factors: &Mat,
-    offset: usize,
+pub(crate) fn apply_block<'a>(
+    g: impl Fn(usize) -> &'a [f32],
+    w: impl Fn(usize) -> &'a [f32],
     s: usize,
     sigma: f32,
     p: &[f32],
@@ -326,14 +434,16 @@ pub(crate) fn apply_block(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    assert_eq!(v.len(), factors.cols(), "apply: dimension mismatch");
     assert_eq!(out.len(), v.len(), "apply: output dimension mismatch");
     assert_eq!(p.len(), 2 * s, "apply: solution length mismatch");
     let (p1, p2) = p.split_at(s);
     if s == 2 {
         // The paper's buffer size — fully zipped streams, no indexing.
-        let (g0, g1) = (factors.row(offset), factors.row(offset + 1));
-        let (w0, w1) = (factors.row(offset + 2), factors.row(offset + 3));
+        let (g0, g1, w0, w1) = (g(0), g(1), w(0), w(1));
+        assert!(
+            [g0, g1, w0, w1].iter().all(|row| row.len() == v.len()),
+            "apply: dimension mismatch"
+        );
         let (pg0, pg1) = (f64::from(p1[0]), f64::from(p1[1]));
         let (pw0, pw1) = (f64::from(p2[0]), f64::from(p2[1]));
         for (((((&vr, slot), &x0), &x1), &y0), &y1) in
@@ -358,10 +468,14 @@ pub(crate) fn apply_block(
         }
         return;
     }
-    // The client's 2s stacked rows, read as parallel sequential
-    // streams: element r of logical factor column j is rows_?[j][r].
-    let rows_g: Vec<&[f32]> = (0..s).map(|j| factors.row(offset + j)).collect();
-    let rows_w: Vec<&[f32]> = (0..s).map(|j| factors.row(offset + s + j)).collect();
+    // The client's 2s rows, read as parallel sequential streams: element
+    // r of logical factor column j is rows_?[j][r].
+    let rows_g: Vec<&[f32]> = (0..s).map(g).collect();
+    let rows_w: Vec<&[f32]> = (0..s).map(w).collect();
+    assert!(
+        rows_g.iter().chain(&rows_w).all(|row| row.len() == v.len()),
+        "apply: dimension mismatch"
+    );
     for (r, (&vr, slot)) in v.iter().zip(out.iter_mut()).enumerate() {
         let mut acc_g = 0.0f64;
         for (row, &pj) in rows_g.iter().zip(p1) {
@@ -463,8 +577,6 @@ pub struct RoundScratch {
     pub est: AVec,
     /// Decoded stored direction of the client being refreshed.
     pub stored: Vec<f32>,
-    /// `est − stored` for the pair being pushed.
-    pub dg: Vec<f32>,
     /// `f64` accumulator reused by lr calibration windows.
     pub acc64: Vec<f64>,
 }
@@ -592,6 +704,150 @@ mod tests {
     fn rejects_unsorted_clients() {
         let a = approx_for(1, 4, 1);
         let _ = StackedLbfgs::build(4, [(3 as ClientId, &a), (1 as ClientId, &a)]);
+    }
+
+    /// The fingerprint's definition: FNV-1a of the logical per-client
+    /// byte sequence, built whole — dimension and client count, each
+    /// client's id / `Σ 2s` offset / pair count / σ bits, then each
+    /// client's `ΔG` rows and its `ΔW` rows.
+    fn reference_fingerprint(dim: usize, stacked: &[(ClientId, &LbfgsApprox)]) -> u64 {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(dim as u64).to_le_bytes());
+        bytes.extend_from_slice(&(stacked.len() as u64).to_le_bytes());
+        let mut offset = 0u64;
+        for (client, approx) in stacked {
+            bytes.extend_from_slice(&(*client as u64).to_le_bytes());
+            bytes.extend_from_slice(&offset.to_le_bytes());
+            bytes.extend_from_slice(&(approx.pairs() as u64).to_le_bytes());
+            bytes.extend_from_slice(&approx.sigma().to_bits().to_le_bytes());
+            offset += 2 * approx.pairs() as u64;
+        }
+        for (_, approx) in stacked {
+            for row in approx.dg_rows().iter().chain(approx.dw_rows()) {
+                for x in row.iter() {
+                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
+            }
+        }
+        fuiov_storage::segment::fnv1a64(&bytes)
+    }
+
+    /// Approximations over a pool of shared ΔW rows: client `k` with
+    /// spec `(s, mask)` takes its pair `j < s` from `pool[j]` when bit `j`
+    /// of `mask` is set, and from a fresh row of its own otherwise.
+    fn sharing_approxes(dim: usize, specs: &[(usize, u8)]) -> Vec<LbfgsApprox> {
+        use std::sync::Arc;
+        let pool: Vec<Arc<[f32]>> = (0..4)
+            .map(|j| approx_for(100 + j, dim, 1).dw_rows()[0].clone())
+            .collect();
+        specs
+            .iter()
+            .enumerate()
+            .map(|(k, &(s, mask))| {
+                let mut buf = crate::PairBuffer::new(s);
+                for (j, shared) in pool.iter().enumerate().take(s) {
+                    let dw: Arc<[f32]> = if mask & (1 << j) != 0 {
+                        Arc::clone(shared)
+                    } else {
+                        approx_for(200 + 8 * k as u64 + j as u64, dim, 1).dw_rows()[0].clone()
+                    };
+                    let dg: Vec<f32> = dw
+                        .iter()
+                        .enumerate()
+                        .map(|(i, x)| x * (1.5 + ((i + k) % 3) as f32))
+                        .collect();
+                    buf.push(dw, dg);
+                }
+                buf.approximation().expect("well-conditioned pairs")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_dw_rows_are_stacked_once_and_sweep_like_copies() {
+        let dim = 37;
+        // Clients 0–2 share both pool rows, client 3 one of them, client
+        // 4 none; client 5 has four pairs, two shared.
+        let specs = [
+            (2, 0b11),
+            (2, 0b11),
+            (1, 0b1),
+            (2, 0b10),
+            (3, 0),
+            (4, 0b0101),
+        ];
+        let approxes = sharing_approxes(dim, &specs);
+        let stacked_in: Vec<(ClientId, &LbfgsApprox)> = approxes.iter().enumerate().collect();
+        let stacked = StackedLbfgs::build(dim, stacked_in.iter().copied());
+        let g_rows: usize = specs.iter().map(|&(s, _)| s).sum();
+        // Pool rows 0, 1 and 2 are used; fresh rows: 0 + 0 + 0 + 1 + 3 + 2.
+        assert_eq!(stacked.total_columns(), g_rows + 3 + 6);
+        assert_eq!(
+            stacked.fingerprint(),
+            reference_fingerprint(dim, &stacked_in)
+        );
+        let v: Vec<f32> = (0..dim)
+            .map(|i| match i % 6 {
+                0 => 0.0,
+                3 => -0.0,
+                _ => (i as f32 * 0.3).sin(),
+            })
+            .collect();
+        let mut scratch = RoundScratch::new();
+        stacked.fused_dots(&v, &mut scratch.dots);
+        stacked.solve_middles(
+            &scratch.dots,
+            &mut scratch.ps,
+            &mut scratch.rhs,
+            &mut scratch.p,
+        );
+        for (e, approx) in approxes.iter().enumerate() {
+            let copy = LbfgsApprox::new(
+                &approx
+                    .dw_rows()
+                    .iter()
+                    .map(|r| r.to_vec())
+                    .collect::<Vec<_>>(),
+                &approx
+                    .dg_rows()
+                    .iter()
+                    .map(|r| r.to_vec())
+                    .collect::<Vec<_>>(),
+            )
+            .expect("deep copy builds");
+            let mut out = vec![0.0f32; dim];
+            stacked.write_hvp(e, &scratch.ps, &v, &mut out);
+            assert_eq!(
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                copy.hvp(&v).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "client {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_fnv_matches_the_whole_sequence_at_any_split() {
+        // Pieces of 4, 8 and 28 bytes and f32 runs of every parity, so
+        // words straddle pieces in both phases.
+        let mut h = Fnv1aWords::new();
+        let mut bytes = Vec::new();
+        for k in 0..9u64 {
+            h.u64(k * 0x0123_4567_89ab_cdef);
+            bytes.extend_from_slice(&(k * 0x0123_4567_89ab_cdef).to_le_bytes());
+            for _ in 0..(k % 3) {
+                h.u32(k as u32 ^ 0xdead_beef);
+                bytes.extend_from_slice(&(k as u32 ^ 0xdead_beef).to_le_bytes());
+            }
+            let xs: Vec<f32> = (0..k).map(|i| i as f32 * -0.75).collect();
+            h.f32s(&xs);
+            xs.iter()
+                .for_each(|x| bytes.extend_from_slice(&x.to_bits().to_le_bytes()));
+            assert_eq!(
+                h.clone().finish(),
+                fuiov_storage::segment::fnv1a64(&bytes),
+                "after piece {k}"
+            );
+        }
     }
 
     #[test]

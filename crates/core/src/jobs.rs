@@ -47,6 +47,7 @@ use std::fs::OpenOptions;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Identifies one submitted unlearning job for its whole life, including
 /// across process restarts (ids are recovered from the job log).
@@ -213,6 +214,30 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Reads one length-prefixed pair row of `dim` elements as a shared
+    /// row, interned by content: a row whose bytes equal one already read
+    /// from this payload is that row's handle, not a copy.
+    fn row(
+        &mut self,
+        dim: usize,
+        rows: &mut BTreeMap<&'a [u8], Arc<[f32]>>,
+    ) -> Result<Arc<[f32]>, UnlearnError> {
+        let n = self.u32()? as usize;
+        let bytes = self.take(
+            n.checked_mul(4)
+                .ok_or(UnlearnError::BadJobCheckpoint("truncated payload"))?,
+        )?;
+        if n != dim {
+            return Err(UnlearnError::BadJobCheckpoint("pair dimension mismatch"));
+        }
+        Ok(Arc::clone(rows.entry(bytes).or_insert_with(|| {
+            bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_bits(u32::from_le_bytes(b.try_into().expect("4 bytes"))))
+                .collect()
+        })))
+    }
+
     fn ids(&mut self) -> Result<Vec<ClientId>, UnlearnError> {
         let n = self.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(self.buf.len() / 8));
@@ -257,7 +282,7 @@ fn encode_state(state: &ReplayState) -> Vec<u8> {
     for (client, approx) in &state.approxes {
         put_u64(&mut out, *client as u64);
         put_u32(&mut out, approx.pairs() as u32);
-        for (dw, dg) in approx.dw_cols().zip(approx.dg_cols()) {
+        for (dw, dg) in approx.dw_rows().iter().zip(approx.dg_rows()) {
             put_f32s(&mut out, dw);
             put_f32s(&mut out, dg);
         }
@@ -288,6 +313,11 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
     let f_round = r.u64()? as Round;
     let t_end = r.u64()? as Round;
     let next_round = r.u64()? as Round;
+    // A sealed state is always mid-replay: F ≤ next < T. Anything else
+    // would replay rounds outside the window (or count them backwards).
+    if !(f_round <= next_round && next_round < t_end) {
+        return Err(UnlearnError::BadJobCheckpoint("rounds out of order"));
+    }
     let estimator_fallbacks = r.u64()? as usize;
     let oracle_queries = r.u64()? as usize;
     let prev_dw_norm = f32::from_bits(r.u32()?);
@@ -298,7 +328,18 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
     let remaining = r.ids()?;
     let params = r.f32s()?;
     let update_norms = r.f32s()?;
+    if update_norms.len() != next_round - f_round {
+        return Err(UnlearnError::BadJobCheckpoint(
+            "update norms disagree with the replayed rounds",
+        ));
+    }
     let dim = params.len();
+    // Every pair row of the payload, by content. A live replay shares one
+    // ΔW row among all clients with a pair from the same round (and one
+    // ΔG row between a client's buffer and its approximation); interning
+    // by content gives the resumed state the same sharing, so it stacks
+    // as few rows. Sharing never changes a bit, only memory.
+    let mut rows: BTreeMap<&[u8], Arc<[f32]>> = BTreeMap::new();
 
     let n_buffers = r.u32()? as usize;
     let mut buffers: BTreeMap<ClientId, PairBuffer> = BTreeMap::new();
@@ -322,11 +363,8 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
         }
         let mut buf = PairBuffer::new(capacity);
         for _ in 0..n_pairs {
-            let dw = r.f32s()?;
-            let dg = r.f32s()?;
-            if dw.len() != dim || dg.len() != dim {
-                return Err(UnlearnError::BadJobCheckpoint("pair dimension mismatch"));
-            }
+            let dw = r.row(dim, &mut rows)?;
+            let dg = r.row(dim, &mut rows)?;
             buf.push(dw, dg);
         }
         buffers.insert(client, buf);
@@ -341,18 +379,13 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
         let mut dws = Vec::with_capacity(s.min(r.buf.len() / 8));
         let mut dgs = Vec::with_capacity(s.min(r.buf.len() / 8));
         for _ in 0..s {
-            let dw = r.f32s()?;
-            let dg = r.f32s()?;
-            if dw.len() != dim || dg.len() != dim {
-                return Err(UnlearnError::BadJobCheckpoint("factor dimension mismatch"));
-            }
-            dws.push(dw);
-            dgs.push(dg);
+            dws.push(r.row(dim, &mut rows)?);
+            dgs.push(r.row(dim, &mut rows)?);
         }
         // Rebuilding from the exact factor columns recomputes σ and the
         // middle LU from bit-identical inputs, so the approximation (and
         // therefore every future correction) is bit-identical too.
-        let approx = LbfgsApprox::new(&dws, &dgs)
+        let approx = LbfgsApprox::from_rows(dws, dgs)
             .map_err(|_| UnlearnError::BadJobCheckpoint("factor columns rejected"))?;
         approxes.insert(client, approx);
     }
@@ -569,8 +602,10 @@ pub struct JobService {
     jobs: BTreeMap<JobId, Job>,
     next_id: JobId,
     log: Option<JobLog>,
-    /// Sealed checkpoints per job, newest last (mirrors the log so
-    /// preemption and resume also work for log-less services).
+    /// Checkpoints a job may resume from, newest last: the ones adopted
+    /// from the log, until the job seals its own; from then on just its
+    /// newest seal (the log keeps every record). This is what lets
+    /// preemption and resume work for log-less services too.
     records: BTreeMap<JobId, Vec<(Round, Vec<u8>)>>,
     /// Sorted-deduped (forgotten set, scope) → job, for duplicate
     /// submissions. The scope is part of the key: the same forgotten set
@@ -907,11 +942,13 @@ impl JobService {
         }
     }
 
-    /// Seals the job's current replay state into the log (and the
-    /// in-memory mirror). Flushes a dirty stack first so the sealed
-    /// fingerprint describes the stack a resume will rebuild — a pure
-    /// computation the uninterrupted run performs lazily on its next
-    /// round, so flushing early moves no bit.
+    /// Seals the job's current replay state into the log, and makes it
+    /// the job's only in-memory checkpoint: the service sealed it itself,
+    /// so it always decodes, and no older one is ever needed again.
+    /// Flushes a dirty stack first so the sealed fingerprint describes the
+    /// stack a resume will rebuild — a pure computation the uninterrupted
+    /// run performs lazily on its next round, so flushing early moves no
+    /// bit.
     fn seal(&mut self, id: JobId) {
         let job = self.jobs.get_mut(&id).expect("sealing a live job");
         let JobPhase::Running(state) = &mut job.phase else {
@@ -925,10 +962,7 @@ impl JobService {
                 fuiov_obs::counter!("jobs.log_write_failures").inc();
             }
         }
-        self.records
-            .entry(id)
-            .or_default()
-            .push((next_round, payload));
+        self.records.insert(id, vec![(next_round, payload)]);
         job.rounds_since_checkpoint = 0;
         fuiov_obs::counter!("jobs.checkpoints_sealed").inc();
         fuiov_obs::journal::instant("jobs.checkpoint", id, next_round as u64);
@@ -1026,6 +1060,97 @@ mod tests {
         }
         let (_log2, records) = JobLog::open(&path).expect("reopen");
         assert_eq!(records.len(), 1);
+    }
+
+    /// Sign-alternating federation (period 3) with staggered joins, so
+    /// two forget sets replay overlapping windows on a live stack.
+    fn history() -> HistoryStore {
+        let (dim, rounds, joins) = (24, 14, [0usize, 3, 0, 2, 0]);
+        let mut h = HistoryStore::new(1e-6);
+        for (c, &join) in joins.iter().enumerate() {
+            h.record_join(c, join);
+        }
+        let mut w: Vec<f32> = (0..dim).map(|j| 0.2 * (j as f32 + 1.0)).collect();
+        for t in 0..rounds {
+            h.record_model(t, w.clone());
+            let mut grads = Vec::new();
+            for (c, _) in joins.iter().enumerate().filter(|&(_, &join)| t >= join) {
+                let g: Vec<f32> = (0..dim)
+                    .map(|j| {
+                        let sign = if (t + j) % 3 < 2 { 1.0f32 } else { -1.0 };
+                        sign * (1.0 + 0.1 * c as f32 + 0.05 * j as f32)
+                    })
+                    .collect();
+                h.record_gradient(t, c, &g);
+                grads.push(g);
+            }
+            let refs: Vec<&[f32]> = grads.iter().map(Vec::as_slice).collect();
+            let agg = fuiov_tensor::vector::weighted_mean(&refs, &vec![1.0; refs.len()]);
+            fuiov_tensor::vector::axpy(-0.05, &agg, &mut w);
+        }
+        h.record_model(rounds, w);
+        h
+    }
+
+    #[test]
+    fn a_live_job_holds_only_its_newest_checkpoint() {
+        let h = history();
+        let recovery = RecoveryConfig::new(0.05).pair_refresh_interval(3);
+        let sets: [&[ClientId]; 2] = [&[1], &[3]];
+        let mut svc = JobService::new(JobConfig::new(recovery).checkpoint_interval(1));
+        let ids: Vec<JobId> = sets.iter().map(|s| svc.submit(&h, s)).collect();
+        let mut steps = 0;
+        while svc.step(&mut crate::NoOracle) {
+            steps += 1;
+            for &id in &ids {
+                let live = matches!(svc.jobs[&id].phase, JobPhase::Running(_));
+                if live {
+                    assert_eq!(svc.records[&id].len(), 1, "job {id} after step {steps}");
+                }
+            }
+            // Preempt at several boundaries: resume must come from the
+            // one record left.
+            if steps % 3 == 1 {
+                ids.iter().for_each(|&id| svc.preempt(id));
+            }
+        }
+        assert!(steps > 6, "only {steps} steps");
+        for (&id, set) in ids.iter().zip(sets) {
+            let got = svc.take_outcome(id).expect("finished").expect("ok");
+            let want = crate::recover_set(&h, set, &recovery, &mut crate::NoOracle, |_, _| {})
+                .expect("one-shot recovery");
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.params), bits(&want.params), "job {id}");
+            assert_eq!(bits(&got.update_norms), bits(&want.update_norms));
+            assert!(!svc.records.contains_key(&id));
+        }
+    }
+
+    #[test]
+    fn a_decoded_state_shares_rows_like_the_live_one() {
+        // Decode interns pair rows by content, so the resumed stack holds
+        // each shared ΔW row once, as the live one does: same row count,
+        // same fingerprint, at every round of the replay.
+        let h = history();
+        let recovery = RecoveryConfig::new(0.05).pair_refresh_interval(3);
+        let mut live = ReplayState::init_scoped(&h, &[1], None, &recovery, &mut crate::NoOracle)
+            .expect("init");
+        let mut scratch = RoundScratch::new();
+        while !live.is_done() {
+            live.flush_stack();
+            let decoded = decode_state(&encode_state(&live), &recovery).expect("decodes");
+            assert_eq!(
+                decoded.stacked.total_columns(),
+                live.stacked.total_columns(),
+                "round {}",
+                live.next_round
+            );
+            let pairs: usize = live.approxes.values().map(LbfgsApprox::pairs).sum();
+            assert!(live.stacked.total_columns() < 2 * pairs, "rows are shared");
+            assert_eq!(decoded.stacked.fingerprint(), live.stacked.fingerprint());
+            live.step(&h, &mut scratch, None, &mut |_, _| {})
+                .expect("step");
+        }
     }
 
     #[test]

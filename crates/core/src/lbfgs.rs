@@ -22,6 +22,7 @@ use fuiov_tensor::{vector, Mat};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why an L-BFGS approximation could not be built.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,14 +60,17 @@ impl fmt::Display for LbfgsError {
 impl Error for LbfgsError {}
 
 /// A ready-to-apply compact L-BFGS Hessian approximation.
+///
+/// The factor columns are shared rows: an approximation built from a
+/// [`PairBuffer`] holds the buffer's own handles, not copies, and a `ΔW`
+/// row is the same handle in every client's approximation whose pair
+/// came from the same round.
 #[derive(Debug, Clone)]
 pub struct LbfgsApprox {
-    /// `2s × d` factor block in [`StackedLbfgs`]'s row layout: rows
-    /// `0..s` are the `ΔG` columns, rows `s..2s` the `ΔW` columns, both
-    /// oldest → newest. The stack copies this block verbatim.
-    ///
-    /// [`StackedLbfgs`]: crate::batch::StackedLbfgs
-    factors: Mat,
+    /// The `ΔG` columns, oldest → newest.
+    dgs: Vec<Arc<[f32]>>,
+    /// The `ΔW` columns, oldest → newest.
+    dws: Vec<Arc<[f32]>>,
     /// Factored `2s × 2s` middle matrix.
     middle: Lu,
     sigma: f32,
@@ -74,7 +78,8 @@ pub struct LbfgsApprox {
 
 impl LbfgsApprox {
     /// Builds the approximation from parallel lists of vector pairs
-    /// (ordered oldest → newest; the newest pair defines σ).
+    /// (ordered oldest → newest; the newest pair defines σ). The pairs
+    /// are copied into rows no other approximation shares.
     ///
     /// # Errors
     ///
@@ -82,46 +87,38 @@ impl LbfgsApprox {
     /// newest pair has non-positive curvature, or the middle matrix is
     /// singular.
     pub fn new(dws: &[Vec<f32>], dgs: &[Vec<f32>]) -> Result<Self, LbfgsError> {
-        Self::build(dws, dgs)
+        check_pairs(dws, dgs)?;
+        Self::from_checked(copy_rows(dws), copy_rows(dgs))
     }
 
-    /// [`LbfgsApprox::new`] over borrowed columns — the allocation-free
-    /// call shape for ring-buffered pairs ([`PairBuffer::approximation`]).
+    /// [`LbfgsApprox::new`] over borrowed columns.
     ///
     /// # Errors
     ///
     /// As [`LbfgsApprox::new`].
     pub fn from_slices(dws: &[&[f32]], dgs: &[&[f32]]) -> Result<Self, LbfgsError> {
-        Self::build(dws, dgs)
+        check_pairs(dws, dgs)?;
+        Self::from_checked(copy_rows(dws), copy_rows(dgs))
     }
 
-    fn build<A: AsRef<[f32]>, B: AsRef<[f32]>>(dws: &[A], dgs: &[B]) -> Result<Self, LbfgsError> {
-        if dws.is_empty() || dgs.is_empty() {
-            return Err(LbfgsError::Empty);
-        }
-        if dws.len() != dgs.len() {
-            return Err(LbfgsError::ShapeMismatch);
-        }
-        let dim = dws[0].as_ref().len();
-        if dim == 0
-            || dws.iter().any(|v| v.as_ref().len() != dim)
-            || dgs.iter().any(|v| v.as_ref().len() != dim)
-        {
-            return Err(LbfgsError::ShapeMismatch);
-        }
-        let s = dws.len();
-        let mut data = Vec::with_capacity(2 * s * dim);
-        for g in dgs {
-            data.extend_from_slice(g.as_ref());
-        }
-        for w in dws {
-            data.extend_from_slice(w.as_ref());
-        }
-        let factors = Mat::from_vec(2 * s, dim, data);
-        let (sigma, m) = compact_middle(&factors)?;
+    /// [`LbfgsApprox::new`] over shared rows: the approximation keeps the
+    /// handles it is given, so it shares every row with whoever else holds
+    /// them ([`PairBuffer::approximation`], a decoded checkpoint).
+    pub(crate) fn from_rows(
+        dws: Vec<Arc<[f32]>>,
+        dgs: Vec<Arc<[f32]>>,
+    ) -> Result<Self, LbfgsError> {
+        check_pairs(&dws, &dgs)?;
+        Self::from_checked(dws, dgs)
+    }
+
+    fn from_checked(dws: Vec<Arc<[f32]>>, dgs: Vec<Arc<[f32]>>) -> Result<Self, LbfgsError> {
+        let rows: Vec<&[f32]> = dgs.iter().chain(&dws).map(|row| &row[..]).collect();
+        let (sigma, m) = compact_middle(&rows)?;
         let middle = Lu::factor(&m).map_err(|_| LbfgsError::SingularMiddle)?;
         Ok(LbfgsApprox {
-            factors,
+            dgs,
+            dws,
             middle,
             sigma,
         })
@@ -129,12 +126,12 @@ impl LbfgsApprox {
 
     /// Model dimension `d`.
     pub fn dim(&self) -> usize {
-        self.factors.cols()
+        self.dgs[0].len()
     }
 
     /// Number of stored vector pairs `s`.
     pub fn pairs(&self) -> usize {
-        self.factors.rows() / 2
+        self.dgs.len()
     }
 
     /// The initial-scaling coefficient σ.
@@ -165,8 +162,8 @@ impl LbfgsApprox {
     /// Panics if `v.len() != dim()`.
     pub fn hvp_reference(&self, v: &[f32]) -> Vec<f32> {
         let s = self.pairs();
-        let dg = Mat::from_cols(&self.dg_cols().collect::<Vec<_>>());
-        let dw = Mat::from_cols(&self.dw_cols().collect::<Vec<_>>());
+        let dg = Mat::from_cols(&self.dgs);
+        let dw = Mat::from_cols(&self.dws);
         let top = dg.tr_matvec(v);
         let mut bottom = dw.tr_matvec(v);
         vector::scale(self.sigma, &mut bottom);
@@ -185,12 +182,13 @@ impl LbfgsApprox {
 
     /// [`LbfgsApprox::hvp`] into a caller-owned buffer.
     ///
-    /// A one-client stack: the inbound half is [`Mat::row_dots_into`] over
-    /// the `2s` factor rows (each dot ascending in `r`, skipping
-    /// `v[r] == 0.0` — `tr_matvec`'s per-column order), the `ΔW` half of
-    /// the rhs is rounded to `f32` before the σ scaling (`tr_matvec` then
-    /// `vector::scale`), and the outbound half is the stack's
-    /// `σv − ΔG·p₁ − σΔW·p₂` kernel. Per output element the `f32`
+    /// A one-client stack: the inbound half dots each of the `2s` factor
+    /// rows with `v` in `Mat::tr_matvec`'s per-column order (ascending
+    /// `r`, skipping `v[r] == 0.0`, `f64` sums rounded once — what the
+    /// stack's [`Mat::row_dots_into`] sweep computes per row), the `ΔW`
+    /// half of the rhs is rounded to `f32` before the σ scaling
+    /// (`tr_matvec` then `vector::scale`), and the outbound half is the
+    /// stack's `σv − ΔG·p₁ − σΔW·p₂` kernel. Per output element the `f32`
     /// operation sequence is the textbook chain's, so the result is
     /// bitwise [`LbfgsApprox::hvp_reference`] — the property the replay
     /// golden traces pin — up to the sign of a zero where `v[r] == −0.0`
@@ -204,30 +202,33 @@ impl LbfgsApprox {
         assert_eq!(v.len(), self.dim(), "hvp: dimension mismatch");
         assert_eq!(out.len(), self.dim(), "hvp: output dimension mismatch");
         let s = self.pairs();
+        let rows: Vec<&[f32]> = self.dgs.iter().chain(&self.dws).map(|r| &r[..]).collect();
         let mut rhs = vec![0.0f32; 2 * s];
-        self.factors.row_dots_into(v, &mut rhs);
+        row_dots(&rows, v, &mut rhs);
         for x in &mut rhs[s..] {
             *x *= self.sigma;
         }
         let p = self.middle.solve(&rhs);
-        crate::batch::apply_block(&self.factors, 0, s, self.sigma, &p, v, out, false);
+        crate::batch::apply_block(
+            |j| &self.dgs[j],
+            |j| &self.dws[j],
+            s,
+            self.sigma,
+            &p,
+            v,
+            out,
+            false,
+        );
     }
 
-    /// The `2s × d` factor block, `ΔG` rows then `ΔW` rows (batch-engine
-    /// access).
-    pub(crate) fn factors(&self) -> &Mat {
-        &self.factors
+    /// The `ΔG` rows, oldest → newest.
+    pub(crate) fn dg_rows(&self) -> &[Arc<[f32]>] {
+        &self.dgs
     }
 
-    /// The `ΔG` columns, oldest → newest.
-    pub(crate) fn dg_cols(&self) -> impl Iterator<Item = &[f32]> {
-        (0..self.pairs()).map(move |j| self.factors.row(j))
-    }
-
-    /// The `ΔW` columns, oldest → newest.
-    pub(crate) fn dw_cols(&self) -> impl Iterator<Item = &[f32]> {
-        let s = self.pairs();
-        (s..2 * s).map(move |j| self.factors.row(j))
+    /// The `ΔW` rows, oldest → newest.
+    pub(crate) fn dw_rows(&self) -> &[Arc<[f32]>] {
+        &self.dws
     }
 
     /// Factored middle matrix (batch-engine access).
@@ -252,14 +253,64 @@ impl LbfgsApprox {
     }
 }
 
+/// The shape checks every constructor runs before it builds anything.
+fn check_pairs<A: AsRef<[f32]>, B: AsRef<[f32]>>(dws: &[A], dgs: &[B]) -> Result<(), LbfgsError> {
+    if dws.is_empty() || dgs.is_empty() {
+        return Err(LbfgsError::Empty);
+    }
+    if dws.len() != dgs.len() {
+        return Err(LbfgsError::ShapeMismatch);
+    }
+    let dim = dws[0].as_ref().len();
+    if dim == 0
+        || dws.iter().any(|v| v.as_ref().len() != dim)
+        || dgs.iter().any(|v| v.as_ref().len() != dim)
+    {
+        return Err(LbfgsError::ShapeMismatch);
+    }
+    Ok(())
+}
+
+fn copy_rows<R: AsRef<[f32]>>(rows: &[R]) -> Vec<Arc<[f32]>> {
+    rows.iter().map(|row| Arc::from(row.as_ref())).collect()
+}
+
+/// Each row's dot with `v` into `out`, in `Mat::tr_matvec`'s per-column
+/// order: `f64` products in ascending `r` from `+0.0`, skipping
+/// `v[r] == 0.0`, rounded to `f32` once — the value
+/// [`Mat::row_dots_into`] gives the same row. Four rows share each pass
+/// over `v`, each its own chain; a short last group repeats its first row
+/// in the spare lanes, whose sums are dropped.
+fn row_dots(rows: &[&[f32]], v: &[f32], out: &mut [f32]) {
+    for (group, slots) in rows.chunks(4).zip(out.chunks_mut(4)) {
+        let row = |k: usize| *group.get(k).unwrap_or(&group[0]);
+        let mut acc = [0.0f64; 4];
+        for ((((&vr, &x0), &x1), &x2), &x3) in
+            v.iter().zip(row(0)).zip(row(1)).zip(row(2)).zip(row(3))
+        {
+            if vr == 0.0 {
+                continue;
+            }
+            let vr = f64::from(vr);
+            acc[0] += vr * f64::from(x0);
+            acc[1] += vr * f64::from(x1);
+            acc[2] += vr * f64::from(x2);
+            acc[3] += vr * f64::from(x3);
+        }
+        for (slot, a) in slots.iter_mut().zip(acc) {
+            *slot = a as f32;
+        }
+    }
+}
+
 /// Model coordinates (factor-block columns) each step of
 /// [`compact_middle`]'s pass keeps in L1 while every accumulator advances
 /// over them.
 const GRAM_BLOCK: usize = 512;
 
 /// σ and the `2s × 2s` middle matrix `M = [ −D  Lᵀ ; L  σ·ΔWᵀΔW ]` from
-/// one pass over the factor block (`ΔG` rows then `ΔW` rows, as
-/// [`LbfgsApprox`] stores it): the pass walks the columns in blocks of
+/// one pass over the `2s` factor rows (`ΔG` rows then `ΔW` rows, each
+/// oldest → newest): the pass walks the columns in blocks of
 /// [`GRAM_BLOCK`] elements, and over each block advances σ's two chains
 /// and then, per pair `i`, the row `[A[i][·] ΔWᵀΔW[i][·]]` four
 /// accumulators at a time, held in registers. (When `s` is odd the last
@@ -290,10 +341,9 @@ const GRAM_BLOCK: usize = 512;
 // `x * -1.0` is deliberate: it replays `scale_in_place(-1.0)`'s multiply
 // over the whole −D block, off-diagonal zeros included.
 #[allow(clippy::neg_multiply)]
-fn compact_middle(factors: &Mat) -> Result<(f32, Mat), LbfgsError> {
-    let s = factors.rows() / 2;
-    let dim = factors.cols();
-    let rows: Vec<&[f32]> = (0..2 * s).map(|k| factors.row(k)).collect();
+fn compact_middle(rows: &[&[f32]]) -> Result<(f32, Mat), LbfgsError> {
+    let s = rows.len() / 2;
+    let dim = rows[0].len();
     let mut sy = -0.0f64;
     let mut ss = -0.0f64;
     // Row i of `gram`: `A[i][0..s]`, then `(ΔWᵀΔW)[i][0..s]` — the same
@@ -354,15 +404,17 @@ fn compact_middle(factors: &Mat) -> Result<(f32, Mat), LbfgsError> {
 /// A FIFO buffer of at most `s` vector pairs, as maintained per client
 /// during recovery ("vector pairs are updated every … rounds", §V-A3).
 ///
-/// Backed by ring buffers: eviction pops the oldest pair in O(1) instead of
-/// shifting every stored vector (`Vec::remove(0)` was O(s·d) per push), and
-/// [`PairBuffer::push_from_slices`] recycles the evicted allocations so a
-/// full buffer reaches a zero-allocation steady state.
+/// The pairs are shared rows. A pair's `ΔW` is the model difference of
+/// the round the pair came from, the same for every client with a pair
+/// from that round (§IV-B writes the pairs `(ΔW, ΔGⁱ)`), so the recovery
+/// loop pushes one handle into every such client's buffer instead of a
+/// copy each; [`PairBuffer::approximation`] hands the buffer's handles on
+/// without copying a row.
 #[derive(Debug, Clone, Default)]
 pub struct PairBuffer {
     capacity: usize,
-    dws: VecDeque<Vec<f32>>,
-    dgs: VecDeque<Vec<f32>>,
+    dws: VecDeque<Arc<[f32]>>,
+    dgs: VecDeque<Arc<[f32]>>,
 }
 
 impl PairBuffer {
@@ -390,52 +442,26 @@ impl PairBuffer {
         self.dws.is_empty()
     }
 
-    /// Pushes a pair, evicting the oldest when full.
+    /// Pushes a pair, evicting the oldest when full. A row passed as an
+    /// `Arc<[f32]>` is stored as that handle; a `Vec` or slice is copied
+    /// into a row of its own.
     ///
     /// # Panics
     ///
     /// Panics if `dw`/`dg` lengths differ from each other or from stored
     /// pairs.
-    pub fn push(&mut self, dw: Vec<f32>, dg: Vec<f32>) {
-        self.check_shapes(&dw, &dg);
+    pub fn push(&mut self, dw: impl Into<Arc<[f32]>>, dg: impl Into<Arc<[f32]>>) {
+        let (dw, dg) = (dw.into(), dg.into());
+        assert_eq!(dw.len(), dg.len(), "PairBuffer::push: pair length mismatch");
+        if let Some(first) = self.dws.front() {
+            assert_eq!(first.len(), dw.len(), "PairBuffer::push: dimension changed");
+        }
         if self.dws.len() == self.capacity {
             self.dws.pop_front();
             self.dgs.pop_front();
         }
         self.dws.push_back(dw);
         self.dgs.push_back(dg);
-    }
-
-    /// Pushes a pair copied from borrowed slices, recycling the evicted
-    /// pair's storage when the buffer is full — the replay hot loop's
-    /// allocation-free push.
-    ///
-    /// # Panics
-    ///
-    /// As [`PairBuffer::push`].
-    pub fn push_from_slices(&mut self, dw: &[f32], dg: &[f32]) {
-        self.check_shapes(dw, dg);
-        let (mut rw, mut rg) = if self.dws.len() == self.capacity {
-            (
-                self.dws.pop_front().expect("full buffer has a front"),
-                self.dgs.pop_front().expect("full buffer has a front"),
-            )
-        } else {
-            (Vec::with_capacity(dw.len()), Vec::with_capacity(dg.len()))
-        };
-        rw.clear();
-        rw.extend_from_slice(dw);
-        rg.clear();
-        rg.extend_from_slice(dg);
-        self.dws.push_back(rw);
-        self.dgs.push_back(rg);
-    }
-
-    fn check_shapes(&self, dw: &[f32], dg: &[f32]) {
-        assert_eq!(dw.len(), dg.len(), "PairBuffer::push: pair length mismatch");
-        if let Some(first) = self.dws.front() {
-            assert_eq!(first.len(), dw.len(), "PairBuffer::push: dimension changed");
-        }
     }
 
     /// Maximum number of pairs the buffer holds before evicting.
@@ -450,21 +476,22 @@ impl PairBuffer {
     pub fn pairs(&self) -> impl Iterator<Item = (&[f32], &[f32])> {
         self.dws
             .iter()
-            .map(Vec::as_slice)
-            .zip(self.dgs.iter().map(Vec::as_slice))
+            .map(|row| &row[..])
+            .zip(self.dgs.iter().map(|row| &row[..]))
     }
 
-    /// Builds the L-BFGS approximation from the buffered pairs (borrowed
-    /// oldest → newest; no pair is cloned).
+    /// Builds the L-BFGS approximation from the buffered pairs (oldest →
+    /// newest), sharing the buffer's rows: no row is copied.
     ///
     /// # Errors
     ///
     /// Propagates [`LbfgsError`] from [`LbfgsApprox::new`] (including
     /// [`LbfgsError::Empty`] when the buffer has no pairs yet).
     pub fn approximation(&self) -> Result<LbfgsApprox, LbfgsError> {
-        let dws: Vec<&[f32]> = self.dws.iter().map(Vec::as_slice).collect();
-        let dgs: Vec<&[f32]> = self.dgs.iter().map(Vec::as_slice).collect();
-        LbfgsApprox::from_slices(&dws, &dgs)
+        LbfgsApprox::from_rows(
+            self.dws.iter().cloned().collect(),
+            self.dgs.iter().cloned().collect(),
+        )
     }
 }
 
@@ -692,6 +719,11 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The factor rows [`compact_middle`] reads: `ΔG` rows, then `ΔW` rows.
+    fn rows<'a>(dws: &'a [Vec<f32>], dgs: &'a [Vec<f32>]) -> Vec<&'a [f32]> {
+        dgs.iter().chain(dws).map(Vec::as_slice).collect()
+    }
+
     /// Seeded pairs with exact `+0.0` and `−0.0` in every Δw and Δg, and
     /// mostly positive curvature along each pair (a short pair can still
     /// come out non-positive; the tests compare that error too).
@@ -749,14 +781,7 @@ mod tests {
                     }
                     continue;
                 };
-                let factors = {
-                    let mut data = Vec::new();
-                    dgs.iter()
-                        .chain(&dws)
-                        .for_each(|c| data.extend_from_slice(c));
-                    Mat::from_vec(2 * s, dim, data)
-                };
-                let (got_sigma, got_m) = compact_middle(&factors).expect("fused builds");
+                let (got_sigma, got_m) = compact_middle(&rows(&dws, &dgs)).expect("fused builds");
                 assert_eq!(got_sigma.to_bits(), sigma.to_bits(), "σ at d={dim} s={s}");
                 assert_eq!(
                     bits(got_m.as_slice()),
@@ -806,15 +831,8 @@ mod tests {
         }
         dgs[0][5] = f32::INFINITY;
         dgs[1][5] = f32::NEG_INFINITY;
-        let factors = {
-            let mut data = Vec::new();
-            dgs.iter()
-                .chain(&dws)
-                .for_each(|c| data.extend_from_slice(c));
-            Mat::from_vec(6, dim, data)
-        };
         let (sigma, m) = reference_middle(&dws, &dgs).expect("reference builds");
-        let (got_sigma, got_m) = compact_middle(&factors).expect("fused builds");
+        let (got_sigma, got_m) = compact_middle(&rows(&dws, &dgs)).expect("fused builds");
         assert_eq!(got_sigma.to_bits(), sigma.to_bits());
         assert_eq!(bits(got_m.as_slice()), bits(m.as_slice()));
         assert!(m.as_slice().iter().all(|x| x.is_finite()));
@@ -839,9 +857,10 @@ mod tests {
     }
 
     #[test]
-    fn push_from_slices_matches_push_and_recycles() {
-        let mut a = PairBuffer::new(2);
-        let mut b = PairBuffer::new(2);
+    fn pushed_rows_are_shared_not_copied() {
+        // One ΔW handle pushed into two buffers is one row in both
+        // approximations; a Vec or a slice push copies into a row of its
+        // own. Either way the approximation is the same bits.
         let pairs: Vec<(Vec<f32>, Vec<f32>)> = (0..4)
             .map(|i| {
                 let w: Vec<f32> = (0..3).map(|j| (i * 3 + j) as f32 + 1.0).collect();
@@ -849,19 +868,36 @@ mod tests {
                 (w, g)
             })
             .collect();
+        let (mut owned, mut borrowed) = (PairBuffer::new(2), PairBuffer::new(2));
+        let (mut first, mut second) = (PairBuffer::new(2), PairBuffer::new(2));
         for (w, g) in &pairs {
-            a.push(w.clone(), g.clone());
-            b.push_from_slices(w, g);
+            owned.push(w.clone(), g.clone());
+            borrowed.push(&w[..], &g[..]);
+            let shared: Arc<[f32]> = Arc::from(&w[..]);
+            first.push(Arc::clone(&shared), &g[..]);
+            second.push(shared, &g[..]);
         }
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        let (aa, bb) = (a.approximation().unwrap(), b.approximation().unwrap());
-        assert_eq!(aa.sigma().to_bits(), bb.sigma().to_bits());
+        assert_eq!(owned.len(), 2);
+        let approxes: Vec<LbfgsApprox> = [&owned, &borrowed, &first, &second]
+            .iter()
+            .map(|buf| buf.approximation().unwrap())
+            .collect();
+        let (a, b) = (&approxes[2], &approxes[3]);
+        for (x, y) in a.dw_rows().iter().zip(b.dw_rows()) {
+            assert!(Arc::ptr_eq(x, y), "a shared ΔW row was copied");
+        }
+        assert!(!Arc::ptr_eq(
+            &approxes[0].dw_rows()[0],
+            &approxes[1].dw_rows()[0]
+        ));
+        // The approximation holds the buffer's own handles.
+        let newest = first.dws.back().unwrap();
+        assert!(Arc::ptr_eq(newest, &a.dw_rows()[1]));
         let v = vec![0.3, -0.7, 1.1];
-        assert_eq!(
-            aa.hvp(&v).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            bb.hvp(&v).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        for approx in &approxes[1..] {
+            assert_eq!(approx.sigma().to_bits(), approxes[0].sigma().to_bits());
+            assert_eq!(bits(&approx.hvp(&v)), bits(&approxes[0].hvp(&v)));
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ use fuiov_storage::{ClientId, HistoryStore, Round};
 use fuiov_tensor::{pool, vector};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Configuration of the recovery stage, defaulting to the paper's §V-A3
 /// hyper-parameters.
@@ -475,6 +476,10 @@ impl ReplayState {
         let w_f = history
             .model(f_round)
             .ok_or(UnlearnError::MissingModel(f_round))?;
+        // The pairs are (ΔW, ΔGⁱ): a seed round's ΔW = w_r − w_F carries no
+        // client index, so it is computed once, by the first client with a
+        // direction at r, and every other such client shares that row.
+        let mut seed_dws: Vec<Option<Arc<[f32]>>> = vec![None; f_round - seed_start];
         for &client in &remaining {
             // Sibling subtrees replay verbatim: no pairs, no approximation.
             if scope
@@ -509,9 +514,10 @@ impl ReplayState {
                     let g_r =
                         direction_or_oracle(history, client, r, w_r, oracle, &mut oracle_queries);
                     let Some(g_r) = g_r else { continue };
-                    let dw = vector::sub(w_r, &w_f);
-                    let dg = vector::sub(&g_r, &g_f);
-                    buf.push(dw, dg);
+                    let dw = seed_dws[r - seed_start]
+                        .get_or_insert_with(|| vector::sub(w_r, &w_f).into())
+                        .clone();
+                    buf.push(dw, vector::sub(&g_r, &g_f));
                 }
             }
             if let Ok(approx) = buf.approximation() {
@@ -764,9 +770,10 @@ impl ReplayState {
                 self.growth_run = 0;
             }
             // The clipped estimates live as rows of the scratch estimate
-            // matrix (aligned with `roster`), so refreshing needs no
-            // per-round clones: pairs are pushed from borrowed slices and
-            // the ring buffer recycles its evicted storage.
+            // matrix (aligned with `roster`). The round's ΔW = w̄ₜ − wₜ is
+            // one row, made by the first client that pushes a pair and
+            // shared by every other; each client's ΔG is a row of its own.
+            let mut dw_row: Option<Arc<[f32]>> = None;
             for (p, (client, _)) in self.roster.iter().enumerate() {
                 // Sibling replays carry no recovered information to learn
                 // from (their estimate IS the stored direction).
@@ -781,15 +788,18 @@ impl ReplayState {
                 scratch.stored.resize(dim, 0.0);
                 let dir = view.direction(*client).expect("roster checked");
                 dir.decode_into(&mut scratch.stored);
-                vector::sub_into(est, &scratch.stored, &mut scratch.dg);
-                if vector::l2_norm(&scratch.dg) <= 1e-12 {
+                let dg = vector::sub(est, &scratch.stored);
+                if vector::l2_norm(&dg) <= 1e-12 {
                     continue; // clipped estimate identical to history: no info
                 }
+                let dw = dw_row
+                    .get_or_insert_with(|| Arc::from(&scratch.dw_t[..]))
+                    .clone();
                 let buf = self
                     .buffers
                     .entry(*client)
                     .or_insert_with(|| PairBuffer::new(config.buffer_size));
-                buf.push_from_slices(&scratch.dw_t, &scratch.dg);
+                buf.push(dw, dg);
                 fuiov_obs::counter!("core.pair_refreshes").inc();
                 if let Ok(approx) = buf.approximation() {
                     self.approxes.insert(*client, approx);
@@ -897,6 +907,40 @@ mod tests {
         h
     }
 
+    /// A federation whose gradient signs alternate with period 3 per
+    /// coordinate, so the stored directions keep changing and the seeded
+    /// and refreshed pairs have positive curvature (a live stack).
+    fn alternating_history(rounds: usize, clients: usize, forgotten: ClientId) -> HistoryStore {
+        let dim = 12;
+        let mut h = HistoryStore::new(1e-6);
+        for c in 0..clients {
+            h.record_join(c, if c == forgotten { 2 } else { 0 });
+        }
+        let mut w: Vec<f32> = (0..dim).map(|j| 0.2 * (j as f32 + 1.0)).collect();
+        for t in 0..rounds {
+            h.record_model(t, w.clone());
+            let mut grads = Vec::new();
+            for c in 0..clients {
+                if c == forgotten && t < 2 {
+                    continue;
+                }
+                let g: Vec<f32> = (0..dim)
+                    .map(|j| {
+                        let sign = if (t + j) % 3 < 2 { 1.0f32 } else { -1.0 };
+                        sign * (1.0 + 0.1 * c as f32 + 0.05 * j as f32)
+                    })
+                    .collect();
+                h.record_gradient(t, c, &g);
+                grads.push(g);
+            }
+            let refs: Vec<&[f32]> = grads.iter().map(Vec::as_slice).collect();
+            let agg = vector::weighted_mean(&refs, &vec![1.0; refs.len()]);
+            vector::axpy(-0.05, &agg, &mut w);
+        }
+        h.record_model(rounds, w);
+        h
+    }
+
     #[test]
     fn recovery_runs_and_reports_shape() {
         let h = synthetic_history(30, 4, 1);
@@ -933,6 +977,40 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial, run(3), "3-thread recovery diverged from serial");
         assert_eq!(serial, run(8), "8-thread recovery diverged from serial");
+    }
+
+    #[test]
+    fn stack_holds_each_shared_dw_row_once() {
+        // After every rebuild the stack holds Σ sᵢ ΔG rows plus one row
+        // per distinct ΔW handle among the stacked approximations (which
+        // here are exactly the buffers' pairs: every build succeeds). The
+        // seed rounds and every refresh round are shared by several
+        // clients, so the stack is always smaller than per-client copies.
+        let h = alternating_history(30, 6, 1);
+        let cfg = RecoveryConfig::new(0.05).pair_refresh_interval(5);
+        let mut state =
+            ReplayState::init_scoped(&h, &[1], None, &cfg, &mut NoOracle).expect("init");
+        let mut scratch = RoundScratch::new();
+        let mut checked = 0;
+        while !state.is_done() {
+            state.flush_stack();
+            let pairs: usize = state.approxes.values().map(LbfgsApprox::pairs).sum();
+            let mut owners: BTreeMap<*const f32, usize> = BTreeMap::new();
+            for approx in state.approxes.values() {
+                for row in approx.dw_rows() {
+                    *owners.entry(row.as_ptr()).or_default() += 1;
+                }
+            }
+            assert_eq!(state.stacked.total_columns(), pairs + owners.len());
+            if owners.values().any(|&n| n > 1) {
+                assert!(state.stacked.total_columns() < 2 * pairs);
+                checked += 1;
+            }
+            state
+                .step(&h, &mut scratch, None, &mut |_, _| {})
+                .expect("step");
+        }
+        assert_eq!(checked, 28, "every replayed round stacks shared rows");
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! NaNs out, clip bounds respected.
 
 use fuiov_core::{
-    backtrack_set, recover_set, LbfgsApprox, NoOracle, RecoveryConfig, RoundScratch, StackedLbfgs,
+    backtrack_set, recover_set, LbfgsApprox, NoOracle, PairBuffer, RecoveryConfig, RoundScratch,
+    StackedLbfgs,
 };
-use fuiov_storage::{ClientId, HistoryStore};
+use fuiov_storage::{segment, ClientId, HistoryStore};
+use fuiov_tensor::Mat;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Builds a random but *valid* history: `rounds+1` models of dimension
 /// `dim`, every client joins at a random round and reports gradients from
@@ -35,6 +38,51 @@ fn arb_history(
         }
         (h, joins)
     })
+}
+
+/// One stacked client of [`shared_rows_stack_once_and_sweep_like_copies`]:
+/// its pairs as deep copies, and its approximation over shared rows.
+struct SharingClient {
+    id: ClientId,
+    dws: Vec<Vec<f32>>,
+    dgs: Vec<Vec<f32>>,
+    /// Whether pair j's ΔW is the pool's shared row j.
+    pooled: Vec<bool>,
+    approx: LbfgsApprox,
+}
+
+/// The fingerprint's definition, built whole as the logical per-client
+/// byte sequence: dimension and client count; each client's id, `Σ 2s`
+/// offset, pair count and σ bits; then each client's ΔG rows and its ΔW
+/// rows.
+fn reference_fingerprint(dim: usize, clients: &[SharingClient]) -> u64 {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&(dim as u64).to_le_bytes());
+    bytes.extend_from_slice(&(clients.len() as u64).to_le_bytes());
+    let mut offset = 0u64;
+    for c in clients {
+        bytes.extend_from_slice(&(c.id as u64).to_le_bytes());
+        bytes.extend_from_slice(&offset.to_le_bytes());
+        bytes.extend_from_slice(&(c.dws.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&c.approx.sigma().to_bits().to_le_bytes());
+        offset += 2 * c.dws.len() as u64;
+    }
+    for c in clients {
+        for x in c.dgs.iter().chain(&c.dws).flatten() {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    segment::fnv1a64(&bytes)
+}
+
+fn one_row_dot(row: &[f32], v: &[f32]) -> f32 {
+    let mut out = [0.0f32];
+    Mat::from_vec(1, row.len(), row.to_vec()).row_dots_into(v, &mut out);
+    out[0]
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -154,6 +202,117 @@ proptest! {
                 "client {} diverged from per-client hvp", client
             );
         }
+    }
+
+    /// Clients whose pairs share ΔW rows — all of them, some, or none —
+    /// stack each shared row once, and the stack still sweeps every
+    /// client exactly like a lone approximation over deep copies of its
+    /// pairs. Client k takes pair j's ΔW from a common pool when bit j of
+    /// its mask is set; otherwise from a row of its own, which may be a
+    /// bitwise copy of the pool row (equal content is not sharing).
+    #[test]
+    fn shared_rows_stack_once_and_sweep_like_copies(
+        dim in 3usize..40,
+        specs in prop::collection::vec((1usize..=4, 0u8..16, any::<bool>()), 1..=7),
+        mode in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+        };
+        let pool: Vec<Arc<[f32]>> = (0..4).map(|_| (0..dim).map(|_| next()).collect()).collect();
+        let clients: Vec<SharingClient> = specs
+            .iter()
+            .enumerate()
+            .filter_map(|(id, &(s, mask, copy_pool))| {
+                let mask = [0b1111, 0, mask][mode];
+                let pooled: Vec<bool> = (0..s).map(|j| mask & (1 << j) != 0).collect();
+                let mut buf = PairBuffer::new(s);
+                let (mut dws, mut dgs) = (Vec::new(), Vec::new());
+                for (j, &shared) in pooled.iter().enumerate() {
+                    let dw: Arc<[f32]> = if shared {
+                        Arc::clone(&pool[j])
+                    } else if copy_pool {
+                        Arc::from(pool[j].to_vec())
+                    } else {
+                        (0..dim).map(|_| next()).collect()
+                    };
+                    // A positive per-coordinate scaling: positive curvature.
+                    let dg: Vec<f32> = dw
+                        .iter()
+                        .enumerate()
+                        .map(|(i, x)| x * (1.0 + ((i + id) % 4) as f32 * 0.5))
+                        .collect();
+                    dws.push(dw.to_vec());
+                    dgs.push(dg.clone());
+                    buf.push(dw, dg);
+                }
+                // A client whose pairs do not factor stays unstacked, as in
+                // the replay's fallback.
+                let approx = buf.approximation().ok()?;
+                Some(SharingClient { id, dws, dgs, pooled, approx })
+            })
+            .collect();
+        prop_assume!(!clients.is_empty());
+        // Exact zeros of both signs in v: the inbound skip.
+        let v: Vec<f32> = (0..dim)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                3 => -0.0,
+                _ => next(),
+            })
+            .collect();
+
+        let stacked = StackedLbfgs::build(dim, clients.iter().map(|c| (c.id, &c.approx)));
+
+        // Σ sᵢ ΔG rows, plus one row per distinct ΔW handle: every own row
+        // and every pool row some stacked client uses.
+        let sum_s: usize = clients.iter().map(|c| c.dws.len()).sum();
+        let own = clients.iter().flat_map(|c| &c.pooled).filter(|&&p| !p).count();
+        let pooled = (0..4)
+            .filter(|&j| clients.iter().any(|c| c.pooled.get(j) == Some(&true)))
+            .count();
+        prop_assert_eq!(stacked.total_columns(), sum_s + own + pooled);
+
+        // The documented layout: every client's ΔG rows in client order,
+        // then each distinct ΔW row once, in order of first use.
+        let mut layout: Vec<&[f32]> =
+            clients.iter().flat_map(|c| c.dgs.iter().map(Vec::as_slice)).collect();
+        let mut pool_used = [false; 4];
+        for c in &clients {
+            for (j, dw) in c.dws.iter().enumerate() {
+                if c.pooled[j] && std::mem::replace(&mut pool_used[j], true) {
+                    continue;
+                }
+                layout.push(dw);
+            }
+        }
+        let mut scratch = RoundScratch::new();
+        stacked.fused_dots(&v, &mut scratch.dots);
+        let want_dots: Vec<f32> = layout.iter().map(|r| one_row_dot(r, &v)).collect();
+        prop_assert_eq!(bits(&scratch.dots), bits(&want_dots));
+        stacked.solve_middles(&scratch.dots, &mut scratch.ps, &mut scratch.rhs, &mut scratch.p);
+
+        let mut offset = 0;
+        let mut out = vec![0.0f32; dim];
+        for c in &clients {
+            let copy = LbfgsApprox::new(&c.dws, &c.dgs).expect("deep copy builds");
+            // The middle solution of a one-client stack of the copies.
+            let alone = StackedLbfgs::build(dim, [(c.id, &copy)]);
+            let mut solo = RoundScratch::new();
+            alone.fused_dots(&v, &mut solo.dots);
+            alone.solve_middles(&solo.dots, &mut solo.ps, &mut solo.rhs, &mut solo.p);
+            let width = 2 * c.dws.len();
+            prop_assert_eq!(bits(&scratch.ps[offset..offset + width]), bits(&solo.ps));
+            offset += width;
+
+            let entry = stacked.entry_for(c.id).expect("client was stacked");
+            stacked.write_hvp(entry, &scratch.ps, &v, &mut out);
+            prop_assert_eq!(bits(&out), bits(&copy.hvp(&v)), "client {}", c.id);
+        }
+        prop_assert_eq!(stacked.fingerprint(), reference_fingerprint(dim, &clients));
     }
 
     /// Disabling the Hessian keeps estimates inside the clip box exactly:

@@ -53,10 +53,16 @@ stage_fmt() {
 }
 
 stage_clippy() {
-  # Perf-sensitive crates: clones and allocation churn in the replay hot
-  # loop are regressions, not style nits (see DESIGN.md "Batched recovery
-  # engine").
-  cargo clippy --all-targets -- -D warnings -D clippy::perf -D clippy::redundant_clone
+  # Every workspace crate's library, binaries, examples, tests and benches
+  # (a bare `--all-targets` from the root lints only the facade's targets
+  # and the member crates' libraries). The vendored stand-ins for external
+  # crates stay out. Perf-sensitive crates: clones and allocation churn in
+  # the replay hot loop are regressions, not style nits (see DESIGN.md
+  # "Batched recovery engine").
+  cargo clippy --workspace --all-targets \
+    --exclude rand --exclude proptest --exclude criterion \
+    --exclude crossbeam --exclude parking_lot --exclude bytes \
+    -- -D warnings -D clippy::perf -D clippy::redundant_clone
 }
 
 stage_doc() {
