@@ -11,7 +11,7 @@
 //!    (`Arc`'d round slots + shared spill file), so training rounds
 //!    appended afterwards never shift a running job's replay window.
 //! 2. **Crash-safe resume** — every `checkpoint_interval` replayed rounds
-//!    the job's full [`ReplayState`] is serialised and sealed into an
+//!    the job's full `ReplayState` is serialised and sealed into an
 //!    FNV-framed [`RecordKind::JobCheckpoint`] segment record
 //!    ([`JobLog`]). A crashed, preempted, or restarted job resumes from
 //!    its newest decodable checkpoint, and the resumed model is **bitwise
@@ -29,7 +29,7 @@
 //!    concurrency is an optimisation, never a semantic.
 //!
 //! Determinism boundary: everything a future round's arithmetic can
-//! observe lives in [`ReplayState`] and is checkpointed; scratch arenas,
+//! observe lives in `ReplayState` and is checkpointed; scratch arenas,
 //! caches, and schedules are reconstructed and provably don't move bits
 //! (DESIGN.md §5 "Recovery job service").
 //!

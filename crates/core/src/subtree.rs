@@ -14,7 +14,7 @@
 //! 3. Reduce the vehicle's leaf to its residual FedAvg weight
 //!    (`Σ wᵢ − w_v`), then replay with the scope pinned to that single
 //!    leaf: every sibling leaf's sealed aggregate is *exactly* unchanged
-//!    by the forget, so [`recover_set_scoped`](crate::recover_set_scoped)
+//!    by the forget, so [`recover_set_scoped`]
 //!    replays siblings verbatim and spends Eq. 6 estimation only on the
 //!    one leaf whose aggregate actually changed.
 //!

@@ -19,7 +19,7 @@
 //!   from a seeded hash stream (`FUIOV_SAMPLE_FRAC`). A fraction ≥ 1.0
 //!   takes the identical no-filter code path, so golden traces are
 //!   untouched unless sampling is explicitly enabled.
-//! - [`Cohort`] simulates 10⁵–10⁶ vehicles without materialising
+//! - [`run_cohort`] simulates 10⁵–10⁶ vehicles without materialising
 //!   per-vehicle state: lazy churn ([`LazyChurn`]), shared data shards,
 //!   and *group-level* sign history — one pseudo-client per RSU leaf in a
 //!   [`HistoryStore`] plus sealed [`SubtreeStore`] aggregates — so
@@ -201,7 +201,7 @@ impl AggregationTree {
     }
 }
 
-/// Tree-shaped [`aggregate_refs_into`](crate::aggregate::aggregate_refs_into):
+/// Tree-shaped [`aggregate_refs_into`]:
 /// bitwise identical output, `hierarchy.nodes_reduced` counts the nodes.
 ///
 /// FedAvg reduces through the tree with the threaded accumulator (see the

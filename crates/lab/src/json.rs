@@ -8,8 +8,14 @@
 //! *insertion order* (round-tripping a matrix row must not reshuffle
 //! it). Rendering uses Rust's shortest-round-trip `f64` formatting, so
 //! `parse → render → parse` is lossless for every value the lab emits.
+//! Nesting is capped at [`MAX_DEPTH`] levels, so no input can exhaust the
+//! parser's stack.
 
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. No lab
+/// input nests deeper than 4 levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Object keys keep their source order.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +62,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -195,6 +202,8 @@ fn render_str(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -235,8 +244,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),

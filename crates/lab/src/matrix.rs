@@ -498,7 +498,7 @@ impl Overrides {
     }
 
     /// Renders the set fields back to a JSON object in canonical
-    /// ([`OVERRIDE_KEYS`]) order.
+    /// (`OVERRIDE_KEYS`) order.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = Vec::new();
         let mut push_uint = |k: &str, v: Option<usize>| {

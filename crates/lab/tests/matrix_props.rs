@@ -4,6 +4,7 @@
 //! expansion (the "same matrix + same seed → same trials" contract that
 //! CI's fingerprint logs rely on).
 
+use fuiov_lab::json::{Json, MAX_DEPTH};
 use fuiov_lab::matrix::{
     parse_matrix, render_matrix, MatrixError, Method, Overrides, ScenarioRow, Task, Variant,
 };
@@ -190,4 +191,24 @@ proptest! {
             prop_assert_eq!(p.seed, seed + u64::from(p.repeat));
         }
     }
+}
+
+#[test]
+fn nesting_is_capped_at_max_depth() {
+    let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+    let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+    assert_eq!(err.pos, MAX_DEPTH, "the first bracket past the cap");
+    // A matrix row nested deep enough to overflow a 2 MiB test thread
+    // without the cap; the row's own object is the first level.
+    let row = r#"{"id":"x","task":"tiny","overrides":"#;
+    let deep = format!("{row}{}", "[".repeat(200_000));
+    assert_eq!(
+        Json::parse(&deep).unwrap_err().pos,
+        row.len() + MAX_DEPTH - 1
+    );
+    assert!(matches!(
+        parse_matrix(&deep),
+        Err(MatrixError::BadJson { line: 1, .. })
+    ));
 }

@@ -113,7 +113,10 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, ParseError> {
         if let Some(rest) = rest.strip_prefix(r#"counter","name":""#) {
             let (name, value) = parse_name_value(rest).ok_or_else(|| err("bad counter"))?;
             let value = value.parse::<u64>().map_err(|_| err("bad counter value"))?;
-            *snap.counters.entry(name).or_insert(0) += value;
+            let total = snap.counters.entry(name).or_insert(0);
+            *total = total
+                .checked_add(value)
+                .ok_or_else(|| err("counter sum overflows u64"))?;
         } else if let Some(rest) = rest.strip_prefix(r#"gauge","name":""#) {
             let (name, value) = parse_name_value(rest).ok_or_else(|| err("bad gauge"))?;
             let value = value.parse::<i64>().map_err(|_| err("bad gauge value"))?;

@@ -98,3 +98,15 @@ fn concurrent_first_touch_registers_exactly_once() {
         8000
     );
 }
+
+#[test]
+fn jsonl_rejects_a_counter_sum_that_overflows() {
+    let line = format!(r#"{{"type":"counter","name":"a","value":{}}}"#, u64::MAX);
+    let one = r#"{"type":"counter","name":"a","value":1}"#;
+    assert_eq!(export::parse_jsonl(&line).unwrap().counters["a"], u64::MAX);
+    for text in [format!("{line}\n{line}\n"), format!("{line}\n{one}\n")] {
+        let err = export::parse_jsonl(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("overflow"), "{err}");
+    }
+}

@@ -14,7 +14,7 @@
 //! - **Hot** — decoded in memory (`Arc`-shared, so clones, caches and
 //!   [`RoundView`] snapshots never copy the buffer), or
 //! - **Spilled** — encoded into the append-only segment file
-//!   ([`segment`](crate::segment)): models as a full `f32` keyframe
+//!   ([`segment`]): models as a full `f32` keyframe
 //!   every `keyframe_interval` rounds with varint-zigzag
 //!   [`delta`](crate::delta) residuals between (losslessly, so replay is
 //!   bitwise identical at any budget), directions as their packed 2-bit
@@ -547,7 +547,7 @@ impl HistoryStore {
     }
 
     /// Records an already-quantised direction for `(round, client)` —
-    /// used when restoring a serialised history, where re-quantisation
+    /// used when restoring a history file, where re-quantisation
     /// through the store's own δ would be lossy for δ ≥ 1.
     ///
     /// # Panics
@@ -719,22 +719,13 @@ impl HistoryStore {
             },
             None => None,
         };
-        let dirs = match self.directions.get(&round) {
-            Some(DirSlot::Mem(m)) => Arc::clone(m),
-            Some(DirSlot::Spilled { offset, len, .. }) => {
-                match self.load_spilled_dirs(round, *offset, *len) {
-                    Ok(m) => m,
-                    Err(_) => {
-                        Self::bump(
-                            &self.counters.decode_errors,
-                            fuiov_obs::counter!("storage.decode_errors"),
-                        );
-                        Arc::new(BTreeMap::new())
-                    }
-                }
-            }
-            None => Arc::new(BTreeMap::new()),
-        };
+        let dirs = self.try_directions(round).unwrap_or_else(|_| {
+            Self::bump(
+                &self.counters.decode_errors,
+                fuiov_obs::counter!("storage.decode_errors"),
+            );
+            Arc::new(BTreeMap::new())
+        });
         RoundView { round, model, dirs }
     }
 
@@ -750,14 +741,23 @@ impl HistoryStore {
             Some(ModelSlot::Spilled { .. }) => Some(self.load_model_chain(round)?),
             None => None,
         };
-        let dirs = match self.directions.get(&round) {
-            Some(DirSlot::Mem(m)) => Arc::clone(m),
-            Some(DirSlot::Spilled { offset, len, .. }) => {
-                self.load_spilled_dirs(round, *offset, *len)?
-            }
-            None => Arc::new(BTreeMap::new()),
-        };
+        let dirs = self.try_directions(round)?;
         Ok(RoundView { round, model, dirs })
+    }
+
+    /// `round`'s direction map (empty when none was recorded), with any
+    /// spill decode failure as a typed error.
+    pub(crate) fn try_directions(
+        &self,
+        round: Round,
+    ) -> Result<Arc<BTreeMap<ClientId, GradientDirection>>, SegmentDecodeError> {
+        match self.directions.get(&round) {
+            Some(DirSlot::Mem(m)) => Ok(Arc::clone(m)),
+            Some(DirSlot::Spilled { offset, len, .. }) => {
+                self.load_spilled_dirs(round, *offset, *len)
+            }
+            None => Ok(Arc::new(BTreeMap::new())),
+        }
     }
 
     /// Warms the decode LRU with `round`'s model and directions — called
@@ -821,6 +821,13 @@ impl HistoryStore {
     /// Iterator form of [`HistoryStore::rounds`] (no allocation).
     pub fn rounds_iter(&self) -> impl Iterator<Item = Round> + '_ {
         self.models.keys().copied()
+    }
+
+    /// All rounds with recorded directions, ascending. Once models are
+    /// thinned or removed, this lists rounds [`HistoryStore::rounds`]
+    /// does not.
+    pub fn direction_rounds(&self) -> Vec<Round> {
+        self.directions.keys().copied().collect()
     }
 
     /// Highest recorded round, if any.
@@ -1357,8 +1364,7 @@ impl HistoryStore {
                 out.set_weight(c, w);
             }
         }
-        let dir_rounds: Vec<Round> = self.directions.keys().copied().collect();
-        for round in dir_rounds {
+        for round in self.direction_rounds() {
             for client in self.clients_in_round(round) {
                 if let Some(g) = full.gradient(round, client) {
                     out.record_gradient(round, client, g);

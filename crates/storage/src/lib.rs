@@ -16,8 +16,12 @@
 //!   [`history::FullGradientStore`] used by the baselines and the storage
 //!   comparison experiment.
 //! - [`delta`]: lossless varint-zigzag delta coding of `f32` checkpoints.
-//! - [`segment`]: the checksummed spill-segment record format.
-//! - [`checkpoint`]: a small binary model-checkpoint format.
+//! - [`segment`]: FUSG, the one sealed record format every persisted or
+//!   sent byte uses — spill segments, job logs, subtree seals, the wire,
+//!   history files ([`segment::encode_history`]) and model checkpoints
+//!   ([`segment::encode_keyframe`]).
+//! - [`subtree`]: sealed per-node aggregates for hierarchical recovery
+//!   ([`SubtreeStore`]).
 //!
 //! # Example
 //!
@@ -31,12 +35,10 @@
 //! assert!(h.gradient_savings_ratio() > 0.9);
 //! ```
 
-pub mod checkpoint;
 pub mod delta;
 pub mod direction;
 pub mod history;
 pub mod segment;
-pub mod serialize;
 pub mod subtree;
 
 pub use direction::GradientDirection;

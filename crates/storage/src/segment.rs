@@ -1,25 +1,31 @@
-//! Append-only spill segments for the tiered [`HistoryStore`].
+//! FUSG: the one sealed record format.
 //!
-//! Cold rounds are evicted from memory as self-describing, checksummed
-//! records appended to a single spill file. The framing follows the
-//! [`checkpoint`](crate::checkpoint) encode discipline — little-endian,
-//! magic + version up front, truncation detected before any payload is
-//! touched — and adds an FNV-1a trailer so bit rot inside a record is a
-//! typed [`SegmentDecodeError`], never a panic or a silently wrong model.
+//! Every binary stream the stack persists or sends is a run of
+//! self-describing, checksummed records: the spill segments of the tiered
+//! [`HistoryStore`], job logs, subtree seals, wire frames, history files
+//! and model checkpoints. Framing is little-endian with magic + version up
+//! front, truncation is detected before any payload is touched, and an
+//! FNV-1a trailer makes bit rot inside a record a typed
+//! [`SegmentDecodeError`], never a panic or a silently wrong model.
 //!
 //! ```text
 //! record := magic:u32 | version:u16 | kind:u8 | round:u64 | base:u64
 //!         | payload_len:u32 | payload | fnv1a64(header‖payload):u64
 //! ```
 //!
-//! `kind` selects the payload codec: a raw `f32` keyframe, a
-//! [`delta`](crate::delta)-coded model residual against `base`, or a
-//! round's packed direction map (client ids + 2-bit sign words,
-//! verbatim). `base` equals `round` for non-delta records.
+//! `kind` selects the payload codec ([`RecordKind`]): a raw `f32`
+//! keyframe, a [`delta`]-coded model residual against `base`, a round's
+//! packed direction map (client ids + 2-bit sign words, verbatim), and so
+//! on. `base` equals `round` for keyframe and direction records.
+//!
+//! A history file ([`encode_history`]) is a [`RecordKind::Roster`] record
+//! followed by one keyframe per model round and one directions record per
+//! round with directions; a model checkpoint is a single keyframe
+//! ([`encode_keyframe`]).
 
 use crate::delta;
 use crate::direction::GradientDirection;
-use crate::history::{ClientId, Round};
+use crate::history::{ClientId, HistoryStore, Round};
 use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -85,6 +91,11 @@ pub enum RecordKind {
     /// control code rides in `round`, a code-specific argument in
     /// `base`; the payload is empty.
     Control,
+    /// The first record of a history file: the number of records that
+    /// follow in `round`, the client count in `base`; the payload is δ
+    /// (`f32`) and then, per client, its id, join round, leave round
+    /// (`u64::MAX` while active) and FedAvg weight.
+    Roster,
 }
 
 impl RecordKind {
@@ -102,6 +113,7 @@ impl RecordKind {
             RecordKind::GradUpload => 9,
             RecordKind::ForgetRequest => 10,
             RecordKind::Control => 11,
+            RecordKind::Roster => 12,
         }
     }
 
@@ -119,13 +131,14 @@ impl RecordKind {
             9 => Some(RecordKind::GradUpload),
             10 => Some(RecordKind::ForgetRequest),
             11 => Some(RecordKind::Control),
+            12 => Some(RecordKind::Roster),
             _ => None,
         }
     }
 }
 
-/// Error decoding a spill-segment record. Every corruption mode the
-/// testkit `Corruptor` can inject maps to a distinct variant.
+/// Error decoding a FUSG record or record stream. Every corruption mode
+/// the testkit `Corruptor` can inject maps to a distinct variant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SegmentDecodeError {
     /// Record shorter than its header + declared payload, or a payload
@@ -133,9 +146,10 @@ pub enum SegmentDecodeError {
     Truncated,
     /// Magic mismatch — not a FUSG record.
     BadMagic(u32),
-    /// Unsupported segment version.
+    /// Unsupported record version.
     BadVersion(u16),
-    /// Unknown record kind code.
+    /// Unknown record kind code, or a kind the decoder does not expect
+    /// at this point.
     BadKind(u8),
     /// FNV-1a checksum mismatch — the record bytes rotted.
     BadChecksum {
@@ -156,29 +170,35 @@ pub enum SegmentDecodeError {
     MissingBase(u64),
     /// Underlying I/O failure reading the spill file.
     Io(String),
+    /// Sealed records that contradict each other or what the store
+    /// accepts: a negative or NaN δ, a model or direction of another
+    /// dimension, a weight that is not positive and finite, a roster of
+    /// the wrong length, or bytes after the last declared record.
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for SegmentDecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SegmentDecodeError::Truncated => write!(f, "spill record truncated"),
-            SegmentDecodeError::BadMagic(m) => write!(f, "bad spill record magic {m:#010x}"),
-            SegmentDecodeError::BadVersion(v) => write!(f, "unsupported spill record version {v}"),
-            SegmentDecodeError::BadKind(k) => write!(f, "unknown spill record kind {k}"),
+            SegmentDecodeError::Truncated => write!(f, "record truncated"),
+            SegmentDecodeError::BadMagic(m) => write!(f, "bad record magic {m:#010x}"),
+            SegmentDecodeError::BadVersion(v) => write!(f, "unsupported record version {v}"),
+            SegmentDecodeError::BadKind(k) => write!(f, "unexpected record kind {k}"),
             SegmentDecodeError::BadChecksum { expected, found } => write!(
                 f,
-                "spill record checksum mismatch (stored {expected:#018x}, computed {found:#018x})"
+                "record checksum mismatch (stored {expected:#018x}, computed {found:#018x})"
             ),
             SegmentDecodeError::RoundMismatch { expected, found } => {
                 write!(
                     f,
-                    "stale spill record: wanted round {expected}, record holds {found}"
+                    "stale record: wanted round {expected}, record holds {found}"
                 )
             }
             SegmentDecodeError::MissingBase(r) => {
                 write!(f, "delta record needs base model of round {r}")
             }
             SegmentDecodeError::Io(e) => write!(f, "spill file i/o: {e}"),
+            SegmentDecodeError::Inconsistent(what) => write!(f, "inconsistent records: {what}"),
         }
     }
 }
@@ -524,6 +544,164 @@ pub fn decode_directions(
         out.insert(client, dir);
     }
     Ok(out)
+}
+
+/// Decodes a single keyframe record (a model checkpoint) into
+/// `(round, params)`. Bytes after the record's trailer are not read.
+///
+/// ```
+/// use fuiov_storage::segment;
+/// let rec = segment::encode_keyframe(7, &[1.0, -2.5]);
+/// assert_eq!(segment::decode_keyframe(&rec)?, (7, vec![1.0, -2.5]));
+/// # Ok::<(), fuiov_storage::SegmentDecodeError>(())
+/// ```
+///
+/// # Errors
+///
+/// Framing/checksum errors from [`check_record`], `BadKind` for any other
+/// kind, `Truncated` for a payload shorter than its element count.
+pub fn decode_keyframe(record: &[u8]) -> Result<(Round, Vec<f32>), SegmentDecodeError> {
+    let (kind, round, _, _) = check_record(record)?;
+    if kind != RecordKind::Keyframe {
+        return Err(SegmentDecodeError::BadKind(kind.code()));
+    }
+    Ok((round, decode_model(record, round, None)?))
+}
+
+/// Roster bytes per client: id, join round, leave round, weight.
+const ROSTER_ENTRY: usize = 8 + 8 + 8 + 4;
+
+/// Encodes a whole history as a record stream: a [`RecordKind::Roster`],
+/// one keyframe per model round, then one directions record per round
+/// with directions (including rounds whose model was thinned away or
+/// removed), each group ascending.
+///
+/// ```
+/// use fuiov_storage::{segment, HistoryStore};
+///
+/// let mut h = HistoryStore::new(1e-6);
+/// h.record_model(0, vec![1.0, 2.0]);
+/// h.record_join(3, 0);
+/// h.record_gradient(0, 3, &[0.5, -0.5]);
+/// let back = segment::decode_history(&segment::encode_history(&h)?)?;
+/// assert_eq!(back.model(0), h.model(0));
+/// assert_eq!(back.direction(0, 3), h.direction(0, 3));
+/// # Ok::<(), fuiov_storage::SegmentDecodeError>(())
+/// ```
+///
+/// # Errors
+///
+/// The typed error of a spilled round that no longer decodes.
+pub fn encode_history(h: &HistoryStore) -> Result<Vec<u8>, SegmentDecodeError> {
+    let models = h.rounds();
+    let dir_rounds = h.direction_rounds();
+    let roster: Vec<_> = h
+        .clients()
+        .into_iter()
+        .filter_map(|c| Some((c, h.participation(c)?)))
+        .collect();
+    let mut payload = Vec::with_capacity(4 + roster.len() * ROSTER_ENTRY);
+    payload.put_f32_le(h.delta());
+    for &(client, p) in &roster {
+        payload.put_u64_le(client as u64);
+        payload.put_u64_le(p.joined as u64);
+        payload.put_u64_le(p.left.map_or(u64::MAX, |l| l as u64));
+        payload.put_f32_le(h.weight(client));
+    }
+    let count = models.len() + dir_rounds.len();
+    let mut out = frame(RecordKind::Roster, count, roster.len(), &payload);
+    for r in models {
+        if let Some(m) = h.try_model(r)? {
+            out.extend_from_slice(&encode_keyframe(r, &m));
+        }
+    }
+    for r in dir_rounds {
+        let dirs = h.try_directions(r)?;
+        out.extend_from_slice(&encode_directions(r, &dirs));
+    }
+    Ok(out)
+}
+
+/// Splits the next framed record off the front of `stream`; a record cut
+/// short keeps the rest of the stream, so [`check_record`] calls it
+/// `Truncated`.
+fn next_record<'a>(stream: &mut &'a [u8]) -> &'a [u8] {
+    let len = framed_len(stream).map_or(stream.len(), |n| n.min(stream.len()));
+    let (record, rest) = stream.split_at(len);
+    *stream = rest;
+    record
+}
+
+/// Decodes a history written by [`encode_history`].
+///
+/// # Errors
+///
+/// Any record's framing or checksum error; `Truncated` when the stream
+/// ends before the roster's declared record count, even at a record
+/// boundary; `BadKind` for a first record that is not a roster or a later
+/// one that is neither a keyframe nor directions; `Inconsistent` for
+/// contradictions the store would assert on and for bytes after the last
+/// declared record. No input makes it panic, and it reserves nothing from
+/// a count field.
+pub fn decode_history(mut stream: &[u8]) -> Result<HistoryStore, SegmentDecodeError> {
+    let (kind, count, n_clients, mut payload) = check_record(next_record(&mut stream))?;
+    if kind != RecordKind::Roster {
+        return Err(SegmentDecodeError::BadKind(kind.code()));
+    }
+    if payload.len() < 4 {
+        return Err(SegmentDecodeError::Truncated);
+    }
+    let delta = payload.get_f32_le();
+    if delta.is_nan() || delta < 0.0 {
+        return Err(SegmentDecodeError::Inconsistent("negative or NaN delta"));
+    }
+    if Some(payload.len()) != n_clients.checked_mul(ROSTER_ENTRY) {
+        return Err(SegmentDecodeError::Inconsistent("roster length"));
+    }
+    let mut h = HistoryStore::new(delta);
+    for mut entry in payload.chunks_exact(ROSTER_ENTRY) {
+        let client = entry.get_u64_le() as ClientId;
+        let joined = entry.get_u64_le() as Round;
+        let left = entry.get_u64_le();
+        let weight = entry.get_f32_le();
+        if !(weight > 0.0 && weight.is_finite()) {
+            return Err(SegmentDecodeError::Inconsistent("invalid weight"));
+        }
+        h.record_join(client, joined);
+        if left != u64::MAX {
+            h.record_leave(client, left as Round);
+        }
+        h.set_weight(client, weight);
+    }
+    // The store asserts one dimension for every model and direction.
+    let mut dim = None;
+    let mut check_dim = |len: usize| {
+        (*dim.get_or_insert(len) == len)
+            .then_some(())
+            .ok_or(SegmentDecodeError::Inconsistent("dimension mismatch"))
+    };
+    for _ in 0..count {
+        let record = next_record(&mut stream);
+        let (kind, round, _, _) = check_record(record)?;
+        match kind {
+            RecordKind::Keyframe => {
+                let params = decode_model(record, round, None)?;
+                check_dim(params.len())?;
+                h.record_model(round, params);
+            }
+            RecordKind::Directions => {
+                for (client, dir) in decode_directions(record, round)? {
+                    check_dim(dir.len())?;
+                    h.record_direction(round, client, dir);
+                }
+            }
+            other => return Err(SegmentDecodeError::BadKind(other.code())),
+        }
+    }
+    if !stream.is_empty() {
+        return Err(SegmentDecodeError::Inconsistent("trailing bytes"));
+    }
+    Ok(h)
 }
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);

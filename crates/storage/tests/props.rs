@@ -3,7 +3,7 @@
 //! tiered delta/spill codec.
 
 use fuiov_storage::history::FullGradientStore;
-use fuiov_storage::serialize::{decode_history, encode_history};
+use fuiov_storage::segment::{decode_history, encode_history};
 use fuiov_storage::{delta, GradientDirection, HistoryStore, Tier, TierConfig};
 use proptest::prelude::*;
 
@@ -43,15 +43,21 @@ fn arb_history() -> impl Strategy<Value = HistoryStore> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The binary history format round-trips every field exactly.
+    /// The history file round-trips every field exactly, including the
+    /// directions of rounds whose model was thinned away.
     #[test]
-    fn serialisation_roundtrips(h in arb_history()) {
-        let back = decode_history(&encode_history(&h)).expect("decodes");
+    fn serialisation_roundtrips(full in arb_history(), keep in 1usize..4) {
+        let h = full.thinned_models(keep);
+        let back = decode_history(&encode_history(&h).expect("encodes")).expect("decodes");
         prop_assert_eq!(back.delta(), h.delta());
         prop_assert_eq!(back.rounds(), h.rounds());
+        prop_assert_eq!(back.direction_rounds(), h.direction_rounds());
         prop_assert_eq!(back.clients(), h.clients());
         for r in h.rounds() {
             prop_assert_eq!(back.model(r), h.model(r));
+        }
+        for r in h.direction_rounds() {
+            prop_assert_eq!(back.clients_in_round(r), h.clients_in_round(r));
             for c in h.clients_in_round(r) {
                 prop_assert_eq!(
                     back.direction(r, c).as_deref().map(GradientDirection::to_signs),

@@ -1,11 +1,11 @@
 //! Storage-side corruption shim.
 //!
-//! [`Corruptor`] mutates the *persisted* artefacts of a run — checkpoint
-//! byte blobs ([`fuiov_storage::checkpoint`]), serialised histories
-//! ([`fuiov_storage::serialize`]) and live [`HistoryStore`]s — the way an
-//! RSU's flaky disk or interrupted write would. Every operation is a pure
-//! function of its inputs, so a seeded [`FaultPlan`] fully determines the
-//! corruption a run suffers.
+//! [`Corruptor`] mutates the *persisted* artefacts of a run — sealed
+//! checkpoint and history files ([`fuiov_storage::segment`]), spill
+//! records and live [`HistoryStore`]s — the way an RSU's flaky disk or
+//! interrupted write would. Every operation is a pure function of its
+//! inputs, so a seeded [`FaultPlan`] fully determines the corruption a
+//! run suffers.
 //!
 //! [`FaultPlan`]: crate::plan::FaultPlan
 
@@ -31,7 +31,7 @@ impl Corruptor {
     }
 
     /// Scrambles the 4-byte little-endian magic word at the front of a
-    /// checkpoint or history blob. XOR with a non-zero constant guarantees
+    /// checkpoint or history file. XOR with a non-zero constant guarantees
     /// the result differs from any valid magic.
     pub fn scramble_magic(bytes: &mut [u8]) {
         for b in bytes.iter_mut().take(4) {
@@ -274,11 +274,11 @@ impl Corruptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuiov_storage::checkpoint;
+    use fuiov_storage::segment::SegmentDecodeError;
 
     #[test]
     fn truncate_reduces_modulo_length() {
-        let blob = checkpoint::encode(&[1.0, 2.0]);
+        let blob = segment::encode_keyframe(0, &[1.0, 2.0]);
         let t = Corruptor::truncate(&blob, blob.len() + 3);
         assert_eq!(t.len(), 3);
         assert!(Corruptor::truncate(&[], 7).is_empty());
@@ -286,28 +286,28 @@ mod tests {
 
     #[test]
     fn scrambled_magic_is_rejected() {
-        let mut blob = checkpoint::encode(&[1.0]).to_vec();
+        let mut blob = segment::encode_keyframe(0, &[1.0]);
         Corruptor::scramble_magic(&mut blob);
         assert!(matches!(
-            checkpoint::decode(&blob),
-            Err(checkpoint::DecodeError::BadMagic(_))
+            segment::decode_keyframe(&blob),
+            Err(SegmentDecodeError::BadMagic(_))
         ));
     }
 
     #[test]
     fn bumped_version_is_rejected() {
-        let mut blob = checkpoint::encode(&[1.0]).to_vec();
+        let mut blob = segment::encode_keyframe(0, &[1.0]);
         Corruptor::bump_version(&mut blob);
         assert!(matches!(
-            checkpoint::decode(&blob),
-            Err(checkpoint::DecodeError::BadVersion(0xFFFF))
+            segment::decode_keyframe(&blob),
+            Err(SegmentDecodeError::BadVersion(0xFFFF))
         ));
     }
 
     #[test]
     fn flip_byte_changes_exactly_one_byte() {
-        let blob = checkpoint::encode(&[3.5, -1.0]);
-        let mut mutated = blob.to_vec();
+        let blob = segment::encode_keyframe(0, &[3.5, -1.0]);
+        let mut mutated = blob.clone();
         Corruptor::flip_byte(&mut mutated, blob.len() + 1);
         let diff: Vec<usize> = (0..blob.len()).filter(|&i| blob[i] != mutated[i]).collect();
         assert_eq!(diff, vec![1]);
@@ -347,8 +347,6 @@ mod tests {
 
     #[test]
     fn segment_faults_yield_typed_errors_never_panics() {
-        use fuiov_storage::segment::SegmentDecodeError;
-
         // Truncation: the torn record reads back as Truncated.
         let mut h = tiny_history();
         assert!(Corruptor::truncate_spill_record(&mut h, 1));

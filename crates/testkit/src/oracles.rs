@@ -13,8 +13,8 @@
 //! - **round-trip identity** — checkpoint and history encodings decode to
 //!   exactly what was encoded.
 
-use fuiov_storage::serialize::{decode_history, encode_history, HistoryDecodeError};
-use fuiov_storage::{checkpoint, HistoryStore};
+use fuiov_storage::segment::{decode_history, decode_keyframe, encode_history, encode_keyframe};
+use fuiov_storage::HistoryStore;
 use fuiov_tensor::{pool, vector};
 
 /// Whether `a` and `b` are identical *bit patterns* (stricter than `==`:
@@ -90,7 +90,7 @@ pub fn check_thread_invariant(
 ///
 /// Returns the decode error or the first differing element index.
 pub fn checkpoint_roundtrip_identity(params: &[f32]) -> Result<(), String> {
-    let decoded = checkpoint::decode(&checkpoint::encode(params))
+    let (_, decoded) = decode_keyframe(&encode_keyframe(0, params))
         .map_err(|e| format!("round-trip decode failed: {e}"))?;
     match first_bit_mismatch(params, &decoded) {
         None => Ok(()),
@@ -103,14 +103,16 @@ pub fn checkpoint_roundtrip_identity(params: &[f32]) -> Result<(), String> {
 }
 
 /// Checks that a history encode→decode round-trip preserves every model,
-/// direction, participation record and weight.
+/// every direction of every round that has directions in either store
+/// (thinned-away model rounds included), every participation record and
+/// every weight.
 ///
 /// # Errors
 ///
 /// Returns a description of the first discrepancy.
 pub fn history_roundtrip_identity(h: &HistoryStore) -> Result<(), String> {
-    let back: HistoryStore = decode_history(&encode_history(h))
-        .map_err(|e: HistoryDecodeError| format!("round-trip decode failed: {e}"))?;
+    let blob = encode_history(h).map_err(|e| format!("encode failed: {e}"))?;
+    let back = decode_history(&blob).map_err(|e| format!("round-trip decode failed: {e}"))?;
     if back.rounds() != h.rounds() {
         return Err(format!(
             "rounds changed: {:?} -> {:?}",
@@ -124,6 +126,12 @@ pub fn history_roundtrip_identity(h: &HistoryStore) -> Result<(), String> {
         if let Some(i) = first_bit_mismatch(a, b) {
             return Err(format!("model at round {r} altered at element {i}"));
         }
+    }
+    let mut dir_rounds = h.direction_rounds();
+    dir_rounds.extend(back.direction_rounds());
+    dir_rounds.sort_unstable();
+    dir_rounds.dedup();
+    for r in dir_rounds {
         if back.clients_in_round(r) != h.clients_in_round(r) {
             return Err(format!("participants of round {r} changed"));
         }

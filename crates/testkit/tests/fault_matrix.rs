@@ -6,8 +6,7 @@
 //! reproduce a specific plan (every fault a run suffers derives from that
 //! one number).
 
-use fuiov_storage::checkpoint::{self, DecodeError};
-use fuiov_storage::serialize::{encode_history, HistoryDecodeError};
+use fuiov_storage::segment::{self, SegmentDecodeError};
 use fuiov_testkit::{bitwise_eq, CanonicalRun, Corruptor, Fault, FaultClass, FaultPlan, FaultSpec};
 use std::sync::Arc;
 
@@ -152,8 +151,8 @@ fn recovery_under_faults_is_typed_never_a_panic() {
 fn corrupted_checkpoints_fail_with_typed_errors() {
     let scenario = CanonicalRun::standard();
     let run = scenario.train();
-    let blob = checkpoint::encode(&run.params);
-    let history_blob = encode_history(&run.history);
+    let blob = segment::encode_keyframe(scenario.rounds, &run.params);
+    let history_blob = segment::encode_history(&run.history).unwrap();
     for seed in seeds() {
         let plan = plan_for(&scenario, seed);
         assert!(
@@ -163,31 +162,31 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
         for raw in plan.truncations() {
             let t = Corruptor::truncate(&blob, raw);
             assert_eq!(
-                checkpoint::decode(&t),
-                Err(DecodeError::Truncated),
+                segment::decode_keyframe(&t),
+                Err(SegmentDecodeError::Truncated),
                 "seed {seed}: {}-byte prefix of a checkpoint must be Truncated",
                 t.len()
             );
             let th = Corruptor::truncate(&history_blob, raw);
             assert_eq!(
-                fuiov_storage::serialize::decode_history(&th).unwrap_err(),
-                HistoryDecodeError::Truncated,
-                "seed {seed}: {}-byte prefix of a history blob must be Truncated",
+                segment::decode_history(&th).unwrap_err(),
+                SegmentDecodeError::Truncated,
+                "seed {seed}: {}-byte prefix of a history file must be Truncated",
                 th.len()
             );
         }
     }
-    let mut magic = blob.to_vec();
+    let mut magic = blob.clone();
     Corruptor::scramble_magic(&mut magic);
     assert!(matches!(
-        checkpoint::decode(&magic),
-        Err(DecodeError::BadMagic(_))
+        segment::decode_keyframe(&magic),
+        Err(SegmentDecodeError::BadMagic(_))
     ));
-    let mut version = blob.to_vec();
+    let mut version = blob;
     Corruptor::bump_version(&mut version);
     assert_eq!(
-        checkpoint::decode(&version),
-        Err(DecodeError::BadVersion(0xFFFF))
+        segment::decode_keyframe(&version),
+        Err(SegmentDecodeError::BadVersion(0xFFFF))
     );
 }
 

@@ -4,13 +4,14 @@
 //!   standard baseline);
 //! - serial vs parallel client fan-out bitwise identity;
 //! - history/checkpoint save→load round-trip identity, including the
-//!   recovery computed from a reloaded history;
+//!   directions of rounds without a model and the recovery computed from
+//!   a reloaded history;
 //! - unlearning a never-joined client is a typed no-op;
 //! - forget→recover is idempotent under re-run.
 
 use fuiov_baselines::retrain;
 use fuiov_core::{RecoveryConfig, UnlearnError, Unlearner};
-use fuiov_storage::serialize::{decode_history, encode_history};
+use fuiov_storage::segment::{decode_history, encode_history};
 use fuiov_testkit::oracles::{checkpoint_roundtrip_identity, history_roundtrip_identity};
 use fuiov_testkit::{bitwise_eq, rel_l2_divergence, thread_lock, CanonicalRun};
 
@@ -73,7 +74,7 @@ fn save_load_roundtrip_preserves_history_and_recovery() {
     checkpoint_roundtrip_identity(&run.params).unwrap();
     history_roundtrip_identity(&run.history).unwrap();
 
-    let reloaded = decode_history(&encode_history(&run.history)).unwrap();
+    let reloaded = decode_history(&encode_history(&run.history).unwrap()).unwrap();
     let from_original = scenario.recover_forgotten(&run.history, |_, _| {}).unwrap();
     let from_reloaded = scenario.recover_forgotten(&reloaded, |_, _| {}).unwrap();
     assert!(
@@ -88,10 +89,25 @@ fn save_load_roundtrip_preserves_history_and_recovery() {
 }
 
 #[test]
+fn history_roundtrip_keeps_directions_of_rounds_without_a_model() {
+    // Thinning keeps the endpoints, every third round and the join round;
+    // the other rounds keep only their directions, which replay reads.
+    let scenario = CanonicalRun::standard();
+    let run = scenario.train();
+    let thin = run.history.thinned_models(3);
+    assert!(thin.rounds().len() < thin.direction_rounds().len());
+    history_roundtrip_identity(&thin).unwrap();
+
+    let mut lost = run.history;
+    lost.remove_model(scenario.rounds - 1).unwrap();
+    history_roundtrip_identity(&lost).unwrap();
+}
+
+#[test]
 fn unlearning_a_never_joined_client_is_a_typed_noop() {
     let scenario = CanonicalRun::standard();
     let run = scenario.train();
-    let snapshot = encode_history(&run.history);
+    let snapshot = encode_history(&run.history).unwrap();
     let unlearner = Unlearner::new(&run.history, RecoveryConfig::new(0.3));
     assert_eq!(
         unlearner.forget(99).unwrap_err(),
@@ -102,7 +118,7 @@ fn unlearning_a_never_joined_client_is_a_typed_noop() {
         UnlearnError::UnknownClient(99)
     );
     assert_eq!(
-        encode_history(&run.history),
+        encode_history(&run.history).unwrap(),
         snapshot,
         "a rejected request must leave the history byte-identical"
     );

@@ -10,7 +10,7 @@ use fuiov::data::{partition::partition_iid, Dataset, DigitStyle};
 use fuiov::fl::mobility::ChurnSchedule;
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::storage::checkpoint;
+use fuiov::storage::segment;
 
 fn main() {
     let seed = 3;
@@ -67,10 +67,10 @@ fn main() {
         h.gradient_savings_ratio() * 100.0
     );
 
-    // Checkpoint the final model and reload it.
-    let encoded = checkpoint::encode(server.params());
-    let decoded = checkpoint::decode(&encoded).expect("own encoding is valid");
-    assert_eq!(decoded, server.params());
+    // Checkpoint the final model as one sealed keyframe and reload it.
+    let encoded = segment::encode_keyframe(rounds, server.params());
+    let (round, decoded) = segment::decode_keyframe(&encoded).expect("own encoding is valid");
+    assert_eq!((round, decoded.as_slice()), (rounds, server.params()));
     println!(
         "\ncheckpointed final model: {} B (round-trip verified)",
         encoded.len()

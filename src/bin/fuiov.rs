@@ -2,9 +2,10 @@
 //!
 //! A minimal operational surface over the library: train a federation and
 //! persist the server's history, inspect it, serve an unlearning request
-//! from it, and evaluate checkpoints. All state lives in ordinary files
-//! (`fuiov-storage`'s binary formats), so the unlearn step works on a
-//! "restarted" server — nothing but the history file is needed.
+//! from it, and evaluate checkpoints. All state lives in ordinary files of
+//! sealed FUSG records (`fuiov_storage::segment`), so the unlearn step
+//! works on a "restarted" server — nothing but the history file is
+//! needed — and a damaged file fails to decode instead of loading.
 //!
 //! ```text
 //! fuiov train   --out history.bin [--clients 6] [--rounds 40] [--seed 42] [--forgotten-join 2]
@@ -18,8 +19,7 @@ use fuiov::eval::test_accuracy;
 use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::storage::checkpoint;
-use fuiov::storage::serialize::{decode_history, encode_history};
+use fuiov::storage::segment::{decode_history, decode_keyframe, encode_history, encode_keyframe};
 use fuiov::unlearn::{calibrate_lr, RecoveryConfig, Unlearner};
 use std::process::ExitCode;
 
@@ -133,7 +133,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     m.set_params(server.params());
     println!("final accuracy: {:.3}", test_accuracy(&mut m, &test));
 
-    let blob = encode_history(server.history());
+    let blob = encode_history(server.history()).map_err(|e| format!("encoding history: {e}"))?;
     std::fs::write(&out, &blob).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "history written to {out} ({} KiB; {:.1}% gradient-storage savings)",
@@ -201,7 +201,7 @@ fn cmd_unlearn(args: &Args) -> Result<(), String> {
     let rec = unlearner
         .forget_and_recover(client)
         .map_err(|e| e.to_string())?;
-    let blob = checkpoint::encode(&rec.params);
+    let blob = encode_keyframe(bt.latest_round, &rec.params);
     std::fs::write(&out, &blob).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "recovered model written to {out} ({} params, {} rounds replayed, {} estimator fallbacks)",
@@ -216,7 +216,7 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     let path = args.require("model")?;
     let seed: u64 = args.get_parse("seed", 42)?;
     let blob = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let params = checkpoint::decode(&blob).map_err(|e| format!("decoding {path}: {e}"))?;
+    let (_, params) = decode_keyframe(&blob).map_err(|e| format!("decoding {path}: {e}"))?;
     if params.len() != SPEC.param_count() {
         return Err(format!(
             "checkpoint has {} params; the CLI's model expects {}",

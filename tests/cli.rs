@@ -146,51 +146,49 @@ fn bad_invocations_fail_with_usage() {
 
 #[test]
 fn info_on_a_crafted_history_fails_with_a_decoding_error() {
-    // Magic "FUHS", version 1, δ = 1e-6, then the sections of each case.
-    let header = |rest: &[u8]| -> Vec<u8> {
-        let mut b = 0x4655_4853u32.to_le_bytes().to_vec();
-        b.extend_from_slice(&1u16.to_le_bytes());
-        b.extend_from_slice(&1e-6f32.to_le_bytes());
-        b.extend_from_slice(rest);
-        b
-    };
-    let le32 = |v: u32| v.to_le_bytes();
-    let le64 = |v: u64| v.to_le_bytes();
-    // No models, one direction claiming 40 elements in 2 bytes.
+    use fuiov::storage::segment::{self, RecordKind, HEADER_LEN};
+    use fuiov::storage::HistoryStore;
+
+    // A roster with δ = 1e-6 and no clients, declaring `count` records.
+    let roster =
+        |count: usize| segment::encode_record(RecordKind::Roster, count, 0, &1e-6f32.to_le_bytes());
+    // One direction claiming 40 elements in 2 bytes.
+    let mut short_payload = 1u32.to_le_bytes().to_vec();
+    short_payload.extend_from_slice(&1u64.to_le_bytes());
+    short_payload.extend_from_slice(&40u32.to_le_bytes());
+    short_payload.extend_from_slice(&2u32.to_le_bytes());
+    short_payload.extend_from_slice(&[0xFF, 0xFF]);
     let short_direction = [
-        &le32(0)[..],
-        &le32(1),
-        &le64(0),
-        &le64(1),
-        &le32(40),
-        &le32(2),
-        &[0xFF, 0xFF],
-        &le32(0),
+        roster(1),
+        segment::encode_record(RecordKind::Directions, 0, 0, &short_payload),
     ]
     .concat();
-    // No models and u32::MAX directions, none present.
-    let huge_count = [&le32(0)[..], &le32(u32::MAX)].concat();
+    // u32::MAX records declared, none present.
+    let huge_count = roster(u32::MAX as usize);
     // Two models of lengths 2 and 1.
     let ragged_models = [
-        &le32(2)[..],
-        &le64(0),
-        &le32(2),
-        &1f32.to_le_bytes(),
-        &2f32.to_le_bytes(),
-        &le64(1),
-        &le32(1),
-        &1f32.to_le_bytes(),
-        &le32(0),
-        &le32(0),
+        roster(2),
+        segment::encode_keyframe(0, &[1.0, 2.0]),
+        segment::encode_keyframe(1, &[1.0]),
     ]
     .concat();
-    for (name, rest) in [
+    // A well-formed history with one bit flipped inside a model value.
+    let mut h = HistoryStore::new(1e-6);
+    h.record_join(0, 0);
+    h.record_model(0, vec![0.25, -0.5, 1.0]);
+    h.record_gradient(0, 0, &[0.5, -0.5, 0.0]);
+    let mut flipped_bit = segment::encode_history(&h).unwrap();
+    assert!(segment::decode_history(&flipped_bit).is_ok());
+    let first_value = segment::framed_len(&flipped_bit).unwrap() + HEADER_LEN + 4;
+    flipped_bit[first_value + 1] ^= 0x10;
+    for (name, bytes) in [
         ("short", short_direction),
         ("huge", huge_count),
         ("ragged", ragged_models),
+        ("flipped", flipped_bit),
     ] {
         let path = tmp(&format!("crafted-{name}.bin"));
-        std::fs::write(&path, header(&rest)).unwrap();
+        std::fs::write(&path, bytes).unwrap();
         let out = bin()
             .args(["info", "--history", path.to_str().unwrap()])
             .output()

@@ -4,7 +4,7 @@
 //! (never panics) when its inputs are corrupted.
 
 use fuiov_core::UnlearnError;
-use fuiov_storage::checkpoint::{self, DecodeError};
+use fuiov_storage::segment::{self, SegmentDecodeError};
 use fuiov_testkit::{CanonicalRun, Corruptor, FaultPlan, FaultSpec};
 use std::sync::Arc;
 
@@ -32,11 +32,14 @@ fn faulted_end_to_end_run_degrades_gracefully() {
 
     // The final model survives a persistence round-trip but every planned
     // corruption of the blob is caught with a typed error.
-    let blob = checkpoint::encode(&run.params);
-    assert_eq!(checkpoint::decode(&blob).unwrap().len(), dim);
+    let blob = segment::encode_keyframe(scenario.rounds, &run.params);
+    assert_eq!(segment::decode_keyframe(&blob).unwrap().1.len(), dim);
     for raw in plan.truncations() {
         let cut = Corruptor::truncate(&blob, raw);
-        assert_eq!(checkpoint::decode(&cut), Err(DecodeError::Truncated));
+        assert_eq!(
+            segment::decode_keyframe(&cut),
+            Err(SegmentDecodeError::Truncated)
+        );
     }
 
     // Unlearning on the faulted history: success or a typed error.

@@ -1,6 +1,6 @@
 //! Property-based tests over cross-crate invariants.
 
-use fuiov::storage::checkpoint;
+use fuiov::storage::segment;
 use fuiov::storage::GradientDirection;
 use fuiov::tensor::{solve, vector, Mat};
 use proptest::prelude::*;
@@ -60,9 +60,9 @@ proptest! {
     /// Checkpoints round-trip bit-exactly.
     #[test]
     fn checkpoint_roundtrip(params in prop::collection::vec(small_f32(), 0..300)) {
-        let buf = checkpoint::encode(&params);
-        let back = checkpoint::decode(&buf).expect("own encoding decodes");
-        prop_assert_eq!(back, params);
+        let buf = segment::encode_keyframe(3, &params);
+        let back = segment::decode_keyframe(&buf).expect("own encoding decodes");
+        prop_assert_eq!(back, (3, params));
     }
 
     /// LU solves of diagonally dominant systems have small residuals.

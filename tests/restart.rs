@@ -1,12 +1,12 @@
-//! Integration test: the server-restart story. The RSU serialises its
-//! history, restarts (decode), and serves an unlearning request from the
+//! Integration test: the server-restart story. The RSU writes its
+//! history file, restarts (decode), and serves an unlearning request from the
 //! restored record — producing bit-identical results to the live path.
 
 use fuiov::data::{partition::partition_iid, Dataset, DigitStyle};
 use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::storage::serialize::{decode_history, encode_history};
+use fuiov::storage::segment::{decode_history, encode_history};
 use fuiov::unlearn::{
     ingest_requests, JobConfig, JobLog, JobService, NoOracle, RecoveryConfig, Unlearner,
 };
@@ -53,7 +53,7 @@ fn recovery_from_restored_history_is_bit_identical() {
     let server = trained_server(31);
     let live_history = server.history();
 
-    let blob = encode_history(live_history);
+    let blob = encode_history(live_history).expect("live history encodes");
     let restored = decode_history(&blob).expect("own encoding decodes");
 
     let cfg = RecoveryConfig::new(0.01);
@@ -90,7 +90,7 @@ fn job_service_resumes_across_a_server_restart_bit_identically() {
         .forget_and_recover(3)
         .expect("live recovery");
 
-    let blob = encode_history(server.history());
+    let blob = encode_history(server.history()).expect("live history encodes");
     let log_path =
         std::env::temp_dir().join(format!("fuiov-restart-joblog-{}.seg", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
@@ -131,8 +131,8 @@ fn job_service_resumes_across_a_server_restart_bit_identically() {
 fn blob_keeps_the_storage_savings() {
     let server = trained_server(32);
     let h = server.history();
-    let blob = encode_history(h);
-    // The blob's gradient section stays 2-bit packed: total size is
+    let blob = encode_history(h).expect("live history encodes");
+    // The file's gradient records stay 2-bit packed: total size is
     // dominated by the f32 models, and is far below what full-f32
     // gradients would need.
     let full_equiv = h.full_gradient_bytes_equivalent() + h.model_bytes();
@@ -148,7 +148,7 @@ fn blob_keeps_the_storage_savings() {
 fn restored_history_preserves_churn_metadata() {
     let server = trained_server(33);
     let h = server.history();
-    let restored = decode_history(&encode_history(h)).unwrap();
+    let restored = decode_history(&encode_history(h).unwrap()).unwrap();
     assert_eq!(restored.join_round(3), Some(2));
     assert_eq!(restored.clients(), h.clients());
     for c in h.clients() {
