@@ -11,8 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fuiov_core::lbfgs::LbfgsApprox;
-use fuiov_core::{RoundScratch, StackedLbfgs};
-use fuiov_fl::aggregate::{aggregate, aggregate_refs};
+use fuiov_core::{stream_fedavg, RoundScratch, StackedLbfgs};
+use fuiov_fl::aggregate::aggregate;
 use fuiov_fl::AggregationRule;
 use fuiov_storage::GradientDirection;
 use fuiov_tensor::rng::rng_for;
@@ -176,10 +176,14 @@ fn bench_stack_kernels(c: &mut Criterion) {
         &mut scratch.rhs,
         &mut scratch.p,
     );
-    scratch.est.resize(clients * dim, 0.0);
+    // The corrections land in a one-block buffer, as in the streamed
+    // replay round: client `e` writes row `e mod CLIP_LANES`.
+    scratch.est.resize(vector::CLIP_LANES * dim, 0.0);
     group.bench_function(BenchmarkId::new("apply", "99x2x52138"), |b| {
         b.iter(|| {
-            for (entry, row) in scratch.est.chunks_mut(dim).enumerate() {
+            for entry in 0..clients {
+                let slot = entry % vector::CLIP_LANES;
+                let row = &mut scratch.est[slot * dim..(slot + 1) * dim];
                 stacked.accumulate_correction(entry, &scratch.ps, &v, row);
             }
             black_box(scratch.est[0])
@@ -252,12 +256,13 @@ fn bench_recovery_round(c: &mut Criterion) {
 }
 
 fn bench_batched_recovery_round(c: &mut Criterion) {
-    // The PR's headline comparison: one full recovery round — per-client
-    // direction decode + Eq. 6 HVP + clip + FedAvg — through the seed's
-    // per-client path (scalar sign decode, five-pass `hvp_reference`,
-    // owned estimate vectors) versus the batched engine (LUT decode, one
-    // fused stacked inbound sweep, zero-allocation scratch arena). Both
-    // paths are asserted bitwise identical before any timing.
+    // One full recovery round — per-client direction decode + Eq. 6 HVP
+    // + clip + FedAvg — through the per-client reference path (scalar
+    // sign decode, five-pass `hvp_reference`, owned estimate vectors)
+    // versus the batched engine as the replay round runs it (LUT decode,
+    // one fused stacked inbound sweep, then `stream_fedavg`: blocks of
+    // rows clipped and folded into FedAvg, no n × d matrix). Both paths
+    // are asserted bitwise identical before any timing.
     let dim = 13_692; // paper MNIST MLP size
     let n = 32usize;
     let dws = vec![random_vec(dim, 1), random_vec(dim, 2)];
@@ -305,19 +310,22 @@ fn bench_batched_recovery_round(c: &mut Criterion) {
             &mut scratch.rhs,
             &mut scratch.p,
         );
-        scratch.est.resize(n * dim, 0.0);
-        let est_buf = &mut scratch.est[..n * dim];
         let (stacked_ref, ps, dirs_ref) = (&stacked, &scratch.ps, &dirs);
-        pool::par_row_bands_weighted(est_buf, n, dim, dim, |rows, band| {
-            for (row, p) in band.chunks_mut(dim).zip(rows) {
+        stream_fedavg(
+            dim,
+            &weights,
+            1.0,
+            &mut scratch.est,
+            &mut scratch.acc64,
+            &mut scratch.agg,
+            |p, row| {
                 dirs_ref[p].decode_into(row);
                 let entry = stacked_ref.entry_for(p).expect("all clients stacked");
                 stacked_ref.accumulate_correction(entry, ps, &dw, row);
-                vector::clip_elementwise(row, 1.0);
-            }
-        });
-        let refs: Vec<&[f32]> = est_buf.chunks(dim).collect();
-        aggregate_refs(AggregationRule::FedAvg, &refs, &weights)
+            },
+            |_, _| {},
+        );
+        scratch.agg.clone()
     };
 
     // Differential gate before timing: the two rounds must agree bit for
@@ -379,7 +387,7 @@ fn bench_direction_decode(c: &mut Criterion) {
 }
 
 fn bench_simd_kernels(c: &mut Criterion) {
-    // The SIMD pass headline: each of the three vectorized kernels timed
+    // The SIMD pass headline: each of the vectorized kernels timed
     // with the dispatcher pinned to the AVX2 path versus the pinned scalar
     // reference. Every pair is asserted bitwise identical before any
     // timing — the speedup must measure the same computation. Pin the
@@ -420,6 +428,56 @@ fn bench_simd_kernels(c: &mut Criterion) {
         b.iter(|| {
             mat.row_dots_into(&v, &mut dots_fast);
             black_box(dots_fast.last().copied())
+        });
+    });
+
+    // -- the observed Eq. 7 clip pass over one replay block: four rows
+    // clamped at ±1 with both norms per row, lane-parallel versus the
+    // per-row scalar reference (the dispatcher pinned each way). Both
+    // sides copy the unclipped block back before every pass.
+    let lanes = vector::CLIP_LANES;
+    let block_in: Vec<f32> = random_vec(lanes * cols, 23)
+        .iter()
+        .map(|x| 2.0 * x)
+        .collect();
+    let mut block = block_in.clone();
+    let mut norms_fast = vec![(0.0f32, 0.0f32); lanes];
+    let mut norms_slow = norms_fast.clone();
+    vector::clip_elementwise_norms_rows(&mut block, cols, 1.0, &mut norms_fast);
+    let clipped_fast = block.clone();
+    block.copy_from_slice(&block_in);
+    simd::set_forced(Some(false));
+    vector::clip_elementwise_norms_rows(&mut block, cols, 1.0, &mut norms_slow);
+    let pair_bits = |ns: &[(f32, f32)]| -> Vec<(u32, u32)> {
+        ns.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+    };
+    assert_eq!(
+        pair_bits(&norms_fast),
+        pair_bits(&norms_slow),
+        "clip pass SIMD norms diverged from scalar"
+    );
+    assert_eq!(
+        clipped_fast
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<u32>>(),
+        block.iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
+        "clip pass SIMD values diverged from scalar"
+    );
+    group.throughput(Throughput::Elements((lanes * cols) as u64));
+    group.bench_function("clip_norms_scalar_4x52k", |b| {
+        b.iter(|| {
+            block.copy_from_slice(&block_in);
+            vector::clip_elementwise_norms_rows(&mut block, cols, 1.0, &mut norms_slow);
+            black_box(norms_slow[0])
+        });
+    });
+    simd::set_forced(Some(true));
+    group.bench_function("clip_norms_simd_4x52k", |b| {
+        b.iter(|| {
+            block.copy_from_slice(&block_in);
+            vector::clip_elementwise_norms_rows(&mut block, cols, 1.0, &mut norms_fast);
+            black_box(norms_fast[0])
         });
     });
 
@@ -581,18 +639,24 @@ fn bench_history_tiering(c: &mut Criterion) {
                 &mut scratch.rhs,
                 &mut scratch.p,
             );
-            scratch.est.resize(n * dim, 0.0);
-            let mut rows = 0;
-            for (row, (cid, dir)) in scratch.est.chunks_mut(dim).zip(view.directions()) {
-                dir.decode_into(row);
-                let entry = stacked.entry_for(cid).expect("all clients stacked");
-                stacked.accumulate_correction(entry, &scratch.ps, &dw_t, row);
-                vector::clip_elementwise(row, 1.0);
-                rows += 1;
-            }
-            let refs: Vec<&[f32]> = scratch.est.chunks(dim).take(rows).collect();
-            let agg = aggregate_refs(AggregationRule::FedAvg, &refs, &weights[..rows]);
-            vector::axpy(-0.05, &agg, &mut params);
+            let roster: Vec<_> = view.directions().collect();
+            let (ps, dw_ref) = (&scratch.ps, &dw_t);
+            stream_fedavg(
+                dim,
+                &weights[..roster.len()],
+                1.0,
+                &mut scratch.est,
+                &mut scratch.acc64,
+                &mut scratch.agg,
+                |p, row| {
+                    let (cid, dir) = &roster[p];
+                    dir.decode_into(row);
+                    let entry = stacked.entry_for(*cid).expect("all clients stacked");
+                    stacked.accumulate_correction(entry, ps, dw_ref, row);
+                },
+                |_, _| {},
+            );
+            vector::axpy(-0.05, &scratch.agg, &mut params);
         }
         params
     };

@@ -18,11 +18,16 @@
 //! 2. **Middle solves** — per client, the tiny `2sᵢ × 2sᵢ` factored system
 //!    is solved against its `ΔG` dots and the dots of its `ΔW` rows, read
 //!    by index (scratch recycled across clients).
-//! 3. **Fused outbound pass** — per client, `σv − ΔG·p₁ − σΔW·p₂` is
-//!    accumulated straight into that client's estimate row of the round
-//!    scratch, streaming the client's own `ΔG` rows and the shared `ΔW`
-//!    rows, which stay in cache across clients (the same kernel a lone
-//!    [`LbfgsApprox::hvp`] runs on its own rows).
+//! 3. **Streamed outbound pass** — [`stream_fedavg`] walks the roster a
+//!    block of rows at a time (four rows per pool worker): per client,
+//!    the stored direction is decoded into its row of the block and
+//!    `σv − ΔG·p₁ − σΔW·p₂` is accumulated onto it, streaming the
+//!    client's own `ΔG` rows and the shared `ΔW` rows, which stay in cache
+//!    across clients (the same kernel a lone [`LbfgsApprox::hvp`] runs on
+//!    its own rows). The block is then clipped (Eq. 7) in one
+//!    lane-parallel pass that also observes each row's norms, and folded
+//!    into one `f64` FedAvg accumulator in roster order. No `n × d`
+//!    estimate matrix exists: the block stays in L2 from decode to fold.
 //!
 //! **Bitwise identity.** Each stacked row's dot accumulates `f64`
 //! contributions in ascending element order with the `v[r] == 0.0` skip —
@@ -31,10 +36,13 @@
 //! with the same bits. The rhs rounds the `ΔW`-half to `f32` *before* the
 //! σ scaling (matching `tr_matvec` then `vector::scale`), the middle solve
 //! is the same [`Lu`] factorisation, and the outbound combination replays
-//! the per-element `scale` + `axpy` sequence of the per-client path. Every
-//! `f32` operation therefore happens in the same order with the same
-//! inputs, and the recovered model is bit-for-bit the per-client result at
-//! every thread count (see `tests/props.rs` and the frozen golden trace).
+//! the per-element `scale` + `axpy` sequence of the per-client path. The
+//! fold adds each element's clients in roster order from `+0.0`, which is
+//! [`vector::weighted_mean`]'s sequence however the roster is cut into
+//! blocks. Every floating-point operation therefore happens in the same
+//! order with the same inputs, and the recovered model is bit-for-bit the
+//! per-client result at every thread count (see `tests/props.rs` and the
+//! frozen golden trace).
 //!
 //! [`Mat::row_dots_into`]: fuiov_tensor::Mat::row_dots_into
 //! [`Mat::tr_matvec`]: fuiov_tensor::Mat::tr_matvec
@@ -44,7 +52,7 @@ use crate::lbfgs::LbfgsApprox;
 use fuiov_storage::ClientId;
 use fuiov_tensor::simd::AVec;
 use fuiov_tensor::solve::Lu;
-use fuiov_tensor::Mat;
+use fuiov_tensor::{pool, vector, Mat};
 use std::collections::HashMap;
 
 /// One client's entry in the stack.
@@ -555,6 +563,100 @@ pub fn fused_dots_multi(groups: &[(&StackedLbfgs, &[f32])], dots: &mut AVec) {
     });
 }
 
+/// Pass 3, streamed: every roster row's estimate is built, clipped
+/// (Eq. 7), observed and folded into FedAvg (Eq. 1) a block of rows at a
+/// time, so no `n × d` estimate matrix exists. Row `p`'s unclipped
+/// estimate is whatever `fill(p, row)` writes (the replay round decodes
+/// the stored direction, then adds the Eq. 6 correction); rows are
+/// `weights.len()` long in roster order.
+///
+/// Each block holds [`vector::CLIP_LANES`] × pool width rows in `est`.
+/// The pool fills the block's rows in bands, and each band clamps its
+/// rows at `±clip` in the same pass; with observation on, that pass is
+/// [`vector::clip_elementwise_norms_rows`], which records each row's
+/// pre- and post-clip norm and counts a clip activation when they differ.
+/// Then the block is folded into `acc` in roster order
+/// ([`vector::weighted_accumulate_rows`]), and `on_block(rows, block)`
+/// sees its clipped rows (the replay round's pair refresh). After the
+/// last block `agg[j] = (acc[j] / Σw) as f32`.
+///
+/// **Bitwise identity.** Each row is filled and clamped element by
+/// element, each norm is [`vector::l2_norm`]'s chain, and each
+/// `acc[j]` starts at `+0.0` and adds `f64(wᵢ)·f64(xᵢ[j])` over the whole
+/// roster in order, exactly [`vector::weighted_mean`]'s sequence, with
+/// `Σw` summed as it sums it. The aggregate is therefore bitwise the
+/// clipped matrix's `weighted_mean` at every pool width and block split.
+///
+/// # Panics
+///
+/// Panics if `weights` is empty or sums to zero, if `clip` is not
+/// strictly positive and finite, or if `fill` panics.
+#[allow(clippy::too_many_arguments)]
+pub fn stream_fedavg(
+    dim: usize,
+    weights: &[f32],
+    clip: f32,
+    est: &mut AVec,
+    acc: &mut Vec<f64>,
+    agg: &mut Vec<f32>,
+    fill: impl Fn(usize, &mut [f32]) + Sync,
+    mut on_block: impl FnMut(std::ops::Range<usize>, &[f32]),
+) {
+    assert!(!weights.is_empty(), "stream_fedavg: no rows");
+    let total: f64 = weights.iter().map(|w| f64::from(*w)).sum();
+    assert!(total != 0.0, "stream_fedavg: weights sum to zero");
+    acc.clear();
+    acc.resize(dim, 0.0);
+    let n = weights.len();
+    let block = vector::CLIP_LANES * pool::threads();
+    // Hoisted so the disabled path adds nothing inside the bands; when
+    // enabled, the clip pass also measures both norms, which is pure
+    // observation: the clipped rows are bitwise unchanged.
+    let obs_on = fuiov_obs::enabled();
+    let fill = &fill;
+    let mut start = 0;
+    while start < n {
+        let rows = block.min(n - start);
+        est.resize(rows * dim, 0.0);
+        let buf = &mut est[..rows * dim];
+        pool::par_row_bands_weighted(buf, rows, dim, dim, |band_rows, band| {
+            let nrows = band_rows.len();
+            for (i, p) in band_rows.enumerate() {
+                fill(start + p, &mut band[i * dim..(i + 1) * dim]);
+            }
+            if obs_on {
+                clip_and_observe(band, nrows, dim, clip);
+            } else {
+                vector::clip_elementwise(band, clip);
+            }
+        });
+        vector::weighted_accumulate_rows(buf, &weights[start..start + rows], acc);
+        on_block(start..start + rows, buf);
+        start += rows;
+    }
+    agg.clear();
+    agg.extend(acc.iter().map(|a| (a / total) as f32));
+}
+
+/// The observed clip pass over `rows` rows of `band`, one lane group at a
+/// time: clamps, then records each row's pre- and post-clip norm and
+/// counts the rows the clamp changed.
+fn clip_and_observe(band: &mut [f32], rows: usize, dim: usize, clip: f32) {
+    let mut norms = [(0.0f32, 0.0f32); vector::CLIP_LANES];
+    for first in (0..rows).step_by(vector::CLIP_LANES) {
+        let k = vector::CLIP_LANES.min(rows - first);
+        let group = &mut band[first * dim..(first + k) * dim];
+        vector::clip_elementwise_norms_rows(group, dim, clip, &mut norms[..k]);
+        for &(pre, post) in &norms[..k] {
+            fuiov_obs::histogram!("core.clip_pre_norm_micros").observe_scaled(pre as f64);
+            fuiov_obs::histogram!("core.clip_post_norm_micros").observe_scaled(post as f64);
+            if post.to_bits() != pre.to_bits() {
+                fuiov_obs::counter!("core.clip_activations").inc();
+            }
+        }
+    }
+}
+
 /// Reusable per-recovery scratch arena: every `d`-length (and `Σ2s`-length)
 /// temporary the replay loop needs, allocated once per recovery and
 /// recycled across all rounds and clients.
@@ -571,14 +673,20 @@ pub struct RoundScratch {
     pub rhs: Vec<f32>,
     /// `2s`-length solution scratch for the middle solves.
     pub p: Vec<f32>,
-    /// Row-major `n × d` estimate matrix (one row per remaining client),
-    /// 64-byte aligned so every estimate row's SIMD accumulation starts
-    /// on a cache-line boundary when `dim % 16 == 0`.
+    /// Row-major estimate rows, 64-byte aligned so each row starts on a
+    /// cache-line boundary when `dim % 16 == 0`. The replay round
+    /// ([`stream_fedavg`]) keeps one block of rows here, lanes × pool
+    /// width (4 × d at width 1); `fuiov-baselines`' FedRecover keeps its
+    /// whole `n × d` estimate matrix here.
     pub est: AVec,
     /// Decoded stored direction of the client being refreshed.
     pub stored: Vec<f32>,
-    /// `f64` accumulator reused by lr calibration windows.
+    /// The replay round's `f64` FedAvg accumulator (`d` slots), which
+    /// [`stream_fedavg`] folds every block into.
     pub acc64: Vec<f64>,
+    /// The replay round's aggregate `Σ wᵢ·xᵢ / Σ wᵢ` (`d` slots), written
+    /// by [`stream_fedavg`].
+    pub agg: Vec<f32>,
 }
 
 impl RoundScratch {
@@ -697,6 +805,59 @@ mod tests {
             &mut scratch.p,
         );
         assert!(scratch.ps.is_empty());
+    }
+
+    #[test]
+    fn streamed_fedavg_is_the_clipped_matrix_weighted_mean() {
+        // Roster lengths around the lane width and pool widths 1–3, with
+        // observation on and off: the aggregate must be `weighted_mean`
+        // of the clipped rows bit for bit, and `on_block` must see every
+        // clipped row once, in roster order.
+        let _g = fuiov_obs::test_lock();
+        let dim = 37;
+        let clip = 0.9;
+        for n in [1usize, 3, 4, 5, 9, 13] {
+            let rows: Vec<Vec<f32>> = (0..n)
+                .map(|p| {
+                    (0..dim)
+                        .map(|j| ((p * 31 + j * 7) % 23) as f32 * 0.11 - 1.2)
+                        .collect()
+                })
+                .collect();
+            let weights: Vec<f32> = (0..n).map(|p| 1.0 + 0.25 * p as f32).collect();
+            let clipped: Vec<Vec<f32>> = rows
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    vector::clip_elementwise(&mut r, clip);
+                    r
+                })
+                .collect();
+            let refs: Vec<&[f32]> = clipped.iter().map(Vec::as_slice).collect();
+            let expect = vector::weighted_mean(&refs, &weights);
+            for (threads, obs) in [(1, true), (2, false), (3, true), (3, false)] {
+                fuiov_obs::set_enabled(obs);
+                pool::set_threads(threads);
+                let mut scratch = RoundScratch::new();
+                let mut seen = Vec::new();
+                stream_fedavg(
+                    dim,
+                    &weights,
+                    clip,
+                    &mut scratch.est,
+                    &mut scratch.acc64,
+                    &mut scratch.agg,
+                    |p, row| row.copy_from_slice(&rows[p]),
+                    |range, block| seen.extend(range.zip(block.chunks(dim).map(<[f32]>::to_vec))),
+                );
+                pool::set_threads(0);
+                fuiov_obs::set_enabled(true);
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scratch.agg), bits(&expect), "n {n} width {threads}");
+                let want: Vec<(usize, Vec<f32>)> = clipped.iter().cloned().enumerate().collect();
+                assert_eq!(seen, want, "n {n} width {threads}");
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod unlearner;
 pub mod verify;
 
 pub use backtrack::{backtrack, backtrack_set, BacktrackResult};
-pub use batch::{fused_dots_multi, RoundScratch, StackedLbfgs};
+pub use batch::{fused_dots_multi, stream_fedavg, RoundScratch, StackedLbfgs};
 pub use error::UnlearnError;
 pub use jobs::{ingest_requests, JobConfig, JobId, JobLog, JobService, LoggedCheckpoint};
 pub use lbfgs::{LbfgsApprox, LbfgsError, PairBuffer};

@@ -21,13 +21,11 @@
 //! the federation) and refreshed periodically from recovered information
 //! as replay proceeds.
 
-use crate::batch::{RoundScratch, StackedLbfgs};
+use crate::batch::{self, RoundScratch, StackedLbfgs};
 use crate::error::UnlearnError;
 use crate::lbfgs::{LbfgsApprox, PairBuffer};
-use fuiov_fl::aggregate::aggregate_refs;
-use fuiov_fl::config::AggregationRule;
 use fuiov_storage::{ClientId, HistoryStore, Round};
-use fuiov_tensor::{pool, vector};
+use fuiov_tensor::vector;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,8 +43,6 @@ pub struct RecoveryConfig {
     /// Refresh the vector pairs every this many replayed rounds (paper
     /// default 21).
     pub pair_refresh_interval: usize,
-    /// Aggregation rule (the paper recovers with FedAvg).
-    pub aggregation: AggregationRule,
     /// Apply the L-BFGS Hessian correction of Eq. 6. Disabling degrades
     /// the estimate to a raw sign-replay (`ḡᵗᵢ = gᵗᵢ`) — the ablation the
     /// DESIGN.md design-choices section calls out.
@@ -81,7 +77,6 @@ impl RecoveryConfig {
             clip_threshold: 1.0,
             buffer_size: 2,
             pair_refresh_interval: 21,
-            aggregation: AggregationRule::FedAvg,
             hessian_correction: true,
             interpolate_missing_models: false,
             // Off by default: the paper refreshes on a fixed interval, and
@@ -146,12 +141,6 @@ impl RecoveryConfig {
             "RecoveryConfig: refresh interval must be positive"
         );
         self.pair_refresh_interval = rounds;
-        self
-    }
-
-    /// Sets the aggregation rule used during replay.
-    pub fn aggregation(mut self, rule: AggregationRule) -> Self {
-        self.aggregation = rule;
         self
     }
 }
@@ -651,8 +640,30 @@ impl ReplayState {
 
         self.flush_stack();
 
+        // ---- Vector-pair refresh decision: periodic, plus the §IV-B
+        // adaptive trigger when the recovered trajectory keeps drifting
+        // away from the historical one. It reads only w̄ₜ − wₜ and the
+        // run state, so it is taken before the client loop, whose blocks
+        // then push the refreshed pairs inline. ----
+        let dw_norm = vector::l2_norm(&scratch.dw_t);
+        if dw_norm > self.prev_dw_norm {
+            self.growth_run += 1;
+        } else {
+            self.growth_run = 0;
+        }
+        self.prev_dw_norm = dw_norm;
+        let diverging = config
+            .divergence_patience
+            .is_some_and(|patience| self.growth_run >= patience);
+        let replayed = t - self.f_round + 1;
+        let refresh =
+            (replayed.is_multiple_of(config.pair_refresh_interval) || diverging) && dw_norm > 1e-12;
+        if refresh && diverging {
+            self.growth_run = 0;
+        }
+
         // Round roster in fixed `remaining` (ascending client) order — the
-        // aggregation below consumes estimate rows in exactly this order,
+        // aggregation below folds estimate rows in exactly this order,
         // so the recovered model is bitwise identical at any pool width
         // (DESIGN.md §5).
         self.roster.clear();
@@ -709,104 +720,74 @@ impl ReplayState {
                     .solve_middles(dots, &mut scratch.ps, &mut scratch.rhs, &mut scratch.p);
             }
 
-            // Pass 3: decode + correction + clip straight into each
-            // client's row of the flat estimate matrix. Rows are disjoint
-            // and each is computed element-for-element like the per-client
-            // path, so any banding keeps the result bitwise identical.
-            scratch.est.resize(n_part * dim, 0.0);
-            let est_buf = &mut scratch.est[..n_part * dim];
-            let (stacked_ref, dw_t, ps) = (&self.stacked, &scratch.dw_t, &scratch.ps);
-            let (roster_ref, view_ref) = (&self.roster, &view);
-            // Hoisted so the disabled path adds nothing inside the bands;
-            // when enabled, the clip pass also accumulates both norms —
-            // pure observation, the clipped rows are bitwise unchanged.
-            let obs_on = fuiov_obs::enabled();
-            pool::par_row_bands_weighted(est_buf, n_part, dim, dim, |rows, band| {
-                for (row, p) in band.chunks_mut(dim).zip(rows) {
-                    let (client, entry) = roster_ref[p];
-                    let dir = view_ref.direction(client).expect("roster checked");
+            // Pass 3, streamed a block of rows at a time: decode and
+            // correct each row, clip (and observe) the block, fold it into
+            // FedAvg, and on a refresh round push each in-scope client's
+            // pair from its clipped row. The stack copied its rows, so an
+            // approximation rebuilt mid-round cannot touch this round.
+            // The round's ΔW = w̄ₜ − wₜ is one row, made by the first
+            // client that pushes a pair and shared by every other; each
+            // client's ΔG is a row of its own.
+            let mut dw_row: Option<Arc<[f32]>> = None;
+            batch::stream_fedavg(
+                dim,
+                &self.weights,
+                config.clip_threshold,
+                &mut scratch.est,
+                &mut scratch.acc64,
+                &mut scratch.agg,
+                |p, row| {
+                    let (client, entry) = self.roster[p];
+                    let dir = view.direction(client).expect("roster checked");
                     dir.decode_into(row);
                     if let Some(e) = entry {
-                        stacked_ref.accumulate_correction(e, ps, dw_t, row);
+                        self.stacked
+                            .accumulate_correction(e, &scratch.ps, &scratch.dw_t, row);
                     }
-                    if obs_on {
-                        let (pre, post) =
-                            vector::clip_elementwise_norms(row, config.clip_threshold);
-                        fuiov_obs::histogram!("core.clip_pre_norm_micros")
-                            .observe_scaled(pre as f64);
-                        fuiov_obs::histogram!("core.clip_post_norm_micros")
-                            .observe_scaled(post as f64);
-                        if post.to_bits() != pre.to_bits() {
-                            fuiov_obs::counter!("core.clip_activations").inc();
+                },
+                |rows, block| {
+                    if !refresh {
+                        return;
+                    }
+                    for (i, p) in rows.enumerate() {
+                        let client = self.roster[p].0;
+                        // Sibling replays carry no recovered information
+                        // to learn from (their estimate IS the stored
+                        // direction).
+                        if self
+                            .scope
+                            .as_ref()
+                            .is_some_and(|s| s.binary_search(&client).is_err())
+                        {
+                            continue;
                         }
-                    } else {
-                        vector::clip_elementwise(row, config.clip_threshold);
+                        let est = &block[i * dim..(i + 1) * dim];
+                        scratch.stored.resize(dim, 0.0);
+                        let dir = view.direction(client).expect("roster checked");
+                        dir.decode_into(&mut scratch.stored);
+                        let dg = vector::sub(est, &scratch.stored);
+                        if vector::l2_norm(&dg) <= 1e-12 {
+                            continue; // clipped estimate identical to history: no info
+                        }
+                        let dw = dw_row
+                            .get_or_insert_with(|| Arc::from(&scratch.dw_t[..]))
+                            .clone();
+                        let buf = self
+                            .buffers
+                            .entry(client)
+                            .or_insert_with(|| PairBuffer::new(config.buffer_size));
+                        buf.push(dw, dg);
+                        fuiov_obs::counter!("core.pair_refreshes").inc();
+                        if let Ok(approx) = buf.approximation() {
+                            self.approxes.insert(client, approx);
+                            self.stacked_dirty = true;
+                        }
+                        // On failure keep the previous approximation.
                     }
-                }
-            });
-
-            let refs: Vec<&[f32]> = est_buf.chunks(dim).collect();
-            let agg = aggregate_refs(config.aggregation, &refs, &self.weights);
-            vector::axpy(-config.lr, &agg, &mut self.params);
-            self.update_norms.push(vector::l2_norm(&agg));
-        }
-
-        // ---- Vector-pair refresh: periodic, plus the §IV-B adaptive
-        // trigger when the recovered trajectory keeps drifting away from
-        // the historical one. ----
-        let dw_norm = vector::l2_norm(&scratch.dw_t);
-        if dw_norm > self.prev_dw_norm {
-            self.growth_run += 1;
-        } else {
-            self.growth_run = 0;
-        }
-        self.prev_dw_norm = dw_norm;
-        let diverging = config
-            .divergence_patience
-            .is_some_and(|patience| self.growth_run >= patience);
-        let replayed = t - self.f_round + 1;
-        if (replayed.is_multiple_of(config.pair_refresh_interval) || diverging) && dw_norm > 1e-12 {
-            if diverging {
-                self.growth_run = 0;
-            }
-            // The clipped estimates live as rows of the scratch estimate
-            // matrix (aligned with `roster`). The round's ΔW = w̄ₜ − wₜ is
-            // one row, made by the first client that pushes a pair and
-            // shared by every other; each client's ΔG is a row of its own.
-            let mut dw_row: Option<Arc<[f32]>> = None;
-            for (p, (client, _)) in self.roster.iter().enumerate() {
-                // Sibling replays carry no recovered information to learn
-                // from (their estimate IS the stored direction).
-                if self
-                    .scope
-                    .as_ref()
-                    .is_some_and(|s| s.binary_search(client).is_err())
-                {
-                    continue;
-                }
-                let est = &scratch.est[p * dim..(p + 1) * dim];
-                scratch.stored.resize(dim, 0.0);
-                let dir = view.direction(*client).expect("roster checked");
-                dir.decode_into(&mut scratch.stored);
-                let dg = vector::sub(est, &scratch.stored);
-                if vector::l2_norm(&dg) <= 1e-12 {
-                    continue; // clipped estimate identical to history: no info
-                }
-                let dw = dw_row
-                    .get_or_insert_with(|| Arc::from(&scratch.dw_t[..]))
-                    .clone();
-                let buf = self
-                    .buffers
-                    .entry(*client)
-                    .or_insert_with(|| PairBuffer::new(config.buffer_size));
-                buf.push(dw, dg);
-                fuiov_obs::counter!("core.pair_refreshes").inc();
-                if let Ok(approx) = buf.approximation() {
-                    self.approxes.insert(*client, approx);
-                    self.stacked_dirty = true;
-                }
-                // On failure keep the previous approximation.
-            }
+                },
+            );
+            vector::axpy(-config.lr, &scratch.agg, &mut self.params);
+            self.update_norms.push(vector::l2_norm(&scratch.agg));
         }
 
         fuiov_obs::counter!("core.replay_rounds").inc();
@@ -1249,6 +1230,36 @@ mod tests {
     }
 
     #[test]
+    fn zero_dimension_history_recovers_empty_params() {
+        // Models and directions of length 0 (the decoder refuses such a
+        // file, but an in-memory store can hold one): replay must finish
+        // with empty params, never split a zero-length row.
+        let mut h = HistoryStore::new(1e-6);
+        for c in 0..3 {
+            h.record_join(c, if c == 1 { 2 } else { 0 });
+        }
+        for t in 0..6 {
+            h.record_model(t, Vec::new());
+            for c in 0..3 {
+                if c != 1 || t >= 2 {
+                    h.record_gradient(t, c, &[]);
+                }
+            }
+        }
+        h.record_model(6, Vec::new());
+        let cfg = RecoveryConfig::new(0.1).pair_refresh_interval(2);
+        for threads in [1, 3] {
+            fuiov_tensor::pool::set_threads(threads);
+            let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {});
+            fuiov_tensor::pool::set_threads(0);
+            let out = out.expect("zero-dimension replay completes");
+            assert!(out.params.is_empty());
+            assert_eq!(out.rounds_replayed, 4);
+            assert_eq!(out.update_norms.len(), 4);
+        }
+    }
+
+    #[test]
     fn calibrate_lr_recovers_known_step_ratio() {
         // History where each round moves every weight by exactly 0.01 and
         // every stored sign element is ±1 from a single client: the
@@ -1341,8 +1352,7 @@ mod tests {
         let cfg = RecoveryConfig::new(0.1)
             .clip_threshold(2.0)
             .buffer_size(3)
-            .pair_refresh_interval(5)
-            .aggregation(AggregationRule::CoordinateMedian);
+            .pair_refresh_interval(5);
         assert_eq!(cfg.buffer_size, 3);
         assert_eq!(cfg.pair_refresh_interval, 5);
         assert_eq!(cfg.clip_threshold, 2.0);

@@ -8,15 +8,21 @@
 //! the clients' pair sets overlap in every pattern. The recovered model
 //! and its update norms are pinned for the one-shot replay, and the same
 //! job must reproduce them when it is resumed at every checkpoint
-//! boundary, from memory and from a reopened log.
+//! boundary, from memory and from a reopened log. The random masks also
+//! vary the roster length from round to round, so replay blocks end in
+//! tails of every length; the clip observations (pre- and post-clip norm
+//! histograms and clip activations) are pinned too, at pool widths 1 and
+//! 3, and the recovered bits must not depend on whether observation is
+//! on.
 //!
 //! Run with `FUIOV_PIN_PRINT=1 cargo test -p fuiov-core --test
 //! participation_pins -- --nocapture` to print the values.
 
 use fuiov_core::jobs::{JobConfig, JobLog, JobService};
 use fuiov_core::{recover_set, NoOracle, RecoveryConfig, RecoveryOutcome};
+use fuiov_obs::Snapshot;
 use fuiov_storage::{segment, ClientId, HistoryStore};
-use fuiov_tensor::vector;
+use fuiov_tensor::{pool, vector};
 use std::path::PathBuf;
 
 const DIM: usize = 131;
@@ -220,6 +226,9 @@ fn pinned_values(case: &Case, h: &HistoryStore) -> (u64, u64, u64) {
 
 #[test]
 fn ragged_participation_replay_is_pinned() {
+    // Every test here holds the obs lock, so the observation pins below
+    // see only their own run's counts.
+    let _lock = fuiov_obs::test_lock();
     for case in &CASES {
         let h = history(case.seed);
         let got = pinned_values(case, &h);
@@ -238,6 +247,7 @@ fn ragged_participation_replay_is_pinned() {
 
 #[test]
 fn preempting_at_every_boundary_reproduces_the_pins() {
+    let _lock = fuiov_obs::test_lock();
     for case in &CASES {
         let h = history(case.seed);
         let mut svc = JobService::new(JobConfig::new(config(case)).checkpoint_interval(1));
@@ -259,6 +269,7 @@ fn preempting_at_every_boundary_reproduces_the_pins() {
 
 #[test]
 fn crashing_at_every_step_and_reopening_the_log_reproduces_the_pins() {
+    let _lock = fuiov_obs::test_lock();
     for case in &CASES {
         let h = history(case.seed);
         let cfg = || JobConfig::new(config(case)).checkpoint_interval(2);
@@ -296,6 +307,71 @@ fn crashing_at_every_step_and_reopening_the_log_reproduces_the_pins() {
                 got,
                 (case.params_fnv, case.norms_fnv),
                 "seed {} kill_at {kill_at}",
+                case.seed
+            );
+        }
+    }
+}
+
+/// One federation's clip observations with obs on: `(count, sum)` of
+/// `core.clip_pre_norm_micros` and of `core.clip_post_norm_micros`, and
+/// `core.clip_activations`.
+type ObsPin = ((u64, u64), (u64, u64), u64);
+
+/// Parallel to `CASES`.
+const OBS_PINS: [ObsPin; 3] = [
+    ((115, 2014907734), (115, 1103867231), 78),
+    ((108, 3175684930), (108, 908540458), 101),
+    ((123, 1350681679), (123, 1192459686), 120),
+];
+
+#[test]
+fn clip_observations_are_pinned_at_widths_1_and_3() {
+    let _lock = fuiov_obs::test_lock();
+    for (case, pin) in CASES.iter().zip(&OBS_PINS) {
+        let h = history(case.seed);
+        let cfg = config(case);
+        for width in [1, 3] {
+            pool::set_threads(width);
+            fuiov_obs::set_enabled(true);
+            let before = Snapshot::capture();
+            let observed =
+                recover_set(&h, &[FORGOTTEN], &cfg, &mut NoOracle, |_, _| {}).expect("recovers");
+            let window = Snapshot::capture().delta(&before);
+            fuiov_obs::set_enabled(false);
+            let silent =
+                recover_set(&h, &[FORGOTTEN], &cfg, &mut NoOracle, |_, _| {}).expect("recovers");
+            fuiov_obs::set_enabled(true);
+            pool::set_threads(0);
+            let hist = |name: &str| {
+                window
+                    .histogram(name)
+                    .map_or((0, 0), |hs| (hs.count, hs.sum))
+            };
+            let got = (
+                hist("core.clip_pre_norm_micros"),
+                hist("core.clip_post_norm_micros"),
+                window.counter("core.clip_activations"),
+            );
+            assert_eq!(
+                fnvs(&silent),
+                fnvs(&observed),
+                "seed {} width {width}: observation moved the recovered bits",
+                case.seed
+            );
+            if std::env::var("FUIOV_PIN_PRINT").is_ok() {
+                println!("PIN obs seed {} width {width}: {got:?}", case.seed);
+                continue;
+            }
+            assert_eq!(
+                fnvs(&observed),
+                (case.params_fnv, case.norms_fnv),
+                "seed {} width {width}",
+                case.seed
+            );
+            assert_eq!(
+                got, *pin,
+                "clip observations moved at seed {} width {width}",
                 case.seed
             );
         }

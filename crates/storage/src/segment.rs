@@ -172,8 +172,9 @@ pub enum SegmentDecodeError {
     Io(String),
     /// Sealed records that contradict each other or what the store
     /// accepts: a negative or NaN δ, a model or direction of another
-    /// dimension, a weight that is not positive and finite, a roster of
-    /// the wrong length, or bytes after the last declared record.
+    /// dimension or of none at all, a weight that is not positive and
+    /// finite, a roster of the wrong length, or bytes after the last
+    /// declared record.
     Inconsistent(&'static str),
 }
 
@@ -640,8 +641,8 @@ fn next_record<'a>(stream: &mut &'a [u8]) -> &'a [u8] {
 /// ends before the roster's declared record count, even at a record
 /// boundary; `BadKind` for a first record that is not a roster or a later
 /// one that is neither a keyframe nor directions; `Inconsistent` for
-/// contradictions the store would assert on and for bytes after the last
-/// declared record. No input makes it panic, and it reserves nothing from
+/// contradictions the store would assert on, for a model or direction of
+/// length 0, and for bytes after the last declared record. No input makes it panic, and it reserves nothing from
 /// a count field.
 pub fn decode_history(mut stream: &[u8]) -> Result<HistoryStore, SegmentDecodeError> {
     let (kind, count, n_clients, mut payload) = check_record(next_record(&mut stream))?;
@@ -673,9 +674,13 @@ pub fn decode_history(mut stream: &[u8]) -> Result<HistoryStore, SegmentDecodeEr
         }
         h.set_weight(client, weight);
     }
-    // The store asserts one dimension for every model and direction.
+    // The store asserts one dimension for every model and direction, and
+    // recovery needs at least one parameter.
     let mut dim = None;
     let mut check_dim = |len: usize| {
+        if len == 0 {
+            return Err(SegmentDecodeError::Inconsistent("zero-dimension model"));
+        }
         (*dim.get_or_insert(len) == len)
             .then_some(())
             .ok_or(SegmentDecodeError::Inconsistent("dimension mismatch"))

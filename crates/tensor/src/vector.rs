@@ -208,14 +208,184 @@ pub fn clip_elementwise_norms(x: &mut [f32], l: f32) -> (f32, f32) {
         l > 0.0 && l.is_finite(),
         "clip_elementwise: threshold must be positive"
     );
-    let mut pre = -0.0f64;
-    let mut post = -0.0f64;
+    clip_norms_from(x, l, -0.0, -0.0)
+}
+
+/// The chains of [`clip_elementwise_norms`] continued over `x`: clamps
+/// every element and adds its square before and after to `pre` and
+/// `post`, then takes both square roots. The SIMD lane pass re-enters
+/// here for each row's column tail with its lane accumulators, so every
+/// row stays one unbroken chain.
+fn clip_norms_from(x: &mut [f32], l: f32, mut pre: f64, mut post: f64) -> (f32, f32) {
     for v in x {
         pre += f64::from(*v) * f64::from(*v);
         *v = v.clamp(-l, l);
         post += f64::from(*v) * f64::from(*v);
     }
     (pre.sqrt() as f32, post.sqrt() as f32)
+}
+
+/// Rows per pass of [`clip_elementwise_norms_rows`]'s lane-parallel
+/// kernel: one `f64` lane per row in a 256-bit register.
+pub const CLIP_LANES: usize = 4;
+
+/// [`clip_elementwise_norms`] over a block of rows: `x` holds
+/// `norms.len()` consecutive rows of `dim` elements, each is clamped in
+/// place, and `norms[i]` receives row `i`'s `(‖x‖₂ before, ‖x‖₂ after)`.
+///
+/// Every row's result is bitwise [`clip_elementwise_norms`] of that row,
+/// which is the scalar reference. On AVX2 hosts
+/// ([`crate::simd::enabled`]) rows go [`CLIP_LANES`] at a time through
+/// one pass with one `f64` lane per row: each 4×8 tile is clamped
+/// (`max(−L, x)` then `min(L, ·)`, which is `f32::clamp` on NaN and ±0.0
+/// too), stored back, and transposed so the rows' pre- and post-clip
+/// chains each advance one element per step in ascending order. Four
+/// serial chains then run side by side instead of one. Rows past the last
+/// full lane group, and each row's elements past the last group of eight,
+/// take the scalar path.
+///
+/// # Panics
+///
+/// Panics if `l` is not strictly positive and finite, or if
+/// `x.len() != norms.len() * dim`.
+///
+/// ```
+/// let mut rows = vec![3.0, -4.0, 0.5, 0.5];
+/// let mut norms = [(0.0, 0.0); 2];
+/// fuiov_tensor::vector::clip_elementwise_norms_rows(&mut rows, 2, 1.0, &mut norms);
+/// assert_eq!(norms[0], (5.0, 2.0f32.sqrt()));
+/// assert_eq!(rows, vec![1.0, -1.0, 0.5, 0.5]);
+/// ```
+pub fn clip_elementwise_norms_rows(x: &mut [f32], dim: usize, l: f32, norms: &mut [(f32, f32)]) {
+    assert!(
+        l > 0.0 && l.is_finite(),
+        "clip_elementwise: threshold must be positive"
+    );
+    assert_eq!(
+        x.len(),
+        norms.len() * dim,
+        "clip_elementwise_norms_rows: block size mismatch"
+    );
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        // SAFETY: `simd::enabled()` implies the AVX2 probe passed, and the
+        // block holds `norms.len()` rows of `dim` elements.
+        done = unsafe { x86::clip_norms_lanes_avx2(x, dim, l, norms) };
+    }
+    for (i, slot) in norms.iter_mut().enumerate().skip(done) {
+        *slot = clip_elementwise_norms(&mut x[i * dim..(i + 1) * dim], l);
+    }
+}
+
+/// The AVX2 lane pass of [`clip_elementwise_norms_rows`]. Only compiled on
+/// `x86_64`, only executed when `crate::simd::enabled()` says the probe
+/// passed, and bound by the bitwise contract of `crate::simd`. A norm is
+/// one serial `f64` chain whose order defines its bits, so a lane is a
+/// whole row's chain (lane = row), never a slice of one chain; this is
+/// the layout of the row-dots sweep in `matrix.rs`, applied to the clip.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{clip_norms_from, CLIP_LANES};
+    use std::arch::x86_64::*;
+
+    /// Clamps and measures the block's full lane groups, returning how
+    /// many rows it covered (a multiple of [`CLIP_LANES`]).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `x.len() == norms.len() * dim`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn clip_norms_lanes_avx2(
+        x: &mut [f32],
+        dim: usize,
+        l: f32,
+        norms: &mut [(f32, f32)],
+    ) -> usize {
+        let groups = norms.len() / CLIP_LANES;
+        let lo = _mm256_set1_ps(-l);
+        let hi = _mm256_set1_ps(l);
+        for g in 0..groups {
+            let base = x.as_mut_ptr().add(g * CLIP_LANES * dim);
+            let rows = [base, base.add(dim), base.add(2 * dim), base.add(3 * dim)];
+            let mut pre = _mm256_set1_pd(-0.0);
+            let mut post = _mm256_set1_pd(-0.0);
+            let mut j = 0;
+            while j + 8 <= dim {
+                let r0 = _mm256_loadu_ps(rows[0].add(j));
+                let r1 = _mm256_loadu_ps(rows[1].add(j));
+                let r2 = _mm256_loadu_ps(rows[2].add(j));
+                let r3 = _mm256_loadu_ps(rows[3].add(j));
+                // max(lo, x) keeps x when x is NaN or not below −L, and
+                // min(hi, ·) keeps it when NaN or not above L: exactly
+                // `f32::clamp`, NaN and ±0.0 included.
+                let c0 = _mm256_min_ps(hi, _mm256_max_ps(lo, r0));
+                let c1 = _mm256_min_ps(hi, _mm256_max_ps(lo, r1));
+                let c2 = _mm256_min_ps(hi, _mm256_max_ps(lo, r2));
+                let c3 = _mm256_min_ps(hi, _mm256_max_ps(lo, r3));
+                _mm256_storeu_ps(rows[0].add(j), c0);
+                _mm256_storeu_ps(rows[1].add(j), c1);
+                _mm256_storeu_ps(rows[2].add(j), c2);
+                _mm256_storeu_ps(rows[3].add(j), c3);
+                pre = add_squares(pre, r0, r1, r2, r3);
+                post = add_squares(post, c0, c1, c2, c3);
+                j += 8;
+            }
+            let mut pre_lanes = [0.0f64; CLIP_LANES];
+            let mut post_lanes = [0.0f64; CLIP_LANES];
+            _mm256_storeu_pd(pre_lanes.as_mut_ptr(), pre);
+            _mm256_storeu_pd(post_lanes.as_mut_ptr(), post);
+            for (k, &row) in rows.iter().enumerate() {
+                let tail = std::slice::from_raw_parts_mut(row.add(j), dim - j);
+                norms[g * CLIP_LANES + k] = clip_norms_from(tail, l, pre_lanes[k], post_lanes[k]);
+            }
+        }
+        groups * CLIP_LANES
+    }
+
+    /// Advances four row chains by eight elements: the 4×8 tile is
+    /// transposed in registers (`unpack`, `shuffle`) into one vector per
+    /// column whose lanes are the rows, then each column's `f64` squares
+    /// are added in ascending column order, `acc + x·x` as in the scalar
+    /// chain.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_squares(
+        mut acc: __m256d,
+        r0: __m256,
+        r1: __m256,
+        r2: __m256,
+        r3: __m256,
+    ) -> __m256d {
+        let t0 = _mm256_unpacklo_ps(r0, r1);
+        let t1 = _mm256_unpackhi_ps(r0, r1);
+        let t2 = _mm256_unpacklo_ps(r2, r3);
+        let t3 = _mm256_unpackhi_ps(r2, r3);
+        // Low halves hold columns 0–3, high halves columns 4–7.
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let columns = [
+            _mm256_castps256_ps128(s0),
+            _mm256_castps256_ps128(s1),
+            _mm256_castps256_ps128(s2),
+            _mm256_castps256_ps128(s3),
+            _mm256_extractf128_ps::<1>(s0),
+            _mm256_extractf128_ps::<1>(s1),
+            _mm256_extractf128_ps::<1>(s2),
+            _mm256_extractf128_ps::<1>(s3),
+        ];
+        for column in columns {
+            let v = _mm256_cvtps_pd(column);
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+        }
+        acc
+    }
 }
 
 /// Element-wise sign with a dead-zone threshold `δ ≥ 0` (the paper's §IV
@@ -323,6 +493,50 @@ pub fn weighted_mean_into(
     }
     out.clear();
     out.extend(acc.iter().map(|a| (a / total) as f32));
+}
+
+/// The accumulation of [`weighted_mean`] over a block of rows: `rows`
+/// holds `weights.len()` consecutive rows of `acc.len()` elements, and
+/// each element gets `acc[j] += f64(wᵢ) · f64(xᵢ[j])` for the rows in
+/// order. Folding a roster block by block into one accumulator that
+/// starts at `+0.0` therefore repeats `weighted_mean`'s per-element
+/// sequence exactly; four rows share each read and write of `acc`.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != weights.len() * acc.len()`.
+pub fn weighted_accumulate_rows(rows: &[f32], weights: &[f32], acc: &mut [f64]) {
+    let dim = acc.len();
+    assert_eq!(
+        rows.len(),
+        weights.len() * dim,
+        "weighted_accumulate_rows: block size mismatch"
+    );
+    let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+    let mut i = 0;
+    while i + 4 <= weights.len() {
+        let w: [f64; 4] = std::array::from_fn(|k| f64::from(weights[i + k]));
+        for ((((a, &x0), &x1), &x2), &x3) in acc
+            .iter_mut()
+            .zip(row(i))
+            .zip(row(i + 1))
+            .zip(row(i + 2))
+            .zip(row(i + 3))
+        {
+            let mut s = *a;
+            s += w[0] * f64::from(x0);
+            s += w[1] * f64::from(x1);
+            s += w[2] * f64::from(x2);
+            s += w[3] * f64::from(x3);
+            *a = s;
+        }
+        i += 4;
+    }
+    for (k, &w) in weights.iter().enumerate().skip(i) {
+        for (a, &x) in acc.iter_mut().zip(row(k)) {
+            *a += f64::from(w) * f64::from(x);
+        }
+    }
 }
 
 /// Number of elements on which two sign vectors agree (used by tests and
@@ -553,6 +767,33 @@ mod tests {
         assert_eq!(out.capacity(), cap_out);
         let bits2: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits2, expected);
+    }
+
+    #[test]
+    fn weighted_accumulate_rows_repeats_weighted_mean_bitwise() {
+        // Any split of the rows into blocks (tails of 1–3 rows included)
+        // must leave weighted_mean's accumulator, so dividing by Σw gives
+        // its bits. Values with cancellation make the order visible.
+        let dim = 13;
+        let n = 11;
+        let rows: Vec<f32> = (0..n * dim)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * [1e-3, 1e4, 0.7][i % 3])
+            .collect();
+        let weights: Vec<f32> = (0..n).map(|i| 1.0 + 0.37 * i as f32).collect();
+        let refs: Vec<&[f32]> = rows.chunks(dim).collect();
+        let expect = weighted_mean(&refs, &weights);
+        let total: f64 = weights.iter().map(|w| f64::from(*w)).sum();
+        for block in [1, 2, 3, 4, 5, 8, 11] {
+            let mut acc = vec![0.0f64; dim];
+            for (b, w) in rows.chunks(block * dim).zip(weights.chunks(block)) {
+                weighted_accumulate_rows(b, w, &mut acc);
+            }
+            let got: Vec<f32> = acc.iter().map(|a| (a / total) as f32).collect();
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&expect), "block {block}");
+        }
+        // A zero-length row is a no-op, not a panic.
+        weighted_accumulate_rows(&[], &[1.0, 2.0], &mut []);
     }
 
     #[test]

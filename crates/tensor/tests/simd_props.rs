@@ -1,4 +1,5 @@
-//! SIMD == scalar bitwise pinning for the dense row-dots kernel.
+//! SIMD == scalar bitwise pinning for the dense row-dots kernel and the
+//! lane-parallel clip pass.
 //!
 //! Every case runs the dispatched kernel with the SIMD path *forced on*
 //! (in-process `FUIOV_SIMD=1`; on a host without AVX2 this resolves back
@@ -94,6 +95,76 @@ fn row_dots_hits_every_tail_residue_class_deterministically() {
             let mut fast = vec![-1.0f32; rows];
             with_forced_simd(|| m.row_dots_into(&v, &mut fast));
             assert_eq!(bits(&fast), bits(&scalar), "rows={rows} cols={cols}");
+        }
+    }
+}
+
+/// Rows for the lane-parallel clip pass: ±0.0, exactly ±L, just past
+/// ±L, subnormals, and values spread over 2⁻²⁰–2¹⁹ × L. One row in three
+/// (which ones depends on `salt`) also holds NaN and ±∞; the others have
+/// finite norms.
+fn clip_rows(rows: usize, dim: usize, l: f32, salt: usize) -> Vec<f32> {
+    (0..rows * dim)
+        .map(|i| {
+            let special = (i / dim + salt).is_multiple_of(3);
+            match (i * 7 + salt) % 13 {
+                0 if special => f32::NAN,
+                1 if special => f32::INFINITY,
+                2 if special => f32::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => l,
+                6 => -l,
+                7 => l * 1.000_000_1,
+                8 => f32::from_bits(1 + (i as u32 % 977)),
+                9 => -f32::from_bits(0x007f_ffff - (i as u32 % 977)),
+                _ => {
+                    let scale = 2f32.powi(((i * 17 + salt) % 40) as i32 - 20);
+                    ((i * 31 + salt) as f32 * 0.37).sin() * 3.0 * l * scale
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn clip_rows_pass_matches_the_per_row_reference_bitwise() {
+    // Every row against `clip_elementwise_norms` on its own: clamped
+    // values and both norms, bit for bit, with the dispatch forced to
+    // SIMD and to scalar. Lengths 0–33 cover every column tail of the
+    // 8-wide tiles; 1 to CLIP_LANES + 1 rows cover a lone lane group, the
+    // scalar-only blocks below it and a row past it.
+    use fuiov_tensor::vector::{clip_elementwise_norms, clip_elementwise_norms_rows, CLIP_LANES};
+    for l in [1.0f32, 0.75, 1e-3] {
+        for dim in 0..=33 {
+            for rows in 1..=CLIP_LANES + 1 {
+                for salt in 0..3 {
+                    let input = clip_rows(rows, dim, l, salt);
+                    let mut expect = input.clone();
+                    let expect_norms: Vec<(u32, u32)> = (0..rows)
+                        .map(|r| {
+                            let (pre, post) =
+                                clip_elementwise_norms(&mut expect[r * dim..(r + 1) * dim], l);
+                            (pre.to_bits(), post.to_bits())
+                        })
+                        .collect();
+                    for (label, forced) in [("simd", true), ("scalar", false)] {
+                        let mut got = input.clone();
+                        let mut norms = vec![(-1.0f32, -1.0f32); rows];
+                        let _g = simd::force_guard();
+                        simd::set_forced(Some(forced));
+                        clip_elementwise_norms_rows(&mut got, dim, l, &mut norms);
+                        simd::set_forced(None);
+                        let ctx = format!("{label} l={l} dim={dim} rows={rows} salt={salt}");
+                        assert_eq!(bits(&got), bits(&expect), "values, {ctx}");
+                        let got_norms: Vec<(u32, u32)> = norms
+                            .iter()
+                            .map(|(pre, post)| (pre.to_bits(), post.to_bits()))
+                            .collect();
+                        assert_eq!(got_norms, expect_norms, "norms, {ctx}");
+                    }
+                }
+            }
         }
     }
 }

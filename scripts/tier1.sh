@@ -107,6 +107,14 @@ stage_core_native() {
   # target directory as nn_native, so the two share dependency builds.
   RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
     cargo test -p fuiov-core -p fuiov-tensor --release -q
+  # The replay pins again at pool widths 1 and 3: a replay round streams
+  # its clients in blocks of lanes × width rows, so the width decides
+  # where blocks end and which rows take the scalar tail path, and the
+  # recovered bits and clip observations must not move with it.
+  for threads in 1 3; do
+    FUIOV_THREADS="$threads" RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+      cargo test -p fuiov-core --release -q --test replay_pinned --test participation_pins
+  done
 }
 
 stage_golden() {

@@ -201,3 +201,55 @@ fn info_on_a_crafted_history_fails_with_a_decoding_error() {
         assert!(stderr.contains("decoding"), "{name}: {stderr}");
     }
 }
+
+#[test]
+fn unlearn_on_a_zero_dimension_history_fails_with_a_decoding_error() {
+    use fuiov::storage::{segment, HistoryStore};
+
+    // Three clients over four rounds whose models and directions all have
+    // length 0: every record is well sealed, but there is no parameter to
+    // recover.
+    let mut h = HistoryStore::new(1e-6);
+    for c in 0..3 {
+        h.record_join(c, if c == 1 { 1 } else { 0 });
+    }
+    for t in 0..4 {
+        h.record_model(t, Vec::new());
+        for c in 0..3 {
+            if c != 1 || t >= 1 {
+                h.record_gradient(t, c, &[]);
+            }
+        }
+    }
+    h.record_model(4, Vec::new());
+    let path = tmp("zero-dim.bin");
+    std::fs::write(&path, segment::encode_history(&h).unwrap()).unwrap();
+    let ckpt = tmp("zero-dim.ckpt");
+    for args in [
+        vec!["info", "--history", path.to_str().unwrap()],
+        vec![
+            "unlearn",
+            "--history",
+            path.to_str().unwrap(),
+            "--client",
+            "1",
+            "--lr",
+            "0.1",
+            "--out",
+            ckpt.to_str().unwrap(),
+        ],
+    ] {
+        let out = bin().args(&args).output().expect("run fuiov");
+        // Exit code 1 is the CLI's own failure; a panic exits with 101.
+        assert_eq!(out.status.code(), Some(1), "{}: {:?}", args[0], out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("decoding"), "{}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("zero-dimension model"),
+            "{}: {stderr}",
+            args[0]
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&ckpt);
+}
