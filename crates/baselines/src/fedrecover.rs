@@ -15,7 +15,7 @@
 //! backtracking comparison point so the two schemes recover the same span
 //! of rounds).
 
-use fuiov_core::backtrack::backtrack;
+use fuiov_core::backtrack::backtrack_set;
 use fuiov_core::batch::{RoundScratch, StackedLbfgs};
 use fuiov_core::lbfgs::{LbfgsApprox, PairBuffer};
 use fuiov_core::recover::GradientOracle;
@@ -84,7 +84,7 @@ pub struct FedRecoverOutcome {
 ///
 /// # Errors
 ///
-/// Same conditions as [`fuiov_core::recover()`]; additionally the full
+/// Same conditions as [`fuiov_core::recover_set()`]; additionally the full
 /// gradient store must contain every gradient the history's participation
 /// record promises (a missing entry is treated as non-participation).
 pub fn fedrecover(
@@ -94,7 +94,7 @@ pub fn fedrecover(
     config: &FedRecoverConfig,
     oracle: &mut dyn GradientOracle,
 ) -> Result<FedRecoverOutcome, UnlearnError> {
-    let bt = backtrack(history, forgotten)?;
+    let bt = backtrack_set(history, &[forgotten])?;
     let f_round = bt.join_round;
     let t_end = bt.latest_round;
     if f_round >= t_end {
@@ -113,7 +113,7 @@ pub fn fedrecover(
 
     // Seed buffers from pre-F rounds with full gradients. A seed round's
     // ΔW = w_r − w_F is one row shared by every client with a pair from
-    // that round, as in `fuiov_core::recover`.
+    // that round, as in `fuiov_core::recover_set`.
     let mut buffers: BTreeMap<ClientId, PairBuffer> = BTreeMap::new();
     let mut approxes: BTreeMap<ClientId, LbfgsApprox> = BTreeMap::new();
     let seed_start = f_round.saturating_sub(config.buffer_size);

@@ -18,7 +18,7 @@
 //! This needs the client's **full gradients**, so it shares FedRecover's
 //! storage cost — one of the paper's criticisms.
 
-use fuiov_core::backtrack::backtrack;
+use fuiov_core::backtrack::backtrack_set;
 use fuiov_core::UnlearnError;
 use fuiov_storage::history::FullGradientStore;
 use fuiov_storage::{ClientId, HistoryStore};
@@ -90,7 +90,7 @@ pub fn fedrecovery(
     seed: u64,
 ) -> Result<FedRecoveryOutcome, UnlearnError> {
     // Reuse backtrack's validation to locate F and T.
-    let bt = backtrack(history, forgotten)?;
+    let bt = backtrack_set(history, &[forgotten])?;
     let t_end = bt.latest_round;
     let mut params = history
         .model(t_end)

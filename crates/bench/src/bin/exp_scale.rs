@@ -5,7 +5,8 @@
 //! vehicle two ways on identical inputs:
 //!
 //! - **subtree**: [`recover_vehicle`] — ghost-client forget scoped to the
-//!   vehicle's leaf; every sibling leaf replays its sealed aggregate.
+//!   vehicle's leaf; every sibling leaf replays its stored direction from
+//!   the group history verbatim.
 //! - **flat**: [`recover_vehicle_flat`] — the same forget replayed
 //!   unscoped, Eq. 6 estimation for every leaf (what a hierarchy-blind
 //!   server would do).
@@ -159,7 +160,7 @@ fn main() {
     let mut json = String::from("{\n  \"meta\": {\n");
     let _ = writeln!(
         json,
-        "    \"experiment\": \"exp_scale\",\n    \"group_size\": {GROUP},\n    \"rounds\": {ROUNDS},\n    \"dim\": {DIM},\n    \"history_budget_bytes\": 4096,\n    \"notes\": \"subtree = recover_vehicle (scope = forgotten vehicle's leaf, siblings replay sealed aggregates); flat = recover_vehicle_flat (unscoped, every leaf estimated). flat_resident_bytes_est = what per-vehicle sign history would keep resident (2-bit dirs x rounds + 48 B map overhead per vehicle); tree_peak_resident_bytes is measured during training.\""
+        "    \"experiment\": \"exp_scale\",\n    \"group_size\": {GROUP},\n    \"rounds\": {ROUNDS},\n    \"dim\": {DIM},\n    \"history_budget_bytes\": 4096,\n    \"notes\": \"subtree = recover_vehicle (scope = forgotten vehicle's leaf, siblings replay their group-history directions); flat = recover_vehicle_flat (unscoped, every leaf estimated). flat_resident_bytes_est = what per-vehicle sign history would keep resident (2-bit dirs x rounds + 48 B map overhead per vehicle); tree_peak_resident_bytes is measured during training.\""
     );
     json.push_str("  },\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {

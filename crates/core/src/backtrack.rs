@@ -23,23 +23,10 @@ pub struct BacktrackResult {
     pub latest_round: Round,
 }
 
-/// Backtracks the global model to erase `client` (Eq. 5): `w̄ ← w_F`.
-///
-/// # Errors
-///
-/// - [`UnlearnError::EmptyHistory`] if no models were recorded;
-/// - [`UnlearnError::UnknownClient`] if the client never joined;
-/// - [`UnlearnError::MissingModel`] if `w_F` was not recorded.
-pub fn backtrack(
-    history: &HistoryStore,
-    client: ClientId,
-) -> Result<BacktrackResult, UnlearnError> {
-    backtrack_set(history, &[client])
-}
-
-/// Backtracks to erase a *set* of clients — e.g. every detected attacker
-/// in the Fig. 1 poisoning-recovery scenario. The model rolls back to the
-/// *earliest* join round among them, so none of their updates survive.
+/// Backtracks the global model to erase a set of clients (Eq. 5):
+/// `w̄ ← w_F` — one vehicle, or e.g. every detected attacker in the Fig. 1
+/// poisoning-recovery scenario. The model rolls back to the *earliest*
+/// join round `F` among them, so none of their updates survive.
 ///
 /// # Errors
 ///
@@ -91,7 +78,7 @@ mod tests {
     #[test]
     fn backtracks_to_join_round_model() {
         let h = history();
-        let r = backtrack(&h, 2).unwrap();
+        let r = backtrack_set(&h, &[2]).unwrap();
         assert_eq!(r.join_round, 2);
         assert_eq!(r.params, vec![2.0, 2.0, 2.0]);
         assert_eq!(r.latest_round, 4);
@@ -100,7 +87,7 @@ mod tests {
     #[test]
     fn client_from_round_zero_backtracks_to_initial_model() {
         let h = history();
-        let r = backtrack(&h, 1).unwrap();
+        let r = backtrack_set(&h, &[1]).unwrap();
         assert_eq!(r.join_round, 0);
         assert_eq!(r.params, vec![0.0; 3]);
     }
@@ -136,7 +123,7 @@ mod tests {
     fn unknown_client_errors() {
         let h = history();
         assert_eq!(
-            backtrack(&h, 99).unwrap_err(),
+            backtrack_set(&h, &[99]).unwrap_err(),
             UnlearnError::UnknownClient(99)
         );
     }
@@ -144,7 +131,10 @@ mod tests {
     #[test]
     fn empty_history_errors() {
         let h = HistoryStore::new(0.0);
-        assert_eq!(backtrack(&h, 0).unwrap_err(), UnlearnError::EmptyHistory);
+        assert_eq!(
+            backtrack_set(&h, &[0]).unwrap_err(),
+            UnlearnError::EmptyHistory
+        );
     }
 
     #[test]
@@ -152,6 +142,9 @@ mod tests {
         let mut h = HistoryStore::new(0.0);
         h.record_model(5, vec![1.0]);
         h.record_join(3, 2); // joined at round 2, but w_2 was never stored
-        assert_eq!(backtrack(&h, 3).unwrap_err(), UnlearnError::MissingModel(2));
+        assert_eq!(
+            backtrack_set(&h, &[3]).unwrap_err(),
+            UnlearnError::MissingModel(2)
+        );
     }
 }

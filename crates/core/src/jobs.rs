@@ -33,6 +33,13 @@
 //! caches, and schedules are reconstructed and provably don't move bits
 //! (DESIGN.md §5 "Recovery job service").
 //!
+//! [`JobService::submit`] is the job path's one way in: it takes a
+//! forgotten set, as [`recover_set`](crate::recover_set) does, and jobs
+//! always replay unscoped (the subtree-scoped replay of
+//! [`recover_vehicle`](crate::recover_vehicle) is one-shot only). The
+//! checkpoint interval is set with [`JobConfig::checkpoint_interval`],
+//! never from the environment.
+//!
 //! [`RecordKind::JobCheckpoint`]: fuiov_storage::segment::RecordKind
 
 use crate::batch::{fused_dots_multi, RoundScratch, StackedLbfgs};
@@ -58,12 +65,13 @@ pub type JobId = u64;
 pub type LoggedCheckpoint = (JobId, Round, Vec<u8>);
 
 /// Version tag leading every checkpoint payload; bump on layout change.
-/// v2 appended the replay scope and sibling-reuse tally at the payload
-/// tail (so [`peek_forgotten`]'s fixed header offsets survived).
+/// v2 appended a replay-scope tag and a sibling-reuse tally at the payload
+/// tail (so [`peek_forgotten`]'s fixed header offsets survived). Jobs
+/// never replay scoped, so the tail is always tag `0` and a zero tally;
+/// it stays so every sealed byte keeps its layout.
 const STATE_VERSION: u16 = 2;
 
-/// Default rounds between sealed checkpoints when
-/// `FUIOV_JOB_CHECKPOINT_INTERVAL` is unset.
+/// Default rounds between sealed checkpoints.
 const DEFAULT_CHECKPOINT_INTERVAL: usize = 4;
 
 static LOG_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -75,8 +83,8 @@ pub struct JobConfig {
     /// requires resuming under the same configuration that sealed the
     /// checkpoint).
     pub recovery: RecoveryConfig,
-    /// Replayed rounds between sealed checkpoints (≥ 1). Seeded from
-    /// `FUIOV_JOB_CHECKPOINT_INTERVAL` by [`JobConfig::new`].
+    /// Replayed rounds between sealed checkpoints (≥ 1; default 4, set
+    /// with [`JobConfig::checkpoint_interval`]).
     pub checkpoint_interval: usize,
     /// Whether jobs sharing a replay round share one fused inbound sweep.
     /// Off forces the per-job sweep; outputs are bitwise identical either
@@ -85,17 +93,12 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// A config with the checkpoint interval taken from
-    /// `FUIOV_JOB_CHECKPOINT_INTERVAL` (default 4) and cross-job batching
-    /// on.
+    /// A config with a checkpoint every 4 replayed rounds and cross-job
+    /// batching on.
     pub fn new(recovery: RecoveryConfig) -> Self {
         JobConfig {
             recovery,
-            checkpoint_interval: parse_checkpoint_interval(
-                std::env::var("FUIOV_JOB_CHECKPOINT_INTERVAL")
-                    .ok()
-                    .as_deref(),
-            ),
+            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
             cross_job_batching: true,
         }
     }
@@ -111,16 +114,6 @@ impl JobConfig {
         self.cross_job_batching = on;
         self
     }
-}
-
-/// Parses a `FUIOV_JOB_CHECKPOINT_INTERVAL` value: a positive integer
-/// round count; anything unset, unparsable, or zero falls back to the
-/// default (4). Pure, so tests cover it without touching the process
-/// environment.
-pub fn parse_checkpoint_interval(raw: Option<&str>) -> usize {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CHECKPOINT_INTERVAL)
 }
 
 // ---------------------------------------------------------------------------
@@ -287,16 +280,10 @@ fn encode_state(state: &ReplayState) -> Vec<u8> {
             put_f32s(&mut out, dg);
         }
     }
-    // v2 tail: replay scope + sibling reuses, appended last so the fixed
-    // header offsets of `peek_forgotten` stay valid.
-    match &state.scope {
-        Some(scope) => {
-            out.push(1);
-            put_ids(&mut out, scope);
-        }
-        None => out.push(0),
-    }
-    put_u64(&mut out, state.sibling_reuses as u64);
+    // v2 tail: no replay scope (tag 0) and no sibling reuses — jobs
+    // always replay unscoped (see `STATE_VERSION`).
+    out.push(0);
+    put_u64(&mut out, 0);
     out
 }
 
@@ -405,12 +392,14 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
         });
     }
 
-    let scope = match r.u8()? {
-        0 => None,
-        1 => Some(r.ids()?),
-        _ => return Err(UnlearnError::BadJobCheckpoint("bad scope tag")),
-    };
-    let sibling_reuses = r.u64()? as usize;
+    // Jobs never replay scoped: a tail naming a scope, or sibling reuses,
+    // was not sealed by this service.
+    if r.u8()? != 0 {
+        return Err(UnlearnError::BadJobCheckpoint("scoped checkpoint"));
+    }
+    if r.u64()? != 0 {
+        return Err(UnlearnError::BadJobCheckpoint("sibling reuses in a job"));
+    }
 
     Ok(ReplayState {
         config: *config,
@@ -420,13 +409,13 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
         next_round,
         params,
         remaining,
-        scope,
+        scope: None,
         buffers,
         approxes,
         prev_dw_norm,
         growth_run,
         estimator_fallbacks,
-        sibling_reuses,
+        sibling_reuses: 0,
         oracle_queries,
         update_norms,
         stacked,
@@ -579,10 +568,6 @@ enum JobPhase {
 #[derive(Debug)]
 struct Job {
     forgotten: Vec<ClientId>,
-    /// Replay scope (sorted): only these clients get Eq. 6 estimation;
-    /// everyone else replays sealed directions verbatim. `None` estimates
-    /// the whole cohort. See [`recover_set_scoped`](crate::recover_set_scoped).
-    scope: Option<Vec<ClientId>>,
     /// Copy-on-write history snapshot taken at submission.
     snapshot: HistoryStore,
     phase: JobPhase,
@@ -607,10 +592,8 @@ pub struct JobService {
     /// newest seal (the log keeps every record). This is what lets
     /// preemption and resume work for log-less services too.
     records: BTreeMap<JobId, Vec<(Round, Vec<u8>)>>,
-    /// Sorted-deduped (forgotten set, scope) → job, for duplicate
-    /// submissions. The scope is part of the key: the same forgotten set
-    /// replayed under a different scope is a different job.
-    dedup: BTreeMap<(Vec<ClientId>, Option<Vec<ClientId>>), JobId>,
+    /// Sorted-deduped forgotten set → job, for duplicate submissions.
+    dedup: BTreeMap<Vec<ClientId>, JobId>,
 }
 
 impl JobService {
@@ -658,30 +641,9 @@ impl JobService {
     /// matching a logged (crashed) job adopts that job's id and will
     /// resume from its checkpoints.
     pub fn submit(&mut self, history: &HistoryStore, forgotten: &[ClientId]) -> JobId {
-        self.submit_scoped(history, forgotten, None)
-    }
-
-    /// [`JobService::submit`] with a replay *scope*: only clients in
-    /// `scope` get Eq. 6 estimation during replay; out-of-scope clients
-    /// (sibling subtrees) reuse their sealed directions verbatim. The
-    /// scope travels through checkpoints, so a crashed scoped job resumes
-    /// scoped.
-    pub fn submit_scoped(
-        &mut self,
-        history: &HistoryStore,
-        forgotten: &[ClientId],
-        scope: Option<&[ClientId]>,
-    ) -> JobId {
         let mut key: Vec<ClientId> = forgotten.to_vec();
         key.sort_unstable();
         key.dedup();
-        let scope: Option<Vec<ClientId>> = scope.map(|s| {
-            let mut s = s.to_vec();
-            s.sort_unstable();
-            s.dedup();
-            s
-        });
-        let key = (key, scope);
         if let Some(&id) = self.dedup.get(&key) {
             fuiov_obs::counter!("jobs.duplicates").inc();
             return id;
@@ -697,7 +659,7 @@ impl JobService {
                         .is_some_and(|mut f| {
                             f.sort_unstable();
                             f.dedup();
-                            f == key.0
+                            f == key
                         })
             })
             .map(|(&id, _)| id)
@@ -710,7 +672,6 @@ impl JobService {
             id,
             Job {
                 forgotten: forgotten.to_vec(),
-                scope: key.1.clone(),
                 snapshot: history.snapshot(),
                 phase: JobPhase::Pending,
                 scratch: RoundScratch::new(),
@@ -803,15 +764,9 @@ impl JobService {
             if let Some(recs) = self.records.get(&id) {
                 for (_, payload) in recs.iter().rev() {
                     match decode_state(payload, &self.config.recovery) {
-                        // An adopted checkpoint from a job with the same
-                        // forgotten set but a different scope must not be
-                        // resumed — replay under the wrong scope diverges.
-                        Ok(state) if state.scope == job.scope => {
+                        Ok(state) => {
                             resumed = Some(state);
                             break;
-                        }
-                        Ok(_) => {
-                            fuiov_obs::counter!("jobs.checkpoint_scope_mismatches").inc();
                         }
                         Err(_) => {
                             fuiov_obs::counter!("jobs.checkpoint_decode_failures").inc();
@@ -828,7 +783,7 @@ impl JobService {
                 None => match ReplayState::init_scoped(
                     &job.snapshot,
                     &job.forgotten,
-                    job.scope.as_deref(),
+                    None,
                     &self.config.recovery,
                     oracle,
                 ) {
@@ -969,33 +924,9 @@ impl JobService {
     }
 }
 
-/// Submits every drained [`ForgetRequest`](fuiov_fl::ForgetRequest) to the
-/// service (the `fl::server` intake → `core::jobs` bridge), returning the
-/// job id each request landed on (duplicates collapse onto one id).
-pub fn ingest_requests(
-    service: &mut JobService,
-    history: &HistoryStore,
-    requests: &[fuiov_fl::ForgetRequest],
-) -> Vec<JobId> {
-    requests
-        .iter()
-        .map(|req| service.submit(history, &req.clients))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checkpoint_interval_parsing() {
-        assert_eq!(parse_checkpoint_interval(None), 4);
-        assert_eq!(parse_checkpoint_interval(Some("7")), 7);
-        assert_eq!(parse_checkpoint_interval(Some(" 2 ")), 2);
-        assert_eq!(parse_checkpoint_interval(Some("0")), 4);
-        assert_eq!(parse_checkpoint_interval(Some("many")), 4);
-        assert_eq!(parse_checkpoint_interval(Some("")), 4);
-    }
 
     #[test]
     fn job_log_survives_reopen_and_truncates_torn_tail() {

@@ -16,11 +16,26 @@
 //!    mean value theorem (Eq. 6) from the **stored gradient directions
 //!    only**, clip element-wise (Eq. 7), and aggregate with FedAvg.
 //!
-//! [`Unlearner`] is the high-level entry point; `fuiov_fl::Server`
-//! produces the [`fuiov_storage::HistoryStore`] it consumes. [`mod@jobs`]
-//! wraps the pipeline in a resumable job service: concurrent forget
+//! Forgetting a set of vehicles has one way in per shape of request, all
+//! over the [`fuiov_storage::HistoryStore`] that `fuiov_fl::Server`
+//! records: [`backtrack_set`] alone (the unlearned model `w_F`),
+//! [`recover_set`] (backtrack, then replay), and [`JobService::submit`],
+//! which runs the same replay as a resumable job — concurrent forget
 //! requests on snapshot-isolated history views, incremental FNV-sealed
-//! checkpoints, crash-safe resume, and cross-job batched replay.
+//! checkpoints, crash-safe resume, and cross-job batched replay
+//! ([`mod@jobs`]). [`recover_vehicle`] forgets one vehicle of a
+//! hierarchical cohort ([`mod@subtree`]).
+//!
+//! ```no_run
+//! use fuiov_core::{backtrack_set, recover_set, NoOracle, RecoveryConfig};
+//! # fn demo(history: fuiov_storage::HistoryStore) -> Result<(), fuiov_core::UnlearnError> {
+//! let unlearned = backtrack_set(&history, &[42])?; // w_F, Eq. 5
+//! let cfg = RecoveryConfig::new(1e-4);
+//! let outcome = recover_set(&history, &[42], &cfg, &mut NoOracle, |_, _| {})?;
+//! assert_eq!(outcome.start_round, unlearned.join_round);
+//! # Ok(())
+//! # }
+//! ```
 
 pub mod backtrack;
 pub mod batch;
@@ -29,18 +44,16 @@ pub mod jobs;
 pub mod lbfgs;
 pub mod recover;
 pub mod subtree;
-pub mod unlearner;
 pub mod verify;
 
-pub use backtrack::{backtrack, backtrack_set, BacktrackResult};
+pub use backtrack::{backtrack_set, BacktrackResult};
 pub use batch::{fused_dots_multi, stream_fedavg, RoundScratch, StackedLbfgs};
 pub use error::UnlearnError;
-pub use jobs::{ingest_requests, JobConfig, JobId, JobLog, JobService, LoggedCheckpoint};
+pub use jobs::{JobConfig, JobId, JobLog, JobService, LoggedCheckpoint};
 pub use lbfgs::{LbfgsApprox, LbfgsError, PairBuffer};
 pub use recover::{
-    calibrate_lr, recover, recover_set, recover_set_scoped, GradientOracle, NoOracle,
-    RecoveryConfig, RecoveryOutcome,
+    calibrate_lr, recover_set, ClientPoolOracle, GradientOracle, NoOracle, RecoveryConfig,
+    RecoveryOutcome,
 };
 pub use subtree::{recover_vehicle, recover_vehicle_flat, VehicleRecovery};
-pub use unlearner::{ClientPoolOracle, Unlearner};
 pub use verify::{forgetting_score, membership_advantage};

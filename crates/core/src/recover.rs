@@ -24,6 +24,7 @@
 use crate::batch::{self, RoundScratch, StackedLbfgs};
 use crate::error::UnlearnError;
 use crate::lbfgs::{LbfgsApprox, PairBuffer};
+use fuiov_fl::Client;
 use fuiov_storage::{ClientId, HistoryStore, Round};
 use fuiov_tensor::vector;
 use std::borrow::Cow;
@@ -244,6 +245,38 @@ impl GradientOracle for NoOracle {
     }
 }
 
+/// A [`GradientOracle`] backed by a pool of live [`Client`]s — the paper's
+/// "dispatch historical models to still-online vehicles" mechanism.
+///
+/// Clients absent from the pool (departed vehicles) yield `None`.
+pub struct ClientPoolOracle<'c> {
+    clients: Vec<&'c mut Box<dyn Client>>,
+}
+
+impl std::fmt::Debug for ClientPoolOracle<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClientPoolOracle")
+            .field("clients", &self.clients.len())
+            .finish()
+    }
+}
+
+impl<'c> ClientPoolOracle<'c> {
+    /// Wraps the still-online subset of a client pool.
+    pub fn new(clients: Vec<&'c mut Box<dyn Client>>) -> Self {
+        ClientPoolOracle { clients }
+    }
+}
+
+impl GradientOracle for ClientPoolOracle<'_> {
+    fn gradient_at(&mut self, client: ClientId, params: &[f32]) -> Option<Vec<f32>> {
+        let c = self.clients.iter_mut().find(|c| c.id() == client)?;
+        // Round number is irrelevant for a dispatched model; use 0 so the
+        // computation is deterministic.
+        Some(c.gradient(params, 0))
+    }
+}
+
 /// Statistics and result of a recovery run.
 #[derive(Debug, Clone)]
 pub struct RecoveryOutcome {
@@ -262,43 +295,30 @@ pub struct RecoveryOutcome {
     pub estimator_fallbacks: usize,
     /// Times a live vehicle was asked for a gradient (oracle hits).
     pub oracle_queries: usize,
-    /// Client-rounds outside the replay scope whose sealed historical
-    /// aggregate was replayed verbatim (hierarchical recovery: sibling
-    /// subtrees are exactly unchanged by the forget, so their stored
+    /// Client-rounds outside the replay scope whose stored direction was
+    /// replayed verbatim from the history (hierarchical recovery: sibling
+    /// leaves are exactly unchanged by the forget, so their group-history
     /// directions need no estimation). Zero for unscoped recovery.
     pub sibling_reuses: usize,
     /// L2 norm of each round's aggregated update.
     pub update_norms: Vec<f32>,
 }
 
-/// Runs Algorithm 1: backtrack to `w_F`, then replay rounds `F..T` with
-/// Cauchy-MVT gradient estimation, clipping and FedAvg.
+/// Runs Algorithm 1 for a set of forgotten clients (one vehicle, or e.g.
+/// all detected attackers in the Fig. 1 scenario): backtrack to the
+/// earliest join round `F` among them (Eq. 5), then replay rounds `F..T`
+/// with every member of the set excluded — Cauchy-MVT gradient estimation
+/// (Eq. 6), clipping (Eq. 7) and FedAvg.
 ///
 /// `on_round` is invoked after every replayed round with `(t, w̄)` so
 /// callers can trace accuracy curves.
 ///
 /// # Errors
 ///
-/// Propagates [`UnlearnError`] from backtracking, plus
-/// [`UnlearnError::NothingToRecover`] when `F = T` and
-/// [`UnlearnError::MissingModel`] if a replay round's model is missing.
-pub fn recover(
-    history: &HistoryStore,
-    forgotten: ClientId,
-    config: &RecoveryConfig,
-    oracle: &mut dyn GradientOracle,
-    on_round: impl FnMut(Round, &[f32]),
-) -> Result<RecoveryOutcome, UnlearnError> {
-    recover_set(history, &[forgotten], config, oracle, on_round)
-}
-
-/// Runs Algorithm 1 for a *set* of forgotten clients (e.g. all detected
-/// attackers in the Fig. 1 scenario): backtrack to the earliest join round
-/// among them, then replay with every member of the set excluded.
-///
-/// # Errors
-///
-/// See [`recover`]; additionally an empty set is rejected.
+/// Propagates [`UnlearnError`] from [`backtrack_set`](crate::backtrack_set)
+/// (including an empty set), plus [`UnlearnError::NothingToRecover`] when
+/// `F = T` and [`UnlearnError::MissingModel`] if a replay round's model is
+/// missing.
 pub fn recover_set(
     history: &HistoryStore,
     forgotten: &[ClientId],
@@ -309,21 +329,8 @@ pub fn recover_set(
     recover_set_scoped(history, forgotten, None, config, oracle, on_round)
 }
 
-/// [`recover_set`] with a replay *scope*: only clients in `scope` get the
-/// Eq. 6 Cauchy-MVT estimation machinery (pair seeding, L-BFGS stacking,
-/// Hessian sweeps); every other client's stored direction is replayed
-/// verbatim. This is the hierarchical fast path — when forgetting one
-/// vehicle, only the aggregator nodes on its root-to-leaf path have a
-/// changed aggregate, so the group-level history replays sibling-subtree
-/// aggregates raw (counted on `hierarchy.sibling_aggregates_reused`) and
-/// the estimation cost scales with the scope, not the cohort.
-///
-/// `scope: None` estimates everyone — exactly [`recover_set`].
-///
-/// # Errors
-///
-/// See [`recover_set`].
-pub fn recover_set_scoped(
+/// [`recover_set`] with Eq. 6 estimation limited to `scope` (see [`crate::subtree`]).
+pub(crate) fn recover_set_scoped(
     history: &HistoryStore,
     forgotten: &[ClientId],
     scope: Option<&[ClientId]>,
@@ -391,8 +398,8 @@ impl ReplayState {
     /// Runs the guards of Algorithm 1 and seeds the vector pairs from the
     /// `s` rounds before `F` (§IV-B), yielding a state positioned at
     /// `next_round == F`. With an estimation scope (see
-    /// [`recover_set_scoped`]), pair seeding — the expensive part of
-    /// init — runs only for in-scope clients.
+    /// [`crate::subtree`]), pair seeding — the expensive part of init —
+    /// runs only for in-scope clients.
     ///
     /// # Errors
     ///
@@ -926,7 +933,7 @@ mod tests {
     fn recovery_runs_and_reports_shape() {
         let h = synthetic_history(30, 4, 1);
         let cfg = RecoveryConfig::new(0.05);
-        let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        let out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
         assert_eq!(out.start_round, 2);
         assert_eq!(out.end_round, 30);
         assert_eq!(out.rounds_replayed, 28);
@@ -944,7 +951,7 @@ mod tests {
         let cfg = RecoveryConfig::new(0.05).pair_refresh_interval(5);
         let run = |threads: usize| {
             fuiov_tensor::pool::set_threads(threads);
-            let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+            let out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
             fuiov_tensor::pool::set_threads(0);
             (
                 out.params.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
@@ -999,7 +1006,7 @@ mod tests {
         let h = synthetic_history(30, 4, 1);
         let cfg = RecoveryConfig::new(0.05);
         let backtracked = h.model(2).unwrap().to_vec();
-        let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        let out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
         assert!(vector::l2_distance(&out.params, &backtracked) > 1e-3);
     }
 
@@ -1008,7 +1015,7 @@ mod tests {
         let h = synthetic_history(10, 3, 2);
         let cfg = RecoveryConfig::new(0.05).pair_refresh_interval(3);
         let mut seen = Vec::new();
-        recover(&h, 2, &cfg, &mut NoOracle, |t, _| seen.push(t)).unwrap();
+        recover_set(&h, &[2], &cfg, &mut NoOracle, |t, _| seen.push(t)).unwrap();
         assert_eq!(seen, (2..10).collect::<Vec<_>>());
     }
 
@@ -1020,7 +1027,7 @@ mod tests {
         let h = synthetic_history(8, 3, 0);
         // Rewrite join round of client 0 to 0 (synthetic_history gives 2).
         let cfg = RecoveryConfig::new(0.05);
-        let out = recover(&h, 0, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        let out = recover_set(&h, &[0], &cfg, &mut NoOracle, |_, _| {}).unwrap();
         assert_eq!(out.start_round, 2); // synthetic_history pins join=2
         assert!(out.params.iter().all(|v| v.is_finite()));
     }
@@ -1032,7 +1039,7 @@ mod tests {
         h.record_model(5, vec![1.0]);
         h.record_join(1, 5);
         let cfg = RecoveryConfig::new(0.1);
-        let err = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
+        let err = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
         assert!(matches!(err, UnlearnError::NothingToRecover { .. }));
     }
 
@@ -1056,7 +1063,7 @@ mod tests {
         }
         h.record_leave(0, 1);
         let cfg = RecoveryConfig::new(0.05);
-        let err = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
+        let err = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
         assert_eq!(
             err,
             UnlearnError::EmptyMembershipWindow {
@@ -1086,7 +1093,7 @@ mod tests {
         h.record_gradient(0, 1, &[1.0, -1.0]);
         // Models for rounds 1,2 missing.
         let cfg = RecoveryConfig::new(0.1);
-        let err = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
+        let err = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
         assert_eq!(err, UnlearnError::MissingModel(1));
     }
 
@@ -1097,7 +1104,7 @@ mod tests {
         // sqrt(dim)·L since every element of every estimate is in [−L, L].
         let l = 0.01f32;
         let cfg = RecoveryConfig::new(1.0).clip_threshold(l);
-        let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        let out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
         let bound = (6.0f32).sqrt() * l + 1e-6;
         assert!(
             out.update_norms.iter().all(|&n| n <= bound),
@@ -1143,9 +1150,70 @@ mod tests {
 
         let cfg = RecoveryConfig::new(0.05);
         let mut oracle = CountingOracle(0);
-        let out = recover(&h, 1, &cfg, &mut oracle, |_, _| {}).unwrap();
+        let out = recover_set(&h, &[1], &cfg, &mut oracle, |_, _| {}).unwrap();
         assert!(out.oracle_queries > 0, "oracle should have been consulted");
         assert_eq!(out.oracle_queries, oracle.0);
+    }
+
+    #[test]
+    fn oracle_backed_recovery_queries_live_clients() {
+        // Forgotten client joined at 2; another client joins at 3 so its
+        // seed window needs the oracle.
+        use fuiov_data::{Dataset, DigitStyle};
+        use fuiov_fl::mobility::{ChurnSchedule, Membership};
+        use fuiov_fl::{FlConfig, HonestClient, Server};
+        use fuiov_nn::ModelSpec;
+
+        let spec = ModelSpec::Mlp {
+            inputs: 144,
+            hidden: 8,
+            classes: 10,
+        };
+        let n = 4;
+        let data = Dataset::digits(20 * n, &DigitStyle::small(), 13);
+        let parts = fuiov_data::partition::partition_iid(data.len(), n, 13);
+        let mut clients: Vec<Box<dyn Client>> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(id, idx)| {
+                Box::new(HonestClient::new(id, spec, data.subset(&idx), 10, 13)) as Box<dyn Client>
+            })
+            .collect();
+        let cfg = FlConfig::new(10, 0.3)
+            .batch_size(10)
+            .parallel_clients(false);
+        let mut server = Server::new(cfg, spec.build(7).params());
+        let mut schedule = ChurnSchedule::static_membership(n, 10);
+        schedule.set_membership(
+            1,
+            Membership {
+                joined: 2,
+                leaves_after: None,
+                dropouts: vec![],
+            },
+        );
+        schedule.set_membership(
+            3,
+            Membership {
+                joined: 3,
+                leaves_after: None,
+                dropouts: vec![],
+            },
+        );
+        server.train(&mut clients, &schedule);
+
+        let mut refs: Vec<&mut Box<dyn Client>> = clients.iter_mut().collect();
+        refs.retain(|c| c.id() != 1);
+        let mut oracle = ClientPoolOracle::new(refs);
+        let out = recover_set(
+            server.history(),
+            &[1],
+            &RecoveryConfig::new(0.3),
+            &mut oracle,
+            |_, _| {},
+        )
+        .unwrap();
+        assert!(out.oracle_queries > 0);
     }
 
     #[test]
@@ -1172,7 +1240,7 @@ mod tests {
         }
         h.record_model(8, w);
         let cfg = RecoveryConfig::new(0.05);
-        let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        let out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
         assert!(out.params.iter().all(|v| v.is_finite()));
     }
 
@@ -1185,7 +1253,7 @@ mod tests {
         let cfg = RecoveryConfig::new(0.05)
             .pair_refresh_interval(10_000)
             .divergence_patience(Some(1));
-        let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        let out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
         assert!(out.params.iter().all(|v| v.is_finite()));
 
         // Disabled trigger with a huge interval means pairs never refresh;
@@ -1193,7 +1261,7 @@ mod tests {
         let cfg_off = RecoveryConfig::new(0.05)
             .pair_refresh_interval(10_000)
             .divergence_patience(None);
-        let out_off = recover(&h, 1, &cfg_off, &mut NoOracle, |_, _| {}).unwrap();
+        let out_off = recover_set(&h, &[1], &cfg_off, &mut NoOracle, |_, _| {}).unwrap();
         assert_eq!(out.rounds_replayed, out_off.rounds_replayed);
     }
 
@@ -1205,14 +1273,14 @@ mod tests {
         let cfg = RecoveryConfig::new(0.05);
 
         // Without interpolation, thinned history fails.
-        let err = recover(&thin, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
+        let err = recover_set(&thin, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
         assert!(matches!(err, UnlearnError::MissingModel(_)));
 
         // With interpolation it completes and lands near the full-history
         // recovery.
         let cfg_interp = cfg.interpolate_missing_models(true);
-        let thin_out = recover(&thin, 1, &cfg_interp, &mut NoOracle, |_, _| {}).unwrap();
-        let full_out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        let thin_out = recover_set(&thin, &[1], &cfg_interp, &mut NoOracle, |_, _| {}).unwrap();
+        let full_out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
         let dist = vector::l2_distance(&thin_out.params, &full_out.params);
         let scale = vector::l2_norm(&full_out.params).max(1.0);
         assert!(
@@ -1221,7 +1289,7 @@ mod tests {
             dist / scale
         );
         // And it must beat simply stopping at the backtrack point.
-        let bt = crate::backtrack::backtrack(&h, 1).unwrap();
+        let bt = crate::backtrack::backtrack_set(&h, &[1]).unwrap();
         let bt_dist = vector::l2_distance(&bt.params, &full_out.params);
         assert!(
             dist < bt_dist,
@@ -1250,7 +1318,7 @@ mod tests {
         let cfg = RecoveryConfig::new(0.1).pair_refresh_interval(2);
         for threads in [1, 3] {
             fuiov_tensor::pool::set_threads(threads);
-            let out = recover(&h, 1, &cfg, &mut NoOracle, |_, _| {});
+            let out = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {});
             fuiov_tensor::pool::set_threads(0);
             let out = out.expect("zero-dimension replay completes");
             assert!(out.params.is_empty());

@@ -12,18 +12,20 @@
 //!    no gradients; it exists purely so backtracking lands on `F` = the
 //!    vehicle's first participating round.
 //! 3. Reduce the vehicle's leaf to its residual FedAvg weight
-//!    (`Σ wᵢ − w_v`), then replay with the scope pinned to that single
-//!    leaf: every sibling leaf's sealed aggregate is *exactly* unchanged
-//!    by the forget, so [`recover_set_scoped`]
-//!    replays siblings verbatim and spends Eq. 6 estimation only on the
-//!    one leaf whose aggregate actually changed.
+//!    (`Σ wᵢ − w_v`), then replay with the estimation scope pinned to
+//!    that single leaf: every sibling leaf's aggregate is *exactly*
+//!    unchanged by the forget, so the replay reads the sibling's stored
+//!    direction from the group history verbatim and spends Eq. 6
+//!    estimation only on the one leaf whose aggregate actually changed.
 //!
 //! A vehicle that is alone on its leaf degenerates cleanly: the leaf
-//! itself is forgotten with an *empty* scope (pure sealed-direction
+//! itself is forgotten with an *empty* scope (pure stored-direction
 //! replay — no estimation at all).
 //!
 //! The payoff is the paper's hierarchy argument at recovery time: cost
-//! scales with one root-to-leaf path, not with the cohort.
+//! scales with one root-to-leaf path, not with the cohort. The scope is
+//! one-shot only: [`JobService`](crate::JobService) jobs always replay
+//! unscoped.
 
 use crate::error::UnlearnError;
 use crate::recover::{recover_set_scoped, GradientOracle, RecoveryConfig, RecoveryOutcome};
@@ -83,7 +85,7 @@ fn vehicle_replay(
     let mut snapshot = run.history.snapshot();
     let (forgotten, scope): (Vec<ClientId>, Vec<ClientId>) = if forget.singleton {
         // The vehicle IS its leaf: forget the leaf pseudo-client outright;
-        // every other leaf is a sibling replayed from sealed directions.
+        // every other leaf is a sibling replayed from stored directions.
         (vec![forget.leaf], Vec::new())
     } else {
         // Ghost pseudo-client pins the backtrack point to the vehicle's
@@ -129,7 +131,7 @@ mod tests {
         assert!(!rec.forget.singleton);
         assert_eq!(rec.outcome.params.len(), run.params.len());
         assert!(rec.outcome.params.iter().all(|x| x.is_finite()));
-        // 3 sibling leaves × every replayed round reuse sealed aggregates.
+        // 3 sibling leaves × every replayed round reuse stored directions.
         assert_eq!(rec.outcome.sibling_reuses, 3 * rec.outcome.rounds_replayed);
     }
 
@@ -139,7 +141,7 @@ mod tests {
         let cfg = RecoveryConfig::new(run.cfg.lr);
         let rec = recover_vehicle(&run, 2, &cfg, &mut NoOracle).expect("recovery succeeds");
         assert!(rec.forget.singleton);
-        // Pure sealed-direction replay: nothing in scope, no estimation.
+        // Pure stored-direction replay: nothing in scope, no estimation.
         assert_eq!(rec.outcome.estimator_fallbacks, 0);
         assert_eq!(rec.outcome.sibling_reuses, 3 * rec.outcome.rounds_replayed);
     }

@@ -7,7 +7,7 @@
 //! numeric change.
 
 use fuiov_core::jobs::{JobConfig, JobLog, JobService};
-use fuiov_core::{recover, recover_set, NoOracle, RecoveryConfig};
+use fuiov_core::{recover_set, NoOracle, RecoveryConfig};
 use fuiov_storage::{ClientId, HistoryStore};
 use fuiov_tensor::vector;
 
@@ -45,7 +45,7 @@ fn synthetic_history(rounds: usize, clients: usize, forgotten: ClientId) -> Hist
 
 fn run_bits(cfg: &RecoveryConfig) -> Vec<u32> {
     let h = synthetic_history(30, 6, 1);
-    let out = recover(&h, 1, cfg, &mut NoOracle, |_, _| {}).unwrap();
+    let out = recover_set(&h, &[1], cfg, &mut NoOracle, |_, _| {}).unwrap();
     // Pin the recovered params AND every per-round update norm: the norms
     // differ between configs even when the trajectories reconverge, so a
     // refactor that changes any intermediate round is caught.

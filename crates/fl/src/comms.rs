@@ -70,7 +70,7 @@ pub fn tree_round_bytes(
 
 /// Byte counts one *cohort* round actually transmits under churn and
 /// participant sampling. The vehicle-tier columns scale with the
-/// **sampled** participant count — when `FUIOV_SAMPLE_FRAC` filters the
+/// **sampled** participant count — when a sampling fraction filters the
 /// cohort, a vehicle that was sampled out this round neither downloads
 /// the model nor uploads a direction, and the accounting must say so
 /// (counting the full cohort was exactly the bug this function fixes).

@@ -16,17 +16,21 @@
 //!   point association, so flat vs tree is bitwise identical at any
 //!   fan-out.
 //! - [`sampled`]/[`apply_sampling`] implement per-round client sampling
-//!   from a seeded hash stream (`FUIOV_SAMPLE_FRAC`). A fraction ≥ 1.0
-//!   takes the identical no-filter code path, so golden traces are
+//!   from a seeded hash stream (`Server::with_sample_frac`). A fraction
+//!   ≥ 1.0 takes the identical no-filter code path, so golden traces are
 //!   untouched unless sampling is explicitly enabled.
 //! - [`run_cohort`] simulates 10⁵–10⁶ vehicles without materialising
 //!   per-vehicle state: lazy churn ([`LazyChurn`]), shared data shards,
 //!   and *group-level* sign history — one pseudo-client per RSU leaf in a
-//!   [`HistoryStore`] plus sealed [`SubtreeStore`] aggregates — so
-//!   history cost scales with tree leaves, not vehicles.
+//!   [`HistoryStore`], which is also all that vehicle-level recovery
+//!   replays — so history cost scales with tree leaves, not vehicles.
+//!
+//! The tree fan-out and the sampling fraction are set per server with
+//! `Server::{with_tree_fanout, with_sample_frac}`; the library reads no
+//! environment variable for them.
 
 use crate::mobility::{mix64, unit, ChurnModel, LazyChurn};
-use fuiov_storage::{ClientId, GradientDirection, HistoryStore, Round, SubtreeStore, TierConfig};
+use fuiov_storage::{ClientId, GradientDirection, HistoryStore, Round, TierConfig};
 use std::ops::Range;
 
 use crate::aggregate::aggregate_refs_into;
@@ -35,38 +39,6 @@ use crate::config::AggregationRule;
 /// Seed salt for the sampling stream, disjoint from the `rng::streams`
 /// constants used elsewhere (CHURN is `0x0500_0000`).
 const SAMPLE_STREAM: u64 = 0x0600_0000;
-
-// ---------------------------------------------------------------------
-// Env knobs
-// ---------------------------------------------------------------------
-
-/// Pure parsing backend of [`fanout_from_env`]: a fan-out of at least 2
-/// enables the tree; `0`, `1`, garbage, or absence disable it (a fan-out
-/// of 1 never merges anything, so it is treated as "flat").
-pub fn parse_fanout(raw: Option<&str>) -> Option<usize> {
-    let v: usize = raw?.trim().parse().ok()?;
-    (v >= 2).then_some(v)
-}
-
-/// Reads `FUIOV_TREE_FANOUT`. `None` keeps the flat aggregation path.
-pub fn fanout_from_env() -> Option<usize> {
-    parse_fanout(std::env::var("FUIOV_TREE_FANOUT").ok().as_deref())
-}
-
-/// Pure parsing backend of [`sample_frac_from_env`]: a fraction strictly
-/// inside `(0, 1)` enables sampling; anything else (absence, garbage,
-/// `1.0`, out-of-range) resolves to `1.0` — sample everyone.
-pub fn parse_sample_frac(raw: Option<&str>) -> f64 {
-    match raw.and_then(|s| s.trim().parse::<f64>().ok()) {
-        Some(f) if f > 0.0 && f < 1.0 => f,
-        _ => 1.0,
-    }
-}
-
-/// Reads `FUIOV_SAMPLE_FRAC`. `1.0` keeps the unsampled path.
-pub fn sample_frac_from_env() -> f64 {
-    parse_sample_frac(std::env::var("FUIOV_SAMPLE_FRAC").ok().as_deref())
-}
 
 // ---------------------------------------------------------------------
 // Per-round client sampling
@@ -89,7 +61,7 @@ pub fn sampled(seed: u64, round: Round, v: ClientId, frac: f64) -> bool {
 /// Filters a round's active set through [`sampled`], counting the
 /// vehicles left out on `hierarchy.sampled_out`. A fraction ≥ 1.0
 /// returns the input untouched through the identical no-filter path —
-/// the golden-trace guarantee for `FUIOV_SAMPLE_FRAC` unset or `1.0`.
+/// the golden-trace guarantee for an unsampled server.
 pub fn apply_sampling(
     mut active: Vec<ClientId>,
     seed: u64,
@@ -432,20 +404,19 @@ pub struct VehicleForget {
     pub singleton: bool,
 }
 
-/// A finished cohort run: final model, group-level history, sealed
-/// subtree aggregates, and the resource trace the scale tests pin.
+/// A finished cohort run: final model, group-level history, and the
+/// resource trace the scale tests pin.
 #[derive(Debug)]
 pub struct CohortRun {
     /// The configuration that produced the run.
     pub cfg: CohortConfig,
     /// Final global model.
     pub params: Vec<f32>,
-    /// Group-level history: one pseudo-client per RSU leaf.
+    /// Group-level history: one pseudo-client per RSU leaf. Vehicle-level
+    /// recovery (`fuiov_core::subtree`) replays it, siblings included.
     pub history: HistoryStore,
-    /// Sealed per-round leaf aggregates.
-    pub subtrees: SubtreeStore,
     /// Peak resident bytes across the run (params + shard gradients +
-    /// accumulators + history + subtree index).
+    /// accumulators + history).
     pub peak_resident_bytes: usize,
     /// Total vehicle-round participations.
     pub participant_rounds: u64,
@@ -499,8 +470,8 @@ fn shard_target(s: usize, j: usize) -> f32 {
 /// L-BFGS pair would collapse to `Δg = 0`). The global FedAvg fold
 /// threads one `f64` accumulator across leaves in ascending vehicle
 /// order — the same bitwise discipline as [`aggregate_tree_into`] —
-/// while each leaf folds its own accumulator for the group history and
-/// the sealed subtree record.
+/// while each leaf folds its own accumulator for its group-history
+/// direction.
 pub fn run_cohort(cfg: CohortConfig) -> CohortRun {
     assert!(cfg.n_vehicles > 0, "run_cohort: no vehicles");
     assert!(cfg.dim > 0, "run_cohort: zero dim");
@@ -512,7 +483,6 @@ pub fn run_cohort(cfg: CohortConfig) -> CohortRun {
         Some(tier) => HistoryStore::with_tier(cfg.sign_delta, tier),
         None => HistoryStore::new(cfg.sign_delta),
     };
-    let mut subtrees = SubtreeStore::new();
     for leaf in 0..leaf_count {
         history.set_weight(leaf, cfg.full_leaf_weight(leaf) as f32);
     }
@@ -555,7 +525,7 @@ pub fn run_cohort(cfg: CohortConfig) -> CohortRun {
                 let w = CohortConfig::weight_of(v);
                 let g = &shard_grads[v % cfg.n_shards];
                 // Threaded global fold (ascending vehicle order) plus the
-                // leaf's own fold for its sealed aggregate.
+                // leaf's own fold for its group-history direction.
                 for ((ga, la), &x) in global_acc.iter_mut().zip(leaf_acc.iter_mut()).zip(g) {
                     let wx = f64::from(w) * f64::from(x);
                     *ga += wx;
@@ -570,10 +540,7 @@ pub fn run_cohort(cfg: CohortConfig) -> CohortRun {
                 leaf_mean.extend(leaf_acc.iter().map(|a| (a / leaf_w) as f32));
                 let dir = GradientDirection::quantize(&leaf_mean, cfg.sign_delta);
                 history.record_join(leaf, t);
-                history.record_direction(t, leaf, dir.clone());
-                subtrees
-                    .seal(t, leaf as u64, leaf_w as f32, &dir)
-                    .expect("subtree seal");
+                history.record_direction(t, leaf, dir);
                 round_participants += leaf_members;
                 active_leaves += 1;
             }
@@ -602,8 +569,7 @@ pub fn run_cohort(cfg: CohortConfig) -> CohortRun {
         let resident = (params.len() + leaf_mean.capacity()) * 4
             + shard_grads.iter().map(|g| g.len() * 4).sum::<usize>()
             + (global_acc.len() + leaf_acc.len()) * 8
-            + history.resident_bytes()
-            + subtrees.resident_bytes();
+            + history.resident_bytes();
         peak = peak.max(resident);
     }
     history.record_model(cfg.rounds, params.clone());
@@ -612,7 +578,6 @@ pub fn run_cohort(cfg: CohortConfig) -> CohortRun {
         cfg,
         params,
         history,
-        subtrees,
         peak_resident_bytes: peak,
         participant_rounds,
         tier_bytes,
@@ -688,22 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn knob_parsing() {
-        assert_eq!(parse_fanout(None), None);
-        assert_eq!(parse_fanout(Some("0")), None);
-        assert_eq!(parse_fanout(Some("1")), None);
-        assert_eq!(parse_fanout(Some("2")), Some(2));
-        assert_eq!(parse_fanout(Some(" 16 ")), Some(16));
-        assert_eq!(parse_fanout(Some("wide")), None);
-        assert_eq!(parse_sample_frac(None), 1.0);
-        assert_eq!(parse_sample_frac(Some("1.0")), 1.0);
-        assert_eq!(parse_sample_frac(Some("0.25")), 0.25);
-        assert_eq!(parse_sample_frac(Some("-0.5")), 1.0);
-        assert_eq!(parse_sample_frac(Some("2.5")), 1.0);
-        assert_eq!(parse_sample_frac(Some("nope")), 1.0);
-    }
-
-    #[test]
     fn sampling_full_fraction_is_the_identity() {
         let active: Vec<ClientId> = (0..100).collect();
         assert_eq!(apply_sampling(active.clone(), 7, 3, 1.0), active);
@@ -738,9 +687,6 @@ mod tests {
         assert_eq!(run.participant_rounds, 4 * 4096);
         for t in 0..4 {
             assert_eq!(run.history.clients_in_round(t).len(), 8);
-            for leaf in 0..8u64 {
-                assert!(run.subtrees.contains(t, leaf), "round {t} leaf {leaf}");
-            }
         }
         assert!(run.history.model(4).is_some());
     }

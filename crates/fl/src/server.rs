@@ -96,8 +96,8 @@ impl Server {
             summaries: Vec::new(),
             sampling_seed: 0,
             forget_requests: Vec::new(),
-            tree_fanout: hierarchy::fanout_from_env(),
-            sample_frac: hierarchy::sample_frac_from_env(),
+            tree_fanout: None,
+            sample_frac: 1.0,
             agg_acc: Vec::new(),
             agg_out: Vec::new(),
         }
@@ -145,19 +145,19 @@ impl Server {
         self
     }
 
-    /// Overrides the RSU/edge aggregation-tree fan-out (`None` = flat).
-    /// Defaults to `FUIOV_TREE_FANOUT` at construction. The tree changes
-    /// communication and storage layout only — its reduction is bitwise
-    /// identical to flat aggregation (see [`crate::hierarchy`]).
+    /// Sets the RSU/edge aggregation-tree fan-out (default `None` = flat;
+    /// a fan-out below 2 never merges anything, so it is flat too). The
+    /// tree changes communication and storage layout only — its reduction
+    /// is bitwise identical to flat aggregation (see [`crate::hierarchy`]).
     pub fn with_tree_fanout(mut self, fanout: Option<usize>) -> Self {
         self.tree_fanout = fanout.filter(|&f| f >= 2);
         self
     }
 
-    /// Overrides the per-round hash-sampling fraction (`1.0` = everyone).
-    /// Defaults to `FUIOV_SAMPLE_FRAC` at construction. Each in-range
-    /// vehicle is kept by a seeded per-(vehicle, round) hash draw (see
-    /// [`hierarchy::apply_sampling`]).
+    /// Sets the per-round hash-sampling fraction (default `1.0` =
+    /// everyone; any fraction outside `(0, 1)`, NaN included, means
+    /// everyone too). Each in-range vehicle is kept by a seeded
+    /// per-(vehicle, round) hash draw (see [`hierarchy::apply_sampling`]).
     pub fn with_sample_frac(mut self, frac: f64) -> Self {
         self.sample_frac = if frac > 0.0 && frac < 1.0 { frac } else { 1.0 };
         self
@@ -618,5 +618,28 @@ mod tests {
             seen.push(t);
         });
         assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn tree_and_sampling_builders_default_safely() {
+        // Stock server: flat and unsampled, whatever the environment says.
+        let s = server(1);
+        assert_eq!(s.tree_fanout, None);
+        assert_eq!(s.sample_frac, 1.0);
+        // Fan-out: anything below 2 means "no tree".
+        for (fanout, want) in [
+            (None, None),
+            (Some(0), None),
+            (Some(1), None),
+            (Some(2), Some(2)),
+            (Some(8), Some(8)),
+        ] {
+            assert_eq!(server(1).with_tree_fanout(fanout).tree_fanout, want);
+        }
+        // Sampling: anything outside (0, 1) collapses to the identity 1.0.
+        for frac in [1.0, 0.0, -0.5, 2.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(server(1).with_sample_frac(frac).sample_frac, 1.0, "{frac}");
+        }
+        assert_eq!(server(1).with_sample_frac(0.25).sample_frac, 0.25);
     }
 }

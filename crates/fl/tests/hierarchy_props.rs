@@ -6,17 +6,15 @@
 //! right spines, degenerate one-leaf trees, the lot. The golden traces
 //! never need re-blessing when the tree is switched on.
 //!
-//! The sampling knob gets the same treatment: `FUIOV_SAMPLE_FRAC = 1.0`
-//! (and every unparsable value) must take the exact no-filter code path,
-//! so an unset knob reproduces the unsampled trace bit for bit. Tests
-//! exercise the pure parse/apply functions and server builders directly
-//! — never the process environment.
+//! The sampling knob gets the same treatment: a fraction of 1.0 (and
+//! every value outside `(0, 1)`) must take the exact no-filter code path,
+//! so an unsampled server reproduces the unsampled trace bit for bit.
+//! Tests exercise the pure apply functions and server builders directly;
+//! the library reads no environment variable for either knob.
 
 use fuiov_data::{Dataset, DigitStyle};
 use fuiov_fl::aggregate::aggregate_refs;
-use fuiov_fl::hierarchy::{
-    aggregate_tree, apply_sampling, parse_fanout, parse_sample_frac, AggregationTree,
-};
+use fuiov_fl::hierarchy::{aggregate_tree, apply_sampling, AggregationTree};
 use fuiov_fl::mobility::ChurnSchedule;
 use fuiov_fl::{AggregationRule, Client, FlConfig, HonestClient, Server};
 use fuiov_nn::ModelSpec;
@@ -124,31 +122,6 @@ fn tree_is_bitwise_flat_on_adversarial_shapes() {
             "tree (n={n}, fanout={fanout}) diverged from flat"
         );
     }
-}
-
-#[test]
-fn knob_parsing_never_panics_and_defaults_safely() {
-    // Fan-out: anything below 2 or unparsable means "no tree".
-    assert_eq!(parse_fanout(None), None);
-    assert_eq!(parse_fanout(Some("")), None);
-    assert_eq!(parse_fanout(Some("1")), None);
-    assert_eq!(parse_fanout(Some("0")), None);
-    assert_eq!(parse_fanout(Some("-3")), None);
-    assert_eq!(parse_fanout(Some("wide")), None);
-    assert_eq!(parse_fanout(Some(" 8 ")), Some(8));
-    // Sampling: anything outside (0, 1) collapses to the identity 1.0.
-    for raw in [
-        None,
-        Some("1.0"),
-        Some("1"),
-        Some("0"),
-        Some("-0.5"),
-        Some("nan"),
-        Some("x"),
-    ] {
-        assert_eq!(parse_sample_frac(raw), 1.0, "raw {raw:?}");
-    }
-    assert_eq!(parse_sample_frac(Some("0.25")), 0.25);
 }
 
 fn trained_params(server: Server) -> Vec<f32> {

@@ -415,19 +415,38 @@ impl Overrides {
             let uint = |val: &Json, e| -> Result<usize, MatrixError> {
                 Ok(val.as_u64().ok_or(mismatch(e))? as usize)
             };
+            // The builders these values reach assert on zero counts,
+            // non-positive rates and negative thresholds; refuse such
+            // values here, where the error names the field, not there.
+            let positive = |val: &Json| -> Result<usize, MatrixError> {
+                match uint(val, "a positive integer")? {
+                    0 => Err(mismatch("a positive integer")),
+                    n => Ok(n),
+                }
+            };
+            let positive_f32 = |val: &Json| -> Result<f32, MatrixError> {
+                let x = val.as_f64().ok_or(mismatch("a positive finite number"))? as f32;
+                (x > 0.0 && x.is_finite())
+                    .then_some(x)
+                    .ok_or(mismatch("a positive finite number"))
+            };
+            let non_negative_f32 = |val: &Json| -> Result<f32, MatrixError> {
+                let x = val.as_f64().ok_or(mismatch("a non-negative number"))? as f32;
+                (x >= 0.0)
+                    .then_some(x)
+                    .ok_or(mismatch("a non-negative number"))
+            };
             match key.as_str() {
-                "rounds" => o.rounds = Some(uint(val, "a non-negative integer")?),
+                "rounds" => o.rounds = Some(positive(val)?),
                 "n_clients" => o.n_clients = Some(uint(val, "a non-negative integer")?),
                 "samples_per_client" => {
                     o.samples_per_client = Some(uint(val, "a non-negative integer")?);
                 }
                 "n_test" => o.n_test = Some(uint(val, "a non-negative integer")?),
                 "image_size" => o.image_size = Some(uint(val, "a non-negative integer")?),
-                "lr" => o.lr = Some(val.as_f64().ok_or(mismatch("a number"))? as f32),
-                "batch_size" => o.batch_size = Some(uint(val, "a non-negative integer")?),
-                "sign_delta" => {
-                    o.sign_delta = Some(val.as_f64().ok_or(mismatch("a number"))? as f32);
-                }
+                "lr" => o.lr = Some(positive_f32(val)?),
+                "batch_size" => o.batch_size = Some(positive(val)?),
+                "sign_delta" => o.sign_delta = Some(non_negative_f32(val)?),
                 "forgotten_join_round" => {
                     o.forgotten_join_round = Some(uint(val, "a non-negative integer")?);
                 }
@@ -454,26 +473,17 @@ impl Overrides {
                 "departure_round" => o.departure_round = Some(uint(val, "a non-negative integer")?),
                 "tree_fanout" => o.tree_fanout = Some(uint(val, "a non-negative integer")?),
                 "sample_frac" => o.sample_frac = Some(val.as_f64().ok_or(mismatch("a number"))?),
-                "clip_threshold" => {
-                    o.clip_threshold = Some(val.as_f64().ok_or(mismatch("a number"))? as f32);
-                }
+                "clip_threshold" => o.clip_threshold = Some(positive_f32(val)?),
                 "hessian_correction" => {
                     o.hessian_correction = Some(val.as_bool().ok_or(mismatch("a boolean"))?);
                 }
-                "buffer_size" => o.buffer_size = Some(uint(val, "a non-negative integer")?),
-                "pair_refresh_interval" => {
-                    o.pair_refresh_interval = Some(uint(val, "a non-negative integer")?);
-                }
+                "buffer_size" => o.buffer_size = Some(positive(val)?),
+                "pair_refresh_interval" => o.pair_refresh_interval = Some(positive(val)?),
                 "divergence_patience" => {
                     o.divergence_patience = Some(uint(val, "a non-negative integer")?);
                 }
-                "keep_models_every" => match uint(val, "a positive integer")? {
-                    0 => return Err(mismatch("a positive integer")),
-                    k => o.keep_models_every = Some(k),
-                },
-                "requantize_delta" => {
-                    o.requantize_delta = Some(val.as_f64().ok_or(mismatch("a number"))? as f32);
-                }
+                "keep_models_every" => o.keep_models_every = Some(positive(val)?),
+                "requantize_delta" => o.requantize_delta = Some(non_negative_f32(val)?),
                 "via_jobs" => o.via_jobs = Some(val.as_bool().ok_or(mismatch("a boolean"))?),
                 "transport" => {
                     let s = val.as_str().ok_or(mismatch("a string"))?;

@@ -104,11 +104,10 @@ pub struct Scenario {
     pub attacker_data_boost: usize,
     /// Keep full `f32` gradients too (needed by baselines).
     pub keep_full_gradients: bool,
-    /// Hierarchical aggregation fan-out (`None` = flat FedAvg, or
-    /// whatever `FUIOV_TREE_FANOUT` selects at server construction).
+    /// Hierarchical aggregation fan-out (`None` = flat FedAvg).
     pub tree_fanout: Option<usize>,
     /// Per-round client sampling fraction (`None` = everyone
-    /// participates, or the `FUIOV_SAMPLE_FRAC` environment default).
+    /// participates).
     pub sample_frac: Option<f64>,
     /// Master seed.
     pub seed: u64,
@@ -474,13 +473,9 @@ impl Scenario {
         let init_params = spec.build(self.seed).params();
         let mut clients = self.build_clients();
         let schedule = self.schedule();
-        let mut server = Server::new(self.fl_config(), init_params.clone());
-        if self.tree_fanout.is_some() {
-            server = server.with_tree_fanout(self.tree_fanout);
-        }
-        if let Some(frac) = self.sample_frac {
-            server = server.with_sample_frac(frac);
-        }
+        let mut server = Server::new(self.fl_config(), init_params.clone())
+            .with_tree_fanout(self.tree_fanout)
+            .with_sample_frac(self.sample_frac.unwrap_or(1.0));
         server.train(&mut clients, &schedule);
         let (_, test) = self.generate_pool();
         let (final_params, history, full_store) = server.into_parts();

@@ -212,3 +212,50 @@ fn nesting_is_capped_at_max_depth() {
         Err(MatrixError::BadJson { line: 1, .. })
     ));
 }
+
+/// Override values that a builder would `assert!` on are refused when the
+/// matrix is parsed, naming the field — at the row level and inside a
+/// variant — so a `lab run` over such a row fails typed before any trial
+/// starts instead of panicking mid-run.
+#[test]
+fn values_a_builder_would_panic_on_are_refused_at_parse() {
+    let cases = [
+        ("rounds", "0"),
+        ("lr", "0"),
+        ("lr", "-0.1"),
+        ("lr", "1e39"),
+        ("batch_size", "0"),
+        ("sign_delta", "-0.5"),
+        ("requantize_delta", "-0.5"),
+        ("clip_threshold", "0"),
+        ("clip_threshold", "-1"),
+        ("clip_threshold", "1e39"),
+        ("buffer_size", "0"),
+        ("pair_refresh_interval", "0"),
+    ];
+    for (key, value) in cases {
+        let row = format!(r#"{{"id":"t","task":"tiny","overrides":{{"{key}":{value}}}}}"#);
+        match parse_matrix(&row) {
+            Err(MatrixError::TypeMismatch { line: 1, field, .. }) => {
+                assert_eq!(field, format!("overrides.{key}"), "{key} = {value}");
+            }
+            other => panic!("{key} = {value}: expected TypeMismatch, got {other:?}"),
+        }
+        let variant = format!(
+            r#"{{"id":"t","task":"tiny","variants":[{{"name":"v","overrides":{{"{key}":{value}}}}}]}}"#
+        );
+        match parse_matrix(&variant) {
+            Err(MatrixError::TypeMismatch { line: 1, field, .. }) => {
+                assert_eq!(field, format!("variants[0].{key}"), "{key} = {value}");
+            }
+            other => panic!("variant {key} = {value}: expected TypeMismatch, got {other:?}"),
+        }
+    }
+    // The boundary values the builders accept still parse.
+    let ok = concat!(
+        r#"{"id":"t","task":"tiny","overrides":{"rounds":1,"lr":1e-30,"batch_size":1,"#,
+        r#""sign_delta":0,"requantize_delta":0,"clip_threshold":1e-30,"buffer_size":1,"#,
+        r#""pair_refresh_interval":1}}"#
+    );
+    parse_matrix(ok).expect("boundary values parse");
+}

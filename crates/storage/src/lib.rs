@@ -17,11 +17,12 @@
 //!   comparison experiment.
 //! - [`delta`]: lossless varint-zigzag delta coding of `f32` checkpoints.
 //! - [`segment`]: FUSG, the one sealed record format every persisted or
-//!   sent byte uses — spill segments, job logs, subtree seals, the wire,
-//!   history files ([`segment::encode_history`]) and model checkpoints
+//!   sent byte uses — spill segments, job logs, the wire, history files
+//!   ([`segment::encode_history`]) and model checkpoints
 //!   ([`segment::encode_keyframe`]).
-//! - [`subtree`]: sealed per-node aggregates for hierarchical recovery
-//!   ([`SubtreeStore`]).
+//!
+//! Hierarchical cohorts keep no store of their own: one pseudo-client per
+//! RSU leaf in a [`HistoryStore`] is their whole recovery record.
 //!
 //! # Example
 //!
@@ -39,7 +40,6 @@ pub mod delta;
 pub mod direction;
 pub mod history;
 pub mod segment;
-pub mod subtree;
 
 pub use direction::GradientDirection;
 pub use history::{
@@ -47,4 +47,3 @@ pub use history::{
     Tier, TierConfig, TierStats, DEFAULT_KEYFRAME_INTERVAL,
 };
 pub use segment::SegmentDecodeError;
-pub use subtree::SubtreeStore;

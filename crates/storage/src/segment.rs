@@ -2,7 +2,7 @@
 //!
 //! Every binary stream the stack persists or sends is a run of
 //! self-describing, checksummed records: the spill segments of the tiered
-//! [`HistoryStore`], job logs, subtree seals, wire frames, history files
+//! [`HistoryStore`], job logs, wire frames, history files
 //! and model checkpoints. Framing is little-endian with magic + version up
 //! front, truncation is detected before any payload is touched, and an
 //! FNV-1a trailer makes bit rot inside a record a typed
@@ -61,12 +61,6 @@ pub enum RecordKind {
     /// field holds the job's next replay round, the `base` field its job
     /// id; the payload is the `core::jobs` state codec's opaque bytes.
     JobCheckpoint,
-    /// One aggregator node's sealed per-round FedAvg aggregate: the
-    /// node id in the `base` field, the payload holding the node's round
-    /// weight (`f32` bits) and its aggregated 2-bit sign direction. The
-    /// hierarchical-recovery path replays these sibling-subtree records
-    /// verbatim instead of re-estimating every member vehicle.
-    SubtreeAggregate,
     /// Wire (`fuiov-net`): a vehicle announcing itself to the RSU
     /// registry. Client id in `base`; payload holds the FedAvg weight
     /// and model dimension.
@@ -99,14 +93,14 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    /// The on-wire/on-disk code of this kind.
+    /// The on-wire/on-disk code of this kind. Code 5 is reserved: it
+    /// named a kind that is gone, and a record carrying it is `BadKind(5)`.
     pub fn code(self) -> u8 {
         match self {
             RecordKind::Keyframe => 1,
             RecordKind::Delta => 2,
             RecordKind::Directions => 3,
             RecordKind::JobCheckpoint => 4,
-            RecordKind::SubtreeAggregate => 5,
             RecordKind::Register => 6,
             RecordKind::RoundModel => 7,
             RecordKind::SignUpload => 8,
@@ -124,7 +118,6 @@ impl RecordKind {
             2 => Some(RecordKind::Delta),
             3 => Some(RecordKind::Directions),
             4 => Some(RecordKind::JobCheckpoint),
-            5 => Some(RecordKind::SubtreeAggregate),
             6 => Some(RecordKind::Register),
             7 => Some(RecordKind::RoundModel),
             8 => Some(RecordKind::SignUpload),
@@ -358,60 +351,6 @@ pub fn decode_job_checkpoint(record: &[u8]) -> Result<(u64, Round, Vec<u8>), Seg
     Ok((base as u64, round, payload.to_vec()))
 }
 
-/// Encodes one aggregator node's sealed per-round aggregate: the node id
-/// rides in the `base` field, the payload holds the node's FedAvg round
-/// weight followed by the aggregated sign direction's packed 2-bit words
-/// (copied verbatim, so seal → replay is bit-identical by construction).
-pub fn encode_subtree_aggregate(
-    round: Round,
-    node: u64,
-    weight: f32,
-    dir: &GradientDirection,
-) -> Vec<u8> {
-    let packed = dir.packed_bytes();
-    let mut payload = Vec::with_capacity(12 + packed.len());
-    payload.put_f32_le(weight);
-    payload.put_u32_le(dir.len() as u32);
-    payload.put_u32_le(packed.len() as u32);
-    payload.extend_from_slice(packed);
-    frame(RecordKind::SubtreeAggregate, round, node as Round, &payload)
-}
-
-/// Decodes a subtree-aggregate record into `(node, weight, direction)`.
-///
-/// # Errors
-///
-/// Framing/checksum errors from [`check_record`], `RoundMismatch`,
-/// `BadKind` if the record is not a subtree aggregate, `Truncated` for
-/// malformed payloads.
-pub fn decode_subtree_aggregate(
-    record: &[u8],
-    expected_round: Round,
-) -> Result<(u64, f32, GradientDirection), SegmentDecodeError> {
-    let (kind, round, node, mut payload) = check_record(record)?;
-    if round != expected_round {
-        return Err(SegmentDecodeError::RoundMismatch {
-            expected: expected_round as u64,
-            found: round as u64,
-        });
-    }
-    if kind != RecordKind::SubtreeAggregate {
-        return Err(SegmentDecodeError::BadKind(kind.code()));
-    }
-    if payload.len() < 12 {
-        return Err(SegmentDecodeError::Truncated);
-    }
-    let weight = payload.get_f32_le();
-    let len = payload.get_u32_le() as usize;
-    let nbytes = payload.get_u32_le() as usize;
-    if payload.len() < nbytes {
-        return Err(SegmentDecodeError::Truncated);
-    }
-    let dir = GradientDirection::from_packed(len, payload[..nbytes].to_vec())
-        .ok_or(SegmentDecodeError::Truncated)?;
-    Ok((node as u64, weight, dir))
-}
-
 /// Declared total record length (header + payload + trailer) of the record
 /// starting at `bytes`, or `None` when not even a full header is present —
 /// the sequential-scan primitive job logs use to walk their records and
@@ -494,6 +433,9 @@ pub fn decode_model(
             if payload.len() < len * 4 {
                 return Err(SegmentDecodeError::Truncated);
             }
+            if payload.len() > len * 4 {
+                return Err(SegmentDecodeError::Inconsistent("surplus keyframe bytes"));
+            }
             Ok((0..len).map(|_| payload.get_f32_le()).collect())
         }
         RecordKind::Delta => {
@@ -509,7 +451,10 @@ pub fn decode_model(
 /// # Errors
 ///
 /// Framing/checksum errors from [`check_record`], `RoundMismatch`,
-/// `BadKind` for a model record, `Truncated` for malformed payloads.
+/// `BadKind` for a model record, `Truncated` for malformed payloads,
+/// `Inconsistent` for client ids that are not strictly ascending (the
+/// encoder's order, so a repeated client is refused rather than merged)
+/// and for bytes after the last entry.
 pub fn decode_directions(
     record: &[u8],
     expected_round: Round,
@@ -534,6 +479,14 @@ pub fn decode_directions(
             return Err(SegmentDecodeError::Truncated);
         }
         let client = payload.get_u64_le() as ClientId;
+        if out
+            .last_key_value()
+            .is_some_and(|(&prev, _)| prev >= client)
+        {
+            return Err(SegmentDecodeError::Inconsistent(
+                "directions out of client order",
+            ));
+        }
         let len = payload.get_u32_le() as usize;
         let nbytes = payload.get_u32_le() as usize;
         if payload.len() < nbytes {
@@ -543,6 +496,9 @@ pub fn decode_directions(
             .ok_or(SegmentDecodeError::Truncated)?;
         payload.advance(nbytes);
         out.insert(client, dir);
+    }
+    if !payload.is_empty() {
+        return Err(SegmentDecodeError::Inconsistent("surplus directions bytes"));
     }
     Ok(out)
 }
@@ -633,7 +589,8 @@ fn next_record<'a>(stream: &mut &'a [u8]) -> &'a [u8] {
     record
 }
 
-/// Decodes a history written by [`encode_history`].
+/// Decodes a history written by [`encode_history`], accepting only the
+/// layout the encoder writes, so a file decodes to one history or none.
 ///
 /// # Errors
 ///
@@ -642,8 +599,12 @@ fn next_record<'a>(stream: &mut &'a [u8]) -> &'a [u8] {
 /// boundary; `BadKind` for a first record that is not a roster or a later
 /// one that is neither a keyframe nor directions; `Inconsistent` for
 /// contradictions the store would assert on, for a model or direction of
-/// length 0, and for bytes after the last declared record. No input makes it panic, and it reserves nothing from
-/// a count field.
+/// length 0, for bytes after the last declared record or inside a
+/// record after its last entry, and for anything out of the encoder's
+/// order — roster client ids strictly ascending, keyframes strictly
+/// ascending by round and then directions strictly ascending by round,
+/// client ids strictly ascending within each directions record. No input
+/// makes it panic, and it reserves nothing from a count field.
 pub fn decode_history(mut stream: &[u8]) -> Result<HistoryStore, SegmentDecodeError> {
     let (kind, count, n_clients, mut payload) = check_record(next_record(&mut stream))?;
     if kind != RecordKind::Roster {
@@ -660,8 +621,15 @@ pub fn decode_history(mut stream: &[u8]) -> Result<HistoryStore, SegmentDecodeEr
         return Err(SegmentDecodeError::Inconsistent("roster length"));
     }
     let mut h = HistoryStore::new(delta);
+    let mut prev_client = None;
     for mut entry in payload.chunks_exact(ROSTER_ENTRY) {
         let client = entry.get_u64_le() as ClientId;
+        if prev_client.is_some_and(|prev| prev >= client) {
+            return Err(SegmentDecodeError::Inconsistent(
+                "roster out of client order",
+            ));
+        }
+        prev_client = Some(client);
         let joined = entry.get_u64_le() as Round;
         let left = entry.get_u64_le();
         let weight = entry.get_f32_le();
@@ -685,16 +653,31 @@ pub fn decode_history(mut stream: &[u8]) -> Result<HistoryStore, SegmentDecodeEr
             .then_some(())
             .ok_or(SegmentDecodeError::Inconsistent("dimension mismatch"))
     };
+    // The last keyframe round and the last directions round read so far.
+    let (mut last_model, mut last_dirs) = (None, None);
     for _ in 0..count {
         let record = next_record(&mut stream);
         let (kind, round, _, _) = check_record(record)?;
         match kind {
             RecordKind::Keyframe => {
+                if last_dirs.is_some() {
+                    return Err(SegmentDecodeError::Inconsistent(
+                        "keyframe after directions",
+                    ));
+                }
+                if last_model.is_some_and(|last| last >= round) {
+                    return Err(SegmentDecodeError::Inconsistent("keyframes out of order"));
+                }
+                last_model = Some(round);
                 let params = decode_model(record, round, None)?;
                 check_dim(params.len())?;
                 h.record_model(round, params);
             }
             RecordKind::Directions => {
+                if last_dirs.is_some_and(|last| last >= round) {
+                    return Err(SegmentDecodeError::Inconsistent("directions out of order"));
+                }
+                last_dirs = Some(round);
                 for (client, dir) in decode_directions(record, round)? {
                     check_dim(dir.len())?;
                     h.record_direction(round, client, dir);
@@ -920,6 +903,42 @@ mod tests {
         assert_eq!(
             check_record(&rec).unwrap_err(),
             SegmentDecodeError::BadKind(99)
+        );
+    }
+
+    #[test]
+    fn kind_codes_are_pinned_and_five_stays_reserved() {
+        // The codes are on disk and on the wire: none may move.
+        let pinned = [
+            (RecordKind::Keyframe, 1),
+            (RecordKind::Delta, 2),
+            (RecordKind::Directions, 3),
+            (RecordKind::JobCheckpoint, 4),
+            (RecordKind::Register, 6),
+            (RecordKind::RoundModel, 7),
+            (RecordKind::SignUpload, 8),
+            (RecordKind::GradUpload, 9),
+            (RecordKind::ForgetRequest, 10),
+            (RecordKind::Control, 11),
+            (RecordKind::Roster, 12),
+        ];
+        for (kind, code) in pinned {
+            assert_eq!(kind.code(), code, "{kind:?}");
+            assert_eq!(RecordKind::from_code(code), Some(kind));
+        }
+        let known = (0..=u8::MAX)
+            .filter(|&c| RecordKind::from_code(c).is_some())
+            .count();
+        assert_eq!(known, pinned.len(), "every kind is pinned above");
+        assert_eq!(RecordKind::from_code(5), None);
+
+        // A validly sealed record with kind byte 5 is refused by kind.
+        let mut rec = encode_keyframe(0, &[1.0]);
+        rec[6] = 5;
+        reseal(&mut rec);
+        assert_eq!(
+            check_record(&rec).unwrap_err(),
+            SegmentDecodeError::BadKind(5)
         );
     }
 

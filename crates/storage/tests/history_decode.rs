@@ -106,6 +106,45 @@ fn inconsistent(bytes: &[u8]) -> bool {
     )
 }
 
+/// Decodes `bytes`, which must be exactly what the encoder writes for the
+/// decoded history: re-encoding it gives the same bytes back.
+fn decode_exact(bytes: &[u8]) -> HistoryStore {
+    let h = decode_history(bytes).expect("decodes");
+    assert_eq!(
+        encode_history(&h).unwrap(),
+        bytes,
+        "re-encodes to the same bytes"
+    );
+    h
+}
+
+/// `blob` with one byte appended to the payload of its `index`-th
+/// record (length field bumped, record resealed).
+fn with_surplus_byte(blob: &[u8], index: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut rest = blob;
+    for i in 0.. {
+        if rest.is_empty() {
+            break;
+        }
+        let len = segment::framed_len(rest).unwrap();
+        let (record, tail) = rest.split_at(len);
+        rest = tail;
+        if i != index {
+            out.extend_from_slice(record);
+            continue;
+        }
+        let mut grown = record[..len - TRAILER_LEN].to_vec();
+        grown.push(0);
+        let payload_len = (len - HEADER_LEN - TRAILER_LEN + 1) as u32;
+        grown[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        grown.extend_from_slice(&[0; TRAILER_LEN]);
+        segment::reseal(&mut grown);
+        out.extend_from_slice(&grown);
+    }
+    out
+}
+
 /// Four clients over six rounds, one of them joining late and one
 /// leaving, with distinct weights.
 fn churned_history() -> HistoryStore {
@@ -171,12 +210,13 @@ fn the_crafted_layout_matches_the_encoder() {
     // Signs +1, −1, 0 pack as 01, 10, 00 from the low bits up.
     s.directions(0, &[(4, 3, &[0b00_10_01])]);
     assert_eq!(s.0, encode_history(&h).unwrap());
+    decode_exact(&s.0);
 }
 
 #[test]
 fn a_churned_history_roundtrips_every_field() {
     let h = churned_history();
-    let back = decode_history(&encode_history(&h).unwrap()).unwrap();
+    let back = decode_exact(&encode_history(&h).unwrap());
     assert_same_history(&h, &back);
     assert_eq!(back.participation(1).unwrap().left, Some(3));
     assert_eq!(back.join_round(3), Some(2));
@@ -185,7 +225,7 @@ fn a_churned_history_roundtrips_every_field() {
 #[test]
 fn an_empty_history_roundtrips() {
     let h = HistoryStore::new(0.5);
-    let back = decode_history(&encode_history(&h).unwrap()).unwrap();
+    let back = decode_exact(&encode_history(&h).unwrap());
     assert_eq!(back.delta(), 0.5);
     assert!(back.rounds().is_empty());
     assert!(back.clients().is_empty());
@@ -197,7 +237,7 @@ fn a_thinned_history_roundtrips_with_every_rounds_directions() {
     let thin = full.thinned_models(4);
     assert_eq!(thin.rounds(), vec![0, 2, 4, 5]);
     assert_eq!(thin.direction_rounds(), full.direction_rounds());
-    let back = decode_history(&encode_history(&thin).unwrap()).unwrap();
+    let back = decode_exact(&encode_history(&thin).unwrap());
     assert_same_history(&thin, &back);
     for r in [1, 3] {
         assert!(back.model(r).is_none());
@@ -206,7 +246,7 @@ fn a_thinned_history_roundtrips_with_every_rounds_directions() {
 
     let mut lost = churned_history();
     lost.remove_model(3).unwrap();
-    let back = decode_history(&encode_history(&lost).unwrap()).unwrap();
+    let back = decode_exact(&encode_history(&lost).unwrap());
     assert_same_history(&lost, &back);
     assert_eq!(back.clients_in_round(3), vec![0, 1, 2, 3]);
 }
@@ -399,7 +439,7 @@ fn only_the_roster_may_open_and_only_models_and_directions_may_follow() {
 fn every_strict_prefix_is_truncated_and_no_bit_flip_decodes() {
     let h = churned_history().thinned_models(2);
     let blob = encode_history(&h).unwrap();
-    assert_same_history(&h, &decode_history(&blob).unwrap());
+    assert_same_history(&h, &decode_exact(&blob));
     for cut in 0..blob.len() {
         assert_eq!(
             decode_history(&blob[..cut]).unwrap_err(),
@@ -454,4 +494,101 @@ fn a_legacy_history_or_checkpoint_is_bad_magic() {
 fn errors_name_the_inconsistency() {
     let err = SegmentDecodeError::Inconsistent("dimension mismatch");
     assert_eq!(err.to_string(), "inconsistent records: dimension mismatch");
+}
+
+/// The decoder accepts the encoder's layout and nothing else: every case
+/// below is validly sealed and used to decode — merging duplicates,
+/// overwriting a repeated keyframe, or ignoring surplus payload bytes —
+/// so one file could stand for several histories.
+#[test]
+fn only_the_encoders_layout_decodes() {
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        (
+            "duplicate roster client",
+            Stream::default()
+                .roster(1e-6, 1, &[(1, 0, ACTIVE, 1.0), (1, 2, 5, 2.0)])
+                .keyframe(0, &[1.0, 2.0])
+                .0
+                .clone(),
+            "roster out of client order",
+        ),
+        (
+            "descending roster",
+            Stream::default()
+                .roster(1e-6, 1, &[(2, 0, ACTIVE, 1.0), (1, 0, ACTIVE, 1.0)])
+                .keyframe(0, &[1.0, 2.0])
+                .0
+                .clone(),
+            "roster out of client order",
+        ),
+        (
+            "duplicate client inside a directions record",
+            Stream::default()
+                .roster(1e-6, 2, &[(1, 0, ACTIVE, 1.0)])
+                .keyframe(0, &[1.0, 2.0])
+                .directions(0, &[(1, 2, &[0b01]), (1, 2, &[0b10])])
+                .0
+                .clone(),
+            "directions out of client order",
+        ),
+        (
+            "duplicate keyframe round",
+            Stream::default()
+                .roster(1e-6, 2, &[])
+                .keyframe(3, &[1.0, 2.0])
+                .keyframe(3, &[4.0, 5.0])
+                .0
+                .clone(),
+            "keyframes out of order",
+        ),
+        (
+            "keyframe after directions",
+            Stream::default()
+                .roster(1e-6, 3, &[(1, 0, ACTIVE, 1.0)])
+                .keyframe(0, &[1.0, 2.0])
+                .directions(0, &[(1, 2, &[0b01])])
+                .keyframe(1, &[3.0, 4.0])
+                .0
+                .clone(),
+            "keyframe after directions",
+        ),
+        (
+            "two directions records for one round",
+            Stream::default()
+                .roster(1e-6, 3, &[(1, 0, ACTIVE, 1.0), (2, 0, ACTIVE, 1.0)])
+                .keyframe(0, &[1.0, 2.0])
+                .directions(0, &[(1, 2, &[0b01])])
+                .directions(0, &[(2, 2, &[0b10])])
+                .0
+                .clone(),
+            "directions out of order",
+        ),
+    ];
+    let blob = encode_history(&churned_history()).unwrap();
+    let surplus = [
+        // Record 1 is the first keyframe; 1 + 6 is the first directions.
+        (
+            "one surplus byte in a keyframe",
+            with_surplus_byte(&blob, 1),
+            "surplus keyframe bytes",
+        ),
+        (
+            "one surplus byte in a directions record",
+            with_surplus_byte(&blob, 7),
+            "surplus directions bytes",
+        ),
+    ];
+    for (label, bytes, what) in cases.into_iter().chain(surplus) {
+        assert_eq!(
+            decode_history(&bytes).unwrap_err(),
+            SegmentDecodeError::Inconsistent(what),
+            "{label}"
+        );
+    }
+    // The same surplus byte in a model checkpoint is refused too.
+    let checkpoint = segment::encode_keyframe(4, &[1.0, 2.0]);
+    assert_eq!(
+        segment::decode_keyframe(&with_surplus_byte(&checkpoint, 0)).unwrap_err(),
+        SegmentDecodeError::Inconsistent("surplus keyframe bytes")
+    );
 }

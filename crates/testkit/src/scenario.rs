@@ -10,7 +10,7 @@
 use crate::golden::Trace;
 use crate::plan::FaultPlan;
 use crate::{Corruptor, FaultableClient};
-use fuiov_core::{recover, NoOracle, RecoveryConfig, RecoveryOutcome, UnlearnError};
+use fuiov_core::{recover_set, NoOracle, RecoveryConfig, RecoveryOutcome, UnlearnError};
 use fuiov_data::{Dataset, DigitStyle};
 use fuiov_fl::mobility::{ChurnSchedule, Membership};
 use fuiov_fl::{Client, FlConfig, HonestClient, Server};
@@ -180,9 +180,9 @@ impl CanonicalRun {
         history: &HistoryStore,
         on_round: impl FnMut(Round, &[f32]),
     ) -> Result<RecoveryOutcome, UnlearnError> {
-        recover(
+        recover_set(
             history,
-            self.forgotten,
+            &[self.forgotten],
             &self.recovery_config(history),
             &mut NoOracle,
             on_round,

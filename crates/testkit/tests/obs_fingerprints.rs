@@ -239,14 +239,10 @@ fn hierarchical_cohort_fingerprints_the_hierarchy_counters() {
         0,
         "no sampling knob, nobody sampled out"
     );
-    assert_eq!(
-        delta.counter("storage.subtree_seals"),
-        (rounds * 4) as u64,
-        "every leaf seals its aggregate every round"
-    );
 
     // Subtree-scoped forget: one scoped replay, and each of the 3
-    // sibling leaves reuses its sealed aggregate in every replayed round.
+    // sibling leaves reuses its group-history direction in every
+    // replayed round.
     let before = Snapshot::capture();
     let rec = fuiov_core::recover_vehicle(&run, 5, &RecoveryConfig::new(run.cfg.lr), &mut NoOracle)
         .expect("subtree recovery succeeds");

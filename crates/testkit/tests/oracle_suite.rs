@@ -10,7 +10,7 @@
 //! - forget→recover is idempotent under re-run.
 
 use fuiov_baselines::retrain;
-use fuiov_core::{RecoveryConfig, UnlearnError, Unlearner};
+use fuiov_core::{backtrack_set, recover_set, NoOracle, RecoveryConfig, UnlearnError};
 use fuiov_storage::segment::{decode_history, encode_history};
 use fuiov_testkit::oracles::{checkpoint_roundtrip_identity, history_roundtrip_identity};
 use fuiov_testkit::{bitwise_eq, rel_l2_divergence, thread_lock, CanonicalRun};
@@ -108,13 +108,13 @@ fn unlearning_a_never_joined_client_is_a_typed_noop() {
     let scenario = CanonicalRun::standard();
     let run = scenario.train();
     let snapshot = encode_history(&run.history).unwrap();
-    let unlearner = Unlearner::new(&run.history, RecoveryConfig::new(0.3));
+    let cfg = RecoveryConfig::new(0.3);
     assert_eq!(
-        unlearner.forget(99).unwrap_err(),
+        backtrack_set(&run.history, &[99]).unwrap_err(),
         UnlearnError::UnknownClient(99)
     );
     assert_eq!(
-        unlearner.forget_and_recover(99).unwrap_err(),
+        recover_set(&run.history, &[99], &cfg, &mut NoOracle, |_, _| {}).unwrap_err(),
         UnlearnError::UnknownClient(99)
     );
     assert_eq!(
@@ -125,7 +125,7 @@ fn unlearning_a_never_joined_client_is_a_typed_noop() {
 }
 
 #[test]
-fn forget_and_recover_is_idempotent_under_rerun() {
+fn recovery_is_idempotent_under_rerun() {
     let scenario = CanonicalRun::standard();
     let run = scenario.train();
     let mut rounds_a = Vec::new();

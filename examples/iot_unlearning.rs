@@ -15,7 +15,7 @@ use fuiov::eval::{test_accuracy, ConfusionMatrix};
 use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::unlearn::{calibrate_lr, RecoveryConfig, Unlearner};
+use fuiov::unlearn::{backtrack_set, calibrate_lr, recover_set, NoOracle, RecoveryConfig};
 
 fn main() {
     let seed = 23;
@@ -70,15 +70,16 @@ fn main() {
     // Vehicle 7 requests erasure; on this MLP task the sign-replay variant
     // recovers best (see EXPERIMENTS.md's IoT section).
     let lr = calibrate_lr(server.history()).map_or(0.001, |c| c * 2.0);
-    let unlearner = Unlearner::new(server.history(), RecoveryConfig::new(lr).without_hessian());
-    let bt = unlearner.forget(7).expect("vehicle 7 participated");
+    let cfg = RecoveryConfig::new(lr).without_hessian();
+    let bt = backtrack_set(server.history(), &[7]).expect("vehicle 7 participated");
     model.set_params(&bt.params);
     println!(
         "\nafter forgetting vehicle 7 (round {}): {:.3}",
         bt.join_round,
         test_accuracy(&mut model, &test)
     );
-    let out = unlearner.forget_and_recover(7).expect("recovery");
+    let out =
+        recover_set(server.history(), &[7], &cfg, &mut NoOracle, |_, _| {}).expect("recovery");
     model.set_params(&out.params);
     println!(
         "after server-only recovery ({} rounds): {:.3}",

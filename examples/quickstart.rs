@@ -9,7 +9,7 @@ use fuiov::eval::test_accuracy;
 use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::unlearn::{calibrate_lr, RecoveryConfig, Unlearner};
+use fuiov::unlearn::{backtrack_set, calibrate_lr, recover_set, NoOracle, RecoveryConfig};
 
 fn main() {
     let seed = 42;
@@ -69,9 +69,9 @@ fn main() {
     // 4. Vehicle 5 invokes its right to be forgotten. The server
     //    backtracks to w_F and recovers — no vehicle participates.
     let lr = calibrate_lr(server.history()).map_or(0.1, |c| c * 2.0);
-    let unlearner = Unlearner::new(server.history(), RecoveryConfig::new(lr));
+    let cfg = RecoveryConfig::new(lr);
 
-    let bt = unlearner.forget(5).expect("vehicle 5 participated");
+    let bt = backtrack_set(server.history(), &[5]).expect("vehicle 5 participated");
     model.set_params(&bt.params);
     println!(
         "after forgetting (w_{}):    {:.3}",
@@ -79,7 +79,8 @@ fn main() {
         test_accuracy(&mut model, &test)
     );
 
-    let out = unlearner.forget_and_recover(5).expect("recovery");
+    let out =
+        recover_set(server.history(), &[5], &cfg, &mut NoOracle, |_, _| {}).expect("recovery");
     model.set_params(&out.params);
     println!(
         "after recovery ({} rounds): {:.3}",

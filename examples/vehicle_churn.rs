@@ -13,7 +13,7 @@ use fuiov::eval::test_accuracy;
 use fuiov::fl::mobility::{ChurnModel, ChurnSchedule};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::unlearn::{calibrate_lr, NoOracle, RecoveryConfig, Unlearner};
+use fuiov::unlearn::{backtrack_set, calibrate_lr, recover_set, NoOracle, RecoveryConfig};
 
 fn main() {
     let seed = 11;
@@ -96,8 +96,8 @@ fn main() {
     );
 
     let lr = calibrate_lr(history).map_or(0.1, |c| c * 2.0);
-    let unlearner = Unlearner::new(history, RecoveryConfig::new(lr));
-    let bt = unlearner.forget(candidate).expect("backtrack");
+    let cfg = RecoveryConfig::new(lr);
+    let bt = backtrack_set(history, &[candidate]).expect("backtrack");
     model.set_params(&bt.params);
     println!(
         "after forgetting (back to round {}): {:.3}",
@@ -106,9 +106,7 @@ fn main() {
     );
 
     // NoOracle: every vehicle may be offline; recovery is server-only.
-    let out = unlearner
-        .forget_and_recover_with(candidate, &mut NoOracle, |_, _| {})
-        .expect("recovery");
+    let out = recover_set(history, &[candidate], &cfg, &mut NoOracle, |_, _| {}).expect("recovery");
     model.set_params(&out.params);
     println!(
         "after server-only recovery ({} rounds, {} estimator fallbacks): {:.3}",

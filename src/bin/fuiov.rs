@@ -13,6 +13,13 @@
 //! fuiov unlearn --history history.bin --client 5 --out model.ckpt [--no-hessian]
 //! fuiov eval    --model model.ckpt [--seed 42]
 //! ```
+//!
+//! `train` reads two environment variables once, at startup, and hands
+//! them to the server's builders: `FUIOV_TREE_FANOUT` (an RSU/edge
+//! aggregation tree of that fan-out; below 2 means flat) and
+//! `FUIOV_SAMPLE_FRAC` (per-round client sampling; a fraction outside
+//! `(0, 1)` samples everyone). Neither changes a bit of the trained model
+//! at its identity value.
 
 use fuiov::data::{partition::partition_iid, Dataset, DigitStyle};
 use fuiov::eval::test_accuracy;
@@ -20,7 +27,7 @@ use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
 use fuiov::storage::segment::{decode_history, decode_keyframe, encode_history, encode_keyframe};
-use fuiov::unlearn::{calibrate_lr, RecoveryConfig, Unlearner};
+use fuiov::unlearn::{backtrack_set, calibrate_lr, recover_set, NoOracle, RecoveryConfig};
 use std::process::ExitCode;
 
 /// The CLI's fixed task: digits at 12×12 with the test MLP. The library
@@ -105,6 +112,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     if n_clients < 2 {
         return Err("need at least 2 clients".into());
     }
+    if rounds == 0 {
+        return Err("invalid --rounds".into());
+    }
 
     eprintln!("training {n_clients} clients for {rounds} rounds (seed {seed}) …");
     let train = Dataset::digits(n_clients * 40, &IMAGE, seed);
@@ -125,7 +135,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             dropouts: vec![],
         },
     );
-    let mut server = Server::new(FlConfig::new(rounds, 0.1), SPEC.build(seed).params());
+    let mut server = Server::new(FlConfig::new(rounds, 0.1), SPEC.build(seed).params())
+        .with_tree_fanout(env_parse("FUIOV_TREE_FANOUT"))
+        .with_sample_frac(env_parse("FUIOV_SAMPLE_FRAC").unwrap_or(1.0));
     server.train(&mut clients, &schedule);
 
     let test = Dataset::digits(200, &IMAGE, seed + 1);
@@ -184,23 +196,25 @@ fn cmd_unlearn(args: &Args) -> Result<(), String> {
     let out = args.require("out")?.to_string();
 
     let lr = match args.get("lr") {
-        Some(v) => v.parse().map_err(|_| "invalid --lr".to_string())?,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|lr: &f32| *lr > 0.0 && lr.is_finite())
+            .ok_or_else(|| "invalid --lr".to_string())?,
         None => calibrate_lr(&h).map_or(0.01, |c| c * 2.0),
     };
     let mut cfg = RecoveryConfig::new(lr);
     if args.has("no-hessian") {
         cfg = cfg.without_hessian();
     }
-    let unlearner = Unlearner::new(&h, cfg);
-    let bt = unlearner.forget(client).map_err(|e| e.to_string())?;
+    let bt = backtrack_set(&h, &[client]).map_err(|e| e.to_string())?;
     eprintln!(
         "backtracked to round {} (erasing client {client}); recovering {} rounds at lr {lr:.5} …",
         bt.join_round,
         bt.latest_round - bt.join_round
     );
-    let rec = unlearner
-        .forget_and_recover(client)
-        .map_err(|e| e.to_string())?;
+    let rec =
+        recover_set(&h, &[client], &cfg, &mut NoOracle, |_, _| {}).map_err(|e| e.to_string())?;
     let blob = encode_keyframe(bt.latest_round, &rec.params);
     std::fs::write(&out, &blob).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
@@ -229,6 +243,12 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     let test = Dataset::digits(200, &IMAGE, seed + 1);
     println!("accuracy: {:.3}", test_accuracy(&mut m, &test));
     Ok(())
+}
+
+/// Parses an environment variable, if set and well-formed; anything else
+/// leaves the builder's default in force.
+fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 fn main() -> ExitCode {

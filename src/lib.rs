@@ -15,7 +15,7 @@
 //! use fuiov::fl::mobility::{ChurnSchedule, Membership};
 //! use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 //! use fuiov::nn::ModelSpec;
-//! use fuiov::unlearn::{RecoveryConfig, Unlearner};
+//! use fuiov::unlearn::{recover_set, NoOracle, RecoveryConfig};
 //!
 //! // 1. A tiny federation over a synthetic digit task.
 //! let spec = ModelSpec::Mlp { inputs: 144, hidden: 8, classes: 10 };
@@ -40,8 +40,9 @@
 //!
 //! // 3. Forget vehicle 2 and recover — server-side only, from the 2-bit
 //! //    direction history.
-//! let unlearner = Unlearner::new(server.history(), RecoveryConfig::new(0.01));
-//! let outcome = unlearner.forget_and_recover(2).expect("client 2 participated");
+//! let cfg = RecoveryConfig::new(0.01);
+//! let outcome = recover_set(server.history(), &[2], &cfg, &mut NoOracle, |_, _| {})
+//!     .expect("client 2 participated");
 //! assert_eq!(outcome.start_round, 2);
 //! assert_eq!(outcome.rounds_replayed, 4);
 //! assert!(outcome.params.iter().all(|p| p.is_finite()));

@@ -253,3 +253,60 @@ fn unlearn_on_a_zero_dimension_history_fails_with_a_decoding_error() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&ckpt);
 }
+
+#[test]
+fn unlearn_refuses_a_non_positive_or_non_finite_lr() {
+    let hist = tmp("hist-lr.bin");
+    let out = bin()
+        .args([
+            "train",
+            "--out",
+            hist.to_str().unwrap(),
+            "--clients",
+            "3",
+            "--rounds",
+            "4",
+            "--seed",
+            "2",
+        ])
+        .output()
+        .expect("run train");
+    assert!(out.status.success());
+
+    for lr in ["0", "-0.5", "nan", "inf"] {
+        let out = bin()
+            .args([
+                "unlearn",
+                "--history",
+                hist.to_str().unwrap(),
+                "--client",
+                "2",
+                "--out",
+                tmp("never-lr.ckpt").to_str().unwrap(),
+                "--lr",
+                lr,
+            ])
+            .output()
+            .expect("run unlearn");
+        assert_eq!(out.status.code(), Some(1), "--lr {lr}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: invalid --lr"),
+            "--lr {lr}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&hist);
+}
+
+#[test]
+fn train_refuses_zero_rounds() {
+    let hist = tmp("hist-zero-rounds.bin");
+    let out = bin()
+        .args(["train", "--out", hist.to_str().unwrap(), "--rounds", "0"])
+        .output()
+        .expect("run train");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: invalid --rounds"), "{stderr}");
+    assert!(!hist.exists());
+}

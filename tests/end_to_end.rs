@@ -6,7 +6,10 @@ use fuiov::eval::test_accuracy;
 use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::unlearn::{calibrate_lr, RecoveryConfig, UnlearnError, Unlearner};
+use fuiov::unlearn::{
+    backtrack_set, calibrate_lr, recover_set, NoOracle, RecoveryConfig, RecoveryOutcome,
+    UnlearnError,
+};
 
 const SPEC: ModelSpec = ModelSpec::Mlp {
     inputs: 144,
@@ -51,6 +54,15 @@ fn train_world(seed: u64, n_clients: usize, rounds: usize, forgotten: usize) -> 
     World { server, test }
 }
 
+/// Forgets `client` and recovers from the history alone.
+fn recover_one(
+    server: &Server,
+    client: usize,
+    cfg: &RecoveryConfig,
+) -> Result<RecoveryOutcome, UnlearnError> {
+    recover_set(server.history(), &[client], cfg, &mut NoOracle, |_, _| {})
+}
+
 fn accuracy(params: &[f32], test: &Dataset) -> f32 {
     let mut m = SPEC.build(0);
     m.set_params(params);
@@ -58,18 +70,18 @@ fn accuracy(params: &[f32], test: &Dataset) -> f32 {
 }
 
 #[test]
-fn full_pipeline_forget_and_recover() {
+fn full_pipeline_forgets_and_recovers() {
     let w = train_world(1, 5, 20, 4);
     let history = w.server.history();
 
     let lr = calibrate_lr(history).expect("history rich enough to calibrate");
-    let unlearner = Unlearner::new(history, RecoveryConfig::new(lr * 2.0));
+    let cfg = RecoveryConfig::new(lr * 2.0);
 
-    let bt = unlearner.forget(4).expect("backtrack");
+    let bt = backtrack_set(history, &[4]).expect("backtrack");
     assert_eq!(bt.join_round, 2);
     assert_eq!(&bt.params[..], &*history.model(2).unwrap());
 
-    let out = unlearner.forget_and_recover(4).expect("recover");
+    let out = recover_one(&w.server, 4, &cfg).expect("recover");
     assert_eq!(out.rounds_replayed, 18);
     assert!(out.params.iter().all(|v| v.is_finite()));
 
@@ -85,8 +97,9 @@ fn full_pipeline_forget_and_recover() {
 fn pipeline_is_fully_deterministic() {
     let run = |seed| {
         let w = train_world(seed, 4, 10, 3);
-        let unlearner = Unlearner::new(w.server.history(), RecoveryConfig::new(0.01));
-        unlearner.forget_and_recover(3).expect("recover").params
+        recover_one(&w.server, 3, &RecoveryConfig::new(0.01))
+            .expect("recover")
+            .params
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6));
@@ -108,9 +121,8 @@ fn history_savings_exceed_ninety_percent() {
 #[test]
 fn forgetting_nonexistent_client_fails_cleanly() {
     let w = train_world(3, 4, 8, 3);
-    let unlearner = Unlearner::new(w.server.history(), RecoveryConfig::new(0.01));
     assert_eq!(
-        unlearner.forget(99).unwrap_err(),
+        backtrack_set(w.server.history(), &[99]).unwrap_err(),
         UnlearnError::UnknownClient(99)
     );
 }
@@ -118,9 +130,8 @@ fn forgetting_nonexistent_client_fails_cleanly() {
 #[test]
 fn recovered_model_differs_from_original_and_unlearned() {
     let w = train_world(4, 5, 15, 4);
-    let unlearner = Unlearner::new(w.server.history(), RecoveryConfig::new(0.005));
-    let bt = unlearner.forget(4).unwrap();
-    let out = unlearner.forget_and_recover(4).unwrap();
+    let bt = backtrack_set(w.server.history(), &[4]).unwrap();
+    let out = recover_one(&w.server, 4, &RecoveryConfig::new(0.005)).unwrap();
     let d_unlearned = fuiov::eval::model_distance(&out.params, &bt.params);
     let d_original = fuiov::eval::model_distance(&out.params, w.server.params());
     assert!(d_unlearned > 1e-6, "recovery must move the model");
@@ -135,9 +146,9 @@ fn set_unlearning_backtracks_to_earliest_join() {
     let w = train_world(5, 5, 12, 4);
     let history = w.server.history();
     // Client 4 joined at 2, others at 0 → set {0, 4} backtracks to 0.
-    let bt = fuiov::unlearn::backtrack_set(history, &[0, 4]).unwrap();
+    let bt = backtrack_set(history, &[0, 4]).unwrap();
     assert_eq!(bt.join_round, 0);
     // Single client 4 → round 2.
-    let bt4 = fuiov::unlearn::backtrack_set(history, &[4]).unwrap();
+    let bt4 = backtrack_set(history, &[4]).unwrap();
     assert_eq!(bt4.join_round, 2);
 }

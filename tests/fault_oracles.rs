@@ -154,7 +154,7 @@ fn forgetting_after_everyone_left_is_a_typed_error() {
     // any record in the replay window, recovery must report
     // EmptyMembershipWindow rather than silently returning the
     // backtracked model.
-    use fuiov_core::{RecoveryConfig, Unlearner};
+    use fuiov_core::{recover_set, NoOracle, RecoveryConfig};
     use fuiov_storage::HistoryStore;
     let mut h = HistoryStore::new(1e-6);
     for t in 0..=3 {
@@ -167,9 +167,9 @@ fn forgetting_after_everyone_left_is_a_typed_error() {
     h.record_join(1, 2);
     h.record_gradient(2, 1, &[0.5, -0.5, 0.5, -0.5]);
 
-    let unlearner = Unlearner::new(&h, RecoveryConfig::new(0.1));
+    let cfg = RecoveryConfig::new(0.1);
     assert_eq!(
-        unlearner.forget_and_recover(1).unwrap_err(),
+        recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap_err(),
         UnlearnError::EmptyMembershipWindow {
             start_round: 2,
             end_round: 3

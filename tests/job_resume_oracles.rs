@@ -12,7 +12,7 @@
 //! in-repo defaults `[11, 29]` run.
 
 use fuiov_core::jobs::{JobConfig, JobLog, JobService};
-use fuiov_core::{recover_set, recover_set_scoped, NoOracle, RecoveryConfig, RecoveryOutcome};
+use fuiov_core::{recover_set, NoOracle, RecoveryConfig, RecoveryOutcome};
 use fuiov_storage::HistoryStore;
 use fuiov_testkit::{bitwise_eq, Corruptor, Fault, FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -332,102 +332,6 @@ fn duplicate_submissions_collapse_onto_one_job() {
         svc.run_to_completion(&mut NoOracle);
         assert_matches_refs(&mut svc, &ids, &all_refs, &format!("dup seed {seed}"));
     }
-}
-
-/// Subtree-scoped jobs: the scope travels with the job through
-/// checkpoints and preemption, the outcome is bitwise identical to the
-/// one-shot scoped reference, and scoped/unscoped submissions of the
-/// same forgotten set are distinct jobs.
-#[test]
-fn scoped_jobs_match_one_shot_scoped_recovery() {
-    let h = history();
-    // Scope = clients 0 and 4 (the forgotten vehicle's leaf); clients
-    // 2, 3, 5 are sibling subtrees replayed from sealed directions.
-    let scope: &[usize] = &[0, 4];
-    let reference = recover_set_scoped(&h, &[1], Some(scope), &config(), &mut NoOracle, |_, _| {})
-        .expect("one-shot scoped recovery succeeds");
-    assert!(
-        reference.sibling_reuses > 0,
-        "oracle is vacuous: the scope must exclude someone"
-    );
-
-    let mut svc = JobService::new(JobConfig::new(config()).checkpoint_interval(2));
-    let scoped_id = svc.submit_scoped(&h, &[1], Some(scope));
-    let unscoped_id = svc.submit(&h, &[1]);
-    assert_ne!(
-        scoped_id, unscoped_id,
-        "same forgotten set under a different scope is a different job"
-    );
-    // A duplicate scoped submission (scope order permuted) collapses.
-    assert_eq!(svc.submit_scoped(&h, &[1], Some(&[4, 0])), scoped_id);
-
-    // Preempt at every checkpoint boundary so resume must reproduce the
-    // scoped replay, not fall back to full estimation.
-    let mut steps = 0usize;
-    loop {
-        let mut active = false;
-        for _ in 0..2 {
-            active = svc.step(&mut NoOracle);
-            steps += 1;
-            assert!(steps < 10_000, "scoped job service made no progress");
-            if !active {
-                break;
-            }
-        }
-        if !active {
-            break;
-        }
-        svc.preempt(scoped_id);
-    }
-
-    let scoped_out = take_ok(&mut svc, scoped_id);
-    assert!(
-        bitwise_eq(&scoped_out.params, &reference.params),
-        "scoped job diverged from one-shot scoped reference"
-    );
-    assert_eq!(scoped_out.sibling_reuses, reference.sibling_reuses);
-
-    let unscoped_out = take_ok(&mut svc, unscoped_id);
-    let unscoped_ref = one_shot(&h, &[1]);
-    assert!(
-        bitwise_eq(&unscoped_out.params, &unscoped_ref.params),
-        "unscoped job sharing the queue diverged from its reference"
-    );
-    assert_eq!(unscoped_out.sibling_reuses, 0);
-}
-
-/// Crash a scoped job (drop the service), reopen the log, resubmit with
-/// the same scope: the resumed run must be bitwise identical to the
-/// uninterrupted scoped run — the scope is restored from the checkpoint.
-#[test]
-fn scoped_job_survives_crash_and_log_resume() {
-    let h = history();
-    let scope: &[usize] = &[0, 4];
-    let reference = recover_set_scoped(&h, &[1], Some(scope), &config(), &mut NoOracle, |_, _| {})
-        .expect("one-shot scoped recovery succeeds");
-    let path = log_path("scoped");
-    {
-        let (log, logged) = JobLog::open(&path).expect("open fresh log");
-        let mut svc =
-            JobService::with_log(JobConfig::new(config()).checkpoint_interval(2), log, logged);
-        svc.submit_scoped(&h, &[1], Some(scope));
-        for _ in 0..4 {
-            svc.step(&mut NoOracle); // seal checkpoints, then crash
-        }
-    }
-    let (log, logged) = JobLog::open(&path).expect("reopen log after crash");
-    assert!(!logged.is_empty(), "crash must leave sealed checkpoints");
-    let mut svc =
-        JobService::with_log(JobConfig::new(config()).checkpoint_interval(2), log, logged);
-    let id = svc.submit_scoped(&h, &[1], Some(scope));
-    svc.run_to_completion(&mut NoOracle);
-    let out = take_ok(&mut svc, id);
-    assert!(
-        bitwise_eq(&out.params, &reference.params),
-        "resumed scoped job diverged from uninterrupted scoped run"
-    );
-    assert_eq!(out.sibling_reuses, reference.sibling_reuses);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Job outputs must not depend on the history budget: a 4 KB cold store

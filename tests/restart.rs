@@ -7,9 +7,7 @@ use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
 use fuiov::storage::segment::{decode_history, encode_history};
-use fuiov::unlearn::{
-    ingest_requests, JobConfig, JobLog, JobService, NoOracle, RecoveryConfig, Unlearner,
-};
+use fuiov::unlearn::{recover_set, JobConfig, JobLog, JobService, NoOracle, RecoveryConfig};
 
 const SPEC: ModelSpec = ModelSpec::Mlp {
     inputs: 144,
@@ -57,12 +55,10 @@ fn recovery_from_restored_history_is_bit_identical() {
     let restored = decode_history(&blob).expect("own encoding decodes");
 
     let cfg = RecoveryConfig::new(0.01);
-    let live = Unlearner::new(live_history, cfg)
-        .forget_and_recover(3)
-        .expect("live recovery");
-    let cold = Unlearner::new(&restored, cfg)
-        .forget_and_recover(3)
-        .expect("restored recovery");
+    let live =
+        recover_set(live_history, &[3], &cfg, &mut NoOracle, |_, _| {}).expect("live recovery");
+    let cold =
+        recover_set(&restored, &[3], &cfg, &mut NoOracle, |_, _| {}).expect("restored recovery");
 
     assert_eq!(live.params, cold.params, "restart must not change recovery");
     assert_eq!(live.start_round, cold.start_round);
@@ -86,9 +82,8 @@ fn job_service_resumes_across_a_server_restart_bit_identically() {
     assert_eq!(requests.len(), 1);
 
     let cfg = RecoveryConfig::new(0.01);
-    let live = Unlearner::new(server.history(), cfg)
-        .forget_and_recover(3)
-        .expect("live recovery");
+    let live =
+        recover_set(server.history(), &[3], &cfg, &mut NoOracle, |_, _| {}).expect("live recovery");
 
     let blob = encode_history(server.history()).expect("live history encodes");
     let log_path =
@@ -100,7 +95,10 @@ fn job_service_resumes_across_a_server_restart_bit_identically() {
         let (log, logged) = JobLog::open(&log_path).expect("fresh log");
         assert!(logged.is_empty());
         let mut svc = JobService::with_log(JobConfig::new(cfg).checkpoint_interval(2), log, logged);
-        let ids = ingest_requests(&mut svc, server.history(), &requests);
+        let ids: Vec<_> = requests
+            .iter()
+            .map(|req| svc.submit(server.history(), &req.clients))
+            .collect();
         assert_eq!(ids.len(), 1);
         for _ in 0..4 {
             svc.step(&mut NoOracle);
@@ -112,7 +110,10 @@ fn job_service_resumes_across_a_server_restart_bit_identically() {
     let (log, logged) = JobLog::open(&log_path).expect("reopen log");
     assert!(!logged.is_empty(), "crash must leave sealed checkpoints");
     let mut svc = JobService::with_log(JobConfig::new(cfg).checkpoint_interval(2), log, logged);
-    let ids = ingest_requests(&mut svc, &restored, &requests);
+    let ids: Vec<_> = requests
+        .iter()
+        .map(|req| svc.submit(&restored, &req.clients))
+        .collect();
     svc.run_to_completion(&mut NoOracle);
     let resumed = svc
         .take_outcome(ids[0])

@@ -2,9 +2,10 @@
 //!
 //! The hierarchy's whole point is that server-side state scales with the
 //! *tree*, not the cohort: group-level history (one pseudo-client per
-//! RSU leaf), lazily generated membership, and sealed subtree aggregates
-//! keep a million-vehicle round inside a fixed resident-byte envelope,
-//! and forgetting one vehicle replays only its root-to-leaf path.
+//! RSU leaf) and lazily generated membership keep a million-vehicle round
+//! inside a fixed resident-byte envelope, and forgetting one vehicle
+//! re-estimates only its own leaf — every sibling leaf replays its
+//! stored direction from that same group history.
 //!
 //! Resident-byte bounds below are *pinned* (measured ~33 KB at 10⁵ and
 //! ~75 KB at 10⁶, asserted with ~3× headroom): a regression that
@@ -49,8 +50,9 @@ fn forget_and_check(run: &CohortRun, vehicle: usize, label: &str) -> usize {
         rec.outcome.params.iter().all(|x| x.is_finite()),
         "{label}: recovered model must be finite"
     );
-    // Every sibling leaf reuses its sealed aggregate in every replayed
-    // round — only the forgotten vehicle's own leaf is re-estimated.
+    // Every sibling leaf reuses its group-history direction in every
+    // replayed round — only the forgotten vehicle's own leaf is
+    // re-estimated.
     let siblings = run.cfg.leaf_count() - 1;
     assert_eq!(
         rec.outcome.sibling_reuses,
@@ -94,8 +96,8 @@ fn million_vehicle_cohort_stays_inside_the_resident_envelope() {
     let run = cohort(N, 2, 16, seed);
     assert_eq!(run.cfg.leaf_count(), 977);
     assert_eq!(run.participant_rounds, 2 * N as u64);
-    // The pinned end-to-end bound: training state plus group history plus
-    // subtree index for a million vehicles fits in a quarter megabyte —
+    // The pinned end-to-end bound: training state plus group history for
+    // a million vehicles fits in a quarter megabyte —
     // per-vehicle state at this scale would need megabytes at 1 B each.
     assert!(
         run.peak_resident_bytes < 256 * 1024,

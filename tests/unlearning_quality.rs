@@ -7,7 +7,9 @@ use fuiov::eval::model_distance;
 use fuiov::fl::mobility::{ChurnSchedule, Membership};
 use fuiov::fl::{Client, FlConfig, HonestClient, Server};
 use fuiov::nn::ModelSpec;
-use fuiov::unlearn::{calibrate_lr, forgetting_score, RecoveryConfig, Unlearner};
+use fuiov::unlearn::{
+    backtrack_set, calibrate_lr, forgetting_score, recover_set, NoOracle, RecoveryConfig,
+};
 
 const SPEC: ModelSpec = ModelSpec::Mlp {
     inputs: 144,
@@ -72,8 +74,8 @@ fn world(seed: u64) -> (Server, Dataset, Dataset) {
 fn unlearning_removes_the_clients_privileged_fit() {
     let (server, forgotten_data, reference) = world(3);
     let lr = calibrate_lr(server.history()).map_or(0.01, |c| c * 2.0);
-    let unlearner = Unlearner::new(server.history(), RecoveryConfig::new(lr));
-    let out = unlearner.forget_and_recover(4).expect("recover");
+    let cfg = RecoveryConfig::new(lr);
+    let out = recover_set(server.history(), &[4], &cfg, &mut NoOracle, |_, _| {}).expect("recover");
 
     let mut model = SPEC.build(0);
     let score = forgetting_score(
@@ -93,9 +95,9 @@ fn unlearning_removes_the_clients_privileged_fit() {
 fn recovery_improves_on_the_backtracked_model_functionally() {
     let (server, _, reference) = world(4);
     let lr = calibrate_lr(server.history()).map_or(0.01, |c| c * 2.0);
-    let unlearner = Unlearner::new(server.history(), RecoveryConfig::new(lr));
-    let bt = unlearner.forget(4).expect("backtrack");
-    let out = unlearner.forget_and_recover(4).expect("recover");
+    let cfg = RecoveryConfig::new(lr);
+    let bt = backtrack_set(server.history(), &[4]).expect("backtrack");
+    let out = recover_set(server.history(), &[4], &cfg, &mut NoOracle, |_, _| {}).expect("recover");
 
     // §III-B's criterion is functional — the recovered model should
     // predict like one trained on the remaining clients, i.e. clearly

@@ -382,3 +382,122 @@ fn docs_name_only_modules_that_exist() {
         bad.join("\n")
     );
 }
+
+/// Every `FUIOV_*` name in `text`, with its byte range.
+fn fuiov_names(text: &str) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (start, _) in text.match_indices("FUIOV_") {
+        if text[..start]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+        {
+            continue; // inside a longer identifier
+        }
+        let len = text[start + 6..]
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(text.len() - start - 6);
+        if len > 0 {
+            out.push((start, start + 6 + len));
+        }
+    }
+    out
+}
+
+/// The code of one Rust source line: everything before a `//` that is
+/// not inside a string literal.
+fn rust_code(line: &str) -> &str {
+    let (mut in_str, mut escaped) = (false, false);
+    let bytes = line.as_bytes();
+    for i in 0..bytes.len() {
+        match bytes[i] {
+            _ if escaped => escaped = false,
+            b'\\' if in_str => escaped = true,
+            b'"' => in_str = !in_str,
+            b'/' if !in_str && bytes.get(i + 1) == Some(&b'/') => return &line[..i],
+            _ => {}
+        }
+    }
+    line
+}
+
+/// The code of one shell, YAML or Python line: everything before a `#`
+/// that opens the line or follows whitespace.
+fn script_code(line: &str) -> &str {
+    let cut = line
+        .char_indices()
+        .find(|&(i, c)| c == '#' && (i == 0 || line[..i].ends_with([' ', '\t'])))
+        .map_or(line.len(), |(i, _)| i);
+    &line[..cut]
+}
+
+/// Collects the `FUIOV_*` variables the code under `dir` reads or sets:
+/// string literals in Rust code, assignments and expansions in scripts,
+/// workflows and Python. Comments do not count.
+fn variables_in_code(dir: &Path, found: &mut Vec<String>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            variables_in_code(&path, found);
+            continue;
+        }
+        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+        if !["rs", "sh", "yml", "py"].contains(&ext) {
+            continue;
+        }
+        let text = fs::read_to_string(&path).unwrap_or_default();
+        for line in text.lines() {
+            let code = if ext == "rs" {
+                rust_code(line)
+            } else {
+                script_code(line)
+            };
+            for (s, e) in fuiov_names(code) {
+                let used = if ext == "rs" {
+                    code[..s].ends_with('"') && code[e..].starts_with('"')
+                } else {
+                    code[e..].starts_with('=')
+                        || code[..s].ends_with('$')
+                        || code[..s].ends_with("${")
+                };
+                if used {
+                    found.push(code[s..e].to_string());
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn docs_name_only_env_vars_the_code_reads() {
+    let mut in_code = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "scripts", ".github"] {
+        variables_in_code(&root().join(dir), &mut in_code);
+    }
+    let mut bad = Vec::new();
+    let mut documented = 0;
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(root().join(doc)).expect("doc exists");
+        for (i, line) in text.lines().enumerate() {
+            for (s, e) in fuiov_names(line) {
+                documented += 1;
+                let name = &line[s..e];
+                if !in_code.iter().any(|n| n == name) {
+                    bad.push(format!(
+                        "{doc} line {}: `{name}` is read or set by no code",
+                        i + 1
+                    ));
+                }
+            }
+        }
+    }
+    assert!(documented > 0, "the docs name no FUIOV_* variable at all");
+    assert!(
+        bad.is_empty(),
+        "docs name environment variables nothing reads:\n{}",
+        bad.join("\n")
+    );
+}
