@@ -124,7 +124,8 @@ fn bench_pair_refresh(c: &mut Criterion) {
     let mut stacked = StackedLbfgs::build(dim, (0..clients).map(|cid| (cid, &approx)));
     let mut group = c.benchmark_group("stack");
     group.sample_size(10);
-    group.throughput(Throughput::Bytes((clients * 4 * dim * 4) as u64));
+    // A rebuild records row handles; it copies no row.
+    group.throughput(Throughput::Elements(stacked.total_columns() as u64));
     group.bench_function(BenchmarkId::new("rebuild", "99x4x52138"), |b| {
         b.iter(|| {
             stacked.rebuild((0..clients).map(|cid| (cid, &approx)));
@@ -318,12 +319,13 @@ fn bench_batched_recovery_round(c: &mut Criterion) {
             &mut scratch.est,
             &mut scratch.acc64,
             &mut scratch.agg,
-            |p, row| {
+            &mut (),
+            |_, p, row| {
                 dirs_ref[p].decode_into(row);
                 let entry = stacked_ref.entry_for(p).expect("all clients stacked");
                 stacked_ref.accumulate_correction(entry, ps, &dw, row);
             },
-            |_, _| {},
+            |_, _, _| {},
         );
         scratch.agg.clone()
     };
@@ -394,7 +396,8 @@ fn bench_simd_kernels(c: &mut Criterion) {
     // pool to one thread so the comparison isolates lane-level ILP/width
     // gains from thread scaling.
     use fuiov_storage::delta;
-    use fuiov_tensor::{simd, Mat};
+    use fuiov_tensor::matrix::{row_dots, row_dots_scalar};
+    use fuiov_tensor::simd;
 
     let _simd_guard = simd::force_guard();
     pool::set_threads(1);
@@ -402,15 +405,18 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_vs_scalar");
     group.sample_size(20);
 
-    // -- row_dots_into: the stacked-HVP inbound sweep (2s+1 rows × dim).
+    // -- row_dots: the stacked-HVP inbound sweep (2s+1 rows × dim), each
+    // row its own allocation as the stack's row handles are.
     let (rows, cols) = (96usize, 52_138usize);
-    let mat = Mat::from_vec(rows, cols, random_vec(rows * cols, 21));
+    let mat: Vec<Vec<f32>> = (0..rows)
+        .map(|r| random_vec(cols, 21_000 + r as u64))
+        .collect();
     let v = random_vec(cols, 22);
     let mut dots_fast = vec![0.0f32; rows];
     let mut dots_slow = vec![0.0f32; rows];
     simd::set_forced(Some(true));
-    mat.row_dots_into(&v, &mut dots_fast);
-    mat.row_dots_into_scalar(&v, &mut dots_slow);
+    row_dots(&mat, &v, &mut dots_fast);
+    row_dots_scalar(&mat, &v, &mut dots_slow);
     assert_eq!(
         dots_fast.iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
         dots_slow.iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
@@ -419,14 +425,14 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.throughput(Throughput::Elements((rows * cols) as u64));
     group.bench_function("row_dots_scalar_96x52k", |b| {
         b.iter(|| {
-            mat.row_dots_into_scalar(&v, &mut dots_slow);
+            row_dots_scalar(&mat, &v, &mut dots_slow);
             black_box(dots_slow.last().copied())
         });
     });
     simd::set_forced(Some(true));
     group.bench_function("row_dots_simd_96x52k", |b| {
         b.iter(|| {
-            mat.row_dots_into(&v, &mut dots_fast);
+            row_dots(&mat, &v, &mut dots_fast);
             black_box(dots_fast.last().copied())
         });
     });
@@ -648,13 +654,14 @@ fn bench_history_tiering(c: &mut Criterion) {
                 &mut scratch.est,
                 &mut scratch.acc64,
                 &mut scratch.agg,
-                |p, row| {
+                &mut (),
+                |_, p, row| {
                     let (cid, dir) = &roster[p];
                     dir.decode_into(row);
                     let entry = stacked.entry_for(*cid).expect("all clients stacked");
                     stacked.accumulate_correction(entry, ps, dw_ref, row);
                 },
-                |_, _| {},
+                |_, _, _| {},
             );
             vector::axpy(-0.05, &scratch.agg, &mut params);
         }

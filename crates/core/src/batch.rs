@@ -6,15 +6,16 @@
 //! inbound passes all stream `v` again. This module restructures the round
 //! into block linear algebra over one stacked factor matrix:
 //!
-//! 1. **Fused inbound pass** — the clients' factor columns live in one
-//!    matrix, stored *transposed* so each column is a contiguous row:
-//!    every client's `ΔG` rows, then each distinct `ΔW` row **once**. The
-//!    pairs are `(ΔW, ΔGⁱ)` (§IV-B): a model difference carries no client
-//!    index, and every client with a pair from the same round holds the
-//!    same `ΔW` handle, so the stack copies that row once and each client's
-//!    entry records where its `ΔW` rows sit. A single
-//!    [`Mat::row_dots_into`] sweep computes every row's `rowᵀ·v` at once,
-//!    parallelised over rows via the row-band pool.
+//! 1. **Fused inbound pass** — each factor column is a contiguous row,
+//!    and the stack is an index over those rows where the pairs already
+//!    hold them: every client's `ΔG` handles, then each distinct `ΔW`
+//!    handle **once**. The pairs are `(ΔW, ΔGⁱ)` (§IV-B): a model
+//!    difference carries no client index, and every client with a pair
+//!    from the same round holds the same `ΔW` handle, so the stack lists
+//!    that row once and each client's entry records where its `ΔW` rows
+//!    sit. No row is copied: the stack holds handles, not a matrix. One
+//!    [`row_dots`] sweep over the handles computes every row's `rowᵀ·v`
+//!    at once, parallelised over rows via the row-band pool.
 //! 2. **Middle solves** — per client, the tiny `2sᵢ × 2sᵢ` factored system
 //!    is solved against its `ΔG` dots and the dots of its `ΔW` rows, read
 //!    by index (scratch recycled across clients).
@@ -28,6 +29,14 @@
 //!    lane-parallel pass that also observes each row's norms, and folded
 //!    into one `f64` FedAvg accumulator in roster order. No `n × d`
 //!    estimate matrix exists: the block stays in L2 from decode to fold.
+//!
+//! **Memory.** Each pair row is held once, by the pair buffer and the
+//! approximation that share its handle; the stack adds only its index.
+//! When a round refreshes a client's pairs, the client's new
+//! approximation replaces the old one and the stack releases its handles
+//! on the client's `ΔG` rows (`StackedLbfgs::release`), so the row the
+//! refresh evicted is freed within the round. A released stack is rebuilt
+//! before anything reads it again.
 //!
 //! **Bitwise identity.** Each stacked row's dot accumulates `f64`
 //! contributions in ascending element order with the `v[r] == 0.0` skip —
@@ -44,16 +53,17 @@
 //! per-client result at every thread count (see `tests/props.rs` and the
 //! frozen golden trace).
 //!
-//! [`Mat::row_dots_into`]: fuiov_tensor::Mat::row_dots_into
 //! [`Mat::tr_matvec`]: fuiov_tensor::Mat::tr_matvec
 //! [`Lu`]: fuiov_tensor::solve::Lu
 
 use crate::lbfgs::LbfgsApprox;
 use fuiov_storage::ClientId;
+use fuiov_tensor::matrix::row_dots;
 use fuiov_tensor::simd::AVec;
 use fuiov_tensor::solve::Lu;
-use fuiov_tensor::{pool, vector, Mat};
+use fuiov_tensor::{pool, vector};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One client's entry in the stack.
 #[derive(Debug, Clone)]
@@ -73,22 +83,25 @@ struct StackedEntry {
     middle: Lu,
 }
 
-/// All remaining clients' L-BFGS factors stacked into one matrix, ready to
-/// serve a whole recovery round with one fused inbound sweep.
+/// All remaining clients' L-BFGS factors stacked into one index over
+/// their rows, ready to serve a whole recovery round with one fused
+/// inbound sweep.
 ///
+/// The stack holds the approximations' own row handles, not copies: a
+/// rebuild records each entry's `ΔG` handles and each distinct `ΔW`
+/// handle once, which is O(rows) bookkeeping and no `d`-length buffer.
 /// Re-stack (via [`StackedLbfgs::rebuild`]) whenever any client's
 /// approximation changes — pair refreshes are rare (every
-/// `pair_refresh_interval` rounds), and each rebuild copies every
-/// client's `ΔG` rows and each distinct `ΔW` row once into the buffer
-/// the stack already owns.
+/// `pair_refresh_interval` rounds).
 #[derive(Debug, Clone)]
 pub struct StackedLbfgs {
     dim: usize,
-    /// Row-major, `dim` columns: the clients' `ΔG` rows in client order,
-    /// then every distinct `ΔW` row once, in order of first use. Two
-    /// clients share a `ΔW` row exactly when their approximations hold
-    /// the same handle ([`std::sync::Arc::ptr_eq`]).
-    stack: Mat,
+    /// Every stacked row, `dim` long: the clients' `ΔG` handles in client
+    /// order, then every distinct `ΔW` handle once, in order of first
+    /// use. Two clients share a `ΔW` row exactly when their
+    /// approximations hold the same handle ([`Arc::ptr_eq`]). A released
+    /// client's `ΔG` slots hold an empty row.
+    rows: Vec<Arc<[f32]>>,
     entries: Vec<StackedEntry>,
     /// Ascending client ids, parallel to `entries`.
     clients: Vec<ClientId>,
@@ -108,7 +121,7 @@ impl StackedLbfgs {
     {
         let mut stacked = StackedLbfgs {
             dim,
-            stack: Mat::zeros(0, 0),
+            rows: Vec::new(),
             entries: Vec::new(),
             clients: Vec::new(),
         };
@@ -117,10 +130,9 @@ impl StackedLbfgs {
     }
 
     /// Re-stacks `approxes` (ascending client order, the stack's
-    /// dimension) into the buffer this stack already owns: every client's
-    /// `ΔG` rows, then each distinct `ΔW` handle's row once. The buffer is
-    /// reserved to the exact new size once and reused across rebuilds.
-    /// The result is indistinguishable from a fresh
+    /// dimension): records every client's `ΔG` handles, then each
+    /// distinct `ΔW` handle once, reusing the stack's index buffers. No
+    /// row is copied. The result is indistinguishable from a fresh
     /// [`StackedLbfgs::build`] (equal [`StackedLbfgs::fingerprint`]).
     ///
     /// # Panics
@@ -136,11 +148,12 @@ impl StackedLbfgs {
         let g_total: usize = approxes.iter().map(|(_, a)| a.pairs()).sum();
         self.entries.clear();
         self.clients.clear();
+        self.rows.clear();
         // Each distinct ΔW handle, keyed by its address (every handle is
         // alive for the whole rebuild), with its stacked row.
         let mut w_index: HashMap<*const f32, usize> = HashMap::new();
-        let mut distinct_w: Vec<&[f32]> = Vec::new();
-        let (mut offset, mut g_row) = (0usize, 0usize);
+        let mut distinct_w: Vec<Arc<[f32]>> = Vec::new();
+        let mut offset = 0usize;
         for &(client, approx) in &approxes {
             assert_eq!(approx.dim(), dim, "StackedLbfgs: dimension mismatch");
             assert!(
@@ -152,36 +165,49 @@ impl StackedLbfgs {
                 .iter()
                 .map(|row| {
                     *w_index.entry(row.as_ptr()).or_insert_with(|| {
-                        distinct_w.push(&row[..]);
+                        distinct_w.push(Arc::clone(row));
                         g_total + distinct_w.len() - 1
                     })
                 })
                 .collect();
             self.entries.push(StackedEntry {
                 offset,
-                g_row,
+                g_row: self.rows.len(),
                 w_rows,
                 pairs: approx.pairs(),
                 sigma: approx.sigma(),
                 middle: approx.middle_lu().clone(),
             });
             self.clients.push(client);
+            self.rows.extend(approx.dg_rows().iter().cloned());
             offset += 2 * approx.pairs();
-            g_row += approx.pairs();
         }
-        let rows = g_total + distinct_w.len();
-        let mut data = std::mem::replace(&mut self.stack, Mat::zeros(0, 0)).into_vec();
-        data.clear();
-        data.reserve_exact(rows * dim);
-        for (_, approx) in &approxes {
-            for row in approx.dg_rows() {
-                data.extend_from_slice(row);
-            }
+        self.rows.append(&mut distinct_w);
+    }
+
+    /// Drops the stack's handles on `client`'s `ΔG` rows (a no-op for a
+    /// client it does not hold). The replay round calls this as it
+    /// replaces the client's approximation after a pair refresh, so the
+    /// rows the refresh evicted are freed at once rather than at the next
+    /// rebuild. The client's `ΔW` rows stay: other clients share them.
+    ///
+    /// A released slot holds an empty row. The released entry must not
+    /// be read again, and the stack must be rebuilt before its next sweep
+    /// or fingerprint: every reader debug-asserts this, and the kernels'
+    /// length asserts refuse an empty row in any build.
+    pub(crate) fn release(&mut self, client: ClientId) {
+        let Some(i) = self.entry_for(client) else {
+            return;
+        };
+        let e = &self.entries[i];
+        for row in &mut self.rows[e.g_row..e.g_row + e.pairs] {
+            *row = Arc::default();
         }
-        for row in distinct_w {
-            data.extend_from_slice(row);
-        }
-        self.stack = Mat::from_vec(rows, dim, data);
+    }
+
+    /// Whether no entry was released since the last rebuild.
+    fn is_whole(&self) -> bool {
+        self.rows.iter().all(|row| row.len() == self.dim)
     }
 
     /// Whether no client is stacked.
@@ -197,7 +223,7 @@ impl StackedLbfgs {
     /// Number of stacked rows: `Σᵢ sᵢ` `ΔG` rows plus one row per distinct
     /// `ΔW` handle — the length of [`StackedLbfgs::fused_dots`]'s output.
     pub fn total_columns(&self) -> usize {
-        self.stack.rows()
+        self.rows.len()
     }
 
     /// The entry index serving `client`, if it is stacked.
@@ -221,6 +247,7 @@ impl StackedLbfgs {
     /// sweeps, and `core::jobs` seals this value into each checkpoint and
     /// verifies it after rebuilding the stack on resume.
     pub fn fingerprint(&self) -> u64 {
+        debug_assert!(self.is_whole(), "fingerprint of a released stack");
         let mut h = Fnv1aWords::new();
         h.u64(self.dim as u64);
         h.u64(self.entries.len() as u64);
@@ -231,11 +258,11 @@ impl StackedLbfgs {
             h.u32(e.sigma.to_bits());
         }
         for e in &self.entries {
-            for r in e.g_row..e.g_row + e.pairs {
-                h.f32s(self.stack.row(r));
+            for row in &self.rows[e.g_row..e.g_row + e.pairs] {
+                h.f32s(row);
             }
             for &r in &e.w_rows {
-                h.f32s(self.stack.row(r));
+                h.f32s(&self.rows[r]);
             }
         }
         h.finish()
@@ -243,19 +270,20 @@ impl StackedLbfgs {
 
     /// Pass 1: the fused inbound sweep. Computes every stacked row's
     /// `f64`-accumulated dot with the shared `v` into `dots` (resized to
-    /// [`StackedLbfgs::total_columns`]), one parallel row-band pass over
-    /// the whole stack.
+    /// [`StackedLbfgs::total_columns`]), one parallel row-band pass of
+    /// [`row_dots`] over the stack's row handles.
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != dim`.
     pub fn fused_dots(&self, v: &[f32], dots: &mut AVec) {
         assert_eq!(v.len(), self.dim, "fused_dots: dimension mismatch");
+        debug_assert!(self.is_whole(), "sweep of a released stack");
         dots.clear();
-        dots.resize(self.stack.rows(), 0.0);
-        if !dots.is_empty() {
-            self.stack.row_dots_into(v, dots);
-        }
+        dots.resize(self.rows.len(), 0.0);
+        pool::par_row_bands_weighted(dots, self.rows.len(), 1, self.dim, |rows, band| {
+            row_dots(&self.rows[rows], v, band);
+        });
     }
 
     /// The range form of pass 1: computes stacked rows
@@ -272,7 +300,8 @@ impl StackedLbfgs {
     /// [`StackedLbfgs::total_columns`], or `band.len() != rows.len()`.
     pub fn dots_range_into(&self, v: &[f32], rows: std::ops::Range<usize>, band: &mut [f32]) {
         assert_eq!(v.len(), self.dim, "dots_range_into: dimension mismatch");
-        self.stack.row_dots_range_into(v, rows, band);
+        debug_assert!(self.is_whole(), "sweep of a released stack");
+        row_dots(&self.rows[rows], v, band);
     }
 
     /// Pass 2: every client's middle solve against its dots — its `ΔG`
@@ -293,7 +322,7 @@ impl StackedLbfgs {
     ) {
         assert_eq!(
             dots.len(),
-            self.stack.rows(),
+            self.rows.len(),
             "solve_middles: dots length mismatch"
         );
         ps.clear();
@@ -332,10 +361,14 @@ impl StackedLbfgs {
 
     fn apply(&self, entry: usize, ps: &[f32], v: &[f32], out: &mut [f32], accumulate: bool) {
         let e = &self.entries[entry];
+        debug_assert!(
+            self.rows[e.g_row].len() == self.dim,
+            "correction through released rows"
+        );
         let p = &ps[e.offset..e.offset + 2 * e.pairs];
         apply_block(
-            |j| self.stack.row(e.g_row + j),
-            |j| self.stack.row(e.w_rows[j]),
+            |j| &self.rows[e.g_row + j],
+            |j| &self.rows[e.w_rows[j]],
             e.pairs,
             e.sigma,
             p,
@@ -566,9 +599,9 @@ pub fn fused_dots_multi(groups: &[(&StackedLbfgs, &[f32])], dots: &mut AVec) {
 /// Pass 3, streamed: every roster row's estimate is built, clipped
 /// (Eq. 7), observed and folded into FedAvg (Eq. 1) a block of rows at a
 /// time, so no `n × d` estimate matrix exists. Row `p`'s unclipped
-/// estimate is whatever `fill(p, row)` writes (the replay round decodes
-/// the stored direction, then adds the Eq. 6 correction); rows are
-/// `weights.len()` long in roster order.
+/// estimate is whatever `fill(state, p, row)` writes (the replay round
+/// decodes the stored direction, then adds the Eq. 6 correction); rows
+/// are `weights.len()` long in roster order.
 ///
 /// Each block holds [`vector::CLIP_LANES`] × pool width rows in `est`.
 /// The pool fills the block's rows in bands, and each band clamps its
@@ -576,9 +609,15 @@ pub fn fused_dots_multi(groups: &[(&StackedLbfgs, &[f32])], dots: &mut AVec) {
 /// [`vector::clip_elementwise_norms_rows`], which records each row's
 /// pre- and post-clip norm and counts a clip activation when they differ.
 /// Then the block is folded into `acc` in roster order
-/// ([`vector::weighted_accumulate_rows`]), and `on_block(rows, block)`
-/// sees its clipped rows (the replay round's pair refresh). After the
-/// last block `agg[j] = (acc[j] / Σw) as f32`.
+/// ([`vector::weighted_accumulate_rows`]), and `on_block(state, rows,
+/// block)` sees its clipped rows (the replay round's pair refresh). After
+/// the last block `agg[j] = (acc[j] / Σw) as f32`.
+///
+/// `state` is shared by the pool's `fill` calls within a block and lent
+/// exclusively to `on_block`, which runs on the calling thread between
+/// blocks: the replay round fills rows through its stack and, in
+/// `on_block`, releases the stack's handles on the rows a refresh
+/// evicted, with no lock.
 ///
 /// **Bitwise identity.** Each row is filled and clamped element by
 /// element, each norm is [`vector::l2_norm`]'s chain, and each
@@ -592,15 +631,16 @@ pub fn fused_dots_multi(groups: &[(&StackedLbfgs, &[f32])], dots: &mut AVec) {
 /// Panics if `weights` is empty or sums to zero, if `clip` is not
 /// strictly positive and finite, or if `fill` panics.
 #[allow(clippy::too_many_arguments)]
-pub fn stream_fedavg(
+pub fn stream_fedavg<S: Sync>(
     dim: usize,
     weights: &[f32],
     clip: f32,
     est: &mut AVec,
     acc: &mut Vec<f64>,
     agg: &mut Vec<f32>,
-    fill: impl Fn(usize, &mut [f32]) + Sync,
-    mut on_block: impl FnMut(std::ops::Range<usize>, &[f32]),
+    state: &mut S,
+    fill: impl Fn(&S, usize, &mut [f32]) + Sync,
+    mut on_block: impl FnMut(&mut S, std::ops::Range<usize>, &[f32]),
 ) {
     assert!(!weights.is_empty(), "stream_fedavg: no rows");
     let total: f64 = weights.iter().map(|w| f64::from(*w)).sum();
@@ -619,10 +659,11 @@ pub fn stream_fedavg(
         let rows = block.min(n - start);
         est.resize(rows * dim, 0.0);
         let buf = &mut est[..rows * dim];
+        let shared: &S = state;
         pool::par_row_bands_weighted(buf, rows, dim, dim, |band_rows, band| {
             let nrows = band_rows.len();
             for (i, p) in band_rows.enumerate() {
-                fill(start + p, &mut band[i * dim..(i + 1) * dim]);
+                fill(shared, start + p, &mut band[i * dim..(i + 1) * dim]);
             }
             if obs_on {
                 clip_and_observe(band, nrows, dim, clip);
@@ -631,7 +672,7 @@ pub fn stream_fedavg(
             }
         });
         vector::weighted_accumulate_rows(buf, &weights[start..start + rows], acc);
-        on_block(start..start + rows, buf);
+        on_block(state, start..start + rows, buf);
         start += rows;
     }
     agg.clear();
@@ -847,8 +888,11 @@ mod tests {
                     &mut scratch.est,
                     &mut scratch.acc64,
                     &mut scratch.agg,
-                    |p, row| row.copy_from_slice(&rows[p]),
-                    |range, block| seen.extend(range.zip(block.chunks(dim).map(<[f32]>::to_vec))),
+                    &mut seen,
+                    |_, p, row| row.copy_from_slice(&rows[p]),
+                    |seen, range, block| {
+                        seen.extend(range.zip(block.chunks(dim).map(<[f32]>::to_vec)))
+                    },
                 );
                 pool::set_threads(0);
                 fuiov_obs::set_enabled(true);
@@ -984,6 +1028,71 @@ mod tests {
                 "client {e}"
             );
         }
+    }
+
+    #[test]
+    fn release_drops_a_clients_g_rows_and_leaves_the_others_readable() {
+        use std::sync::Arc;
+        let dim = 37;
+        let specs = [(2, 0b11), (2, 0b11), (2, 0b01)];
+        let approxes = sharing_approxes(dim, &specs);
+        let stacked_in: Vec<(ClientId, &LbfgsApprox)> = approxes.iter().enumerate().collect();
+        let mut stacked = StackedLbfgs::build(dim, stacked_in.iter().copied());
+        let v: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.4).sin()).collect();
+        let mut scratch = RoundScratch::new();
+        stacked.fused_dots(&v, &mut scratch.dots);
+        stacked.solve_middles(
+            &scratch.dots,
+            &mut scratch.ps,
+            &mut scratch.rhs,
+            &mut scratch.p,
+        );
+        let g_row = &approxes[1].dg_rows()[0];
+        let w_row = &approxes[1].dw_rows()[0];
+        let (g_held, w_held) = (Arc::strong_count(g_row), Arc::strong_count(w_row));
+        stacked.release(1);
+        stacked.release(7); // not stacked: a no-op
+        assert_eq!(Arc::strong_count(g_row), g_held - 1, "the stack let go");
+        assert_eq!(Arc::strong_count(w_row), w_held, "shared ΔW rows stay");
+        // The other clients still correct exactly as before.
+        for e in [0, 2] {
+            let mut out = vec![0.0f32; dim];
+            stacked.write_hvp(e, &scratch.ps, &v, &mut out);
+            assert_eq!(
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                approxes[e]
+                    .hvp(&v)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            );
+        }
+        stacked.rebuild(stacked_in.iter().copied());
+        assert_eq!(Arc::strong_count(g_row), g_held);
+        assert_eq!(
+            stacked.fingerprint(),
+            StackedLbfgs::build(dim, stacked_in.iter().copied()).fingerprint()
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_released_entry_is_never_read() {
+        let a = approx_for(3, 8, 2);
+        let mut stacked = StackedLbfgs::build(8, [(4 as ClientId, &a)]);
+        let v = vec![0.5f32; 8];
+        let mut scratch = RoundScratch::new();
+        stacked.fused_dots(&v, &mut scratch.dots);
+        stacked.solve_middles(
+            &scratch.dots,
+            &mut scratch.ps,
+            &mut scratch.rhs,
+            &mut scratch.p,
+        );
+        stacked.release(4);
+        // Debug builds stop at the release assert, release builds at the
+        // kernel's length assert: the released slots hold empty rows.
+        stacked.write_hvp(0, &scratch.ps, &v, &mut [0.0; 8]);
     }
 
     #[test]

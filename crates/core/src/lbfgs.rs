@@ -16,7 +16,15 @@
 //! practical difference that the `d × d` matrix `B` is never materialised:
 //! [`LbfgsApprox::hvp`] computes the Hessian-vector product `B·v` the
 //! recovery loop needs (Eq. 6) using only `d × 2s` work.
+//!
+//! The factor columns are shared rows (`Arc<[f32]>`), each stored once: a
+//! [`PairBuffer`] holds one handle per pair row, the approximation built
+//! from it holds the same handles, and the replay round's stack
+//! ([`crate::batch::StackedLbfgs`]) indexes them rather than copying them.
+//! Both dot their rows with `v` through one kernel,
+//! [`fuiov_tensor::matrix::row_dots`].
 
+use fuiov_tensor::matrix::row_dots;
 use fuiov_tensor::solve::Lu;
 use fuiov_tensor::{vector, Mat};
 use std::collections::VecDeque;
@@ -183,10 +191,10 @@ impl LbfgsApprox {
     /// [`LbfgsApprox::hvp`] into a caller-owned buffer.
     ///
     /// A one-client stack: the inbound half dots each of the `2s` factor
-    /// rows with `v` in `Mat::tr_matvec`'s per-column order (ascending
-    /// `r`, skipping `v[r] == 0.0`, `f64` sums rounded once — what the
-    /// stack's [`Mat::row_dots_into`] sweep computes per row), the `ΔW`
-    /// half of the rhs is rounded to `f32` before the σ scaling
+    /// rows with `v` through the stack's own kernel, [`row_dots`], in
+    /// `Mat::tr_matvec`'s per-column order (ascending `r`, skipping
+    /// `v[r] == 0.0`, `f64` sums rounded once), the `ΔW` half of the rhs
+    /// is rounded to `f32` before the σ scaling
     /// (`tr_matvec` then `vector::scale`), and the outbound half is the
     /// stack's `σv − ΔG·p₁ − σΔW·p₂` kernel. Per output element the `f32`
     /// operation sequence is the textbook chain's, so the result is
@@ -202,6 +210,7 @@ impl LbfgsApprox {
         assert_eq!(v.len(), self.dim(), "hvp: dimension mismatch");
         assert_eq!(out.len(), self.dim(), "hvp: output dimension mismatch");
         let s = self.pairs();
+        // All 2s rows in one call, so they share the kernel's passes.
         let rows: Vec<&[f32]> = self.dgs.iter().chain(&self.dws).map(|r| &r[..]).collect();
         let mut rhs = vec![0.0f32; 2 * s];
         row_dots(&rows, v, &mut rhs);
@@ -273,34 +282,6 @@ fn check_pairs<A: AsRef<[f32]>, B: AsRef<[f32]>>(dws: &[A], dgs: &[B]) -> Result
 
 fn copy_rows<R: AsRef<[f32]>>(rows: &[R]) -> Vec<Arc<[f32]>> {
     rows.iter().map(|row| Arc::from(row.as_ref())).collect()
-}
-
-/// Each row's dot with `v` into `out`, in `Mat::tr_matvec`'s per-column
-/// order: `f64` products in ascending `r` from `+0.0`, skipping
-/// `v[r] == 0.0`, rounded to `f32` once — the value
-/// [`Mat::row_dots_into`] gives the same row. Four rows share each pass
-/// over `v`, each its own chain; a short last group repeats its first row
-/// in the spare lanes, whose sums are dropped.
-fn row_dots(rows: &[&[f32]], v: &[f32], out: &mut [f32]) {
-    for (group, slots) in rows.chunks(4).zip(out.chunks_mut(4)) {
-        let row = |k: usize| *group.get(k).unwrap_or(&group[0]);
-        let mut acc = [0.0f64; 4];
-        for ((((&vr, &x0), &x1), &x2), &x3) in
-            v.iter().zip(row(0)).zip(row(1)).zip(row(2)).zip(row(3))
-        {
-            if vr == 0.0 {
-                continue;
-            }
-            let vr = f64::from(vr);
-            acc[0] += vr * f64::from(x0);
-            acc[1] += vr * f64::from(x1);
-            acc[2] += vr * f64::from(x2);
-            acc[3] += vr * f64::from(x3);
-        }
-        for (slot, a) in slots.iter_mut().zip(acc) {
-            *slot = a as f32;
-        }
-    }
 }
 
 /// Model coordinates (factor-block columns) each step of

@@ -476,6 +476,9 @@ impl ReplayState {
         // client index, so it is computed once, by the first client with a
         // direction at r, and every other such client shares that row.
         let mut seed_dws: Vec<Option<Arc<[f32]>>> = vec![None; f_round - seed_start];
+        // Each client's g_F and g_r decode into these, reused across
+        // clients; each pushed ΔG row is built in its own shared row.
+        let (mut g_f, mut g_r) = (Vec::new(), Vec::new());
         for &client in &remaining {
             // Sibling subtrees replay verbatim: no pairs, no approximation.
             if scope
@@ -487,10 +490,16 @@ impl ReplayState {
             let mut buf = PairBuffer::new(config.buffer_size);
             // Base gradient g_F: stored direction at F, or oracle, or
             // nearest later round's direction.
-            let g_f =
-                direction_or_oracle(history, client, f_round, &w_f, oracle, &mut oracle_queries)
-                    .or_else(|| nearest_direction(history, client, f_round, t_end));
-            if let Some(g_f) = g_f {
+            let have_g_f = direction_or_oracle(
+                history,
+                client,
+                f_round,
+                &w_f,
+                oracle,
+                &mut oracle_queries,
+                &mut g_f,
+            ) || nearest_direction(history, client, f_round, t_end, &mut g_f);
+            if have_g_f {
                 for r in seed_start..f_round {
                     let guard = history.model(r);
                     let interp;
@@ -507,13 +516,21 @@ impl ReplayState {
                         }
                         None => continue,
                     };
-                    let g_r =
-                        direction_or_oracle(history, client, r, w_r, oracle, &mut oracle_queries);
-                    let Some(g_r) = g_r else { continue };
+                    if !direction_or_oracle(
+                        history,
+                        client,
+                        r,
+                        w_r,
+                        oracle,
+                        &mut oracle_queries,
+                        &mut g_r,
+                    ) {
+                        continue;
+                    }
                     let dw = seed_dws[r - seed_start]
-                        .get_or_insert_with(|| vector::sub(w_r, &w_f).into())
+                        .get_or_insert_with(|| diff_row(w_r, &w_f))
                         .clone();
-                    buf.push(dw, vector::sub(&g_r, &g_f));
+                    buf.push(dw, diff_row(&g_r, &g_f));
                 }
             }
             if let Ok(approx) = buf.approximation() {
@@ -730,8 +747,11 @@ impl ReplayState {
             // Pass 3, streamed a block of rows at a time: decode and
             // correct each row, clip (and observe) the block, fold it into
             // FedAvg, and on a refresh round push each in-scope client's
-            // pair from its clipped row. The stack copied its rows, so an
-            // approximation rebuilt mid-round cannot touch this round.
+            // pair from its clipped row. A refreshed client's new
+            // approximation replaces its old one and the stack releases
+            // the client's ΔG handles, freeing the evicted row now; the
+            // client's rows were filled in this block and are not read
+            // again this round, and the next round rebuilds the stack.
             // The round's ΔW = w̄ₜ − wₜ is one row, made by the first
             // client that pushes a pair and shared by every other; each
             // client's ΔG is a row of its own.
@@ -743,16 +763,16 @@ impl ReplayState {
                 &mut scratch.est,
                 &mut scratch.acc64,
                 &mut scratch.agg,
-                |p, row| {
+                &mut self.stacked,
+                |stacked, p, row| {
                     let (client, entry) = self.roster[p];
                     let dir = view.direction(client).expect("roster checked");
                     dir.decode_into(row);
                     if let Some(e) = entry {
-                        self.stacked
-                            .accumulate_correction(e, &scratch.ps, &scratch.dw_t, row);
+                        stacked.accumulate_correction(e, &scratch.ps, &scratch.dw_t, row);
                     }
                 },
-                |rows, block| {
+                |stacked, rows, block| {
                     if !refresh {
                         return;
                     }
@@ -772,7 +792,7 @@ impl ReplayState {
                         scratch.stored.resize(dim, 0.0);
                         let dir = view.direction(client).expect("roster checked");
                         dir.decode_into(&mut scratch.stored);
-                        let dg = vector::sub(est, &scratch.stored);
+                        let dg = diff_row(est, &scratch.stored);
                         if vector::l2_norm(&dg) <= 1e-12 {
                             continue; // clipped estimate identical to history: no info
                         }
@@ -787,6 +807,7 @@ impl ReplayState {
                         fuiov_obs::counter!("core.pair_refreshes").inc();
                         if let Ok(approx) = buf.approximation() {
                             self.approxes.insert(client, approx);
+                            stacked.release(client);
                             self.stacked_dirty = true;
                         }
                         // On failure keep the previous approximation.
@@ -825,8 +846,17 @@ impl ReplayState {
     }
 }
 
-/// Stored direction for `(round, client)`, else a quantised oracle
-/// gradient at the dispatched historical model.
+/// The element-wise difference `x − y` built straight into a shared row:
+/// the iterator knows its length, so the row is allocated once and
+/// written once. Each element is `vector::sub`'s.
+fn diff_row(x: &[f32], y: &[f32]) -> Arc<[f32]> {
+    assert_eq!(x.len(), y.len(), "diff_row: length mismatch");
+    x.iter().zip(y).map(|(a, b)| a - b).collect()
+}
+
+/// Decodes the stored direction for `(round, client)` into `out`, else a
+/// quantised oracle gradient at the dispatched historical model; `false`
+/// (with `out` untouched) when there is neither.
 fn direction_or_oracle(
     history: &HistoryStore,
     client: ClientId,
@@ -834,28 +864,38 @@ fn direction_or_oracle(
     model: &[f32],
     oracle: &mut dyn GradientOracle,
     oracle_queries: &mut usize,
-) -> Option<Vec<f32>> {
+    out: &mut Vec<f32>,
+) -> bool {
     if let Some(dir) = history.direction(round, client) {
-        return Some(dir.to_f32());
+        out.resize(dir.len(), 0.0);
+        dir.decode_into(out);
+        return true;
     }
-    let grad = oracle.gradient_at(client, model)?;
+    let Some(grad) = oracle.gradient_at(client, model) else {
+        return false;
+    };
     *oracle_queries += 1;
     fuiov_obs::counter!("core.oracle_queries").inc();
-    Some(vector::signs_to_f32(&vector::sign_with_threshold(
-        &grad,
-        history.delta(),
-    )))
+    *out = vector::signs_to_f32(&vector::sign_with_threshold(&grad, history.delta()));
+    true
 }
 
-/// The client's direction from the round nearest to `from` in
-/// `[from, until]` (used when the client had not yet joined at `F`).
+/// Decodes into `out` the client's direction from the round nearest to
+/// `from` in `[from, until]` (used when the client had not yet joined at
+/// `F`); `false` when it has none there.
 fn nearest_direction(
     history: &HistoryStore,
     client: ClientId,
     from: Round,
     until: Round,
-) -> Option<Vec<f32>> {
-    (from..=until).find_map(|r| history.direction(r, client).map(|d| d.to_f32()))
+    out: &mut Vec<f32>,
+) -> bool {
+    let Some(dir) = (from..=until).find_map(|r| history.direction(r, client)) else {
+        return false;
+    };
+    out.resize(dir.len(), 0.0);
+    dir.decode_into(out);
+    true
 }
 
 #[cfg(test)]

@@ -75,10 +75,10 @@ fn reference_fingerprint(dim: usize, clients: &[SharingClient]) -> u64 {
     segment::fnv1a64(&bytes)
 }
 
+/// A row's dot with `v` as the stacked sweep defines it: `tr_matvec` of
+/// the row taken as a one-column matrix.
 fn one_row_dot(row: &[f32], v: &[f32]) -> f32 {
-    let mut out = [0.0f32];
-    Mat::from_vec(1, row.len(), row.to_vec()).row_dots_into(v, &mut out);
-    out[0]
+    Mat::from_vec(row.len(), 1, row.to_vec()).tr_matvec(v)[0]
 }
 
 fn bits(xs: &[f32]) -> Vec<u32> {

@@ -528,6 +528,9 @@ pub fn decode_keyframe(record: &[u8]) -> Result<(Round, Vec<f32>), SegmentDecode
 /// Roster bytes per client: id, join round, leave round, weight.
 const ROSTER_ENTRY: usize = 8 + 8 + 8 + 4;
 
+/// What a history names when a direction's client is not on its roster.
+const UNROSTERED: &str = "direction for a client the roster lacks";
+
 /// Encodes a whole history as a record stream: a [`RecordKind::Roster`],
 /// one keyframe per model round, then one directions record per round
 /// with directions (including rounds whose model was thinned away or
@@ -548,7 +551,9 @@ const ROSTER_ENTRY: usize = 8 + 8 + 8 + 4;
 ///
 /// # Errors
 ///
-/// The typed error of a spilled round that no longer decodes.
+/// The typed error of a spilled round that no longer decodes, and
+/// `Inconsistent` for a direction recorded for a client that never
+/// joined: [`decode_history`] refuses such a stream, so it is not written.
 pub fn encode_history(h: &HistoryStore) -> Result<Vec<u8>, SegmentDecodeError> {
     let models = h.rounds();
     let dir_rounds = h.direction_rounds();
@@ -574,6 +579,9 @@ pub fn encode_history(h: &HistoryStore) -> Result<Vec<u8>, SegmentDecodeError> {
     }
     for r in dir_rounds {
         let dirs = h.try_directions(r)?;
+        if dirs.keys().any(|&c| h.participation(c).is_none()) {
+            return Err(SegmentDecodeError::Inconsistent(UNROSTERED));
+        }
         out.extend_from_slice(&encode_directions(r, &dirs));
     }
     Ok(out)
@@ -599,7 +607,8 @@ fn next_record<'a>(stream: &mut &'a [u8]) -> &'a [u8] {
 /// boundary; `BadKind` for a first record that is not a roster or a later
 /// one that is neither a keyframe nor directions; `Inconsistent` for
 /// contradictions the store would assert on, for a model or direction of
-/// length 0, for bytes after the last declared record or inside a
+/// length 0, for a direction of a client the roster does not list, for
+/// bytes after the last declared record or inside a
 /// record after its last entry, and for anything out of the encoder's
 /// order — roster client ids strictly ascending, keyframes strictly
 /// ascending by round and then directions strictly ascending by round,
@@ -679,6 +688,12 @@ pub fn decode_history(mut stream: &[u8]) -> Result<HistoryStore, SegmentDecodeEr
                 }
                 last_dirs = Some(round);
                 for (client, dir) in decode_directions(record, round)? {
+                    // Replay estimates only the roster's clients, so a
+                    // direction of anyone else would still be counted
+                    // (at weight 1) by every reader of the round.
+                    if h.participation(client).is_none() {
+                        return Err(SegmentDecodeError::Inconsistent(UNROSTERED));
+                    }
                     check_dim(dir.len())?;
                     h.record_direction(round, client, dir);
                 }

@@ -331,19 +331,52 @@ fn models_of_different_lengths_are_an_error() {
 #[test]
 fn a_direction_of_another_length_than_the_models_is_an_error() {
     let mut s = Stream::default();
-    s.roster(1e-6, 2, &[]);
+    s.roster(1e-6, 2, &[(1, 0, ACTIVE, 1.0)]);
     s.keyframe(0, &[1.0, 2.0, 3.0]);
     s.directions(0, &[(1, 5, &[0, 0])]);
-    assert!(inconsistent(&s.0));
+    assert_eq!(
+        decode_history(&s.0).unwrap_err(),
+        SegmentDecodeError::Inconsistent("dimension mismatch")
+    );
 }
 
 #[test]
 fn directions_of_different_lengths_are_an_error() {
     // No models: the first direction sets the dimension.
     let mut s = Stream::default();
-    s.roster(1e-6, 1, &[]);
+    s.roster(1e-6, 1, &[(1, 0, ACTIVE, 1.0), (2, 0, ACTIVE, 1.0)]);
     s.directions(0, &[(1, 4, &[0b01]), (2, 8, &[0b01, 0])]);
-    assert!(inconsistent(&s.0));
+    assert_eq!(
+        decode_history(&s.0).unwrap_err(),
+        SegmentDecodeError::Inconsistent("dimension mismatch")
+    );
+}
+
+#[test]
+fn a_direction_of_a_client_off_the_roster_is_an_error() {
+    // Client 9 never joined: replay would never estimate it, yet every
+    // reader of round 0 would count it at weight 1.
+    let mut s = Stream::default();
+    s.roster(1e-6, 2, &[(1, 0, ACTIVE, 1.0)]);
+    s.keyframe(0, &[1.0, 2.0]);
+    s.directions(0, &[(1, 2, &[0b01]), (9, 2, &[0b10])]);
+    assert_eq!(
+        decode_history(&s.0).unwrap_err(),
+        SegmentDecodeError::Inconsistent("direction for a client the roster lacks")
+    );
+    // The encoder refuses to write that stream in the first place, so
+    // every history it writes still decodes.
+    let mut h = HistoryStore::new(1e-6);
+    h.record_join(1, 0);
+    h.record_model(0, vec![1.0, 2.0]);
+    h.record_gradient(0, 1, &[0.5, -0.5]);
+    h.record_gradient(0, 9, &[-0.5, 0.5]);
+    assert_eq!(
+        encode_history(&h).unwrap_err(),
+        SegmentDecodeError::Inconsistent("direction for a client the roster lacks")
+    );
+    h.record_join(9, 0);
+    assert!(decode_history(&encode_history(&h).unwrap()).is_ok());
 }
 
 #[test]

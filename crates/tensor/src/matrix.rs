@@ -5,6 +5,11 @@
 //! size, 2 in the paper), so the implementation favours clarity over cache
 //! blocking. The tall-skinny products (`AᵀB`, `Aᵀv`) used by compact L-BFGS
 //! are provided as dedicated methods that never materialise transposes.
+//!
+//! [`row_dots`] is the one dot-sweep kernel: it dots a slice of rows,
+//! borrowed wherever they live, against a shared vector, so the batched
+//! recovery engine sweeps the L-BFGS pairs' own rows without stacking a
+//! copy of them.
 
 use std::fmt;
 
@@ -87,29 +92,6 @@ impl Mat {
         m
     }
 
-    /// Builds a `k × dim` matrix whose **rows** are the given vectors — the
-    /// transposed layout of [`Mat::from_cols`], used by the batched recovery
-    /// engine to keep every stacked L-BFGS factor column contiguous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or the vectors have unequal lengths.
-    pub fn from_row_vecs<R: AsRef<[f32]>>(rows: &[R]) -> Self {
-        assert!(!rows.is_empty(), "from_row_vecs: no rows");
-        let cols = rows[0].as_ref().len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            let r = r.as_ref();
-            assert_eq!(r.len(), cols, "from_row_vecs: ragged rows");
-            data.extend_from_slice(r);
-        }
-        Mat {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
     /// Builds from a flat row-major buffer.
     ///
     /// # Panics
@@ -177,12 +159,6 @@ impl Mat {
         &self.data
     }
 
-    /// Consumes the matrix into its flat row-major buffer — the inverse of
-    /// [`Mat::from_vec`], for owners that refill one allocation in place.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Matrix product `self · other`: the plain i → k → j triple loop,
     /// skipping zero entries of `self`.
     ///
@@ -244,94 +220,6 @@ impl Mat {
             }
         }
         out.into_iter().map(|x| x as f32).collect()
-    }
-
-    /// One dot product per **row** against the shared vector `v`, written
-    /// into `out[r]` — the transpose-free dual of [`Mat::tr_matvec`].
-    ///
-    /// For a matrix stored *transposed* (each logical column contiguous as
-    /// a row, see [`Mat::from_row_vecs`]), `row_dots_into` computes exactly
-    /// what `tr_matvec` computes on the untransposed layout, with the same
-    /// per-element accumulation: each output accumulates
-    /// `f64(v[j]) · f64(row[j])` in ascending `j`, skipping `v[j] == 0.0`,
-    /// and rounds to `f32` once at the end. The pass is parallelised over
-    /// output rows via [`crate::pool::par_row_bands_weighted`] (each row
-    /// reads `cols` inputs but writes one output), so one fused sweep can
-    /// serve many stacked factor columns — this is the batched recovery
-    /// engine's inbound kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols` or `out.len() != self.rows`.
-    pub fn row_dots_into(&self, v: &[f32], out: &mut [f32]) {
-        assert_eq!(v.len(), self.cols, "row_dots_into: vector length mismatch");
-        assert_eq!(
-            out.len(),
-            self.rows,
-            "row_dots_into: output length mismatch"
-        );
-        let simd = crate::simd::enabled();
-        crate::pool::par_row_bands_weighted(out, self.rows, 1, self.cols, |rows, band| {
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd::enabled()` implies the AVX2 probe passed.
-                unsafe { x86::row_dots_band_avx2(self, v, rows, band) };
-                return;
-            }
-            let _ = simd;
-            row_dots_band_scalar(self, v, rows, band);
-        });
-    }
-
-    /// The pinned scalar reference for [`Mat::row_dots_into`]: identical
-    /// banding and per-row accumulation, never dispatched to SIMD. The
-    /// AVX2 path must reproduce this function's output bit for bit (see
-    /// `tests/simd_props.rs`); benches time the two against each other.
-    pub fn row_dots_into_scalar(&self, v: &[f32], out: &mut [f32]) {
-        assert_eq!(v.len(), self.cols, "row_dots_into: vector length mismatch");
-        assert_eq!(
-            out.len(),
-            self.rows,
-            "row_dots_into: output length mismatch"
-        );
-        crate::pool::par_row_bands_weighted(out, self.rows, 1, self.cols, |rows, band| {
-            row_dots_band_scalar(self, v, rows, band);
-        });
-    }
-
-    /// The band primitive of [`Mat::row_dots_into`] without the pool pass:
-    /// computes the dots of rows `rows` against `v` into `band` (one slot
-    /// per row, in range order), dispatching to the same AVX2/scalar band
-    /// kernels. Each row's accumulation is a pure function of `(row, v)` —
-    /// independent of how callers partition the rows — which is what lets
-    /// one external parallel pass fuse the sweeps of *several* stacked
-    /// matrices (the cross-job batched recovery round) while staying
-    /// bitwise identical to per-matrix [`Mat::row_dots_into`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols`, the range exceeds `self.rows`, or
-    /// `band.len() != rows.len()`.
-    pub fn row_dots_range_into(&self, v: &[f32], rows: std::ops::Range<usize>, band: &mut [f32]) {
-        assert_eq!(v.len(), self.cols, "row_dots_range_into: vector mismatch");
-        assert!(
-            rows.end <= self.rows,
-            "row_dots_range_into: row range out of bounds"
-        );
-        assert_eq!(
-            band.len(),
-            rows.len(),
-            "row_dots_range_into: band length mismatch"
-        );
-        let simd = crate::simd::enabled();
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd::enabled()` implies the AVX2 probe passed.
-            unsafe { x86::row_dots_band_avx2(self, v, rows, band) };
-            return;
-        }
-        let _ = simd;
-        row_dots_band_scalar(self, v, rows, band);
     }
 
     /// Gram-style product `selfᵀ · other` (a `k × m` matrix for tall-skinny
@@ -450,17 +338,80 @@ impl Mat {
     }
 }
 
-/// One band of the fused row-dots sweep, scalar: four rows per pass so
-/// the four f64 dependency chains run in parallel (each output keeps its
-/// own accumulator, so per-row accumulation order — and hence the bits —
-/// is untouched). The per-client `tr_matvec` interleaves its 2s chains
+/// One dot product per row against the shared vector `v`: `out[i]` is
+/// `rows[i]ᵀ·v`, accumulated as `f64(v[j]) · f64(rows[i][j])` in
+/// ascending `j` from `+0.0`, skipping every `v[j] == 0.0`, and rounded
+/// to `f32` once — per row exactly what [`Mat::tr_matvec`] computes per
+/// column of the untransposed layout.
+///
+/// The rows are borrowed wherever they live, so callers dot rows they
+/// share with others instead of copying them into one matrix: this is
+/// the batched recovery engine's inbound sweep over the L-BFGS pairs'
+/// own row handles, and the inbound half of a lone approximation's
+/// Hessian-vector product. Each output is a pure function of its row and
+/// `v`, so any split of the rows across calls (pool row bands, the
+/// cross-job sweep's ranges) gives the same bits. Dispatches to the AVX2
+/// kernel when [`crate::simd::enabled`] says so; [`row_dots_scalar`] is
+/// the pinned reference it must match bit for bit.
+///
+/// ```
+/// use fuiov_tensor::matrix::row_dots;
+/// let rows: [&[f32]; 2] = [&[1.0, 2.0], &[3.0, 4.0]];
+/// let mut out = [0.0f32; 2];
+/// row_dots(&rows, &[1.0, 1.0], &mut out);
+/// assert_eq!(out, [3.0, 7.0]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `out.len() != rows.len()` or a row's length differs from
+/// `v.len()`.
+pub fn row_dots<R: AsRef<[f32]>>(rows: &[R], v: &[f32], out: &mut [f32]) {
+    check_row_dots(rows, v, out);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        // SAFETY: `simd::enabled()` implies the AVX2 probe passed.
+        unsafe { x86::row_dots_avx2(rows, v, out) };
+        return;
+    }
+    row_dots_band_scalar(rows, v, out);
+}
+
+/// The pinned scalar reference for [`row_dots`]: the same per-row
+/// accumulation, never dispatched to SIMD. The AVX2 path must reproduce
+/// this function's output bit for bit (see `tests/simd_props.rs`);
+/// benches time the two against each other.
+///
+/// # Panics
+///
+/// As [`row_dots`].
+pub fn row_dots_scalar<R: AsRef<[f32]>>(rows: &[R], v: &[f32], out: &mut [f32]) {
+    check_row_dots(rows, v, out);
+    row_dots_band_scalar(rows, v, out);
+}
+
+/// The shape checks of [`row_dots`].
+fn check_row_dots<R: AsRef<[f32]>>(rows: &[R], v: &[f32], out: &[f32]) {
+    assert_eq!(out.len(), rows.len(), "row_dots: output length mismatch");
+    assert!(
+        rows.iter().all(|row| row.as_ref().len() == v.len()),
+        "row_dots: row length mismatch"
+    );
+}
+
+/// The scalar row-dots kernel: four rows per pass so the four f64
+/// dependency chains run in parallel (each output keeps its own
+/// accumulator, so per-row accumulation order — and hence the bits — is
+/// untouched). A short last group repeats its first row in the spare
+/// lanes, whose sums are dropped, so one to three rows still share one
+/// pass over `v`. The per-client `tr_matvec` interleaves its 2s chains
 /// the same way; matching it here is what makes the batched sweep at
-/// least as fast per column. This is the pinned reference the AVX2 band
-/// must reproduce bit for bit.
-fn row_dots_band_scalar(m: &Mat, v: &[f32], rows: std::ops::Range<usize>, band: &mut [f32]) {
-    let mut r = rows.start;
-    while r + 4 <= rows.end {
-        let (a0, a1, a2, a3) = (m.row(r), m.row(r + 1), m.row(r + 2), m.row(r + 3));
+/// least as fast per column. This is the pinned reference the AVX2
+/// kernel must reproduce bit for bit.
+fn row_dots_band_scalar<R: AsRef<[f32]>>(rows: &[R], v: &[f32], out: &mut [f32]) {
+    for (group, slots) in rows.chunks(4).zip(out.chunks_mut(4)) {
+        let row = |k: usize| group.get(k).unwrap_or(&group[0]).as_ref();
+        let (a0, a1, a2, a3) = (row(0), row(1), row(2), row(3));
         let mut acc = [0.0f64; 4];
         for ((((&vj, &x0), &x1), &x2), &x3) in v.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
             if vj == 0.0 {
@@ -472,20 +423,16 @@ fn row_dots_band_scalar(m: &Mat, v: &[f32], rows: std::ops::Range<usize>, band: 
             acc[2] += vj64 * f64::from(x2);
             acc[3] += vj64 * f64::from(x3);
         }
-        for (k, &a) in acc.iter().enumerate() {
-            band[r - rows.start + k] = a as f32;
+        for (slot, a) in slots.iter_mut().zip(acc) {
+            *slot = a as f32;
         }
-        r += 4;
-    }
-    for r in r..rows.end {
-        band[r - rows.start] = row_dot_scalar_from(m.row(r), v, 0, 0.0);
     }
 }
 
-/// One row's tail (or whole) dot: continues `acc` over `v[from..]` with
+/// One row's column tail: continues `acc` over `v[from..]` with
 /// the exact scalar chain — ascending `j`, the `v[j] == 0.0` skip, one
-/// `f64 → f32` rounding at the very end. The AVX2 band re-enters here for
-/// column tails after extracting its lane accumulators, which is what
+/// `f64 → f32` rounding at the very end. The AVX2 kernel re-enters here
+/// for column tails after extracting its lane accumulators, which is what
 /// keeps every row a single unbroken chain.
 fn row_dot_scalar_from(row: &[f32], v: &[f32], from: usize, mut acc: f64) -> f32 {
     for (&vj, &x) in v[from..].iter().zip(&row[from..]) {
@@ -497,7 +444,7 @@ fn row_dot_scalar_from(row: &[f32], v: &[f32], from: usize, mut acc: f64) -> f32
     acc as f32
 }
 
-/// AVX2 implementation of the row-dots sweep. Only compiled on `x86_64`;
+/// AVX2 implementation of the row-dots kernel. Only compiled on `x86_64`;
 /// only *executed* when `crate::simd::enabled()` says the runtime probe
 /// passed. It is bound by the bitwise contract of `crate::simd`: identical
 /// bytes to the scalar reference at every input shape, which dictates the
@@ -508,47 +455,53 @@ fn row_dot_scalar_from(row: &[f32], v: &[f32], from: usize, mut acc: f64) -> f32
 /// still consume ascending `j`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{row_dot_scalar_from, row_dots_band_scalar, Mat};
+    use super::{row_dot_scalar_from, row_dots_band_scalar};
     use std::arch::x86_64::*;
 
     /// AVX2 twin of `row_dots_band_scalar`: eight rows per block, lane =
-    /// row. Each 8×8 tile of the matrix is loaded row-major (contiguous)
-    /// and transposed in registers (`unpack` / `shuffle` /
-    /// `permute2f128`), giving one vector per column `j` whose lanes are
-    /// rows — so the two f64 accumulator vectors advance all eight row
-    /// chains by exactly one `acc += f64(vj) · f64(x)` step per column,
-    /// in ascending `j`. The `vj == 0.0` skip stays a scalar branch
-    /// (uniform across lanes, since `v` is shared by all rows). Column
-    /// tails re-enter `row_dot_scalar_from` with the extracted lane
-    /// accumulators; row tails fall back to the scalar band.
+    /// row. Each 8×8 tile — eight consecutive elements of eight rows,
+    /// wherever each row lives — is loaded row-wise (contiguous) and
+    /// transposed in registers (`unpack` / `shuffle` / `permute2f128`),
+    /// giving one vector per column `j` whose lanes are rows — so the two
+    /// f64 accumulator vectors advance all eight row chains by exactly
+    /// one `acc += f64(vj) · f64(x)` step per column, in ascending `j`.
+    /// The `vj == 0.0` skip stays a scalar branch (uniform across lanes,
+    /// since `v` is shared by all rows). Column tails re-enter
+    /// `row_dot_scalar_from` with the extracted lane accumulators; row
+    /// tails fall back to the scalar kernel. Each block's eight slices
+    /// are taken once and length-checked here, so the raw loads stay in
+    /// bounds whatever the rows' `AsRef` does.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available (runtime-probed by
     /// `crate::simd::caps`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn row_dots_band_avx2(
-        m: &Mat,
-        v: &[f32],
-        rows: std::ops::Range<usize>,
-        band: &mut [f32],
-    ) {
-        let cols = m.cols;
-        let mut r = rows.start;
-        while r + 8 <= rows.end {
-            let base = m.data.as_ptr().add(r * cols);
+    pub(super) unsafe fn row_dots_avx2<R: AsRef<[f32]>>(rows: &[R], v: &[f32], out: &mut [f32]) {
+        let cols = v.len();
+        let mut blocks = rows.chunks_exact(8);
+        let mut slots = out.chunks_exact_mut(8);
+        for (block, slots) in (&mut blocks).zip(&mut slots) {
+            let rows8: [&[f32]; 8] = std::array::from_fn(|k| block[k].as_ref());
+            assert!(
+                rows8.iter().all(|row| row.len() == cols),
+                "row_dots: row length mismatch"
+            );
+            let base = rows8.map(<[f32]>::as_ptr);
             let mut acc_lo = _mm256_setzero_pd();
             let mut acc_hi = _mm256_setzero_pd();
             let mut j = 0;
             while j + 8 <= cols {
-                let r0 = _mm256_loadu_ps(base.add(j));
-                let r1 = _mm256_loadu_ps(base.add(cols + j));
-                let r2 = _mm256_loadu_ps(base.add(2 * cols + j));
-                let r3 = _mm256_loadu_ps(base.add(3 * cols + j));
-                let r4 = _mm256_loadu_ps(base.add(4 * cols + j));
-                let r5 = _mm256_loadu_ps(base.add(5 * cols + j));
-                let r6 = _mm256_loadu_ps(base.add(6 * cols + j));
-                let r7 = _mm256_loadu_ps(base.add(7 * cols + j));
+                // In bounds: every row of the block holds `cols` elements
+                // (asserted above) and `j + 8 <= cols`.
+                let r0 = _mm256_loadu_ps(base[0].add(j));
+                let r1 = _mm256_loadu_ps(base[1].add(j));
+                let r2 = _mm256_loadu_ps(base[2].add(j));
+                let r3 = _mm256_loadu_ps(base[3].add(j));
+                let r4 = _mm256_loadu_ps(base[4].add(j));
+                let r5 = _mm256_loadu_ps(base[5].add(j));
+                let r6 = _mm256_loadu_ps(base[6].add(j));
+                let r7 = _mm256_loadu_ps(base[7].add(j));
                 // 8×8 transpose: pairs → quads → full lanes.
                 let t0 = _mm256_unpacklo_ps(r0, r1);
                 let t1 = _mm256_unpackhi_ps(r0, r1);
@@ -576,8 +529,7 @@ mod x86 {
                     _mm256_permute2f128_ps::<0x31>(s2, s6),
                     _mm256_permute2f128_ps::<0x31>(s3, s7),
                 ];
-                for (t, &cv) in cvecs.iter().enumerate() {
-                    let vj = *v.get_unchecked(j + t);
+                for (&vj, &cv) in v[j..j + 8].iter().zip(&cvecs) {
                     if vj == 0.0 {
                         continue;
                     }
@@ -592,13 +544,11 @@ mod x86 {
             let mut acc = [0.0f64; 8];
             _mm256_storeu_pd(acc.as_mut_ptr(), acc_lo);
             _mm256_storeu_pd(acc.as_mut_ptr().add(4), acc_hi);
-            for (lane, &a) in acc.iter().enumerate() {
-                band[r - rows.start + lane] = row_dot_scalar_from(m.row(r + lane), v, j, a);
+            for ((slot, row), a) in slots.iter_mut().zip(rows8).zip(acc) {
+                *slot = row_dot_scalar_from(row, v, j, a);
             }
-            r += 8;
         }
-        let off = r - rows.start;
-        row_dots_band_scalar(m, v, r..rows.end, &mut band[off..]);
+        row_dots_band_scalar(blocks.remainder(), v, slots.into_remainder());
     }
 }
 
@@ -631,9 +581,13 @@ mod tests {
 
     #[test]
     fn from_cols_matches_from_rows_transposed() {
-        let c = Mat::from_cols(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let cols = [vec![1.0f32, 2.0], vec![3.0, 4.0]];
+        let c = Mat::from_cols(&cols);
         let r = Mat::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]]);
         assert_eq!(c, r);
+        // Borrowed-slice columns work too (the ring-buffer call shape).
+        let borrowed: Vec<&[f32]> = cols.iter().map(Vec::as_slice).collect();
+        assert_eq!(Mat::from_cols(&borrowed), c);
     }
 
     #[test]
@@ -709,69 +663,67 @@ mod tests {
         Mat::from_vec(rows, cols, data)
     }
 
+    /// The rows of `m`, each copied into an allocation of its own — how
+    /// the recovery engine's rows live.
+    fn owned_rows(m: &Mat) -> Vec<Vec<f32>> {
+        (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
+    }
+
     #[test]
     fn row_dots_on_transpose_match_tr_matvec_bitwise() {
-        let _g = crate::pool::test_guard();
         // A tall-skinny dim × k buffer (the L-BFGS factor shape) and its
-        // transposed storage: the fused per-row dots on the transpose must
-        // reproduce tr_matvec on the original, bit for bit, at every
-        // thread count. `test_mat` plants exact zeros so the shared
-        // `v[j] == 0.0` skip is exercised.
-        for &(dim, k) in &[(1usize, 1usize), (37, 4), (1024, 12), (20_000, 8)] {
+        // transpose's rows, each a separate allocation: the per-row dots
+        // must reproduce tr_matvec on the original, bit for bit, on both
+        // the dispatched and the scalar kernel. `test_mat` plants exact
+        // zeros so the shared `v[j] == 0.0` skip is exercised.
+        for &(dim, k) in &[(1usize, 1usize), (37, 4), (1024, 12), (20_000, 9)] {
             let a = test_mat(dim, k, 3);
             let v: Vec<f32> = test_mat(dim, 1, 4).as_slice().to_vec();
             let golden = a.tr_matvec(&v);
-            let t = a.transpose();
-            for threads in [1usize, 3, 8] {
-                crate::pool::set_threads(threads);
-                let mut dots = vec![0.0f32; k];
-                t.row_dots_into(&v, &mut dots);
-                crate::pool::set_threads(0);
+            let rows = owned_rows(&a.transpose());
+            let mut dots = vec![0.0f32; k];
+            row_dots(&rows, &v, &mut dots);
+            let mut reference = vec![0.0f32; k];
+            row_dots_scalar(&rows, &v, &mut reference);
+            for (got, what) in [(&dots, "row_dots"), (&reference, "row_dots_scalar")] {
                 assert_eq!(
-                    dots.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     golden.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "row_dots diverged from tr_matvec at {dim}x{k}, {threads} threads"
+                    "{what} diverged from tr_matvec at {dim}x{k}"
                 );
             }
         }
     }
 
     #[test]
-    fn row_dots_range_matches_full_sweep_at_any_partition() {
-        let _g = crate::pool::test_guard();
-        // Any partitioning of the rows into ranges must reproduce the full
-        // fused sweep bit for bit — the property the cross-job batched
-        // recovery round builds on.
+    fn row_dots_match_the_whole_sweep_at_any_partition() {
+        // Any partitioning of the rows into calls must reproduce one call
+        // over all of them bit for bit — the property the pool's row
+        // bands and the cross-job batched recovery round build on.
         for &(rows, cols) in &[(1usize, 9usize), (13, 33), (64, 257)] {
-            let m = test_mat(rows, cols, 5);
+            let m = owned_rows(&test_mat(rows, cols, 5));
             let v: Vec<f32> = test_mat(cols, 1, 6).as_slice().to_vec();
             let mut golden = vec![0.0f32; rows];
-            m.row_dots_into(&v, &mut golden);
+            row_dots(&m, &v, &mut golden);
             for chunk in [1usize, 3, rows] {
                 let mut out = vec![0.0f32; rows];
-                let mut start = 0;
-                while start < rows {
-                    let end = (start + chunk).min(rows);
-                    m.row_dots_range_into(&v, start..end, &mut out[start..end]);
-                    start = end;
+                for (part, slots) in m.chunks(chunk).zip(out.chunks_mut(chunk)) {
+                    row_dots(part, &v, slots);
                 }
                 assert_eq!(
                     out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     golden.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "range sweep diverged at {rows}x{cols}, chunk {chunk}"
+                    "partitioned sweep diverged at {rows}x{cols}, chunk {chunk}"
                 );
             }
         }
     }
 
     #[test]
-    fn from_row_vecs_is_from_cols_transposed() {
-        let rows = [vec![1.0f32, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
-        let m = Mat::from_row_vecs(&rows);
-        assert_eq!(m, Mat::from_cols(&rows).transpose());
-        // Borrowed-slice columns work too (the ring-buffer call shape).
-        let borrowed: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-        assert_eq!(Mat::from_cols(&borrowed), Mat::from_cols(&rows));
+    #[should_panic(expected = "row length mismatch")]
+    fn row_dots_refuses_a_short_row() {
+        let rows: [&[f32]; 2] = [&[1.0, 2.0, 3.0], &[1.0, 2.0]];
+        row_dots(&rows, &[1.0, 1.0, 1.0], &mut [0.0; 2]);
     }
 
     #[test]

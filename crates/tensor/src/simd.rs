@@ -1,9 +1,10 @@
 //! Runtime-dispatched SIMD: one probe, one kill switch, bitwise-pinned
 //! scalar fallbacks.
 //!
-//! Every vector kernel in this workspace (the stacked-HVP
-//! `row_dots_into` sweep, the packed sign decode and the delta codec in
-//! `fuiov-storage`) is written twice: a scalar reference
+//! Every vector kernel in this workspace (the stacked-HVP inbound sweep
+//! [`crate::matrix::row_dots`], the replay round's lane-parallel clip
+//! pass, the packed sign decode and the delta codec in `fuiov-storage`)
+//! is written twice: a scalar reference
 //! that *defines* the bits, and an AVX2 path that must reproduce them
 //! exactly. This module owns the decision of which one runs:
 //!

@@ -8,7 +8,8 @@
 //! so every tail-residue class of the 8-lane kernel — ragged 8-column
 //! groups, ragged 8-row blocks, sub-width inputs — is hit.
 
-use fuiov_tensor::{simd, Mat};
+use fuiov_tensor::matrix::{row_dots, row_dots_scalar};
+use fuiov_tensor::simd;
 use proptest::prelude::*;
 
 /// Finite values with a deliberate sprinkle of exact zeros, so the
@@ -47,7 +48,12 @@ fn with_forced_scalar<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Matrix plus shared vector for the fused row-dots sweep.
+/// The rows of a row-major `rows × cols` buffer, each its own slice.
+fn split_rows(data: &[f32], rows: usize, cols: usize) -> Vec<&[f32]> {
+    (0..rows).map(|r| &data[r * cols..(r + 1) * cols]).collect()
+}
+
+/// Row data plus shared vector for the fused row-dots sweep.
 #[allow(clippy::type_complexity)]
 fn row_dots_case() -> impl Strategy<Value = (usize, usize, Vec<f32>, Vec<f32>)> {
     (0usize..=67, 0usize..=67).prop_flat_map(|(rows, cols)| {
@@ -65,13 +71,13 @@ proptest! {
 
     #[test]
     fn row_dots_simd_matches_scalar_bitwise((rows, cols, data, v) in row_dots_case()) {
-        let m = Mat::from_vec(rows, cols, data);
+        let m = split_rows(&data, rows, cols);
         let mut scalar = vec![7.0f32; rows]; // poisoned: every slot written
-        m.row_dots_into_scalar(&v, &mut scalar);
+        row_dots_scalar(&m, &v, &mut scalar);
         let mut fast = vec![-7.0f32; rows];
-        with_forced_simd(|| m.row_dots_into(&v, &mut fast));
+        with_forced_simd(|| row_dots(&m, &v, &mut fast));
         let mut slow = vec![3.0f32; rows];
-        with_forced_scalar(|| m.row_dots_into(&v, &mut slow));
+        with_forced_scalar(|| row_dots(&m, &v, &mut slow));
         prop_assert_eq!(bits(&fast), bits(&scalar), "simd row_dots at {}x{}", rows, cols);
         prop_assert_eq!(bits(&slow), bits(&scalar), "dispatched scalar at {}x{}", rows, cols);
     }
@@ -86,15 +92,26 @@ fn row_dots_hits_every_tail_residue_class_deterministically() {
             let data: Vec<f32> = (0..rows * cols)
                 .map(|i| if i % 5 == 0 { 0.0 } else { (i as f32).sin() })
                 .collect();
-            let m = Mat::from_vec(rows, cols, data);
+            let m = split_rows(&data, rows, cols);
             let v: Vec<f32> = (0..cols)
                 .map(|j| if j % 3 == 0 { 0.0 } else { (j as f32).cos() })
                 .collect();
             let mut scalar = vec![1.0f32; rows];
-            m.row_dots_into_scalar(&v, &mut scalar);
+            row_dots_scalar(&m, &v, &mut scalar);
             let mut fast = vec![-1.0f32; rows];
-            with_forced_simd(|| m.row_dots_into(&v, &mut fast));
+            with_forced_simd(|| row_dots(&m, &v, &mut fast));
             assert_eq!(bits(&fast), bits(&scalar), "rows={rows} cols={cols}");
+            // The rows need not be contiguous or ascending in memory: the
+            // same rows reversed give the same dots reversed.
+            let reversed: Vec<&[f32]> = m.iter().rev().copied().collect();
+            let mut back = vec![-1.0f32; rows];
+            with_forced_simd(|| row_dots(&reversed, &v, &mut back));
+            back.reverse();
+            assert_eq!(
+                bits(&back),
+                bits(&scalar),
+                "reversed rows={rows} cols={cols}"
+            );
         }
     }
 }

@@ -110,10 +110,14 @@ stage_core_native() {
   # The replay pins again at pool widths 1 and 3: a replay round streams
   # its clients in blocks of lanes × width rows, so the width decides
   # where blocks end and which rows take the scalar tail path, and the
-  # recovered bits and clip observations must not move with it.
+  # recovered bits and clip observations must not move with it. The
+  # checkpoint rounds too: a resumed job re-stacks from decoded pairs and
+  # must reproduce the sealed fingerprint, and the stacked sweep bands
+  # over the row handles at the pool's width.
   for threads in 1 3; do
     FUIOV_THREADS="$threads" RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
-      cargo test -p fuiov-core --release -q --test replay_pinned --test participation_pins
+      cargo test -p fuiov-core --release -q --test replay_pinned --test participation_pins \
+        --test checkpoint_rounds
   done
 }
 
