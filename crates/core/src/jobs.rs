@@ -11,11 +11,16 @@
 //!    (`Arc`'d round slots + shared spill file), so training rounds
 //!    appended afterwards never shift a running job's replay window.
 //! 2. **Crash-safe resume** — every `checkpoint_interval` replayed rounds
-//!    the job's full `ReplayState` is serialised and sealed into an
-//!    FNV-framed [`RecordKind::JobCheckpoint`] segment record
-//!    ([`JobLog`]). A crashed, preempted, or restarted job resumes from
-//!    its newest decodable checkpoint, and the resumed model is **bitwise
-//!    identical** to the uninterrupted run: the codec round-trips every
+//!    the job seals a checkpoint. In memory that is a clone of its
+//!    `ReplayState` which shares every pair row with the live state (the
+//!    rows are immutable `Arc<[f32]>`s), so a seal copies the model, the
+//!    update norms and O(n) bookkeeping, never a row. Only with a
+//!    [`JobLog`] attached is the state also serialised, into an
+//!    FNV-framed [`RecordKind::JobCheckpoint`] segment record. A
+//!    preempted job resumes from its held clone; a crashed or restarted
+//!    one from its newest decodable logged record. Either way the resumed
+//!    model is **bitwise identical** to the uninterrupted run: the clone
+//!    is the state itself, and the codec round-trips every
 //!    arithmetic-relevant bit (`f32` payloads travel as raw bits, L-BFGS
 //!    approximations are rebuilt from their exact factor columns, and the
 //!    rebuilt stack must reproduce the sealed
@@ -128,10 +133,14 @@ fn put_u32(out: &mut Vec<u8>, x: u32) {
     out.extend_from_slice(&x.to_le_bytes());
 }
 
+/// Writes a length-prefixed row of raw `f32` bits, sizing the row's bytes
+/// with one `resize` and filling them in place.
 fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
     put_u32(out, xs.len() as u32);
-    for x in xs {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    let start = out.len();
+    out.resize(start + 4 * xs.len(), 0);
+    for (dst, x) in out[start..].chunks_exact_mut(4).zip(xs) {
+        dst.copy_from_slice(&x.to_le_bytes());
     }
 }
 
@@ -191,12 +200,11 @@ impl<'a> Reader<'a> {
             .ok_or(UnlearnError::BadJobCheckpoint("truncated payload"))?;
         let bytes = self.take(len)?;
         out.clear();
-        out.reserve(n);
-        for chunk in bytes.chunks_exact(4) {
-            out.push(f32::from_bits(u32::from_le_bytes(
-                chunk.try_into().expect("4 bytes"),
-            )));
-        }
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))),
+        );
         Ok(())
     }
 
@@ -226,7 +234,7 @@ impl<'a> Reader<'a> {
         Ok(Arc::clone(rows.entry(bytes).or_insert_with(|| {
             bytes
                 .chunks_exact(4)
-                .map(|b| f32::from_bits(u32::from_le_bytes(b.try_into().expect("4 bytes"))))
+                .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
                 .collect()
         })))
     }
@@ -241,9 +249,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serialises everything a future round's arithmetic can observe. The
-/// sealed stack fingerprint is of the state's *current* stack, so callers
-/// flush a dirty stack (rebuild it) before encoding — [`JobService`] does.
+/// Serialises everything a future round's arithmetic can observe, for the
+/// job log (an in-memory checkpoint is a state clone and is never
+/// encoded). The sealed stack fingerprint is of the state's *current*
+/// stack, so callers flush a dirty stack (rebuild it) before encoding —
+/// [`JobService`] does.
 fn encode_state(state: &ReplayState) -> Vec<u8> {
     let dim = state.params.len();
     let mut out = Vec::with_capacity(64 + dim * 4);
@@ -571,10 +581,26 @@ struct Job {
     /// Copy-on-write history snapshot taken at submission.
     snapshot: HistoryStore,
     phase: JobPhase,
+    /// The checkpoint the job resumes from: a clone of its replay state
+    /// at its newest seal, or the state decoded from an adopted log
+    /// record. It shares every pair row with the live state, so it holds
+    /// its own model, update norms and O(n) bookkeeping, and keeps rows
+    /// the live state has since evicted alive only until the next seal
+    /// replaces it. A finished job drops it.
+    checkpoint: Option<Box<ReplayState>>,
     /// Per-job scratch arena — jobs batched into one cross-job sweep need
     /// their `w̄ₜ − wₜ` vectors alive simultaneously.
     scratch: RoundScratch,
     rounds_since_checkpoint: usize,
+}
+
+impl Job {
+    /// Ends the replay in `phase` (done or failed). The held checkpoint
+    /// goes with it: nothing resumes a finished job.
+    fn end(&mut self, phase: JobPhase) {
+        self.phase = phase;
+        self.checkpoint = None;
+    }
 }
 
 /// The recovery job queue: submit forget requests, [`JobService::step`]
@@ -587,10 +613,10 @@ pub struct JobService {
     jobs: BTreeMap<JobId, Job>,
     next_id: JobId,
     log: Option<JobLog>,
-    /// Checkpoints a job may resume from, newest last: the ones adopted
-    /// from the log, until the job seals its own; from then on just its
-    /// newest seal (the log keeps every record). This is what lets
-    /// preemption and resume work for log-less services too.
+    /// Checkpoint payloads adopted from the log, newest last, for logged
+    /// jobs not yet activated. They stay bytes until the job's first
+    /// activation takes them and decodes the newest one it can, which
+    /// becomes the job's held checkpoint.
     records: BTreeMap<JobId, Vec<(Round, Vec<u8>)>>,
     /// Sorted-deduped forgotten set → job, for duplicate submissions.
     dedup: BTreeMap<Vec<ClientId>, JobId>,
@@ -674,6 +700,7 @@ impl JobService {
                 forgotten: forgotten.to_vec(),
                 snapshot: history.snapshot(),
                 phase: JobPhase::Pending,
+                checkpoint: None,
                 scratch: RoundScratch::new(),
                 rounds_since_checkpoint: 0,
             },
@@ -715,7 +742,6 @@ impl JobService {
         }
         let job = self.jobs.remove(&id)?;
         self.dedup.retain(|_, v| *v != id);
-        self.records.remove(&id);
         match job.phase {
             JobPhase::Done(outcome) => Some(Ok(outcome)),
             JobPhase::Failed(err) => Some(Err(err)),
@@ -757,28 +783,30 @@ impl JobService {
             if !matches!(job.phase, JobPhase::Pending) {
                 continue;
             }
-            // Newest checkpoint first; skip any that fail to decode (torn
-            // log tails never reach here — JobLog truncates them — but a
-            // version bump or fingerprint mismatch does).
-            let mut resumed = None;
-            if let Some(recs) = self.records.get(&id) {
-                for (_, payload) in recs.iter().rev() {
-                    match decode_state(payload, &self.config.recovery) {
-                        Ok(state) => {
-                            resumed = Some(state);
-                            break;
-                        }
-                        Err(_) => {
-                            fuiov_obs::counter!("jobs.checkpoint_decode_failures").inc();
-                        }
+            // A logged job's first activation takes its adopted records and
+            // tries them newest first, skipping any that fail to decode
+            // (torn log tails never reach here — JobLog truncates them —
+            // but a version bump or fingerprint mismatch does). The first
+            // that decodes becomes the held checkpoint.
+            let adopted = self.records.remove(&id).unwrap_or_default();
+            for (_, payload) in adopted.iter().rev() {
+                match decode_state(payload, &self.config.recovery) {
+                    Ok(state) => {
+                        job.checkpoint = Some(Box::new(state));
+                        break;
+                    }
+                    Err(_) => {
+                        fuiov_obs::counter!("jobs.checkpoint_decode_failures").inc();
                     }
                 }
             }
-            match resumed {
-                Some(state) => {
+            match &job.checkpoint {
+                // Run a clone, so the held checkpoint survives a second
+                // preemption before the next seal.
+                Some(held) => {
                     fuiov_obs::counter!("jobs.resumed").inc();
-                    fuiov_obs::journal::instant("jobs.resume", id, state.next_round as u64);
-                    job.phase = JobPhase::Running(Box::new(state));
+                    fuiov_obs::journal::instant("jobs.resume", id, held.next_round as u64);
+                    job.phase = JobPhase::Running(held.clone());
                 }
                 None => match ReplayState::init_scoped(
                     &job.snapshot,
@@ -797,7 +825,7 @@ impl JobService {
                     }
                     Err(err) => {
                         fuiov_obs::counter!("jobs.failed").inc();
-                        job.phase = JobPhase::Failed(err);
+                        job.end(JobPhase::Failed(err));
                     }
                 },
             }
@@ -821,7 +849,7 @@ impl JobService {
                     Ok(false) => {}
                     Err(err) => {
                         fuiov_obs::counter!("jobs.failed").inc();
-                        job.phase = JobPhase::Failed(err);
+                        job.end(JobPhase::Failed(err));
                     }
                 }
             }
@@ -884,22 +912,24 @@ impl JobService {
                             id,
                             outcome.rounds_replayed as u64,
                         );
-                        job.phase = JobPhase::Done(outcome);
+                        job.end(JobPhase::Done(outcome));
                     } else if job.rounds_since_checkpoint >= self.config.checkpoint_interval {
                         self.seal(id);
                     }
                 }
                 Err(err) => {
                     fuiov_obs::counter!("jobs.failed").inc();
-                    job.phase = JobPhase::Failed(err);
+                    job.end(JobPhase::Failed(err));
                 }
             }
         }
     }
 
-    /// Seals the job's current replay state into the log, and makes it
-    /// the job's only in-memory checkpoint: the service sealed it itself,
-    /// so it always decodes, and no older one is ever needed again.
+    /// Seals the job's current replay state: a clone of it becomes the
+    /// job's only in-memory checkpoint, replacing the previous one (no
+    /// older checkpoint is ever needed again), and its bytes go to the log
+    /// if one is attached. The clone shares every pair row with the live
+    /// state, so without a log no row is copied or serialised.
     /// Flushes a dirty stack first so the sealed fingerprint describes the
     /// stack a resume will rebuild — a pure computation the uninterrupted
     /// run performs lazily on its next round, so flushing early moves no
@@ -910,14 +940,13 @@ impl JobService {
             return;
         };
         state.flush_stack();
-        let payload = encode_state(state);
         let next_round = state.next_round;
         if let Some(log) = &mut self.log {
-            if log.append(id, next_round, &payload).is_err() {
+            if log.append(id, next_round, &encode_state(state)).is_err() {
                 fuiov_obs::counter!("jobs.log_write_failures").inc();
             }
         }
-        self.records.insert(id, vec![(next_round, payload)]);
+        job.checkpoint = Some(state.clone());
         job.rounds_since_checkpoint = 0;
         fuiov_obs::counter!("jobs.checkpoints_sealed").inc();
         fuiov_obs::journal::instant("jobs.checkpoint", id, next_round as u64);
@@ -1034,13 +1063,21 @@ mod tests {
         while svc.step(&mut crate::NoOracle) {
             steps += 1;
             for &id in &ids {
-                let live = matches!(svc.jobs[&id].phase, JobPhase::Running(_));
-                if live {
-                    assert_eq!(svc.records[&id].len(), 1, "job {id} after step {steps}");
+                let job = &svc.jobs[&id];
+                if let JobPhase::Running(live) = &job.phase {
+                    // Exactly one checkpoint, sealed after this step
+                    // (the interval is one round), and no adopted bytes.
+                    let held = job.checkpoint.as_ref().unwrap_or_else(|| {
+                        panic!("job {id} holds no checkpoint after step {steps}")
+                    });
+                    assert_eq!(held.next_round, live.next_round, "job {id}, step {steps}");
+                    assert!(!svc.records.contains_key(&id), "job {id}, step {steps}");
+                } else {
+                    assert!(job.checkpoint.is_none(), "finished job {id} holds one");
                 }
             }
             // Preempt at several boundaries: resume must come from the
-            // one record left.
+            // one checkpoint held.
             if steps % 3 == 1 {
                 ids.iter().for_each(|&id| svc.preempt(id));
             }
@@ -1050,11 +1087,81 @@ mod tests {
             let got = svc.take_outcome(id).expect("finished").expect("ok");
             let want = crate::recover_set(&h, set, &recovery, &mut crate::NoOracle, |_, _| {})
                 .expect("one-shot recovery");
-            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got.params), bits(&want.params), "job {id}");
             assert_eq!(bits(&got.update_norms), bits(&want.update_norms));
             assert!(!svc.records.contains_key(&id));
+            assert!(!svc.jobs.contains_key(&id));
         }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Replays `state` to the end on its own, as a resumed job would.
+    fn finish_from(mut state: ReplayState, h: &HistoryStore) -> RecoveryOutcome {
+        let mut scratch = RoundScratch::new();
+        while !state.is_done() {
+            state
+                .step(h, &mut scratch, None, &mut |_, _| {})
+                .expect("step");
+        }
+        state.finish()
+    }
+
+    #[test]
+    fn the_held_checkpoint_and_its_bytes_resume_alike() {
+        // Seals every 2 rounds, refreshes every 3: the live state replays
+        // refresh rounds while an older checkpoint is held, releasing its
+        // stack's handles on the refreshed clients' rows. Checked after
+        // every step, so at every boundary and every round past one.
+        let h = history();
+        let recovery = RecoveryConfig::new(0.05).pair_refresh_interval(3);
+        let want = crate::recover_set(&h, &[1], &recovery, &mut crate::NoOracle, |_, _| {})
+            .expect("one-shot recovery");
+        let mut svc = JobService::new(JobConfig::new(recovery).checkpoint_interval(2));
+        let id = svc.submit(&h, &[1]);
+        let same_rows = |a: &LbfgsApprox, b: &LbfgsApprox| {
+            a.pairs() == b.pairs()
+                && (a.dg_rows().iter().zip(b.dg_rows())).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+        let (mut checks, mut straddling, mut boundaries) = (0, 0, Vec::new());
+        while svc.step(&mut crate::NoOracle) {
+            let job = &svc.jobs[&id];
+            let (JobPhase::Running(live), Some(held)) = (&job.phase, &job.checkpoint) else {
+                continue;
+            };
+            // A refresh replayed since the seal replaced some client's
+            // approximation in the live state only.
+            let refreshed = live
+                .approxes
+                .iter()
+                .any(|(c, a)| held.approxes.get(c).is_none_or(|b| !same_rows(a, b)));
+            straddling += usize::from(refreshed);
+            let at = held.next_round;
+            if boundaries.last() != Some(&at) {
+                boundaries.push(at);
+            }
+            let decoded = decode_state(&encode_state(held), &recovery).expect("decodes");
+            assert_eq!(
+                decoded.stacked.fingerprint(),
+                held.stacked.fingerprint(),
+                "checkpoint at round {at}"
+            );
+            for (how, state) in [("held", (**held).clone()), ("decoded", decoded)] {
+                let got = finish_from(state, &h);
+                assert_eq!(bits(&got.params), bits(&want.params), "{how} at round {at}");
+                assert_eq!(bits(&got.update_norms), bits(&want.update_norms));
+            }
+            checks += 1;
+        }
+        assert!(svc.take_outcome(id).expect("finished").is_ok());
+        // Every step but the last leaves the job running; seals land at F
+        // and every second round after it.
+        let rounds = want.rounds_replayed;
+        assert_eq!(checks, rounds - 1);
+        assert_eq!(boundaries.len(), rounds.div_ceil(2), "{boundaries:?}");
+        assert!(straddling >= 2, "{straddling} checks straddle a refresh");
     }
 
     #[test]

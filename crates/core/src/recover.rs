@@ -355,8 +355,9 @@ pub(crate) fn recover_set_scoped(
 /// execute the *same* code — bitwise identical by construction, not by
 /// parallel maintenance.
 ///
-/// Every field that influences a future round's arithmetic lives here (and
-/// is what the job checkpoint codec serialises); `roster`/`weights` are
+/// Every field that influences a future round's arithmetic lives here (a
+/// job's in-memory checkpoint is a clone of it, sharing its pair rows, and
+/// the job log's codec serialises it); `roster`/`weights` are
 /// per-round scratch recycled across steps, reconstructed from the history
 /// each round.
 #[derive(Debug, Clone)]

@@ -153,6 +153,13 @@ stage_jobs() {
     FUIOV_FAULT_SEED="$seed" cargo test -p fuiov -q --test job_resume_oracles
   done
   FUIOV_SIMD=0 cargo test -p fuiov -q --test job_resume_oracles
+  # And at pool widths 1 and 3: a replay round's client blocks end where
+  # the width puts them, and a preempted job resumes from a held clone
+  # that shares its rows with a live stack that releases its handles on
+  # them at every refresh.
+  for threads in 1 3; do
+    FUIOV_THREADS="$threads" cargo test -p fuiov -q --test job_resume_oracles
+  done
 }
 
 stage_simd_off() {
