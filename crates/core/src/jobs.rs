@@ -39,11 +39,9 @@
 //! (DESIGN.md §5 "Recovery job service").
 //!
 //! [`JobService::submit`] is the job path's one way in: it takes a
-//! forgotten set, as [`recover_set`](crate::recover_set) does, and jobs
-//! always replay unscoped (the subtree-scoped replay of
-//! [`recover_vehicle`](crate::recover_vehicle) is one-shot only). The
-//! checkpoint interval is set with [`JobConfig::checkpoint_interval`],
-//! never from the environment.
+//! forgotten set, as [`recover_set`](crate::recover_set) does, and runs
+//! the same `ReplayState` replay. The checkpoint interval is set with
+//! [`JobConfig::checkpoint_interval`], never from the environment.
 //!
 //! [`RecordKind::JobCheckpoint`]: fuiov_storage::segment::RecordKind
 
@@ -70,10 +68,11 @@ pub type JobId = u64;
 pub type LoggedCheckpoint = (JobId, Round, Vec<u8>);
 
 /// Version tag leading every checkpoint payload; bump on layout change.
-/// v2 appended a replay-scope tag and a sibling-reuse tally at the payload
-/// tail (so [`peek_forgotten`]'s fixed header offsets survived). Jobs
-/// never replay scoped, so the tail is always tag `0` and a zero tally;
-/// it stays so every sealed byte keeps its layout.
+/// v2 appended a reserved nine-byte tail to the payload (a tag byte and a
+/// `u64`, after the v1 fields so [`peek_forgotten`]'s fixed header
+/// offsets survived). It is always written as zeros, and kept so every
+/// sealed byte keeps its layout (DESIGN.md §5, *The checkpoint keeps a
+/// reserved tail*).
 const STATE_VERSION: u16 = 2;
 
 /// Default rounds between sealed checkpoints.
@@ -290,8 +289,7 @@ fn encode_state(state: &ReplayState) -> Vec<u8> {
             put_f32s(&mut out, dg);
         }
     }
-    // v2 tail: no replay scope (tag 0) and no sibling reuses — jobs
-    // always replay unscoped (see `STATE_VERSION`).
+    // The reserved v2 tail, always zero (see `STATE_VERSION`).
     out.push(0);
     put_u64(&mut out, 0);
     out
@@ -402,13 +400,10 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
         });
     }
 
-    // Jobs never replay scoped: a tail naming a scope, or sibling reuses,
-    // was not sealed by this service.
-    if r.u8()? != 0 {
-        return Err(UnlearnError::BadJobCheckpoint("scoped checkpoint"));
-    }
-    if r.u64()? != 0 {
-        return Err(UnlearnError::BadJobCheckpoint("sibling reuses in a job"));
+    // This service seals the reserved v2 tail as zeros; anything else
+    // was not sealed by it.
+    if r.u8()? != 0 || r.u64()? != 0 {
+        return Err(UnlearnError::BadJobCheckpoint("non-zero reserved tail"));
     }
 
     Ok(ReplayState {
@@ -419,13 +414,11 @@ fn decode_state(payload: &[u8], config: &RecoveryConfig) -> Result<ReplayState, 
         next_round,
         params,
         remaining,
-        scope: None,
         buffers,
         approxes,
         prev_dw_norm,
         growth_run,
         estimator_fallbacks,
-        sibling_reuses: 0,
         oracle_queries,
         update_norms,
         stacked,
@@ -808,10 +801,9 @@ impl JobService {
                     fuiov_obs::journal::instant("jobs.resume", id, held.next_round as u64);
                     job.phase = JobPhase::Running(held.clone());
                 }
-                None => match ReplayState::init_scoped(
+                None => match ReplayState::init(
                     &job.snapshot,
                     &job.forgotten,
-                    None,
                     &self.config.recovery,
                     oracle,
                 ) {
@@ -1171,8 +1163,7 @@ mod tests {
         // same fingerprint, at every round of the replay.
         let h = history();
         let recovery = RecoveryConfig::new(0.05).pair_refresh_interval(3);
-        let mut live = ReplayState::init_scoped(&h, &[1], None, &recovery, &mut crate::NoOracle)
-            .expect("init");
+        let mut live = ReplayState::init(&h, &[1], &recovery, &mut crate::NoOracle).expect("init");
         let mut scratch = RoundScratch::new();
         while !live.is_done() {
             live.flush_stack();

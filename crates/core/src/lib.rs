@@ -23,8 +23,7 @@
 //! which runs the same replay as a resumable job — concurrent forget
 //! requests on snapshot-isolated history views, incremental FNV-sealed
 //! checkpoints, crash-safe resume, and cross-job batched replay
-//! ([`mod@jobs`]). [`recover_vehicle`] forgets one vehicle of a
-//! hierarchical cohort ([`mod@subtree`]).
+//! ([`mod@jobs`]).
 //!
 //! ```no_run
 //! use fuiov_core::{backtrack_set, recover_set, NoOracle, RecoveryConfig};
@@ -43,7 +42,6 @@ pub mod error;
 pub mod jobs;
 pub mod lbfgs;
 pub mod recover;
-pub mod subtree;
 pub mod verify;
 
 pub use backtrack::{backtrack_set, BacktrackResult};
@@ -55,5 +53,4 @@ pub use recover::{
     calibrate_lr, recover_set, ClientPoolOracle, GradientOracle, NoOracle, RecoveryConfig,
     RecoveryOutcome,
 };
-pub use subtree::{recover_vehicle, recover_vehicle_flat, VehicleRecovery};
 pub use verify::{forgetting_score, membership_advantage};

@@ -295,11 +295,6 @@ pub struct RecoveryOutcome {
     pub estimator_fallbacks: usize,
     /// Times a live vehicle was asked for a gradient (oracle hits).
     pub oracle_queries: usize,
-    /// Client-rounds outside the replay scope whose stored direction was
-    /// replayed verbatim from the history (hierarchical recovery: sibling
-    /// leaves are exactly unchanged by the forget, so their group-history
-    /// directions need no estimation). Zero for unscoped recovery.
-    pub sibling_reuses: usize,
     /// L2 norm of each round's aggregated update.
     pub update_norms: Vec<f32>,
 }
@@ -324,21 +319,9 @@ pub fn recover_set(
     forgotten: &[ClientId],
     config: &RecoveryConfig,
     oracle: &mut dyn GradientOracle,
-    on_round: impl FnMut(Round, &[f32]),
-) -> Result<RecoveryOutcome, UnlearnError> {
-    recover_set_scoped(history, forgotten, None, config, oracle, on_round)
-}
-
-/// [`recover_set`] with Eq. 6 estimation limited to `scope` (see [`crate::subtree`]).
-pub(crate) fn recover_set_scoped(
-    history: &HistoryStore,
-    forgotten: &[ClientId],
-    scope: Option<&[ClientId]>,
-    config: &RecoveryConfig,
-    oracle: &mut dyn GradientOracle,
     mut on_round: impl FnMut(Round, &[f32]),
 ) -> Result<RecoveryOutcome, UnlearnError> {
-    let mut state = ReplayState::init_scoped(history, forgotten, scope, config, oracle)?;
+    let mut state = ReplayState::init(history, forgotten, config, oracle)?;
     // All replay-loop temporaries live in one arena, recycled across
     // rounds: no per-round model clones, no per-client estimate vectors.
     let mut scratch = RoundScratch::new();
@@ -349,7 +332,7 @@ pub(crate) fn recover_set_scoped(
 }
 
 /// The incremental form of [`recover_set`]: guards and §IV-B pair seeding
-/// in [`ReplayState::init_scoped`], then exactly one replayed round per
+/// in [`ReplayState::init`], then exactly one replayed round per
 /// [`ReplayState::step`] call. `recover_set` drives this state machine to
 /// completion, so the one-shot path and the resumable `core::jobs` path
 /// execute the *same* code — bitwise identical by construction, not by
@@ -372,15 +355,11 @@ pub(crate) struct ReplayState {
     pub(crate) params: Vec<f32>,
     /// Remaining clients, ascending (the fixed roster order).
     pub(crate) remaining: Vec<ClientId>,
-    /// Estimation scope, sorted ascending; `None` estimates everyone.
-    /// Out-of-scope clients replay their stored directions verbatim.
-    pub(crate) scope: Option<Vec<ClientId>>,
     pub(crate) buffers: BTreeMap<ClientId, PairBuffer>,
     pub(crate) approxes: BTreeMap<ClientId, LbfgsApprox>,
     pub(crate) prev_dw_norm: f32,
     pub(crate) growth_run: usize,
     pub(crate) estimator_fallbacks: usize,
-    pub(crate) sibling_reuses: usize,
     pub(crate) oracle_queries: usize,
     pub(crate) update_norms: Vec<f32>,
     /// The batched engine: all clients' L-BFGS factors stacked into one
@@ -398,30 +377,18 @@ pub(crate) struct ReplayState {
 impl ReplayState {
     /// Runs the guards of Algorithm 1 and seeds the vector pairs from the
     /// `s` rounds before `F` (§IV-B), yielding a state positioned at
-    /// `next_round == F`. With an estimation scope (see
-    /// [`crate::subtree`]), pair seeding — the expensive part of init —
-    /// runs only for in-scope clients.
+    /// `next_round == F`.
     ///
     /// # Errors
     ///
     /// See [`recover_set`] — everything up to (not including) the first
     /// replayed round errors here.
-    pub(crate) fn init_scoped(
+    pub(crate) fn init(
         history: &HistoryStore,
         forgotten: &[ClientId],
-        scope: Option<&[ClientId]>,
         config: &RecoveryConfig,
         oracle: &mut dyn GradientOracle,
     ) -> Result<Self, UnlearnError> {
-        let scope: Option<Vec<ClientId>> = scope.map(|s| {
-            let mut s = s.to_vec();
-            s.sort_unstable();
-            s.dedup();
-            s
-        });
-        if scope.is_some() {
-            fuiov_obs::counter!("hierarchy.subtree_replays").inc();
-        }
         let bt = crate::backtrack::backtrack_set(history, forgotten)?;
         let forgotten_set: std::collections::BTreeSet<ClientId> =
             forgotten.iter().copied().collect();
@@ -481,13 +448,6 @@ impl ReplayState {
         // clients; each pushed ΔG row is built in its own shared row.
         let (mut g_f, mut g_r) = (Vec::new(), Vec::new());
         for &client in &remaining {
-            // Sibling subtrees replay verbatim: no pairs, no approximation.
-            if scope
-                .as_ref()
-                .is_some_and(|s| s.binary_search(&client).is_err())
-            {
-                continue;
-            }
             let mut buf = PairBuffer::new(config.buffer_size);
             // Base gradient g_F: stored direction at F, or oracle, or
             // nearest later round's direction.
@@ -549,13 +509,11 @@ impl ReplayState {
             next_round: f_round,
             params,
             remaining,
-            scope,
             buffers,
             approxes,
             prev_dw_norm: 0.0,
             growth_run: 0,
             estimator_fallbacks: 0,
-            sibling_reuses: 0,
             oracle_queries,
             update_norms: Vec::with_capacity(t_end - f_round),
             stacked: StackedLbfgs::build(dim, std::iter::empty()),
@@ -698,20 +656,6 @@ impl ReplayState {
             if view.direction(client).is_none() {
                 continue;
             }
-            // Out-of-scope (sibling subtree): its sealed aggregate is
-            // exactly unchanged by the forget — replay the stored
-            // direction raw, which is a reuse, not an estimator fallback.
-            if self
-                .scope
-                .as_ref()
-                .is_some_and(|s| s.binary_search(&client).is_err())
-            {
-                self.sibling_reuses += 1;
-                fuiov_obs::counter!("hierarchy.sibling_aggregates_reused").inc();
-                self.roster.push((client, None));
-                self.weights.push(history.weight(client));
-                continue;
-            }
             let entry = config
                 .hessian_correction
                 .then(|| self.stacked.entry_for(client))
@@ -747,8 +691,8 @@ impl ReplayState {
 
             // Pass 3, streamed a block of rows at a time: decode and
             // correct each row, clip (and observe) the block, fold it into
-            // FedAvg, and on a refresh round push each in-scope client's
-            // pair from its clipped row. A refreshed client's new
+            // FedAvg, and on a refresh round push each client's pair from
+            // its clipped row. A refreshed client's new
             // approximation replaces its old one and the stack releases
             // the client's ΔG handles, freeing the evicted row now; the
             // client's rows were filled in this block and are not read
@@ -779,16 +723,6 @@ impl ReplayState {
                     }
                     for (i, p) in rows.enumerate() {
                         let client = self.roster[p].0;
-                        // Sibling replays carry no recovered information
-                        // to learn from (their estimate IS the stored
-                        // direction).
-                        if self
-                            .scope
-                            .as_ref()
-                            .is_some_and(|s| s.binary_search(&client).is_err())
-                        {
-                            continue;
-                        }
                         let est = &block[i * dim..(i + 1) * dim];
                         scratch.stored.resize(dim, 0.0);
                         let dir = view.direction(client).expect("roster checked");
@@ -841,7 +775,6 @@ impl ReplayState {
             rounds_replayed: self.t_end - self.f_round,
             estimator_fallbacks: self.estimator_fallbacks,
             oracle_queries: self.oracle_queries,
-            sibling_reuses: self.sibling_reuses,
             update_norms: self.update_norms,
         }
     }
@@ -1017,8 +950,7 @@ mod tests {
         // clients, so the stack is always smaller than per-client copies.
         let h = alternating_history(30, 6, 1);
         let cfg = RecoveryConfig::new(0.05).pair_refresh_interval(5);
-        let mut state =
-            ReplayState::init_scoped(&h, &[1], None, &cfg, &mut NoOracle).expect("init");
+        let mut state = ReplayState::init(&h, &[1], &cfg, &mut NoOracle).expect("init");
         let mut scratch = RoundScratch::new();
         let mut checked = 0;
         while !state.is_done() {
@@ -1471,62 +1403,5 @@ mod tests {
     #[should_panic(expected = "invalid clip threshold")]
     fn config_rejects_bad_clip() {
         let _ = RecoveryConfig::new(0.1).clip_threshold(0.0);
-    }
-
-    #[test]
-    fn full_scope_replay_is_bitwise_unscoped() {
-        let h = synthetic_history(10, 4, 1);
-        let cfg = RecoveryConfig::new(0.05);
-        let unscoped = recover_set(&h, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
-        // Scope covering every remaining client estimates exactly the
-        // same set as no scope at all.
-        let everyone: Vec<ClientId> = vec![0, 2, 3];
-        let scoped =
-            recover_set_scoped(&h, &[1], Some(&everyone), &cfg, &mut NoOracle, |_, _| {}).unwrap();
-        assert_eq!(scoped.sibling_reuses, 0);
-        assert_eq!(scoped.estimator_fallbacks, unscoped.estimator_fallbacks);
-        let a: Vec<u32> = unscoped.params.iter().map(|x| x.to_bits()).collect();
-        let b: Vec<u32> = scoped.params.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(a, b, "full scope must be bitwise identical to unscoped");
-    }
-
-    #[test]
-    fn narrow_scope_reuses_sibling_directions() {
-        let rounds = 10;
-        let clients = 5;
-        let h = synthetic_history(rounds, clients, 1);
-        let cfg = RecoveryConfig::new(0.05);
-        // Only client 0 shares the forgotten vehicle's leaf; clients 2..5
-        // are sibling subtrees whose sealed directions replay verbatim.
-        let scoped =
-            recover_set_scoped(&h, &[1], Some(&[0]), &cfg, &mut NoOracle, |_, _| {}).unwrap();
-        // Forgotten client joined at round 2, so replay covers rounds
-        // 2..rounds; every replayed round reuses the 3 out-of-scope
-        // clients' directions.
-        let replayed = rounds - 2;
-        assert_eq!(scoped.rounds_replayed, replayed);
-        assert_eq!(scoped.sibling_reuses, 3 * replayed);
-        assert!(scoped.params.iter().all(|x| x.is_finite()));
-
-        // An empty scope reuses everyone — pure sealed-direction replay.
-        let sealed =
-            recover_set_scoped(&h, &[1], Some(&[]), &cfg, &mut NoOracle, |_, _| {}).unwrap();
-        assert_eq!(sealed.sibling_reuses, 4 * replayed);
-        assert_eq!(sealed.estimator_fallbacks, 0);
-        assert!(sealed.params.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn scope_order_and_duplicates_do_not_matter() {
-        let h = synthetic_history(8, 4, 0);
-        let cfg = RecoveryConfig::new(0.05);
-        let a =
-            recover_set_scoped(&h, &[0], Some(&[3, 2]), &cfg, &mut NoOracle, |_, _| {}).unwrap();
-        let b =
-            recover_set_scoped(&h, &[0], Some(&[2, 3, 2]), &cfg, &mut NoOracle, |_, _| {}).unwrap();
-        let pa: Vec<u32> = a.params.iter().map(|x| x.to_bits()).collect();
-        let pb: Vec<u32> = b.params.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(pa, pb);
-        assert_eq!(a.sibling_reuses, b.sibling_reuses);
     }
 }

@@ -37,16 +37,6 @@ pub struct TierBytes {
     pub up_inter_full: usize,
 }
 
-impl TierBytes {
-    /// Accumulates another round's counts into a running total.
-    pub fn accumulate(&mut self, other: &TierBytes) {
-        self.down_vehicle += other.down_vehicle;
-        self.down_inter += other.down_inter;
-        self.up_vehicle_sign += other.up_vehicle_sign;
-        self.up_inter_full += other.up_inter_full;
-    }
-}
-
 /// Byte counts one hierarchical round would transmit: vehicles talk to
 /// their leaf aggregator, and every non-root tree node exchanges one
 /// model-sized vector per direction with its parent. The vehicle-tier
@@ -60,37 +50,6 @@ pub fn tree_round_bytes(
     let model_bytes = model_dim * 4;
     let (down, _, up_sign) = round_bytes(model_dim, participants);
     let inter_links = tree.node_count().saturating_sub(1);
-    TierBytes {
-        down_vehicle: down,
-        down_inter: inter_links * model_bytes,
-        up_vehicle_sign: up_sign,
-        up_inter_full: inter_links * model_bytes,
-    }
-}
-
-/// Byte counts one *cohort* round actually transmits under churn and
-/// participant sampling. The vehicle-tier columns scale with the
-/// **sampled** participant count — when a sampling fraction filters the
-/// cohort, a vehicle that was sampled out this round neither downloads
-/// the model nor uploads a direction, and the accounting must say so
-/// (counting the full cohort was exactly the bug this function fixes).
-/// Inter-tier links likewise count only *active* RSU leaves (a leaf with
-/// no sampled members is silent), plus one link per non-root edge-tree
-/// node; `edge_nodes == 0` means the single leaf is the root (no
-/// backhaul at all).
-pub fn cohort_round_bytes(
-    model_dim: usize,
-    participants: usize,
-    active_leaves: usize,
-    edge_nodes: usize,
-) -> TierBytes {
-    let model_bytes = model_dim * 4;
-    let (down, _, up_sign) = round_bytes(model_dim, participants);
-    let inter_links = if edge_nodes == 0 {
-        0
-    } else {
-        active_leaves + edge_nodes - 1
-    };
     TierBytes {
         down_vehicle: down,
         down_inter: inter_links * model_bytes,

@@ -42,5 +42,5 @@ pub mod server;
 pub use client::{Client, HonestClient};
 pub use comms::CommsReport;
 pub use config::{AggregationRule, FlConfig};
-pub use hierarchy::{AggregationTree, CohortConfig, CohortRun, VehicleForget};
+pub use hierarchy::AggregationTree;
 pub use server::{ForgetRequest, Server, Upload};

@@ -189,130 +189,6 @@ impl ChurnSchedule {
     }
 }
 
-/// O(1)-memory churn: the same join/leave/dropout dynamics as
-/// [`ChurnSchedule::sample`], derived on demand from a seeded hash stream
-/// instead of materialised `Vec`s. A 10⁶-vehicle schedule is three words —
-/// model, horizon, seed — and every membership query is a closed-form
-/// geometric draw plus one per-`(vehicle, round)` dropout hash, so the
-/// hot path never touches `dropouts: Vec<Round>`.
-///
-/// `LazyChurn` is its own deterministic process (hash stream, not the
-/// sequential `rand` draws of [`ChurnSchedule::sample`]), so the two are
-/// not bit-equal; the materialised form stays the small-n test fixture,
-/// and [`LazyChurn::materialise`] bridges into it when an experiment
-/// needs the `Vec` API.
-#[derive(Debug, Clone, Copy)]
-pub struct LazyChurn {
-    model: ChurnModel,
-    rounds: Round,
-    seed: u64,
-}
-
-const LAZY_JOIN: u64 = 1;
-const LAZY_LEAVE: u64 = 2;
-const LAZY_DROP: u64 = 3;
-
-/// SplitMix64 finaliser: avalanche a 64-bit key.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from the top 53 bits of a mixed key.
-pub(crate) fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// First success of a Bernoulli(`p`) sequence via inversion: the
-/// closed-form replacement for drawing round-by-round.
-fn geometric(p: f64, u: f64) -> f64 {
-    if p >= 1.0 {
-        0.0
-    } else {
-        ((1.0 - u).ln() / (1.0 - p).ln()).floor()
-    }
-}
-
-impl LazyChurn {
-    /// A lazy schedule for `rounds` rounds under `model`, keyed by `seed`.
-    pub fn new(model: ChurnModel, rounds: Round, seed: u64) -> Self {
-        LazyChurn {
-            model,
-            rounds,
-            seed,
-        }
-    }
-
-    fn draw(&self, stream: u64, v: ClientId, t: Round) -> f64 {
-        let key = mix64(self.seed ^ streams::CHURN ^ mix64(stream))
-            ^ mix64(v as u64 ^ mix64(t as u64).rotate_left(17));
-        unit(mix64(key))
-    }
-
-    /// Total rounds the schedule covers.
-    pub fn rounds(&self) -> Round {
-        self.rounds
-    }
-
-    /// First round vehicle `v` participates in; `rounds` if it never
-    /// arrives within the horizon (same convention as the materialised
-    /// sampler).
-    pub fn joined(&self, v: ClientId) -> Round {
-        if v < self.model.initial_active {
-            return 0;
-        }
-        if self.model.arrival_prob <= 0.0 {
-            return self.rounds;
-        }
-        let g = geometric(self.model.arrival_prob, self.draw(LAZY_JOIN, v, 0));
-        (g as Round).min(self.rounds)
-    }
-
-    /// Inclusive last active round if `v` departs within the horizon.
-    pub fn leaves_after(&self, v: ClientId) -> Option<Round> {
-        let joined = self.joined(v);
-        if joined >= self.rounds || self.model.departure_prob <= 0.0 {
-            return None;
-        }
-        let g = geometric(self.model.departure_prob, self.draw(LAZY_LEAVE, v, 0));
-        let last = joined + (g.min(self.rounds as f64) as Round);
-        (last < self.rounds).then_some(last)
-    }
-
-    /// Whether `v` misses `round` to a temporary dropout.
-    pub fn drops_out(&self, v: ClientId, round: Round) -> bool {
-        self.model.dropout_prob > 0.0 && self.draw(LAZY_DROP, v, round) < self.model.dropout_prob
-    }
-
-    /// Whether `v` participates in `round` — the hot-path predicate.
-    pub fn active_in(&self, v: ClientId, round: Round) -> bool {
-        round >= self.joined(v)
-            && self.leaves_after(v).is_none_or(|l| round <= l)
-            && !self.drops_out(v, round)
-    }
-
-    /// Materialises vehicle `v`'s membership (small-n test bridge).
-    pub fn membership(&self, v: ClientId) -> Membership {
-        let joined = self.joined(v);
-        let leaves_after = self.leaves_after(v);
-        let last = leaves_after.unwrap_or(self.rounds.saturating_sub(1));
-        let dropouts = (joined..=last.min(self.rounds.saturating_sub(1)))
-            .filter(|&t| self.drops_out(v, t))
-            .collect();
-        Membership {
-            joined,
-            leaves_after,
-            dropouts,
-        }
-    }
-
-    /// Materialises the first `n` vehicles into a [`ChurnSchedule`].
-    pub fn materialise(&self, n: usize) -> ChurnSchedule {
-        ChurnSchedule::from_memberships((0..n).map(|v| self.membership(v)).collect(), self.rounds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,73 +274,5 @@ mod tests {
         );
         assert!(!s.active_in(1).contains(&1));
         assert!(s.active_in(2).contains(&1));
-    }
-
-    #[test]
-    fn lazy_predicate_matches_its_materialised_membership() {
-        let model = ChurnModel {
-            initial_active: 10,
-            ..Default::default()
-        };
-        let lazy = LazyChurn::new(model, 30, 77);
-        let schedule = lazy.materialise(50);
-        for v in 0..50 {
-            let m = schedule.membership(v);
-            for t in 0..30 {
-                assert_eq!(
-                    m.active_in(t),
-                    lazy.active_in(v, t),
-                    "vehicle {v} round {t}: predicate and Vec form disagree"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_is_deterministic_and_seed_sensitive() {
-        let model = ChurnModel::default();
-        let a = LazyChurn::new(model, 20, 5).materialise(40);
-        let b = LazyChurn::new(model, 20, 5).materialise(40);
-        assert_eq!(a, b);
-        let c = LazyChurn::new(model, 20, 6).materialise(40);
-        assert_ne!(a, c, "a different seed must reshuffle the schedule");
-    }
-
-    #[test]
-    fn lazy_initial_active_and_never_arriving() {
-        let model = ChurnModel {
-            initial_active: 4,
-            arrival_prob: 0.0,
-            departure_prob: 0.0,
-            dropout_prob: 0.0,
-        };
-        let lazy = LazyChurn::new(model, 10, 1);
-        for v in 0..4 {
-            assert_eq!(lazy.joined(v), 0);
-            assert!(lazy.active_in(v, 9));
-        }
-        assert_eq!(lazy.joined(4), 10, "arrival_prob 0 means never joins");
-        assert!(!lazy.active_in(4, 9));
-        assert!(lazy.leaves_after(0).is_none());
-    }
-
-    #[test]
-    fn lazy_departures_thin_the_cohort() {
-        let model = ChurnModel {
-            initial_active: 200,
-            arrival_prob: 0.0,
-            departure_prob: 0.3,
-            dropout_prob: 0.0,
-        };
-        let lazy = LazyChurn::new(model, 30, 9);
-        let active_late = (0..200).filter(|&v| lazy.active_in(v, 29)).count();
-        assert!(
-            active_late < 100,
-            "30 rounds at 30% departure must thin 200 vehicles, kept {active_late}"
-        );
-        let departed = (0..200)
-            .filter(|&v| lazy.leaves_after(v).is_some_and(|l| l < 29))
-            .count();
-        assert!(departed > 100);
     }
 }

@@ -21,9 +21,6 @@
 //!   ([`segment::encode_history`]) and model checkpoints
 //!   ([`segment::encode_keyframe`]).
 //!
-//! Hierarchical cohorts keep no store of their own: one pseudo-client per
-//! RSU leaf in a [`HistoryStore`] is their whole recovery record.
-//!
 //! # Example
 //!
 //! ```

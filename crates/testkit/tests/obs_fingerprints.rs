@@ -206,67 +206,75 @@ fn fault_matrix_runs_leave_counter_fingerprints() {
     }
 }
 
+/// A server reducing through a fan-out-2 tree and sampling half its
+/// vehicles leaves exact counter fingerprints: every tree node reduced,
+/// every vehicle the sampler left out, and every tier byte of every
+/// tree-reduced round, each equal to what the pure tree, predicate and
+/// byte model say.
 #[test]
-fn hierarchical_cohort_fingerprints_the_hierarchy_counters() {
-    use fuiov_fl::hierarchy::{run_cohort, sampled, CohortConfig};
+fn tree_and_sampling_fingerprint_the_hierarchy_counters() {
+    use fuiov_fl::comms::tree_round_bytes;
+    use fuiov_fl::hierarchy::sampled;
+    use fuiov_fl::mobility::ChurnSchedule;
+    use fuiov_fl::{AggregationTree, Client, FlConfig, Server};
+
+    /// A vehicle whose gradient is a fixed function of its id, the round
+    /// and the model: no data, no network.
+    struct Probe(usize);
+    impl Client for Probe {
+        fn id(&self) -> usize {
+            self.0
+        }
+        fn weight(&self) -> f32 {
+            1.0 + 0.25 * (self.0 % 4) as f32
+        }
+        fn gradient(&mut self, params: &[f32], round: usize) -> Vec<f32> {
+            (0..params.len())
+                .map(|j| params[j] - ((self.0 + j + round) % 3) as f32 + 1.0)
+                .collect()
+        }
+    }
 
     let _obs = fuiov_obs::test_lock();
     fuiov_obs::set_enabled(true);
-
-    // 16 vehicles in 4-vehicle leaves, edge fan-out 2: the RSU tier has
-    // 4 nodes and the edge tree over those leaves has widths [2, 1] —
-    // 7 reductions per round, every round.
-    let (n, rounds) = (16usize, 4usize);
-    let cfg = || {
-        CohortConfig::new(n)
-            .group_size(4)
-            .fanout(2)
-            .dim(8)
-            .rounds(rounds)
-            .seed(9)
-    };
+    let (n, rounds, dim, seed, frac) = (16usize, 6usize, 8usize, 9u64, 0.5);
+    let mut clients: Vec<Box<dyn Client>> = (0..n)
+        .map(|id| Box::new(Probe(id)) as Box<dyn Client>)
+        .collect();
+    let mut server = Server::new(
+        FlConfig::new(rounds, 0.05).parallel_clients(false),
+        vec![0.0; dim],
+    )
+    .with_tree_fanout(Some(2))
+    .with_sample_frac(frac)
+    .with_sampling_seed(seed);
 
     let before = Snapshot::capture();
-    let run = run_cohort(cfg());
+    let schedule = ChurnSchedule::static_membership(n, rounds);
+    server.train_with(&mut clients, &schedule, |_, _| {});
     let delta = Snapshot::capture().delta(&before);
-    assert_eq!(
-        delta.counter("hierarchy.nodes_reduced"),
-        (rounds * (4 + 3)) as u64,
-        "4 leaves + 3 edge nodes, every round"
-    );
-    assert_eq!(
-        delta.counter("hierarchy.sampled_out"),
-        0,
-        "no sampling knob, nobody sampled out"
-    );
 
-    // Subtree-scoped forget: one scoped replay, and each of the 3
-    // sibling leaves reuses its group-history direction in every
-    // replayed round.
-    let before = Snapshot::capture();
-    let rec = fuiov_core::recover_vehicle(&run, 5, &RecoveryConfig::new(run.cfg.lr), &mut NoOracle)
-        .expect("subtree recovery succeeds");
-    let delta = Snapshot::capture().delta(&before);
-    assert_eq!(delta.counter("hierarchy.subtree_replays"), 1);
-    assert_eq!(
-        delta.counter("hierarchy.sibling_aggregates_reused"),
-        (3 * rec.outcome.rounds_replayed) as u64,
-        "3 sibling leaves reused per replayed round"
-    );
-
-    // Sampled cohort: the counter must agree exactly with the pure
-    // predicate the run consulted.
-    let frac = 0.5;
-    let expected: u64 = (0..rounds)
-        .map(|t| (0..n).filter(|&v| !sampled(9, t, v, frac)).count() as u64)
-        .sum();
-    assert!(expected > 0, "seed 9 must sample somebody out");
-    let before = Snapshot::capture();
-    let _ = run_cohort(cfg().sample_frac(frac));
-    let delta = Snapshot::capture().delta(&before);
-    assert_eq!(
-        delta.counter("hierarchy.sampled_out"),
-        expected,
-        "sampled-out tally must equal the predicate, vehicle for vehicle"
-    );
+    let (mut nodes, mut left_out) = (0u64, 0u64);
+    let (mut up_sign, mut up_inter, mut down_inter) = (0u64, 0u64, 0u64);
+    for t in 0..rounds {
+        let kept = (0..n).filter(|&v| sampled(seed, t, v, frac)).count();
+        assert_eq!(server.summaries()[t].participants.len(), kept, "round {t}");
+        left_out += (n - kept) as u64;
+        if kept == 0 {
+            continue; // an empty round reduces nothing
+        }
+        let tree = AggregationTree::build(kept, 2);
+        nodes += tree.node_count() as u64;
+        let bytes = tree_round_bytes(dim, kept, &tree);
+        up_sign += bytes.up_vehicle_sign as u64;
+        up_inter += bytes.up_inter_full as u64;
+        down_inter += bytes.down_inter as u64;
+    }
+    assert!(left_out > 0, "seed {seed} must sample somebody out");
+    assert!(up_inter > 0, "some round must have inter-tier links");
+    assert_eq!(delta.counter("hierarchy.nodes_reduced"), nodes);
+    assert_eq!(delta.counter("hierarchy.sampled_out"), left_out);
+    assert_eq!(delta.counter("hierarchy.up_vehicle_sign_bytes"), up_sign);
+    assert_eq!(delta.counter("hierarchy.up_inter_tier_bytes"), up_inter);
+    assert_eq!(delta.counter("hierarchy.down_inter_tier_bytes"), down_inter);
 }

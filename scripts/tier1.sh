@@ -173,16 +173,6 @@ stage_simd_off() {
   FUIOV_SIMD=0 cargo test -p fuiov-testkit -q --test fault_matrix
 }
 
-stage_scale() {
-  # Hierarchical-cohort scale smoke: a 10^5-vehicle round plus a
-  # subtree-scoped forget under a 4 KB history budget, and the pinned
-  # million-vehicle resident-byte envelope. CI fans the seeds out via
-  # FUIOV_FAULT_SEED.
-  for seed in ${FUIOV_FAULT_SEED:-$SEED_MATRIX}; do
-    FUIOV_FAULT_SEED="$seed" cargo test -p fuiov -q --test scale_smoke
-  done
-}
-
 stage_net() {
   # Networked-plane oracle: socket rounds must be bitwise identical to the
   # in-process loop — clean, sign-compressed, and under the wire fault
@@ -234,7 +224,7 @@ stage_perfbench() {
   )
 }
 
-ALL_STAGES="guard build examples test nn_native core_native fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke perfbench"
+ALL_STAGES="guard build examples test nn_native core_native fmt clippy doc golden fault_matrix tier_invariance jobs net simd_off lab bench_smoke perfbench"
 
 stages() {
   echo "$ALL_STAGES" | tr ' ' '\n'

@@ -12,6 +12,15 @@ fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
+/// The prose documents the doc guards scan: the three top-level docs and
+/// the verify recipe, whose commands and names readers run and follow.
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
 #[test]
 fn tier1_never_runs_a_bare_cargo_test() {
     let script = fs::read_to_string(root().join("scripts/tier1.sh")).expect("tier1.sh exists");
@@ -110,11 +119,9 @@ fn ci_seed_matrices_match_the_seed_matrix_file() {
     );
 
     let ci = fs::read_to_string(root().join(".github/workflows/ci.yml")).expect("ci.yml exists");
-    let mut matrices = 0;
     for (i, line) in ci.lines().enumerate() {
         let line = line.trim();
         if line.starts_with("seed: [") {
-            matrices += 1;
             assert_eq!(
                 line,
                 expected,
@@ -123,11 +130,21 @@ fn ci_seed_matrices_match_the_seed_matrix_file() {
             );
         }
     }
-    assert!(
-        matrices >= 4,
-        "ci.yml should fan out at least the fault-matrix, job-resume, scale, \
-         and lab jobs over the seed matrix, found {matrices}"
-    );
+    // The jobs that fan out over the seeds, by name: dropping one is an
+    // edit to this list, not a changed count.
+    for job in ["fault-matrix", "job-resume", "lab"] {
+        let header = format!("  {job}:");
+        let mut lines = ci.lines().skip_while(|l| *l != header);
+        assert!(lines.next().is_some(), "ci.yml has no `{job}` job");
+        // The job's body: every line indented deeper than a job key.
+        let fans_out = lines
+            .take_while(|l| l.is_empty() || l.starts_with("   "))
+            .any(|l| l.trim() == expected);
+        assert!(
+            fans_out,
+            "ci.yml job `{job}` must fan out over `{expected}`"
+        );
+    }
 }
 
 /// The ids of every row in `scenarios.jsonl` (comment and blank lines
@@ -178,7 +195,7 @@ fn experiments_cite_only_rows_that_exist() {
 #[test]
 fn docs_name_only_exp_binaries_that_exist() {
     let bins = root().join("crates/bench/src/bin");
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+    for doc in DOCS {
         let text = fs::read_to_string(root().join(doc)).expect("doc exists");
         for (i, line) in text.lines().enumerate() {
             for (pos, _) in line.match_indices("exp_") {
@@ -276,7 +293,7 @@ fn docs_name_only_modules_that_exist() {
     // Inline code spans naming `<crate>::<name>` (or `fuiov_<crate>::<name>`):
     // `<name>` must be a module file of the crate or an item its lib.rs
     // declares or re-exports.
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+    for doc in DOCS {
         let text = fs::read_to_string(root().join(doc)).expect("doc exists");
         for (i, line) in text.lines().enumerate() {
             for span in line.split('`').skip(1).step_by(2) {
@@ -479,7 +496,7 @@ fn docs_name_only_env_vars_the_code_reads() {
     }
     let mut bad = Vec::new();
     let mut documented = 0;
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+    for doc in DOCS {
         let text = fs::read_to_string(root().join(doc)).expect("doc exists");
         for (i, line) in text.lines().enumerate() {
             for (s, e) in fuiov_names(line) {
