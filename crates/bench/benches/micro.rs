@@ -352,13 +352,16 @@ fn bench_batched_recovery_round(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_direction_decode(c: &mut Criterion) {
+fn bench_direction(c: &mut Criterion) {
     // Word-level LUT decode (one 256-entry table lookup per packed byte,
     // four lanes copied at once) against the seed's per-element scalar
     // `sign(i)` extraction. Both write into the same preallocated buffer
-    // so the comparison isolates decode cost.
+    // so the comparison isolates decode cost. `quantize_52k` times the
+    // other direction: one gradient packed to its 2-bit signs, as every
+    // `record_gradient` and every sign upload does.
     let dim = 52_138;
-    let dir = GradientDirection::quantize(&random_vec(dim, 3), 1e-6);
+    let grad = random_vec(dim, 3);
+    let dir = GradientDirection::quantize(&grad, 1e-6);
     let mut out = vec![0.0f32; dim];
 
     let scalar: Vec<f32> = (0..dir.len()).map(|i| f32::from(dir.sign(i))).collect();
@@ -384,6 +387,9 @@ fn bench_direction_decode(c: &mut Criterion) {
             dir.decode_into(&mut out);
             black_box(out.last().copied())
         });
+    });
+    group.bench_function("quantize_52k", |b| {
+        b.iter(|| black_box(GradientDirection::quantize(black_box(&grad), 1e-6)));
     });
     group.finish();
 }
@@ -779,7 +785,7 @@ criterion_group!(
     bench_stack_kernels,
     bench_recovery_round,
     bench_batched_recovery_round,
-    bench_direction_decode,
+    bench_direction,
     bench_simd_kernels,
     bench_history_tiering,
     bench_nn_layers

@@ -25,7 +25,7 @@ use crate::batch::{self, RoundScratch, StackedLbfgs};
 use crate::error::UnlearnError;
 use crate::lbfgs::{LbfgsApprox, PairBuffer};
 use fuiov_fl::Client;
-use fuiov_storage::{ClientId, HistoryStore, Round};
+use fuiov_storage::{ClientId, GradientDirection, HistoryStore, Round};
 use fuiov_tensor::vector;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -810,7 +810,9 @@ fn direction_or_oracle(
     };
     *oracle_queries += 1;
     fuiov_obs::counter!("core.oracle_queries").inc();
-    *out = vector::signs_to_f32(&vector::sign_with_threshold(&grad, history.delta()));
+    let dir = GradientDirection::quantize(&grad, history.delta());
+    out.resize(dir.len(), 0.0);
+    dir.decode_into(out);
     true
 }
 
@@ -1187,6 +1189,70 @@ mod tests {
         )
         .unwrap();
         assert!(out.oracle_queries > 0);
+    }
+
+    /// Gradient of ½‖w − target_c‖² at `w`: an oracle answer that moves
+    /// with the historical model it is dispatched.
+    fn quadratic_grad(c: ClientId, w: &[f32]) -> Vec<f32> {
+        w.iter()
+            .enumerate()
+            .map(|(j, &wj)| wj - 0.3 * (((c + j) % 3) as f32 - 1.0))
+            .collect()
+    }
+
+    struct QuadraticOracle(usize);
+
+    impl GradientOracle for QuadraticOracle {
+        fn gradient_at(&mut self, c: ClientId, params: &[f32]) -> Option<Vec<f32>> {
+            self.0 += 1;
+            Some(quadratic_grad(c, params))
+        }
+    }
+
+    #[test]
+    fn oracle_answers_recover_as_their_stored_directions_bitwise() {
+        // Client 3 joins with the forgotten client 1 at F = 2, so it has
+        // no direction in the seed rounds 0 and 1 and the oracle answers
+        // there. A history that stores those answers instead (quantised by
+        // `record_gradient`) must recover the same bits with no oracle.
+        let dim = 11; // every direction ends in a partial byte
+        let late = |c: ClientId| c == 1 || c == 3;
+        let mut live = HistoryStore::new(0.05);
+        for c in 0..4 {
+            live.record_join(c, if late(c) { 2 } else { 0 });
+        }
+        let mut w: Vec<f32> = (0..dim).map(|j| 0.07 * j as f32 - 0.35).collect();
+        for t in 0..10 {
+            live.record_model(t, w.clone());
+            let mut step = vec![0.0f32; dim];
+            for c in (0..4).filter(|&c| t >= 2 || !late(c)) {
+                let g = quadratic_grad(c, &w);
+                live.record_gradient(t, c, &g);
+                vector::axpy(0.25, &g, &mut step);
+            }
+            vector::axpy(-0.1, &step, &mut w);
+        }
+        live.record_model(10, w);
+        let mut stored = live.clone();
+        for r in 0..2 {
+            let w_r = stored.model(r).expect("recorded").to_vec();
+            let g = quadratic_grad(3, &w_r);
+            assert!(
+                g.iter().any(|v| v.abs() <= 0.05),
+                "round {r}: no dead-zone element"
+            );
+            stored.record_gradient(r, 3, &g);
+        }
+
+        let cfg = RecoveryConfig::new(0.05);
+        let mut oracle = QuadraticOracle(0);
+        let asked = recover_set(&live, &[1], &cfg, &mut oracle, |_, _| {}).unwrap();
+        let held = recover_set(&stored, &[1], &cfg, &mut NoOracle, |_, _| {}).unwrap();
+        assert_eq!((asked.oracle_queries, oracle.0), (2, 2));
+        assert_eq!(held.oracle_queries, 0);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&asked.params), bits(&held.params));
+        assert_eq!(bits(&asked.update_norms), bits(&held.update_norms));
     }
 
     #[test]

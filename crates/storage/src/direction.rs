@@ -6,8 +6,6 @@
 //! storage savings" claim comes from: 2 bits vs 32 bits is a 93.75 %
 //! reduction before even counting allocator overheads.
 
-use fuiov_tensor::vector::sign_with_threshold;
-
 /// Bit patterns for the three directions.
 const CODE_ZERO: u8 = 0b00;
 const CODE_POS: u8 = 0b01;
@@ -72,13 +70,40 @@ pub struct GradientDirection {
 }
 
 impl GradientDirection {
-    /// Quantises a gradient with dead-zone threshold `delta`.
+    /// Quantises a gradient with dead-zone threshold `delta`: `+1` if
+    /// `v > δ`, `−1` if `v < −δ`, else `0`, so a NaN element (in neither
+    /// open half-line) stores `0`.
+    ///
+    /// One branchless pass packs each element's two compares straight
+    /// into its 2-bit code, four to a byte. Compare-and-pack does no
+    /// rounding, so the bytes are the same at every vector width LLVM
+    /// picks, and there is no SIMD twin to dispatch to (DESIGN §5).
     ///
     /// # Panics
     ///
-    /// Panics if `delta` is negative.
+    /// Panics if `delta` is negative or NaN.
     pub fn quantize(grad: &[f32], delta: f32) -> Self {
-        Self::from_signs(&sign_with_threshold(grad, delta))
+        assert!(delta >= 0.0, "quantize: delta must be >= 0");
+        // CODE_POS when above the dead zone, CODE_NEG when below it.
+        let code = |v: f32| u8::from(v > delta) | (u8::from(v < -delta) << 1);
+        let pack = |four: &[f32]| {
+            four.iter()
+                .enumerate()
+                .fold(0, |byte, (lane, &v)| byte | code(v) << (2 * lane))
+        };
+        let mut packed = vec![0u8; grad.len().div_ceil(4)];
+        let quads = grad.chunks_exact(4);
+        let tail = quads.remainder();
+        for (byte, four) in packed.iter_mut().zip(quads) {
+            *byte = pack(four);
+        }
+        if !tail.is_empty() {
+            packed[grad.len() / 4] = pack(tail);
+        }
+        GradientDirection {
+            len: grad.len(),
+            packed,
+        }
     }
 
     /// Packs an explicit sign vector.
@@ -527,6 +552,20 @@ mod tests {
     fn quantize_applies_dead_zone() {
         let d = GradientDirection::quantize(&[2e-6, -2e-6, 5e-7, -5e-7], 1e-6);
         assert_eq!(d.to_signs(), vec![1, -1, 0, 0]);
+        let d = GradientDirection::quantize(&[0.5, -0.5, 1e-7, -1e-7, 0.0], 1e-6);
+        assert_eq!(d.to_signs(), vec![1, -1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn quantize_with_zero_delta_is_plain_sign() {
+        let d = GradientDirection::quantize(&[2.0, -3.0, 0.0, -0.0], 0.0);
+        assert_eq!(d.to_signs(), vec![1, -1, 0, 0]);
+    }
+
+    #[test]
+    fn quantize_maps_nan_to_zero() {
+        let d = GradientDirection::quantize(&[f32::NAN, -f32::NAN, 1.0], 0.0);
+        assert_eq!(d.to_signs(), vec![0, 0, 1]);
     }
 
     #[test]

@@ -4,32 +4,46 @@
 //! request may exceed the size of the input being decoded.
 //!
 //! This binary installs a global allocator that records the largest
-//! request the decoding thread makes while a probe is armed, and refuses
-//! any request above [`REFUSE`], so a decoder that sizes a buffer from an
+//! request a thread makes while its probe is armed, and refuses any
+//! request above [`REFUSE`], so a decoder that sizes a buffer from an
 //! unchecked count aborts the run instead of reserving gigabytes.
+//!
+//! The same probe pins the record path's one allocation: quantising a
+//! gradient asks for its packed directions and nothing larger.
 
 use fuiov_storage::segment::{decode_history, encode_history, reseal, SegmentDecodeError};
 use fuiov_storage::segment::{framed_len, HEADER_LEN, ROUND_FIELD_OFFSET};
-use fuiov_storage::{HistoryStore, TierConfig};
+use fuiov_storage::{GradientDirection, HistoryStore, TierConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Requests above this size are refused outright.
 const REFUSE: usize = 64 << 20;
 
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// The largest request this thread made since it armed its probe;
+    /// `None` while unarmed. Per thread, so tests running side by side
+    /// do not see each other's requests.
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Records `size` while armed; `false` refuses the request.
 fn observe(size: usize) -> bool {
-    if ARMED.with(Cell::get) {
-        LARGEST.fetch_max(size, Ordering::Relaxed);
-    }
+    LARGEST.with(|largest| {
+        if let Some(seen) = largest.get() {
+            largest.set(Some(seen.max(size)));
+        }
+    });
     size <= REFUSE
+}
+
+/// Runs `f` with this thread's probe armed; returns its result and the
+/// largest allocation request it made.
+fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(Some(0)));
+    let out = f();
+    let seen = LARGEST.with(Cell::take).expect("probe armed");
+    (out, seen)
 }
 
 struct CountingAlloc;
@@ -130,20 +144,36 @@ fn oversized_count_fields_fail_typed_within_the_input_size() {
         ),
     ];
     for (name, input) in cases {
-        LARGEST.store(0, Ordering::Relaxed);
-        ARMED.with(|a| a.set(true));
-        let result = decode_history(&input);
-        ARMED.with(|a| a.set(false));
+        let (result, largest) = largest_request(|| decode_history(&input));
         assert_eq!(
             result.map(|_| ()),
             Err(SegmentDecodeError::Truncated),
             "{name}"
         );
-        let largest = LARGEST.load(Ordering::Relaxed);
         assert!(
             largest <= input.len(),
             "{name}: largest allocation request {largest} B exceeds the {} B input",
             input.len()
         );
     }
+}
+
+#[test]
+fn quantising_asks_only_for_the_packed_directions() {
+    // The paper's MNIST-CNN dimension: 52,138 elements pack into
+    // ⌈52,138 / 4⌉ = 13,035 bytes, a quarter of a one-byte-per-sign pass.
+    const DIM: usize = 52_138;
+    const PACKED: usize = 13_035;
+    let grad: Vec<f32> = (0..DIM).map(|j| (j % 5) as f32 - 2.0).collect();
+
+    let (dir, largest) = largest_request(|| GradientDirection::quantize(&grad, 0.5));
+    assert_eq!(dir.byte_size(), PACKED);
+    assert_eq!(largest, PACKED, "quantize");
+
+    let mut h = HistoryStore::with_tier(0.5, TierConfig::unbounded());
+    h.record_model(0, vec![0.0; DIM]);
+    h.record_join(0, 0);
+    let ((), largest) = largest_request(|| h.record_gradient(0, 0, &grad));
+    assert_eq!(largest, PACKED, "record_gradient");
+    assert_eq!(h.direction(0, 0).as_deref(), Some(&dir));
 }

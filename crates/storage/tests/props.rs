@@ -14,6 +14,50 @@ fn arb_f32_bits() -> impl Strategy<Value = f32> {
     any::<u32>().prop_map(f32::from_bits)
 }
 
+/// δ as the quantiser pins draw it: 0, 1e-6, any finite non-negative
+/// value, or +∞.
+fn arb_delta() -> impl Strategy<Value = f32> {
+    (0u8..4, any::<u32>()).prop_map(|(kind, bits)| match kind {
+        0 => 0.0,
+        1 => 1e-6,
+        2 => f32::from_bits(bits % 0x7f80_0000),
+        _ => f32::INFINITY,
+    })
+}
+
+/// A gradient element probing every outcome of the compares against ±δ:
+/// any bit pattern, exactly ±δ, one ulp either side of ±δ, ±0.0, ±∞, a
+/// NaN of either sign and any payload, or a subnormal of either sign.
+fn arb_element(delta: f32) -> impl Strategy<Value = f32> {
+    (0u8..8, any::<u32>()).prop_map(move |(kind, bits)| {
+        let pick = |options: &[f32]| options[bits as usize % options.len()];
+        match kind {
+            0 | 1 => f32::from_bits(bits),
+            2 => pick(&[delta, -delta]),
+            3 => pick(&[
+                delta.next_up(),
+                delta.next_down(),
+                (-delta).next_up(),
+                (-delta).next_down(),
+            ]),
+            4 => pick(&[0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY]),
+            5 => f32::from_bits(bits | 0x7f80_0001),
+            _ => f32::from_bits((bits & 0x807f_ffff) | 1),
+        }
+    })
+}
+
+/// The dead-zone direction of one element, by its definition.
+fn reference_sign(v: f32, delta: f32) -> i8 {
+    if v > delta {
+        1
+    } else if v < -delta {
+        -1
+    } else {
+        0
+    }
+}
+
 fn arb_history() -> impl Strategy<Value = HistoryStore> {
     let dim = 6usize;
     (1usize..8, 1usize..4).prop_flat_map(move |(rounds, clients)| {
@@ -183,6 +227,48 @@ proptest! {
         }
     }
 
+    /// `quantize` writes, byte for byte, what packing each element's
+    /// reference direction gives, at every length 0..=67: every residue
+    /// of the 4-element byte, past the widest step LLVM may vectorise the
+    /// loop by (16 lanes unrolled four times), from both ends of the
+    /// drawn gradient so the slices start at varied alignments.
+    #[test]
+    fn quantize_packs_the_reference_bytes(
+        (delta, grad) in arb_delta()
+            .prop_flat_map(|d| (Just(d), prop::collection::vec(arb_element(d), 67))),
+    ) {
+        for n in 0..=grad.len() {
+            for part in [&grad[..n], &grad[grad.len() - n..]] {
+                let signs: Vec<i8> = part.iter().map(|&v| reference_sign(v, delta)).collect();
+                let d = GradientDirection::quantize(part, delta);
+                prop_assert_eq!(
+                    d.packed_bytes(),
+                    GradientDirection::from_signs(&signs).packed_bytes(),
+                    "n={} delta={:e} part={:?}", n, delta, part
+                );
+                prop_assert_eq!(d.len(), n);
+                prop_assert_eq!(d.byte_size(), n.div_ceil(4));
+            }
+        }
+    }
+
+    /// The quantiser is odd: negating the gradient negates every
+    /// direction (NaN and the dead zone stay 0).
+    #[test]
+    fn quantize_is_odd(
+        (delta, grad) in arb_delta()
+            .prop_flat_map(|d| (Just(d), prop::collection::vec(arb_element(d), 0..64))),
+    ) {
+        let neg: Vec<f32> = grad.iter().map(|v| -v).collect();
+        let pos = GradientDirection::quantize(&grad, delta).to_signs();
+        let flipped: Vec<i8> = GradientDirection::quantize(&neg, delta)
+            .to_signs()
+            .iter()
+            .map(|s| -s)
+            .collect();
+        prop_assert_eq!(pos, flipped);
+    }
+
     /// Packing is canonical: distinct sign vectors give distinct packed
     /// bytes, equal ones identical packed values (via PartialEq).
     #[test]
@@ -232,4 +318,16 @@ proptest! {
             prop_assert_eq!(h.tier_stats().decode_errors, 0);
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "delta must be >= 0")]
+fn quantize_refuses_a_negative_delta() {
+    let _ = GradientDirection::quantize(&[1.0], -1e-6);
+}
+
+#[test]
+#[should_panic(expected = "delta must be >= 0")]
+fn quantize_refuses_a_nan_delta() {
+    let _ = GradientDirection::quantize(&[1.0], f32::NAN);
 }

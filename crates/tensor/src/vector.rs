@@ -388,34 +388,6 @@ mod x86 {
     }
 }
 
-/// Element-wise sign with a dead-zone threshold `δ ≥ 0` (the paper's §IV
-/// direction quantisation): `+1` if `v > δ`, `-1` if `v < −δ`, else `0`.
-///
-/// NaN values map to `0` (they fall in neither open half-line).
-///
-/// # Panics
-///
-/// Panics if `delta` is negative or NaN.
-pub fn sign_with_threshold(x: &[f32], delta: f32) -> Vec<i8> {
-    assert!(delta >= 0.0, "sign_with_threshold: delta must be >= 0");
-    x.iter()
-        .map(|&v| {
-            if v > delta {
-                1
-            } else if v < -delta {
-                -1
-            } else {
-                0
-            }
-        })
-        .collect()
-}
-
-/// Expands a sign vector back to `f32` (`i8 ∈ {−1,0,1}` → `f32`).
-pub fn signs_to_f32(s: &[i8]) -> Vec<f32> {
-    s.iter().map(|&v| f32::from(v)).collect()
-}
-
 /// Linear interpolation `(1−t)·x + t·y`.
 ///
 /// # Panics
@@ -704,29 +676,6 @@ mod tests {
     #[should_panic(expected = "threshold must be positive")]
     fn clip_norms_rejects_bad_threshold() {
         clip_elementwise_norms(&mut [1.0], -1.0);
-    }
-
-    #[test]
-    fn sign_threshold_dead_zone() {
-        let s = sign_with_threshold(&[0.5, -0.5, 1e-7, -1e-7, 0.0], 1e-6);
-        assert_eq!(s, vec![1, -1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn sign_threshold_zero_delta_is_plain_sign() {
-        let s = sign_with_threshold(&[2.0, -3.0, 0.0], 0.0);
-        assert_eq!(s, vec![1, -1, 0]);
-    }
-
-    #[test]
-    fn sign_nan_maps_to_zero() {
-        let s = sign_with_threshold(&[f32::NAN], 0.0);
-        assert_eq!(s, vec![0]);
-    }
-
-    #[test]
-    fn signs_roundtrip_to_f32() {
-        assert_eq!(signs_to_f32(&[1, 0, -1]), vec![1.0, 0.0, -1.0]);
     }
 
     #[test]

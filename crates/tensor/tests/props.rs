@@ -64,16 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn sign_threshold_is_odd(x in prop::collection::vec(finite_f32(), 0..64), d in 0.0f32..1.0) {
-        let neg: Vec<f32> = x.iter().map(|v| -v).collect();
-        let s_pos = vector::sign_with_threshold(&x, d);
-        let s_neg = vector::sign_with_threshold(&neg, d);
-        for (a, b) in s_pos.iter().zip(&s_neg) {
-            prop_assert_eq!(*a, -b);
-        }
-    }
-
-    #[test]
     fn clip_l2_norm_bounded(mut x in prop::collection::vec(finite_f32(), 1..64), l in 0.01f32..10.0) {
         vector::clip_l2(&mut x, l);
         prop_assert!(vector::l2_norm(&x) <= l * 1.001);

@@ -99,14 +99,15 @@ stage_nn_native() {
 }
 
 stage_core_native() {
-  # The core and tensor suites under native codegen too, the build the
-  # benchmark runs: the replay pins (d = 4,099, tails included), the
-  # L-BFGS Gram-pass, clip-pass and stack-rebuild reference tests and the
-  # tensor kernels' bitwise tests must hold with LLVM vectorising at the
-  # host's width, exactly as they hold in the portable `test` stage. Same
-  # target directory as nn_native, so the two share dependency builds.
+  # The core, tensor and storage suites under native codegen too, the
+  # build the benchmark runs: the replay pins (d = 4,099, tails included),
+  # the L-BFGS Gram-pass, clip-pass and stack-rebuild reference tests, the
+  # tensor kernels' bitwise tests and the quantiser's byte-for-byte pin
+  # must hold with LLVM vectorising at the host's width, exactly as they
+  # hold under SSE2 in the portable `test` stage. Same target directory as
+  # nn_native, so the two share dependency builds.
   RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
-    cargo test -p fuiov-core -p fuiov-tensor --release -q
+    cargo test -p fuiov-core -p fuiov-tensor -p fuiov-storage --release -q
   # The replay pins again at pool widths 1 and 3: a replay round streams
   # its clients in blocks of lanes × width rows, so the width decides
   # where blocks end and which rows take the scalar tail path, and the

@@ -490,26 +490,13 @@ fn variables_in_code(dir: &Path, found: &mut Vec<String>) {
 
 #[test]
 fn docs_name_only_env_vars_the_code_reads() {
-    let mut in_code = Vec::new();
-    for dir in ["crates", "src", "tests", "examples", "scripts", ".github"] {
-        variables_in_code(&root().join(dir), &mut in_code);
-    }
+    let in_code = variables_read();
     let mut bad = Vec::new();
     let mut documented = 0;
     for doc in DOCS {
         let text = fs::read_to_string(root().join(doc)).expect("doc exists");
-        for (i, line) in text.lines().enumerate() {
-            for (s, e) in fuiov_names(line) {
-                documented += 1;
-                let name = &line[s..e];
-                if !in_code.iter().any(|n| n == name) {
-                    bad.push(format!(
-                        "{doc} line {}: `{name}` is read or set by no code",
-                        i + 1
-                    ));
-                }
-            }
-        }
+        documented += fuiov_names(&text).len();
+        bad.extend(unread_names(doc, &text, &in_code));
     }
     assert!(documented > 0, "the docs name no FUIOV_* variable at all");
     assert!(
@@ -517,4 +504,52 @@ fn docs_name_only_env_vars_the_code_reads() {
         "docs name environment variables nothing reads:\n{}",
         bad.join("\n")
     );
+}
+
+#[test]
+fn env_var_guard_counts_vendored_reads_and_flags_unread_names() {
+    // Built from parts: a whole `"FUIOV_…"` literal in this file would
+    // itself count as code that reads the variable.
+    let bench_json = concat!("FUIOV_", "BENCH_JSON");
+    let mut vendored = Vec::new();
+    variables_in_code(&root().join("vendor"), &mut vendored);
+    assert!(
+        vendored.iter().any(|n| n == bench_json),
+        "the criterion stand-in's JSON switch is read under vendor/"
+    );
+    let in_code = variables_read();
+    let doc = "set `FUIOV_BENCH_JSON=out.jsonl`, not `FUIOV_NO_SUCH_SWITCH=1`";
+    assert_eq!(
+        unread_names("probe", doc, &in_code),
+        ["probe line 1: `FUIOV_NO_SUCH_SWITCH` is read or set by no code"]
+    );
+}
+
+/// The `FUIOV_*` variables the code reads or sets, the vendored
+/// stand-ins for external crates included.
+fn variables_read() -> Vec<String> {
+    let mut in_code = Vec::new();
+    for dir in [
+        "crates", "src", "tests", "examples", "scripts", ".github", "vendor",
+    ] {
+        variables_in_code(&root().join(dir), &mut in_code);
+    }
+    in_code
+}
+
+/// One line per `FUIOV_*` name in `doc`'s `text` that `in_code` lacks.
+fn unread_names(doc: &str, text: &str, in_code: &[String]) -> Vec<String> {
+    let mut bad = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        for (s, e) in fuiov_names(line) {
+            let name = &line[s..e];
+            if !in_code.iter().any(|n| n == name) {
+                bad.push(format!(
+                    "{doc} line {}: `{name}` is read or set by no code",
+                    i + 1
+                ));
+            }
+        }
+    }
+    bad
 }
