@@ -7,7 +7,8 @@
 //!   (DESIGN.md §5);
 //! - one full recovery round at the paper's MNIST model size, and what a
 //!   pair refresh costs there (approximation build, stack rebuild);
-//! - the MNIST CNN's conv and linear layers at one client batch.
+//! - the MNIST CNN's layers and one whole client gradient at one client
+//!   batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fuiov_core::lbfgs::LbfgsApprox;
@@ -722,11 +723,16 @@ fn bench_history_tiering(c: &mut Criterion) {
 
 fn bench_nn_layers(c: &mut Criterion) {
     // The layers of the paper's MNIST CNN at one client batch (50): conv1
-    // 1→8 @ 28², conv2 8→16 @ 14², fc1 784→64. The conv backward runs on
-    // the gradient that ReLU and 2×2 max pooling hand it in training, so
-    // at least three quarters of it is exactly zero.
+    // 1→8 @ 28², conv2 8→16 @ 14², the ReLU and 2×2 max pool after conv1,
+    // fc1 784→64, and one whole client gradient. The layers take their
+    // input by value, so each iteration clones it (about 0.07 ms for the
+    // 1.25 MB conv1 output on a 2-vCPU x86-64 host) and the numbers
+    // include that copy. The conv backward runs on the gradient
+    // that ReLU and 2×2 max pooling hand it in training, so at least three
+    // quarters of it is exactly zero. In training conv1 runs only
+    // `backward_params`: nothing reads the gradient of the model's input.
     use fuiov_nn::layers::{Conv2d, Layer, Linear, MaxPool2, Relu};
-    use fuiov_nn::Tensor4;
+    use fuiov_nn::{ModelSpec, Tensor4};
     use rand::SeedableRng;
 
     let batch = 50;
@@ -745,24 +751,61 @@ fn bench_nn_layers(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv2d");
     group.sample_size(10);
     for &(ch_in, ch_out, hw) in &[(1usize, 8usize, 28usize), (8, 16, 14)] {
-        let mut conv = Conv2d::new(&mut rng, ch_in, ch_out, 3, 1);
+        let mut conv = Conv2d::new(&mut rng, ch_in, ch_out);
         let x = input(&mut rng, ch_in, hw);
         let label = format!("{ch_in}x{ch_out}@{hw}");
         group.throughput(Throughput::Elements(
             (batch * ch_out * hw * hw * ch_in * 9) as u64,
         ));
         group.bench_function(BenchmarkId::new("forward", &label), |b| {
-            b.iter(|| black_box(conv.forward(&x)));
+            b.iter(|| black_box(conv.forward(x.clone())));
         });
         let (mut relu, mut pool) = (Relu::new(), MaxPool2::new());
-        let pooled = pool.forward(&relu.forward(&conv.forward(&x)));
+        let pooled = pool.forward(relu.forward(conv.forward(x.clone())));
         let upstream = input(&mut rng, ch_out, hw / 2);
         assert_eq!(pooled.shape(), upstream.shape());
-        let g = relu.backward(&pool.backward(&upstream));
+        let g = relu.backward(pool.backward(upstream));
         group.bench_function(BenchmarkId::new("backward", &label), |b| {
-            b.iter(|| black_box(conv.backward(&g)));
+            b.iter(|| black_box(conv.backward(g.clone())));
+        });
+        group.bench_function(BenchmarkId::new("backward_params", &label), |b| {
+            b.iter(|| conv.backward_params(g.clone()));
         });
     }
+    group.finish();
+
+    // Half the conv1 output is negative, as for a freshly initialised
+    // layer; the ReLU keeps one bit per element. Each iteration copies
+    // that input, so every forward sees it unrectified.
+    let (ch, hw) = (8, 28);
+    let label = format!("{batch}x{ch}@{hw}");
+    let mut centred = input(&mut rng, ch, hw);
+    centred.as_mut_slice().iter_mut().for_each(|v| *v -= 0.5);
+    let mut group = c.benchmark_group("relu");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements((batch * ch * hw * hw) as u64));
+    let mut relu = Relu::new();
+    group.bench_function(BenchmarkId::new("forward", &label), |b| {
+        b.iter(|| black_box(relu.forward(centred.clone())));
+    });
+    let upstream = input(&mut rng, ch, hw);
+    group.bench_function(BenchmarkId::new("backward", &label), |b| {
+        b.iter(|| black_box(relu.backward(upstream.clone())));
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("maxpool2");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements((batch * ch * hw * hw) as u64));
+    let mut pool = MaxPool2::new();
+    let x = input(&mut rng, ch, hw);
+    group.bench_function(BenchmarkId::new("forward", &label), |b| {
+        b.iter(|| black_box(pool.forward(x.clone())));
+    });
+    let upstream = input(&mut rng, ch, hw / 2);
+    group.bench_function(BenchmarkId::new("backward", &label), |b| {
+        b.iter(|| black_box(pool.backward(upstream.clone())));
+    });
     group.finish();
 
     let mut group = c.benchmark_group("linear");
@@ -772,7 +815,20 @@ fn bench_nn_layers(c: &mut Criterion) {
     let x = input(&mut rng, fin, 1);
     group.throughput(Throughput::Elements((batch * fin * fout) as u64));
     group.bench_function(BenchmarkId::new("forward", format!("{fin}x{fout}")), |b| {
-        b.iter(|| black_box(fc.forward(&x)));
+        b.iter(|| black_box(fc.forward(x.clone())));
+    });
+    group.finish();
+
+    // One client gradient: forward, loss and backward of the whole MNIST
+    // CNN on a batch of 50, as `train-cell` runs 20 times per round.
+    let mut group = c.benchmark_group("nn");
+    group.sample_size(10);
+    let spec = ModelSpec::mnist();
+    let mut model = spec.build(1);
+    let x = input(&mut rand::rngs::StdRng::seed_from_u64(2), 1, 28);
+    let labels: Vec<usize> = (0..batch).map(|i| i % spec.classes()).collect();
+    group.bench_function("mnist_grad_b50", |b| {
+        b.iter(|| black_box(model.loss_and_grad(&x, &labels)));
     });
     group.finish();
 }

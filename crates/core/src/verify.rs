@@ -24,8 +24,7 @@ fn mean_loss(model: &mut Sequential, params: &[f32], data: &Dataset) -> f32 {
     let all: Vec<usize> = (0..data.len()).collect();
     for chunk in all.chunks(256) {
         let (x, y) = data.gather(chunk);
-        let (loss, _) = model.loss_and_grad(&x, &y);
-        total += f64::from(loss) * chunk.len() as f64;
+        total += f64::from(model.loss(&x, &y)) * chunk.len() as f64;
     }
     (total / data.len().max(1) as f64) as f32
 }
@@ -99,8 +98,7 @@ pub fn membership_advantage(
         (0..data.len())
             .map(|i| {
                 let (x, y) = data.gather(&[i]);
-                let (loss, _) = model.loss_and_grad(&x, &y);
-                loss
+                model.loss(&x, &y)
             })
             .collect()
     };

@@ -33,8 +33,7 @@ pub fn test_loss(model: &mut Sequential, data: &Dataset) -> f32 {
     let all: Vec<usize> = (0..data.len()).collect();
     for chunk in all.chunks(256) {
         let (x, y) = data.gather(chunk);
-        let (loss, _) = model.loss_and_grad(&x, &y);
-        total += f64::from(loss) * chunk.len() as f64;
+        total += f64::from(model.loss(&x, &y)) * chunk.len() as f64;
     }
     (total / data.len() as f64) as f32
 }

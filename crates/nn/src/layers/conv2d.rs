@@ -1,4 +1,6 @@
-//! 2-D convolution (stride 1, symmetric zero padding).
+//! 2-D convolution with 3×3 kernels, stride 1 and zero padding 1: the
+//! shape every model in this crate builds, so each output plane is the
+//! size of its input plane.
 //!
 //! The kernels vectorise across independent output elements only — batch
 //! items for the forward pass and the input gradient, output channels for
@@ -8,7 +10,8 @@
 //! - forward: `bias`, then `+= w·x` over the valid taps `(ic, dy, dx)`
 //!   ascending; padded taps are skipped, never added as `w·0`;
 //! - `grad_weight` / `grad_bias`: `+= g·x` / `+= g` over `(b, y, xx)`
-//!   ascending;
+//!   ascending; the nine taps of one input channel advance side by side,
+//!   nine running sums over one pass of the item's pixels;
 //! - `grad_in`: `+= g·w` over `(oc, y, xx)` ascending, i.e. `(oc, dy, dx)`
 //!   with `dy` and `dx` descending.
 //!
@@ -25,16 +28,19 @@ use crate::tensor4::Tensor4;
 use rand::Rng;
 use std::ops::Range;
 
-/// Convolution with square kernels, stride 1 and zero padding.
+/// Kernel side.
+const K: usize = 3;
+/// Taps per input channel.
+const TAPS: usize = K * K;
+
+/// Convolution with 3×3 kernels, stride 1 and zero padding 1.
 ///
-/// Weights are stored as `out_channels × in_channels × k × k` followed by
+/// Weights are stored as `out_channels × in_channels × 3 × 3` followed by
 /// the per-output-channel bias in the flat parameter layout.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
-    kernel: usize,
-    padding: usize,
     weight: Vec<f32>,
     bias: Vec<f32>,
     grad_weight: Vec<f32>,
@@ -42,65 +48,115 @@ pub struct Conv2d {
     cached_input: Option<Tensor4>,
 }
 
-/// The `i` in `0..out` for which `i + shift` lies in `0..len`.
-fn shifted(shift: isize, len: usize, out: usize) -> Range<usize> {
-    let lo = shift.min(0).unsigned_abs().min(out);
-    let hi = (len as isize - shift).clamp(0, out as isize) as usize;
+/// The `i` in `0..len` for which `i + shift` lies in `0..len` too.
+fn shifted(shift: isize, len: usize) -> Range<usize> {
+    let lo = shift.min(0).unsigned_abs().min(len);
+    let hi = (len as isize - shift).clamp(0, len as isize) as usize;
     lo..hi.max(lo)
 }
 
 /// `dst[r][c] += w · src[r + dr][c + dc]`, lane by lane, over every `(r, c)`
-/// of the `dh × dw` plane `dst` whose source lies inside the `sh × sw`
-/// plane `src`. One call is one term of each element it touches.
+/// of the `h × w` plane `dst` whose source lies inside the `h × w` plane
+/// `src`. One call is one term of each element it touches.
 fn axpy_shifted(
     w: f32,
     src: &[Lanes],
-    (sh, sw): (usize, usize),
     dst: &mut [Lanes],
-    (dh, dw): (usize, usize),
+    (h, wd): (usize, usize),
     (dr, dc): (isize, isize),
 ) {
-    let cols = shifted(dc, sw, dw);
+    let cols = shifted(dc, wd);
     if cols.is_empty() {
         return;
     }
-    for r in shifted(dr, sh, dh) {
-        let s0 = (r as isize + dr) as usize * sw + (cols.start as isize + dc) as usize;
+    for r in shifted(dr, h) {
+        let s0 = (r as isize + dr) as usize * wd + (cols.start as isize + dc) as usize;
         // The same `w` for every lane, so the row is one flat axpy, which
         // LLVM vectorises at any width (a per-lane inner loop here was
         // turned into strided shuffles on SSE2).
-        let d = dst[r * dw + cols.start..r * dw + cols.end].as_flattened_mut();
+        let d = dst[r * wd + cols.start..r * wd + cols.end].as_flattened_mut();
         for (d, &s) in d.iter_mut().zip(src[s0..s0 + cols.len()].as_flattened()) {
             *d += w * s;
         }
     }
 }
 
+/// Adds one item's terms to the nine tap sums of one input channel,
+/// `LANES` output channels side by side. `g` is the item's output
+/// gradient for those channels, pixel by pixel, and `x` its `h × w` input
+/// plane. Tap `3·dy + dx` of output pixel `(y, xx)` reads input
+/// `(y + dy − 1, xx + dx − 1)`; every sum takes its terms in `(y, xx)`
+/// order, and a padded tap adds nothing.
+fn accumulate_taps(sums: &mut [Lanes; TAPS], g: &[Lanes], x: &[f32], (h, w): (usize, usize)) {
+    // A local copy, so the nine sums stay in registers across the plane.
+    let mut s = *sums;
+    for (y, gr) in g.chunks_exact(w).enumerate() {
+        // Input rows y − 1, y and y + 1, where they exist.
+        let rows: [Option<&[f32]>; K] = std::array::from_fn(|dy| {
+            (y + dy)
+                .checked_sub(1)
+                .filter(|&r| r < h)
+                .map(|r| &x[r * w..][..w])
+        });
+        match rows {
+            [Some(r0), Some(r1), Some(r2)] if w >= K => {
+                edge_taps(&mut s, &gr[0], &rows, 0);
+                // Columns 1..w − 1, where every tap lies inside the plane:
+                // tap t reads its row from column t % 3 on.
+                let inner = w - 2;
+                let xs: [&[f32]; TAPS] =
+                    std::array::from_fn(|t| &[r0, r1, r2][t / K][t % K..][..inner]);
+                for (i, gv) in gr[1..=inner].iter().enumerate() {
+                    for (st, xs) in s.iter_mut().zip(&xs) {
+                        let xv = xs[i];
+                        for j in 0..LANES {
+                            st[j] += gv[j] * xv;
+                        }
+                    }
+                }
+                edge_taps(&mut s, &gr[w - 1], &rows, w - 1);
+            }
+            _ => {
+                for (xx, gv) in gr.iter().enumerate() {
+                    edge_taps(&mut s, gv, &rows, xx);
+                }
+            }
+        }
+    }
+    *sums = s;
+}
+
+/// The terms of output column `xx` for the taps whose input lies inside
+/// the plane: input row `rows[dy]` exists and has column `xx + dx − 1`.
+fn edge_taps(s: &mut [Lanes; TAPS], gv: &Lanes, rows: &[Option<&[f32]>; K], xx: usize) {
+    for (t, st) in s.iter_mut().enumerate() {
+        let col = (xx + t % K).checked_sub(1);
+        if let Some(&xv) = rows[t / K].zip(col).and_then(|(row, c)| row.get(c)) {
+            for j in 0..LANES {
+                st[j] += gv[j] * xv;
+            }
+        }
+    }
+}
+
 impl Conv2d {
-    /// Creates a convolution with Kaiming-uniform weights and zero bias.
+    /// Creates a 3×3 convolution with Kaiming-uniform weights and zero
+    /// bias.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
-    pub fn new<R: Rng>(
-        rng: &mut R,
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        padding: usize,
-    ) -> Self {
+    /// Panics if either channel count is zero.
+    pub fn new<R: Rng>(rng: &mut R, in_channels: usize, out_channels: usize) -> Self {
         assert!(
-            in_channels > 0 && out_channels > 0 && kernel > 0,
+            in_channels > 0 && out_channels > 0,
             "Conv2d::new: zero dimension"
         );
-        let fan_in = in_channels * kernel * kernel;
+        let fan_in = in_channels * TAPS;
         let mut weight = vec![0.0; out_channels * fan_in];
         init::kaiming_uniform(rng, &mut weight, fan_in);
         Conv2d {
             in_channels,
             out_channels,
-            kernel,
-            padding,
             weight,
             bias: vec![0.0; out_channels],
             grad_weight: vec![0.0; out_channels * fan_in],
@@ -109,23 +165,23 @@ impl Conv2d {
         }
     }
 
-    /// Output spatial size for an `h × w` input.
-    pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (
-            h + 2 * self.padding + 1 - self.kernel,
-            w + 2 * self.padding + 1 - self.kernel,
-        )
-    }
-
     /// Adds this batch's terms to `grad_weight` and `grad_bias`, `LANES`
-    /// output channels side by side: per tap, one running sum per channel
-    /// over the item's pixels in order.
-    fn accumulate_param_grads(&mut self, x: &Tensor4, grad_out: &Tensor4) {
+    /// output channels side by side: per item and input channel, the nine
+    /// taps' sums advance together over the item's pixels in order.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor4) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("conv2d: backward before forward");
         let (n, c, h, w) = x.shape();
-        let (oh, ow) = self.out_hw(h, w);
-        let (k, p) = (self.kernel, self.padding as isize);
-        let (taps, plane) = (c * k * k, oh * ow);
-        let blocks = self.out_channels.div_ceil(LANES);
+        let oc_n = self.out_channels;
+        assert_eq!(
+            grad_out.shape(),
+            (n, oc_n, h, w),
+            "conv2d: gradient shape mismatch"
+        );
+        let (taps, plane) = (c * TAPS, h * w);
+        let blocks = oc_n.div_ceil(LANES);
         // Channel `blk·LANES + j` of the gradients lives in lane `j` of
         // entry `blk` (tap-major for the weights); padding lanes stay 0.
         let mut gw = vec![[0.0f32; LANES]; blocks * taps];
@@ -142,46 +198,22 @@ impl Conv2d {
             gb[oc / LANES][oc % LANES] = bias;
         }
         let mut g = Vec::new();
-        for b in 0..n {
-            let xb = &x.as_slice()[b * c * h * w..][..c * h * w];
+        let items = x
+            .as_slice()
+            .chunks_exact(c * plane)
+            .zip(grad_out.as_slice().chunks_exact(oc_n * plane));
+        for (xb, gob) in items {
             for (blk, (gw, gb)) in gw.chunks_exact_mut(taps).zip(&mut gb).enumerate() {
                 // This item's gradient for the block, channel-last.
-                let oc0 = blk * LANES;
-                let rows = grad_out.as_slice()[(b * self.out_channels + oc0) * plane..]
-                    .chunks_exact(plane)
-                    .take(LANES.min(self.out_channels - oc0));
-                g.clear();
-                g.resize(plane, [0.0f32; LANES]);
-                for (j, gp) in rows.enumerate() {
-                    for (o, &v) in g.iter_mut().zip(gp) {
-                        o[j] = v;
-                    }
-                }
+                to_lanes(gob, plane, blk * LANES, &mut g);
                 for gv in &g {
                     for j in 0..LANES {
                         gb[j] += gv[j];
                     }
                 }
-                for (t, acc) in gw.iter_mut().enumerate() {
-                    let (ic, dy, dx) = (t / (k * k), t / k % k, t % k);
-                    let (dr, dc) = (dy as isize - p, dx as isize - p);
-                    let cols = shifted(dc, w, ow);
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    let xc = &xb[ic * h * w..][..h * w];
-                    let mut sum = *acc;
-                    for y in shifted(dr, h, oh) {
-                        let x0 =
-                            (y as isize + dr) as usize * w + (cols.start as isize + dc) as usize;
-                        let xs = &xc[x0..x0 + cols.len()];
-                        for (gv, &xv) in g[y * ow + cols.start..y * ow + cols.end].iter().zip(xs) {
-                            for j in 0..LANES {
-                                sum[j] += gv[j] * xv;
-                            }
-                        }
-                    }
-                    *acc = sum;
+                for (xc, sums) in xb.chunks_exact(plane).zip(gw.chunks_exact_mut(TAPS)) {
+                    let sums = sums.try_into().expect("nine taps per input channel");
+                    accumulate_taps(sums, &g, xc, (h, w));
                 }
             }
         }
@@ -204,77 +236,65 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, x: &Tensor4) -> Tensor4 {
+    fn forward(&mut self, x: Tensor4) -> Tensor4 {
         let (n, c, h, w) = x.shape();
         assert_eq!(c, self.in_channels, "conv2d: input channel mismatch");
         assert!(h > 0 && w > 0, "conv2d: empty input plane");
-        assert!(
-            h + 2 * self.padding >= self.kernel && w + 2 * self.padding >= self.kernel,
-            "conv2d: input smaller than kernel"
-        );
-        let (oh, ow) = self.out_hw(h, w);
-        let (k, p, oc_n) = (self.kernel, self.padding as isize, self.out_channels);
-        let mut out = Tensor4::zeros(n, oc_n, oh, ow);
-        let (mut xl, mut yl) = (Vec::new(), vec![[0.0f32; LANES]; oc_n * oh * ow]);
+        let oc_n = self.out_channels;
+        let mut out = Tensor4::zeros(n, oc_n, h, w);
+        let (mut xl, mut yl) = (Vec::new(), vec![[0.0f32; LANES]; oc_n * h * w]);
         for b0 in (0..n).step_by(LANES) {
             to_lanes(x.as_slice(), c * h * w, b0, &mut xl);
             for (oc, (yp, wo)) in yl
-                .chunks_exact_mut(oh * ow)
-                .zip(self.weight.chunks_exact(c * k * k))
+                .chunks_exact_mut(h * w)
+                .zip(self.weight.chunks_exact(c * TAPS))
                 .enumerate()
             {
                 yp.fill([self.bias[oc]; LANES]);
                 for (t, &wv) in wo.iter().enumerate() {
-                    let (ic, dy, dx) = (t / (k * k), t / k % k, t % k);
+                    let (ic, dy, dx) = (t / TAPS, t / K % K, t % K);
                     let xp = &xl[ic * h * w..][..h * w];
-                    let shift = (dy as isize - p, dx as isize - p);
-                    axpy_shifted(wv, xp, (h, w), yp, (oh, ow), shift);
+                    let shift = (dy as isize - 1, dx as isize - 1);
+                    axpy_shifted(wv, xp, yp, (h, w), shift);
                 }
             }
-            from_lanes(&yl, oc_n * oh * ow, b0, out.as_mut_slice());
+            from_lanes(&yl, oc_n * h * w, b0, out.as_mut_slice());
         }
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let x = self
-            .cached_input
-            .take()
-            .expect("conv2d: backward before forward");
-        let (n, c, h, w) = x.shape();
-        let (oh, ow) = self.out_hw(h, w);
-        assert_eq!(
-            grad_out.shape(),
-            (n, self.out_channels, oh, ow),
-            "conv2d: gradient shape mismatch"
-        );
-        self.accumulate_param_grads(&x, grad_out);
+    fn backward(&mut self, grad_out: Tensor4) -> Tensor4 {
+        self.accumulate_param_grads(&grad_out);
 
         // The input gradient is the correlation of the output gradient with
         // the kernel turned 180°: tap (dy, dx) of output channel `oc` moves
-        // `g[oc]` by (p − dy, p − dx) onto input channel `ic`. Visiting the
+        // `g[oc]` by (1 − dy, 1 − dx) onto input channel `ic`. Visiting the
         // taps (oc, dy↓, dx↓) gives every element its terms in
         // `(oc, y, xx)` order.
-        let (k, p, oc_n) = (self.kernel, self.padding as isize, self.out_channels);
+        let (n, oc_n, h, w) = grad_out.shape();
+        let c = self.in_channels;
         let mut grad_in = Tensor4::zeros(n, c, h, w);
         let (mut gl, mut il) = (Vec::new(), vec![[0.0f32; LANES]; c * h * w]);
         for b0 in (0..n).step_by(LANES) {
-            to_lanes(grad_out.as_slice(), oc_n * oh * ow, b0, &mut gl);
+            to_lanes(grad_out.as_slice(), oc_n * h * w, b0, &mut gl);
             for (ic, ip) in il.chunks_exact_mut(h * w).enumerate() {
                 ip.fill([0.0; LANES]);
-                for (oc, gp) in gl.chunks_exact(oh * ow).enumerate() {
-                    let wk = &self.weight[(oc * c + ic) * k * k..][..k * k];
-                    for t in (0..k * k).rev() {
-                        let shift = (p - (t / k) as isize, p - (t % k) as isize);
-                        axpy_shifted(wk[t], gp, (oh, ow), ip, (h, w), shift);
+                for (oc, gp) in gl.chunks_exact(h * w).enumerate() {
+                    let wk = &self.weight[(oc * c + ic) * TAPS..][..TAPS];
+                    for t in (0..TAPS).rev() {
+                        let shift = (1 - (t / K) as isize, 1 - (t % K) as isize);
+                        axpy_shifted(wk[t], gp, ip, (h, w), shift);
                     }
                 }
             }
             from_lanes(&il, c * h * w, b0, grad_in.as_mut_slice());
         }
-        self.cached_input = Some(x);
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor4) {
+        self.accumulate_param_grads(&grad_out);
     }
 
     fn param_count(&self) -> usize {
@@ -319,34 +339,41 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(21)
     }
 
+    /// Flat index of weight `(oc, ic, dy, dx)`.
+    fn w_index(l: &Conv2d, oc: usize, ic: usize, dy: usize, dx: usize) -> usize {
+        ((oc * l.in_channels + ic) * K + dy) * K + dx
+    }
+
+    /// Input `(y + dy − 1, xx + dx − 1)` of an `h × w` plane, if it exists.
+    fn tap_input(
+        y: usize,
+        xx: usize,
+        dy: usize,
+        dx: usize,
+        (h, w): (usize, usize),
+    ) -> Option<(usize, usize)> {
+        let iy = (y + dy).checked_sub(1).filter(|&r| r < h)?;
+        let ix = (xx + dx).checked_sub(1).filter(|&c| c < w)?;
+        Some((iy, ix))
+    }
+
     /// The scalar direct forward the kernel replaced: one serial add chain
     /// per output element. The reference for the per-element order.
     fn reference_forward(l: &Conv2d, x: &Tensor4) -> Tensor4 {
         let (n, _, h, w) = x.shape();
-        let (oh, ow) = l.out_hw(h, w);
-        let w_index = |oc: usize, ic: usize, dy: usize, dx: usize| {
-            ((oc * l.in_channels + ic) * l.kernel + dy) * l.kernel + dx
-        };
-        let mut out = Tensor4::zeros(n, l.out_channels, oh, ow);
-        let p = l.padding as isize;
+        let mut out = Tensor4::zeros(n, l.out_channels, h, w);
         for b in 0..n {
             for oc in 0..l.out_channels {
-                for y in 0..oh {
-                    for xx in 0..ow {
+                for y in 0..h {
+                    for xx in 0..w {
                         let mut acc = l.bias[oc];
                         for ic in 0..l.in_channels {
-                            for dy in 0..l.kernel {
-                                let iy = y as isize + dy as isize - p;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for dx in 0..l.kernel {
-                                    let ix = xx as isize + dx as isize - p;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
+                            for dy in 0..K {
+                                for dx in 0..K {
+                                    if let Some((iy, ix)) = tap_input(y, xx, dy, dx, (h, w)) {
+                                        acc += l.weight[w_index(l, oc, ic, dy, dx)]
+                                            * x.get(b, ic, iy, ix);
                                     }
-                                    acc += l.weight[w_index(oc, ic, dy, dx)]
-                                        * x.get(b, ic, iy as usize, ix as usize);
                                 }
                             }
                         }
@@ -362,35 +389,25 @@ mod tests {
     /// `l`'s parameter gradients.
     fn reference_backward(l: &mut Conv2d, x: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
         let (n, _, h, w) = x.shape();
-        let (oh, ow) = l.out_hw(h, w);
-        let w_index = |oc: usize, ic: usize, dy: usize, dx: usize| {
-            ((oc * l.in_channels + ic) * l.kernel + dy) * l.kernel + dx
-        };
         let mut grad_in = Tensor4::zeros(n, l.in_channels, h, w);
-        let p = l.padding as isize;
         for b in 0..n {
             for oc in 0..l.out_channels {
-                for y in 0..oh {
-                    for xx in 0..ow {
+                for y in 0..h {
+                    for xx in 0..w {
                         let g = grad_out.get(b, oc, y, xx);
                         if g == 0.0 {
                             continue;
                         }
                         l.grad_bias[oc] += g;
                         for ic in 0..l.in_channels {
-                            for dy in 0..l.kernel {
-                                let iy = y as isize + dy as isize - p;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for dx in 0..l.kernel {
-                                    let ix = xx as isize + dx as isize - p;
-                                    if ix < 0 || ix >= w as isize {
+                            for dy in 0..K {
+                                for dx in 0..K {
+                                    let Some((iy, ix)) = tap_input(y, xx, dy, dx, (h, w)) else {
                                         continue;
-                                    }
-                                    let wi = w_index(oc, ic, dy, dx);
-                                    l.grad_weight[wi] += g * x.get(b, ic, iy as usize, ix as usize);
-                                    let gi = grad_in.index(b, ic, iy as usize, ix as usize);
+                                    };
+                                    let wi = w_index(l, oc, ic, dy, dx);
+                                    l.grad_weight[wi] += g * x.get(b, ic, iy, ix);
+                                    let gi = grad_in.index(b, ic, iy, ix);
                                     grad_in.as_mut_slice()[gi] += g * l.weight[wi];
                                 }
                             }
@@ -406,11 +423,12 @@ mod tests {
     fn kernels_match_the_scalar_loops_bitwise() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0de);
         for case in 0..400 {
-            let k = [1usize, 2, 3, 5][case % 4];
-            let p = rng.gen_range(0..=2usize);
-            let min_hw = k.saturating_sub(2 * p).max(1);
-            let h = rng.gen_range(min_hw..=13);
-            let w = rng.gen_range(min_hw..=13);
+            // Planes from 1×1 up, every fifth case a row, a column or a
+            // plane too small for an interior pixel.
+            let (h, w) = match case % 5 {
+                0 => [(1, 1), (1, 7), (9, 1), (2, 2), (2, 13)][case / 5 % 5],
+                _ => (rng.gen_range(1..=16usize), rng.gen_range(1..=16usize)),
+            };
             // Mostly 1–3 items and 1–5 output channels; every tenth case
             // spans several lane groups of both.
             let (n, oc) = if case % 10 == 9 {
@@ -419,13 +437,13 @@ mod tests {
             } else {
                 (rng.gen_range(1..=3usize), rng.gen_range(1..=5usize))
             };
-            let c = rng.gen_range(1..=5usize);
-            let mut layer = Conv2d::new(&mut rng, c, oc, k, p);
+            let c = rng.gen_range(1..=9usize);
+            let mut layer = Conv2d::new(&mut rng, c, oc);
             // Some weights exactly zero and some biases −0.0, so padded
             // taps that were wrongly added as `w·0` would flip a sign.
             let mut params = vec![0.0; layer.param_count()];
             layer.read_params(&mut params);
-            let (weights, biases) = params.split_at_mut(oc * c * k * k);
+            let (weights, biases) = params.split_at_mut(oc * c * TAPS);
             for v in weights.iter_mut() {
                 if rng.gen_bool(0.1) {
                     *v = 0.0;
@@ -436,82 +454,84 @@ mod tests {
             }
             layer.write_params(&params);
 
+            let shape = format!("{n}x{c}x{h}x{w} -> {oc}");
             let x = Tensor4::from_vec(n, c, h, w, signed_values(&mut rng, n * c * h * w, 0.3));
-            let y = layer.forward(&x);
+            let y = layer.forward(x.clone());
             assert_eq!(
                 bits(y.as_slice()),
                 bits(reference_forward(&layer, &x).as_slice()),
-                "case {case}: forward, k={k} p={p} {n}x{c}x{h}x{w} -> {oc}"
+                "case {case}: forward, {shape}"
             );
 
-            let (_, _, oh, ow) = y.shape();
-            let g = Tensor4::from_vec(n, oc, oh, ow, signed_values(&mut rng, y.len(), 0.4));
+            let g = Tensor4::from_vec(n, oc, h, w, signed_values(&mut rng, y.len(), 0.4));
             layer.zero_grads();
             let mut reference = layer.clone();
+            let mut params_only = layer.clone();
             // Two passes: the parameter gradients accumulate across calls.
             for _ in 0..2 {
-                let gi = layer.backward(&g);
+                let gi = layer.backward(g.clone());
+                params_only.backward_params(g.clone());
                 let want = reference_backward(&mut reference, &x, &g);
                 assert_eq!(
                     bits(gi.as_slice()),
                     bits(want.as_slice()),
-                    "case {case}: grad_in, k={k} p={p} {n}x{c}x{h}x{w} -> {oc}"
+                    "case {case}: grad_in, {shape}"
                 );
             }
-            assert_eq!(
-                bits(&layer.grad_weight),
-                bits(&reference.grad_weight),
-                "case {case}: grad_weight"
-            );
-            assert_eq!(
-                bits(&layer.grad_bias),
-                bits(&reference.grad_bias),
-                "case {case}: grad_bias"
-            );
+            for l in [&layer, &params_only] {
+                assert_eq!(
+                    bits(&l.grad_weight),
+                    bits(&reference.grad_weight),
+                    "case {case}: grad_weight, {shape}"
+                );
+                assert_eq!(
+                    bits(&l.grad_bias),
+                    bits(&reference.grad_bias),
+                    "case {case}: grad_bias, {shape}"
+                );
+            }
         }
     }
 
     #[test]
-    fn identity_kernel_reproduces_input() {
-        // 1x1 kernel with weight 1, bias 0 == identity.
-        let mut c = Conv2d::new(&mut rng(), 1, 1, 1, 0);
-        c.write_params(&[1.0, 0.0]);
+    fn centre_tap_kernel_reproduces_input() {
+        // Only the centre tap set, weight 1, bias 0 == identity.
+        let mut c = Conv2d::new(&mut rng(), 1, 1);
+        let mut p = vec![0.0; 10];
+        p[4] = 1.0;
+        c.write_params(&p);
         let x = Tensor4::from_vec(1, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let y = c.forward(&x);
+        let y = c.forward(x.clone());
         assert_eq!(y, x);
     }
 
     #[test]
-    fn known_3x3_valid_convolution() {
-        let mut c = Conv2d::new(&mut rng(), 1, 1, 3, 0);
+    fn known_3x3_padded_convolution() {
+        let mut c = Conv2d::new(&mut rng(), 1, 1);
         // Sum-of-window kernel, bias 10.
         let mut p = vec![1.0; 9];
         p.push(10.0);
         c.write_params(&p);
         let x = Tensor4::from_vec(1, 1, 3, 3, (1..=9).map(|i| i as f32).collect());
-        let y = c.forward(&x);
-        assert_eq!(y.shape(), (1, 1, 1, 1));
-        assert_eq!(y.as_slice(), &[55.0]); // 45 + 10
-    }
-
-    #[test]
-    fn padding_preserves_spatial_size() {
-        let c = Conv2d::new(&mut rng(), 1, 4, 3, 1);
-        assert_eq!(c.out_hw(8, 8), (8, 8));
+        let y = c.forward(x);
+        assert_eq!(y.shape(), (1, 1, 3, 3));
+        // Corner: 1 + 2 + 4 + 5; centre: 45; each plus the bias.
+        assert_eq!(y.get(0, 0, 0, 0), 22.0);
+        assert_eq!(y.get(0, 0, 1, 1), 55.0);
     }
 
     #[test]
     fn multi_channel_shapes() {
-        let mut c = Conv2d::new(&mut rng(), 3, 5, 3, 1);
+        let mut c = Conv2d::new(&mut rng(), 3, 5);
         let x = Tensor4::zeros(2, 3, 6, 6);
-        let y = c.forward(&x);
+        let y = c.forward(x);
         assert_eq!(y.shape(), (2, 5, 6, 6));
         assert_eq!(c.param_count(), 5 * 3 * 9 + 5);
     }
 
     #[test]
     fn input_gradient_matches_numeric() {
-        let mut c = Conv2d::new(&mut rng(), 2, 3, 3, 1);
+        let mut c = Conv2d::new(&mut rng(), 2, 3);
         let x = Tensor4::from_vec(
             1,
             2,
@@ -524,7 +544,7 @@ mod tests {
 
     #[test]
     fn param_gradient_matches_numeric() {
-        let mut c = Conv2d::new(&mut rng(), 2, 2, 3, 1);
+        let mut c = Conv2d::new(&mut rng(), 2, 2);
         let x = Tensor4::from_vec(
             2,
             2,
@@ -537,10 +557,10 @@ mod tests {
 
     #[test]
     fn param_roundtrip() {
-        let a = Conv2d::new(&mut rng(), 2, 3, 3, 1);
+        let a = Conv2d::new(&mut rng(), 2, 3);
         let mut p = vec![0.0; a.param_count()];
         a.read_params(&mut p);
-        let mut b = Conv2d::new(&mut rng(), 2, 3, 3, 1);
+        let mut b = Conv2d::new(&mut rng(), 2, 3);
         b.write_params(&p);
         let mut q = vec![0.0; b.param_count()];
         b.read_params(&mut q);

@@ -3,8 +3,8 @@
 use super::Layer;
 use crate::tensor4::Tensor4;
 
-/// Reshapes feature maps into flat feature vectors (no-op on the data,
-/// which is already contiguous in NCHW order).
+/// Reshapes feature maps into flat feature vectors in place (the data is
+/// already contiguous in NCHW order, so nothing is copied).
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
     in_shape: Option<(usize, usize, usize, usize)>,
@@ -22,14 +22,14 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, x: &Tensor4) -> Tensor4 {
+    fn forward(&mut self, x: Tensor4) -> Tensor4 {
         self.in_shape = Some(x.shape());
-        x.clone().flatten()
+        x.flatten()
     }
 
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
+    fn backward(&mut self, grad_out: Tensor4) -> Tensor4 {
         let (_, c, h, w) = self.in_shape.expect("flatten: backward before forward");
-        grad_out.clone().reshape(c, h, w)
+        grad_out.reshape(c, h, w)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -45,9 +45,9 @@ mod tests {
     fn roundtrip_preserves_data() {
         let mut f = Flatten::new();
         let x = Tensor4::from_vec(2, 2, 1, 2, (0..8).map(|i| i as f32).collect());
-        let y = f.forward(&x);
+        let y = f.forward(x.clone());
         assert_eq!(y.shape(), (2, 4, 1, 1));
-        let back = f.backward(&y);
+        let back = f.backward(y);
         assert_eq!(back, x);
     }
 }

@@ -60,6 +60,39 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// Adds this batch's terms to `grad_weight` and `grad_bias`: per item
+    /// in order, `g` and `g·x` for each output whose gradient `g` is not
+    /// zero.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor4) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("linear: backward before forward");
+        assert_eq!(
+            grad_out.features(),
+            self.out_features,
+            "linear: grad features"
+        );
+        assert_eq!(grad_out.n(), x.n(), "linear: grad batch size");
+        let fin = self.in_features;
+        for (xi, go) in x
+            .as_slice()
+            .chunks_exact(fin)
+            .zip(grad_out.as_slice().chunks_exact(self.out_features))
+        {
+            let rows = self.grad_weight.chunks_exact_mut(fin);
+            for ((&g, grow), gb) in go.iter().zip(rows).zip(&mut self.grad_bias) {
+                if g == 0.0 {
+                    continue;
+                }
+                *gb += g;
+                for (v, &xv) in grow.iter_mut().zip(xi) {
+                    *v += g * xv;
+                }
+            }
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -67,7 +100,7 @@ impl Layer for Linear {
         "linear"
     }
 
-    fn forward(&mut self, x: &Tensor4) -> Tensor4 {
+    fn forward(&mut self, x: Tensor4) -> Tensor4 {
         assert_eq!(
             x.features(),
             self.in_features,
@@ -90,42 +123,33 @@ impl Layer for Linear {
                 }
             }
         }
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("linear: backward before forward");
-        let n = x.n();
-        assert_eq!(
-            grad_out.features(),
-            self.out_features,
-            "linear: grad features"
-        );
-        assert_eq!(grad_out.n(), n, "linear: grad batch size");
-
-        let mut grad_in = Tensor4::zeros(n, self.in_features, 1, 1);
-        for b in 0..n {
-            let xi = x.item(b);
-            let go = grad_out.item(b);
-            let gi = &mut grad_in.as_mut_slice()[b * self.in_features..(b + 1) * self.in_features];
-            for (o, &g) in go.iter().enumerate() {
+    fn backward(&mut self, grad_out: Tensor4) -> Tensor4 {
+        self.accumulate_param_grads(&grad_out);
+        let (n, fin) = (grad_out.n(), self.in_features);
+        let mut grad_in = Tensor4::zeros(n, fin, 1, 1);
+        for (gi, go) in grad_in
+            .as_mut_slice()
+            .chunks_exact_mut(fin)
+            .zip(grad_out.as_slice().chunks_exact(self.out_features))
+        {
+            for (&g, wrow) in go.iter().zip(self.weight.chunks_exact(fin)) {
                 if g == 0.0 {
                     continue;
                 }
-                self.grad_bias[o] += g;
-                let wrow = &self.weight[o * self.in_features..(o + 1) * self.in_features];
-                let grow = &mut self.grad_weight[o * self.in_features..(o + 1) * self.in_features];
-                for i in 0..self.in_features {
-                    grow[i] += g * xi[i];
-                    gi[i] += g * wrow[i];
+                for (v, &wv) in gi.iter_mut().zip(wrow) {
+                    *v += g * wv;
                 }
             }
         }
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor4) {
+        self.accumulate_param_grads(&grad_out);
     }
 
     fn param_count(&self) -> usize {
@@ -188,6 +212,67 @@ mod tests {
         out
     }
 
+    /// The per-item backward loop the layer ran before its parameter and
+    /// input halves were split: the reference for both halves' order.
+    fn reference_backward(l: &mut Linear, x: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
+        let fin = l.in_features;
+        let mut grad_in = Tensor4::zeros(x.n(), fin, 1, 1);
+        for b in 0..x.n() {
+            let (xi, go) = (x.item(b), grad_out.item(b));
+            let gi = &mut grad_in.as_mut_slice()[b * fin..(b + 1) * fin];
+            for (o, &g) in go.iter().enumerate() {
+                if g == 0.0 {
+                    continue;
+                }
+                l.grad_bias[o] += g;
+                for i in 0..fin {
+                    l.grad_weight[o * fin + i] += g * xi[i];
+                    gi[i] += g * l.weight[o * fin + i];
+                }
+            }
+        }
+        grad_in
+    }
+
+    #[test]
+    fn backward_matches_the_per_item_loop_bitwise() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xbac);
+        for case in 0..60 {
+            let (fin, fout, n) = (
+                rng.gen_range(1..=90usize),
+                rng.gen_range(1..=12usize),
+                rng.gen_range(1..=20usize),
+            );
+            let mut layer = Linear::new(&mut rng, fin, fout);
+            let params = signed_values(&mut rng, layer.param_count(), 0.2);
+            layer.write_params(&params);
+            let x = Tensor4::from_vec(n, fin, 1, 1, signed_values(&mut rng, n * fin, 0.3));
+            let g = Tensor4::from_vec(n, fout, 1, 1, signed_values(&mut rng, n * fout, 0.4));
+            layer.forward(x.clone());
+            let (mut reference, mut params_only) = (layer.clone(), layer.clone());
+            // Two passes: the parameter gradients accumulate across calls.
+            for _ in 0..2 {
+                let gi = layer.backward(g.clone());
+                params_only.backward_params(g.clone());
+                let want = reference_backward(&mut reference, &x, &g);
+                assert_eq!(bits(gi.as_slice()), bits(want.as_slice()), "case {case}");
+            }
+            for l in [&layer, &params_only] {
+                assert_eq!(
+                    bits(&l.grad_weight),
+                    bits(&reference.grad_weight),
+                    "case {case}"
+                );
+                assert_eq!(
+                    bits(&l.grad_bias),
+                    bits(&reference.grad_bias),
+                    "case {case}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn forward_matches_the_dot_product_loop_bitwise() {
         use rand::Rng;
@@ -210,7 +295,7 @@ mod tests {
             let params = signed_values(&mut rng, layer.param_count(), 0.2);
             layer.write_params(&params);
             let x = Tensor4::from_vec(n, fin, 1, 1, signed_values(&mut rng, n * fin, 0.3));
-            let y = layer.forward(&x);
+            let y = layer.forward(x.clone());
             assert_eq!(
                 bits(y.as_slice()),
                 bits(reference_forward(&layer, &x).as_slice()),
@@ -224,7 +309,7 @@ mod tests {
         let mut l = Linear::new(&mut rng(), 2, 2);
         l.write_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]); // W=[[1,2],[3,4]], b=[0.5,-0.5]
         let x = Tensor4::from_vec(1, 2, 1, 1, vec![1.0, 1.0]);
-        let y = l.forward(&x);
+        let y = l.forward(x);
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
     }
 
@@ -259,10 +344,10 @@ mod tests {
         let mut l = Linear::new(&mut rng(), 2, 1);
         let x = Tensor4::from_vec(1, 2, 1, 1, vec![1.0, 2.0]);
         let g = Tensor4::from_vec(1, 1, 1, 1, vec![1.0]);
-        l.forward(&x);
-        l.backward(&g);
-        l.forward(&x);
-        l.backward(&g);
+        l.forward(x.clone());
+        l.backward(g.clone());
+        l.forward(x);
+        l.backward(g);
         let mut grads = vec![0.0; l.param_count()];
         l.read_grads(&mut grads);
         assert_eq!(&grads[..2], &[2.0, 4.0]); // accumulated twice
@@ -276,6 +361,6 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut l = Linear::new(&mut rng(), 2, 1);
         let g = Tensor4::zeros(1, 1, 1, 1);
-        let _ = l.backward(&g);
+        let _ = l.backward(g);
     }
 }

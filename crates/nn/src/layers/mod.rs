@@ -1,10 +1,13 @@
 //! Layer implementations with manual backpropagation.
 //!
-//! Each layer caches whatever it needs during [`Layer::forward`] and
-//! consumes that cache in [`Layer::backward`]. Parameters and their
-//! gradients are exposed through flat-slice read/write methods so the whole
-//! model can be serialised into one `Vec<f32>` — the representation the
-//! unlearning pipeline operates on.
+//! Each layer takes its input and its output gradient by value, caches
+//! whatever it needs during [`Layer::forward`] and consumes that cache in
+//! [`Layer::backward`]. Owning the tensors lets a layer work in place
+//! (`Relu`, `Flatten`) or keep its input by move (`Conv2d`, `Linear`)
+//! instead of copying it. Parameters and their gradients are exposed
+//! through flat-slice read/write methods so the whole model can be
+//! serialised into one `Vec<f32>` — the representation the unlearning
+//! pipeline operates on.
 
 mod conv2d;
 mod flatten;
@@ -31,8 +34,9 @@ pub trait Layer: Send {
     /// Human-readable layer name for diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output, caching anything `backward` needs.
-    fn forward(&mut self, x: &Tensor4) -> Tensor4;
+    /// Computes the layer output from `x`, caching anything `backward`
+    /// needs.
+    fn forward(&mut self, x: Tensor4) -> Tensor4;
 
     /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, accumulating
     /// parameter gradients along the way.
@@ -40,7 +44,19 @@ pub trait Layer: Send {
     /// # Panics
     ///
     /// Implementations panic if called before `forward`.
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4;
+    fn backward(&mut self, grad_out: Tensor4) -> Tensor4;
+
+    /// Accumulates the parameter gradients that [`Layer::backward`] would,
+    /// without computing ∂loss/∂input: the model's first parametric layer
+    /// runs this, since the gradient of the model's input is never read.
+    /// The default runs `backward` and drops its result.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: Tensor4) {
+        drop(self.backward(grad_out));
+    }
 
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
@@ -94,86 +110,16 @@ pub(crate) mod testutil {
             .collect()
     }
 
-    /// Numerically checks ∂loss/∂input of a layer against finite
-    /// differences, where the "loss" is `Σ coeffᵢ · outᵢ` for fixed random
-    /// coefficients (so ∂loss/∂out = coeff).
+    /// Asserts that ∂loss/∂input of a layer matches central finite
+    /// differences within `tol` (see [`crate::gradcheck`]).
     pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor4, tol: f32) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-
-        let out = layer.forward(x);
-        let coeff: Vec<f32> = (0..out.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let (n, c, h, w) = out.shape();
-        let grad_out = Tensor4::from_vec(n, c, h, w, coeff.clone());
-        let analytic = layer.backward(&grad_out);
-
-        let loss = |layer: &mut dyn Layer, x: &Tensor4| -> f64 {
-            let o = layer.forward(x);
-            o.as_slice()
-                .iter()
-                .zip(&coeff)
-                .map(|(a, b)| f64::from(*a) * f64::from(*b))
-                .sum()
-        };
-
-        let eps = 1e-3f32;
-        for i in 0..x.len() {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[i] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[i] -= eps;
-            let num = ((loss(layer, &xp) - loss(layer, &xm)) / (2.0 * f64::from(eps))) as f32;
-            let ana = analytic.as_slice()[i];
-            assert!(
-                (num - ana).abs() <= tol * (1.0 + num.abs().max(ana.abs())),
-                "input grad mismatch at {i}: numeric={num} analytic={ana}"
-            );
-        }
+        let r = crate::gradcheck::check_input_gradient(layer, x, 1e-3, 42);
+        assert!(r.passes(tol), "input grad mismatch: {r:?}");
     }
 
-    /// Numerically checks parameter gradients the same way.
+    /// Asserts the same of the parameter gradients.
     pub fn check_param_gradient(layer: &mut dyn Layer, x: &Tensor4, tol: f32) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-
-        let out = layer.forward(x);
-        let coeff: Vec<f32> = (0..out.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let (n, c, h, w) = out.shape();
-        let grad_out = Tensor4::from_vec(n, c, h, w, coeff.clone());
-        layer.zero_grads();
-        let _ = layer.backward(&grad_out);
-        let mut analytic = vec![0.0; layer.param_count()];
-        layer.read_grads(&mut analytic);
-
-        let mut params = vec![0.0; layer.param_count()];
-        layer.read_params(&mut params);
-
-        let loss = |layer: &mut dyn Layer, x: &Tensor4| -> f64 {
-            let o = layer.forward(x);
-            o.as_slice()
-                .iter()
-                .zip(&coeff)
-                .map(|(a, b)| f64::from(*a) * f64::from(*b))
-                .sum()
-        };
-
-        let eps = 1e-3f32;
-        for i in 0..params.len() {
-            let orig = params[i];
-            params[i] = orig + eps;
-            layer.write_params(&params);
-            let up = loss(layer, x);
-            params[i] = orig - eps;
-            layer.write_params(&params);
-            let down = loss(layer, x);
-            params[i] = orig;
-            layer.write_params(&params);
-            let num = ((up - down) / (2.0 * f64::from(eps))) as f32;
-            let ana = analytic[i];
-            assert!(
-                (num - ana).abs() <= tol * (1.0 + num.abs().max(ana.abs())),
-                "param grad mismatch at {i}: numeric={num} analytic={ana}"
-            );
-        }
+        let r = crate::gradcheck::check_param_gradient(layer, x, 1e-3, 43);
+        assert!(r.passes(tol), "param grad mismatch: {r:?}");
     }
 }

@@ -22,6 +22,36 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 ///
 /// Panics if `labels.len() != logits.n()` or any label is out of range.
 pub fn softmax_cross_entropy(logits: &Tensor4, labels: &[usize]) -> (f32, Tensor4) {
+    let (n, classes) = (logits.n(), logits.c());
+    let mut grad = Tensor4::zeros(n, classes, 1, 1);
+    let loss = mean_loss(logits, labels, |b, y, probs| {
+        let g = &mut grad.as_mut_slice()[b * classes..(b + 1) * classes];
+        for (k, (gk, &p)) in g.iter_mut().zip(probs).enumerate() {
+            let indicator = if k == y { 1.0 } else { 0.0 };
+            *gk = (p - indicator) / n as f32;
+        }
+    });
+    (loss, grad)
+}
+
+/// The loss half of [`softmax_cross_entropy`], bit for bit, with no
+/// gradient tensor.
+///
+/// # Panics
+///
+/// As [`softmax_cross_entropy`].
+pub(crate) fn cross_entropy(logits: &Tensor4, labels: &[usize]) -> f32 {
+    mean_loss(logits, labels, |_, _, _| {})
+}
+
+/// The per-item loss code both functions above share: the mean of
+/// `−ln max(p_y, 1e-12)` over the batch, summed in `f64` in item order.
+/// `each(b, y, probs)` sees every item's softmax.
+fn mean_loss(
+    logits: &Tensor4,
+    labels: &[usize],
+    mut each: impl FnMut(usize, usize, &[f32]),
+) -> f32 {
     let (n, classes, h, w) = logits.shape();
     assert_eq!(
         h * w,
@@ -33,20 +63,15 @@ pub fn softmax_cross_entropy(logits: &Tensor4, labels: &[usize]) -> (f32, Tensor
         n,
         "softmax_cross_entropy: label count mismatch"
     );
-    let mut grad = Tensor4::zeros(n, classes, 1, 1);
     let mut total = 0.0f64;
     for (b, &y) in labels.iter().enumerate() {
         assert!(y < classes, "softmax_cross_entropy: label {y} out of range");
         let probs = softmax(logits.item(b));
         // Clamp to avoid log(0) when the model is confidently wrong.
         total -= f64::from(probs[y].max(1e-12).ln());
-        let g = &mut grad.as_mut_slice()[b * classes..(b + 1) * classes];
-        for (k, gk) in g.iter_mut().enumerate() {
-            let indicator = if k == y { 1.0 } else { 0.0 };
-            *gk = (probs[k] - indicator) / n as f32;
-        }
+        each(b, y, &probs);
     }
-    ((total / n as f64) as f32, grad)
+    (total / n as f64) as f32
 }
 
 /// Fraction of batch items whose argmax logit equals the label.

@@ -8,7 +8,7 @@
 //! model from a seed.
 
 use crate::layers::{Conv2d, Flatten, Layer, Linear, MaxPool2, Relu};
-use crate::loss::{batch_accuracy, softmax_cross_entropy};
+use crate::loss::{batch_accuracy, cross_entropy, softmax_cross_entropy};
 use crate::tensor4::Tensor4;
 use fuiov_tensor::rng::{rng_for, streams};
 
@@ -148,10 +148,10 @@ impl ModelSpec {
             } => {
                 let flat = c2 * (h / 4) * (w / 4);
                 vec![
-                    Box::new(Conv2d::new(&mut rng, in_ch, c1, 3, 1)),
+                    Box::new(Conv2d::new(&mut rng, in_ch, c1)),
                     Box::new(Relu::new()),
                     Box::new(MaxPool2::new()),
-                    Box::new(Conv2d::new(&mut rng, c1, c2, 3, 1)),
+                    Box::new(Conv2d::new(&mut rng, c1, c2)),
                     Box::new(Relu::new()),
                     Box::new(MaxPool2::new()),
                     Box::new(Flatten::new()),
@@ -170,10 +170,10 @@ impl ModelSpec {
             } => {
                 let flat = c2 * (h / 4) * (w / 4);
                 vec![
-                    Box::new(Conv2d::new(&mut rng, in_ch, c1, 3, 1)),
+                    Box::new(Conv2d::new(&mut rng, in_ch, c1)),
                     Box::new(Relu::new()),
                     Box::new(MaxPool2::new()),
-                    Box::new(Conv2d::new(&mut rng, c1, c2, 3, 1)),
+                    Box::new(Conv2d::new(&mut rng, c1, c2)),
                     Box::new(Relu::new()),
                     Box::new(MaxPool2::new()),
                     Box::new(Flatten::new()),
@@ -247,18 +247,32 @@ impl Sequential {
     }
 
     /// Forward pass through all layers (caches activations for backward).
+    /// The layers take their input by value, so this copies `x` once.
     pub fn forward(&mut self, x: &Tensor4) -> Tensor4 {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+        self.layers
+            .iter_mut()
+            .fold(x.clone(), |cur, layer| layer.forward(cur))
+    }
+
+    /// Mean loss for one batch: a forward pass and the loss half of
+    /// [`softmax_cross_entropy`], bit for bit the loss of
+    /// [`Sequential::loss_and_grad`], with no gradient computed.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sequential::loss_and_grad`].
+    pub fn loss(&mut self, x: &Tensor4, labels: &[usize]) -> f32 {
+        let logits = self.forward(x);
+        cross_entropy(&logits, labels)
     }
 
     /// Mean loss and the flat gradient vector for one batch.
     ///
     /// Gradients are freshly computed (internal buffers are zeroed first),
-    /// so the result is exactly `∂L/∂θ` for this batch.
+    /// so the result is exactly `∂L/∂θ` for this batch. Backpropagation
+    /// stops at the first layer with parameters, which accumulates only its
+    /// parameter gradients ([`Layer::backward_params`]): the gradient of
+    /// the model's input is never read.
     ///
     /// # Panics
     ///
@@ -269,10 +283,13 @@ impl Sequential {
             layer.zero_grads();
         }
         let logits = self.forward(x);
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, labels);
-        let mut grad = grad_logits;
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        let (loss, mut grad) = softmax_cross_entropy(&logits, labels);
+        let first = self.layers.iter().position(|l| l.param_count() > 0);
+        if let Some((first, above)) = first.and_then(|i| self.layers[i..].split_first_mut()) {
+            for layer in above.iter_mut().rev() {
+                grad = layer.backward(grad);
+            }
+            first.backward_params(grad);
         }
         (loss, self.grads())
     }
@@ -379,6 +396,7 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testutil::bits;
 
     fn xor_batch() -> (Tensor4, Vec<usize>) {
         let x = Tensor4::from_vec(4, 2, 1, 1, vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
@@ -461,6 +479,109 @@ mod tests {
                 "grad mismatch at {i}: numeric={num} analytic={}",
                 grad[i]
             );
+        }
+    }
+
+    /// Wraps a layer and panics if anything asks it for its input
+    /// gradient.
+    #[derive(Clone)]
+    struct NoInputGrad(Box<dyn Layer>);
+
+    impl Layer for NoInputGrad {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn forward(&mut self, x: Tensor4) -> Tensor4 {
+            self.0.forward(x)
+        }
+        fn backward(&mut self, _: Tensor4) -> Tensor4 {
+            panic!("{}: input gradient requested", self.0.name())
+        }
+        fn backward_params(&mut self, grad_out: Tensor4) {
+            self.0.backward_params(grad_out);
+        }
+        fn param_count(&self) -> usize {
+            self.0.param_count()
+        }
+        fn read_params(&self, out: &mut [f32]) {
+            self.0.read_params(out);
+        }
+        fn write_params(&mut self, src: &[f32]) {
+            self.0.write_params(src);
+        }
+        fn read_grads(&self, out: &mut [f32]) {
+            self.0.read_grads(out);
+        }
+        fn zero_grads(&mut self) {
+            self.0.zero_grads();
+        }
+        fn clone_box(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// A deterministic batch of `n` items for `spec`.
+    fn batch(spec: ModelSpec, n: usize, seed: u64) -> (Tensor4, Vec<usize>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (c, h, w) = spec.input_shape();
+        let data = (0..n * c * h * w)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let labels = (0..n).map(|_| rng.gen_range(0..spec.classes())).collect();
+        (Tensor4::from_vec(n, c, h, w, data), labels)
+    }
+
+    #[test]
+    fn backprop_stops_at_the_first_parametric_layer() {
+        let mlp = ModelSpec::Mlp {
+            inputs: 12,
+            hidden: 6,
+            classes: 3,
+        };
+        for spec in [ModelSpec::tiny_cnn(2, 8, 4), mlp] {
+            let mut model = spec.build(4);
+            let (x, labels) = batch(spec, 3, 5);
+            // The whole chain down to the model's input, by hand.
+            let logits = model.forward(&x);
+            let (want_loss, mut g) = softmax_cross_entropy(&logits, &labels);
+            for layer in &mut model.layers {
+                layer.zero_grads();
+            }
+            for layer in model.layers.iter_mut().rev() {
+                g = layer.backward(g);
+            }
+            assert_eq!(g.shape(), x.shape());
+            let want = model.grads();
+
+            // The first parametric layer and every layer below it (the
+            // MLP's `Flatten`) now panic if asked for an input gradient.
+            let first = model
+                .layers
+                .iter()
+                .position(|l| l.param_count() > 0)
+                .expect("a parametric layer");
+            assert_eq!(first, usize::from(spec == mlp), "{spec:?}");
+            for layer in &mut model.layers[..=first] {
+                let inner = std::mem::replace(layer, Box::new(Relu::new()));
+                *layer = Box::new(NoInputGrad(inner));
+            }
+            let (loss, grad) = model.loss_and_grad(&x, &labels);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{spec:?}");
+            assert_eq!(bits(&grad), bits(&want), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn loss_is_the_loss_of_loss_and_grad_bitwise() {
+        for spec in [ModelSpec::mnist(), ModelSpec::gtsrb(43)] {
+            let mut model = spec.build(7);
+            for n in [1, 10, 50] {
+                let (x, labels) = batch(spec, n, n as u64);
+                let loss = model.loss(&x, &labels);
+                let (want, _) = model.loss_and_grad(&x, &labels);
+                assert_eq!(loss.to_bits(), want.to_bits(), "{spec:?} batch {n}");
+            }
         }
     }
 

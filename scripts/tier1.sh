@@ -89,13 +89,17 @@ stage_examples() {
 
 stage_nn_native() {
   # The nn suite again under the host's native codegen, the configuration
-  # local builds and the benchmark use: there LLVM vectorises the conv and
-  # linear kernels at the host's full width (AVX2 or AVX-512) instead of
-  # SSE2. Their bitwise reference tests and the CNN bit pins must hold at
-  # both widths. A separate target directory keeps the portable artifacts
-  # of the other stages from being rebuilt.
+  # local builds and the benchmark use: there LLVM vectorises the conv,
+  # linear, ReLU and pooling kernels at the host's full width (AVX2 or
+  # AVX-512) instead of SSE2. Their bitwise reference tests and the CNN
+  # bit pins must hold at both widths. The lab trains every recipe through
+  # those kernels, so its parity digests must hold there too. A separate
+  # target directory keeps the portable artifacts of the other stages
+  # from being rebuilt.
   RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
     cargo test -p fuiov-nn --release -q
+  RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+    cargo test -p fuiov-lab --release -q --test parity
 }
 
 stage_core_native() {
