@@ -10,7 +10,7 @@
 //! - the MNIST CNN's layers and one whole client gradient at one client
 //!   batch.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use fuiov_core::lbfgs::LbfgsApprox;
 use fuiov_core::{stream_fedavg, RoundScratch, StackedLbfgs};
 use fuiov_fl::aggregate::aggregate;
@@ -724,23 +724,26 @@ fn bench_history_tiering(c: &mut Criterion) {
 fn bench_nn_layers(c: &mut Criterion) {
     // The layers of the paper's MNIST CNN at one client batch (50): conv1
     // 1→8 @ 28², conv2 8→16 @ 14², the ReLU and 2×2 max pool after conv1,
-    // fc1 784→64, and one whole client gradient. The layers take their
-    // input by value, so each iteration clones it (about 0.07 ms for the
-    // 1.25 MB conv1 output on a 2-vCPU x86-64 host) and the numbers
-    // include that copy. The conv backward runs on the gradient
-    // that ReLU and 2×2 max pooling hand it in training, so at least three
-    // quarters of it is exactly zero. In training conv1 runs only
-    // `backward_params`: nothing reads the gradient of the model's input.
+    // fc1 784→64, and one whole client gradient; also the GTSRB CNN's
+    // convolutions (3→8 @ 32², 8→16 @ 16²), whose widths leave pixels
+    // after the last 7-pixel tile of a row, and conv2 at batch 10, the
+    // second mini-batch of a 60-sample client. The layers take their
+    // input by value; each iteration gets a fresh copy from an untimed
+    // setup (`iter_batched`), so the numbers time the layer alone. The
+    // conv backward runs on the gradient that ReLU and 2×2 max pooling
+    // hand it in training, so at least three quarters of it is exactly
+    // zero. In training conv1 runs only `backward_params`: nothing reads
+    // the gradient of the model's input.
     use fuiov_nn::layers::{Conv2d, Layer, Linear, MaxPool2, Relu};
     use fuiov_nn::{ModelSpec, Tensor4};
     use rand::SeedableRng;
 
     let batch = 50;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let input = |rng: &mut rand::rngs::StdRng, c: usize, hw: usize| {
-        let len = batch * c * hw * hw;
+    let input = |rng: &mut rand::rngs::StdRng, n: usize, c: usize, hw: usize| {
+        let len = n * c * hw * hw;
         Tensor4::from_vec(
-            batch,
+            n,
             c,
             hw,
             hw,
@@ -750,47 +753,70 @@ fn bench_nn_layers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("conv2d");
     group.sample_size(10);
-    for &(ch_in, ch_out, hw) in &[(1usize, 8usize, 28usize), (8, 16, 14)] {
+    let shapes = [
+        (1usize, 8usize, 28usize, batch),
+        (8, 16, 14, batch),
+        (8, 16, 14, 10),
+        (3, 8, 32, batch),
+        (8, 16, 16, batch),
+    ];
+    for &(ch_in, ch_out, hw, n) in &shapes {
         let mut conv = Conv2d::new(&mut rng, ch_in, ch_out);
-        let x = input(&mut rng, ch_in, hw);
-        let label = format!("{ch_in}x{ch_out}@{hw}");
+        let x = input(&mut rng, n, ch_in, hw);
+        let label = if n == batch {
+            format!("{ch_in}x{ch_out}@{hw}")
+        } else {
+            format!("{ch_in}x{ch_out}@{hw}/b{n}")
+        };
         group.throughput(Throughput::Elements(
-            (batch * ch_out * hw * hw * ch_in * 9) as u64,
+            (n * ch_out * hw * hw * ch_in * 9) as u64,
         ));
         group.bench_function(BenchmarkId::new("forward", &label), |b| {
-            b.iter(|| black_box(conv.forward(x.clone())));
+            b.iter_batched(|| x.clone(), |x| conv.forward(x), BatchSize::PerIteration);
         });
         let (mut relu, mut pool) = (Relu::new(), MaxPool2::new());
         let pooled = pool.forward(relu.forward(conv.forward(x.clone())));
-        let upstream = input(&mut rng, ch_out, hw / 2);
+        let upstream = input(&mut rng, n, ch_out, hw / 2);
         assert_eq!(pooled.shape(), upstream.shape());
         let g = relu.backward(pool.backward(upstream));
         group.bench_function(BenchmarkId::new("backward", &label), |b| {
-            b.iter(|| black_box(conv.backward(g.clone())));
+            b.iter_batched(|| g.clone(), |g| conv.backward(g), BatchSize::PerIteration);
         });
         group.bench_function(BenchmarkId::new("backward_params", &label), |b| {
-            b.iter(|| conv.backward_params(g.clone()));
+            b.iter_batched(
+                || g.clone(),
+                |g| conv.backward_params(g),
+                BatchSize::PerIteration,
+            );
         });
     }
     group.finish();
 
     // Half the conv1 output is negative, as for a freshly initialised
-    // layer; the ReLU keeps one bit per element. Each iteration copies
-    // that input, so every forward sees it unrectified.
+    // layer; the ReLU keeps one bit per element. Each iteration gets its
+    // own copy of that input, so every forward sees it unrectified.
     let (ch, hw) = (8, 28);
     let label = format!("{batch}x{ch}@{hw}");
-    let mut centred = input(&mut rng, ch, hw);
+    let mut centred = input(&mut rng, batch, ch, hw);
     centred.as_mut_slice().iter_mut().for_each(|v| *v -= 0.5);
     let mut group = c.benchmark_group("relu");
     group.sample_size(10);
     group.throughput(Throughput::Elements((batch * ch * hw * hw) as u64));
     let mut relu = Relu::new();
     group.bench_function(BenchmarkId::new("forward", &label), |b| {
-        b.iter(|| black_box(relu.forward(centred.clone())));
+        b.iter_batched(
+            || centred.clone(),
+            |x| relu.forward(x),
+            BatchSize::PerIteration,
+        );
     });
-    let upstream = input(&mut rng, ch, hw);
+    let upstream = input(&mut rng, batch, ch, hw);
     group.bench_function(BenchmarkId::new("backward", &label), |b| {
-        b.iter(|| black_box(relu.backward(upstream.clone())));
+        b.iter_batched(
+            || upstream.clone(),
+            |g| relu.backward(g),
+            BatchSize::PerIteration,
+        );
     });
     group.finish();
 
@@ -798,13 +824,17 @@ fn bench_nn_layers(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements((batch * ch * hw * hw) as u64));
     let mut pool = MaxPool2::new();
-    let x = input(&mut rng, ch, hw);
+    let x = input(&mut rng, batch, ch, hw);
     group.bench_function(BenchmarkId::new("forward", &label), |b| {
-        b.iter(|| black_box(pool.forward(x.clone())));
+        b.iter_batched(|| x.clone(), |x| pool.forward(x), BatchSize::PerIteration);
     });
-    let upstream = input(&mut rng, ch, hw / 2);
+    let upstream = input(&mut rng, batch, ch, hw / 2);
     group.bench_function(BenchmarkId::new("backward", &label), |b| {
-        b.iter(|| black_box(pool.backward(upstream.clone())));
+        b.iter_batched(
+            || upstream.clone(),
+            |g| pool.backward(g),
+            BatchSize::PerIteration,
+        );
     });
     group.finish();
 
@@ -812,10 +842,10 @@ fn bench_nn_layers(c: &mut Criterion) {
     group.sample_size(10);
     let (fin, fout) = (784, 64);
     let mut fc = Linear::new(&mut rng, fin, fout);
-    let x = input(&mut rng, fin, 1);
+    let x = input(&mut rng, batch, fin, 1);
     group.throughput(Throughput::Elements((batch * fin * fout) as u64));
     group.bench_function(BenchmarkId::new("forward", format!("{fin}x{fout}")), |b| {
-        b.iter(|| black_box(fc.forward(x.clone())));
+        b.iter_batched(|| x.clone(), |x| fc.forward(x), BatchSize::PerIteration);
     });
     group.finish();
 
@@ -825,7 +855,7 @@ fn bench_nn_layers(c: &mut Criterion) {
     group.sample_size(10);
     let spec = ModelSpec::mnist();
     let mut model = spec.build(1);
-    let x = input(&mut rand::rngs::StdRng::seed_from_u64(2), 1, 28);
+    let x = input(&mut rand::rngs::StdRng::seed_from_u64(2), batch, 1, 28);
     let labels: Vec<usize> = (0..batch).map(|i| i % spec.classes()).collect();
     group.bench_function("mnist_grad_b50", |b| {
         b.iter(|| black_box(model.loss_and_grad(&x, &labels)));

@@ -15,10 +15,10 @@
 //!
 //! One accept thread runs for the whole serve; it spawns one handler
 //! thread per connection, bounded by [`NetConfig::max_threads`] (excess
-//! connections wait in the kernel backlog). Handlers parse frames with
-//! per-connection reusable scratch ([`AVec`] for `f32` decode, a `Vec`
-//! for the frame) and push into the shared inbox guarded by one
-//! `Mutex`/`Condvar` pair. The round loop serializes the model payload
+//! connections wait in the kernel backlog). Handlers read frames into a
+//! per-connection reusable `Vec`, decode each upload straight into the
+//! vector the round takes, and push it into the shared inbox guarded by
+//! one `Mutex`/`Condvar` pair. The round loop serializes the model payload
 //! once per round, seals it once ([`frame_parts`]), and issues one
 //! vectored write per client — the broadcast never copies the payload.
 
@@ -32,7 +32,6 @@ use fuiov_fl::{Server, Upload};
 use fuiov_obs::counter;
 use fuiov_storage::segment::{frame_parts, RecordKind, HEADER_LEN, TRAILER_LEN};
 use fuiov_storage::{ClientId, Round, SegmentDecodeError};
-use fuiov_tensor::simd::AVec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
@@ -527,10 +526,9 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
     // Done sweep and is itself blocked reading).
     let _ = conn.set_read_timeout(Some(Duration::from_millis(100)));
     let mut frame = Vec::new();
-    let mut scratch = AVec::new();
     let mut registered: Option<(ClientId, usize, Arc<Mutex<Conn>>)> = None;
 
-    let result = conn_loop(&mut conn, shared, &mut frame, &mut scratch, &mut registered);
+    let result = conn_loop(&mut conn, shared, &mut frame, &mut registered);
 
     if let Err(e) = &result {
         match e {
@@ -574,7 +572,6 @@ fn conn_loop(
     conn: &mut Conn,
     shared: &Shared,
     frame: &mut Vec<u8>,
-    scratch: &mut AVec,
     registered: &mut Option<(ClientId, usize, Arc<Mutex<Conn>>)>,
 ) -> Result<(), WireError> {
     loop {
@@ -633,15 +630,7 @@ fn conn_loop(
                     counter!("net.protocol_errors").inc();
                     continue;
                 }
-                scratch.resize(dir.len(), 0.0);
-                dir.decode_into(scratch.as_mut_slice());
-                intake(
-                    shared,
-                    round,
-                    client,
-                    scratch.as_slice().to_vec(),
-                    payload_len,
-                );
+                intake(shared, round, client, dir.to_f32(), payload_len);
             }
             Message::ForgetRequest { from, clients } => {
                 counter!("net.forget_requests").inc();

@@ -2,10 +2,24 @@
 //! shape every model in this crate builds, so each output plane is the
 //! size of its input plane.
 //!
-//! The kernels vectorise across independent output elements only — batch
-//! items for the forward pass and the input gradient, output channels for
-//! the parameter gradients — and every element keeps the accumulation
-//! sequence of the plain direct loop (kept in the tests as the reference):
+//! One kernel, `correlate`, serves the forward pass and the input
+//! gradient. It vectorises across `LANES` batch items and, per output
+//! plane and output row, holds a tile of `TILE` = 7 output pixels in
+//! registers while it adds all `c × 9` taps, so each output value is
+//! loaded and stored once. Only a tile's first and last pixel can have a
+//! padded tap, so only they test for one; input rows outside the plane
+//! are skipped whole, and the `w mod 7` pixels after a row's last full
+//! tile go one at a time with the same tests. The tile width is fixed by
+//! the register budget, not by any plane width: seven pixels of `LANES`
+//! items fill seven AVX2 registers (fourteen SSE2 ones), while a
+//! fourteen-pixel tile no longer stays in registers and runs about ten
+//! times slower. The input gradient is that forward correlation run on
+//! the output gradient, with the kernel turned 180° and transposed
+//! (`k[ic][oc][8 − t] = w[oc][ic][t]`) and every sum starting at +0.0.
+//! The parameter gradients vectorise across output channels instead.
+//!
+//! Every element keeps the accumulation sequence of the plain direct loop
+//! (kept in the tests as the reference):
 //!
 //! - forward: `bias`, then `+= w·x` over the valid taps `(ic, dy, dx)`
 //!   ascending; padded taps are skipped, never added as `w·0`;
@@ -13,7 +27,7 @@
 //!   ascending; the nine taps of one input channel advance side by side,
 //!   nine running sums over one pass of the item's pixels;
 //! - `grad_in`: `+= g·w` over `(oc, y, xx)` ascending, i.e. `(oc, dy, dx)`
-//!   with `dy` and `dx` descending.
+//!   with `dy` and `dx` descending: the turned kernel's taps ascending.
 //!
 //! The direct loop skips `g == 0`; these kernels add those terms too. With
 //! finite weights and inputs they are ±0, and a gradient accumulator starts
@@ -26,7 +40,6 @@ use super::Layer;
 use crate::init;
 use crate::tensor4::Tensor4;
 use rand::Rng;
-use std::ops::Range;
 
 /// Kernel side.
 const K: usize = 3;
@@ -48,37 +61,81 @@ pub struct Conv2d {
     cached_input: Option<Tensor4>,
 }
 
-/// The `i` in `0..len` for which `i + shift` lies in `0..len` too.
-fn shifted(shift: isize, len: usize) -> Range<usize> {
-    let lo = shift.min(0).unsigned_abs().min(len);
-    let hi = (len as isize - shift).clamp(0, len as isize) as usize;
-    lo..hi.max(lo)
-}
+/// Output pixels per register tile: with `LANES` items each, seven
+/// pixels take seven AVX2 registers (fourteen SSE2 ones) and leave room
+/// for a weight and an input.
+const TILE: usize = 7;
 
-/// `dst[r][c] += w · src[r + dr][c + dc]`, lane by lane, over every `(r, c)`
-/// of the `h × w` plane `dst` whose source lies inside the `h × w` plane
-/// `src`. One call is one term of each element it touches.
-fn axpy_shifted(
-    w: f32,
-    src: &[Lanes],
-    dst: &mut [Lanes],
-    (h, wd): (usize, usize),
-    (dr, dc): (isize, isize),
-) {
-    let cols = shifted(dc, wd);
-    if cols.is_empty() {
-        return;
-    }
-    for r in shifted(dr, h) {
-        let s0 = (r as isize + dr) as usize * wd + (cols.start as isize + dc) as usize;
-        // The same `w` for every lane, so the row is one flat axpy, which
-        // LLVM vectorises at any width (a per-lane inner loop here was
-        // turned into strided shuffles on SSE2).
-        let d = dst[r * wd + cols.start..r * wd + cols.end].as_flattened_mut();
-        for (d, &s) in d.iter_mut().zip(src[s0..s0 + cols.len()].as_flattened()) {
-            *d += w * s;
+/// The 3×3 correlation the forward pass and the input gradient share,
+/// `LANES` items side by side: output plane `o` is `start[o]` plus
+/// `k[o][i][t] · x[i]` at each valid tap `t`, every element taking its
+/// terms in `(i, dy, dx)` order. `x` holds the input planes and `out` the
+/// output planes, each `h × w`, and `k` is `out planes × in planes × 9`.
+/// Each output row goes by tiles of [`TILE`] pixels, then one pixel at a
+/// time for the last `w mod TILE`.
+fn correlate(x: &[Lanes], k: &[f32], start: &[f32], out: &mut [Lanes], (h, w): (usize, usize)) {
+    let taps = x.len() / (h * w) * TAPS;
+    for ((yp, ko), &s) in out
+        .chunks_exact_mut(h * w)
+        .zip(k.chunks_exact(taps))
+        .zip(start)
+    {
+        for (y, yr) in yp.chunks_exact_mut(w).enumerate() {
+            let (tiles, tail) = yr.as_chunks_mut::<TILE>();
+            for (i, t) in tiles.iter_mut().enumerate() {
+                *t = tile(s, ko, x, (h, w), (y, i * TILE));
+            }
+            let x0 = tiles.len() * TILE;
+            for (i, px) in tail.iter_mut().enumerate() {
+                [*px] = tile(s, ko, x, (h, w), (y, x0 + i));
+            }
         }
     }
+}
+
+/// Output pixels `x0..x0 + P` of row `y`: `s` plus the terms of the taps
+/// `ko` over the input planes `x`, the sums held in registers. Input rows
+/// outside the plane are skipped whole; within a row only the first and
+/// the last pixel can read a padded column, so only they test for one.
+#[inline(always)]
+fn tile<const P: usize>(
+    s: f32,
+    ko: &[f32],
+    x: &[Lanes],
+    (h, w): (usize, usize),
+    (y, x0): (usize, usize),
+) -> [Lanes; P] {
+    let mut acc = [[s; LANES]; P];
+    for (kc, xc) in ko.as_chunks::<TAPS>().0.iter().zip(x.chunks_exact(h * w)) {
+        for (dy, kr) in kc.as_chunks::<K>().0.iter().enumerate() {
+            let Some(r) = (y + dy).checked_sub(1).filter(|&r| r < h) else {
+                continue;
+            };
+            let row = &xc[r * w..][..w];
+            // The pixels' own columns, and the columns either side of
+            // them where the row has them.
+            let mid = row[x0..]
+                .first_chunk::<P>()
+                .expect("a tile lies in its row");
+            let before = x0.checked_sub(1).map(|c| &row[c]);
+            let after = row.get(x0 + P);
+            for (dx, &kv) in kr.iter().enumerate() {
+                for (p, a) in acc.iter_mut().enumerate() {
+                    // Column x0 + p + dx − 1.
+                    let xv = match (p + dx).checked_sub(1) {
+                        None => before,
+                        Some(i) => mid.get(i).or(after),
+                    };
+                    if let Some(xv) = xv {
+                        for j in 0..LANES {
+                            a[j] += kv * xv[j];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// Adds one item's terms to the nine tap sums of one input channel,
@@ -245,19 +302,7 @@ impl Layer for Conv2d {
         let (mut xl, mut yl) = (Vec::new(), vec![[0.0f32; LANES]; oc_n * h * w]);
         for b0 in (0..n).step_by(LANES) {
             to_lanes(x.as_slice(), c * h * w, b0, &mut xl);
-            for (oc, (yp, wo)) in yl
-                .chunks_exact_mut(h * w)
-                .zip(self.weight.chunks_exact(c * TAPS))
-                .enumerate()
-            {
-                yp.fill([self.bias[oc]; LANES]);
-                for (t, &wv) in wo.iter().enumerate() {
-                    let (ic, dy, dx) = (t / TAPS, t / K % K, t % K);
-                    let xp = &xl[ic * h * w..][..h * w];
-                    let shift = (dy as isize - 1, dx as isize - 1);
-                    axpy_shifted(wv, xp, yp, (h, w), shift);
-                }
-            }
+            correlate(&xl, &self.weight, &self.bias, &mut yl, (h, w));
             from_lanes(&yl, oc_n * h * w, b0, out.as_mut_slice());
         }
         self.cached_input = Some(x);
@@ -268,26 +313,26 @@ impl Layer for Conv2d {
         self.accumulate_param_grads(&grad_out);
 
         // The input gradient is the correlation of the output gradient with
-        // the kernel turned 180°: tap (dy, dx) of output channel `oc` moves
-        // `g[oc]` by (1 − dy, 1 − dx) onto input channel `ic`. Visiting the
-        // taps (oc, dy↓, dx↓) gives every element its terms in
-        // `(oc, y, xx)` order.
+        // the kernel turned 180° and transposed: tap `t` of `w[oc][ic]` is
+        // tap `8 − t` of `k[ic][oc]`, so the turned kernel's `(oc, dy, dx)`
+        // ascending is `(oc, y, xx)` ascending for every input element.
         let (n, oc_n, h, w) = grad_out.shape();
         let c = self.in_channels;
+        let mut turned = vec![0.0; self.weight.len()];
+        for (oc, wo) in self.weight.chunks_exact(c * TAPS).enumerate() {
+            for (ic, wt) in wo.chunks_exact(TAPS).enumerate() {
+                let kt = &mut turned[(ic * oc_n + oc) * TAPS..][..TAPS];
+                for (k, &v) in kt.iter_mut().rev().zip(wt) {
+                    *k = v;
+                }
+            }
+        }
+        let zeros = vec![0.0; c];
         let mut grad_in = Tensor4::zeros(n, c, h, w);
         let (mut gl, mut il) = (Vec::new(), vec![[0.0f32; LANES]; c * h * w]);
         for b0 in (0..n).step_by(LANES) {
             to_lanes(grad_out.as_slice(), oc_n * h * w, b0, &mut gl);
-            for (ic, ip) in il.chunks_exact_mut(h * w).enumerate() {
-                ip.fill([0.0; LANES]);
-                for (oc, gp) in gl.chunks_exact(h * w).enumerate() {
-                    let wk = &self.weight[(oc * c + ic) * TAPS..][..TAPS];
-                    for t in (0..TAPS).rev() {
-                        let shift = (1 - (t / K) as isize, 1 - (t % K) as isize);
-                        axpy_shifted(wk[t], gp, ip, (h, w), shift);
-                    }
-                }
-            }
+            correlate(&gl, &turned, &zeros, &mut il, (h, w));
             from_lanes(&il, c * h * w, b0, grad_in.as_mut_slice());
         }
         grad_in
@@ -421,21 +466,47 @@ mod tests {
 
     #[test]
     fn kernels_match_the_scalar_loops_bitwise() {
+        // Items and plane of every fifth case: a row, a column and planes
+        // too small for an interior pixel; the models' planes (28², 14²,
+        // 32², 16²), up to four tiles per row; widths below, at and either
+        // side of a multiple of the 7-pixel tile; two batches of 10, which
+        // end inside their second lane group.
+        const FIXED: [(usize, usize, usize); 14] = [
+            (1, 1, 1),
+            (2, 1, 7),
+            (1, 9, 1),
+            (3, 2, 2),
+            (2, 2, 13),
+            (2, 28, 28),
+            (1, 14, 14),
+            (1, 32, 32),
+            (2, 16, 16),
+            (10, 3, 6),
+            (3, 4, 7),
+            (2, 5, 8),
+            (10, 3, 13),
+            (1, 6, 15),
+        ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0de);
         for case in 0..400 {
-            // Planes from 1×1 up, every fifth case a row, a column or a
-            // plane too small for an interior pixel.
-            let (h, w) = match case % 5 {
-                0 => [(1, 1), (1, 7), (9, 1), (2, 2), (2, 13)][case / 5 % 5],
-                _ => (rng.gen_range(1..=16usize), rng.gen_range(1..=16usize)),
-            };
-            // Mostly 1–3 items and 1–5 output channels; every tenth case
-            // spans several lane groups of both.
-            let (n, oc) = if case % 10 == 9 {
-                let wide = LANES + 1..=2 * LANES + 1;
-                (rng.gen_range(wide.clone()), rng.gen_range(wide))
+            // Otherwise planes from 1×1 to 16×16 and mostly 1–3 items and
+            // 1–5 output channels; every tenth case spans several lane
+            // groups of both.
+            let wide = LANES + 1..=2 * LANES + 1;
+            let (n, h, w) = if case % 5 == 0 {
+                FIXED[case / 5 % FIXED.len()]
             } else {
-                (rng.gen_range(1..=3usize), rng.gen_range(1..=5usize))
+                let n = if case % 10 == 9 {
+                    rng.gen_range(wide.clone())
+                } else {
+                    rng.gen_range(1..=3usize)
+                };
+                (n, rng.gen_range(1..=16usize), rng.gen_range(1..=16usize))
+            };
+            let oc = if case % 10 == 9 {
+                rng.gen_range(wide)
+            } else {
+                rng.gen_range(1..=5usize)
             };
             let c = rng.gen_range(1..=9usize);
             let mut layer = Conv2d::new(&mut rng, c, oc);
@@ -532,14 +603,19 @@ mod tests {
     #[test]
     fn input_gradient_matches_numeric() {
         let mut c = Conv2d::new(&mut rng(), 2, 3);
-        let x = Tensor4::from_vec(
-            1,
-            2,
-            4,
-            4,
-            (0..32).map(|i| (i as f32 * 0.37).sin()).collect(),
-        );
-        testutil::check_input_gradient(&mut c, &x, 1e-2);
+        // A 4×4 plane goes pixel by pixel; a 9×9 one takes a full tile
+        // per row, then two single pixels.
+        for hw in [4, 9] {
+            let len = 2 * hw * hw;
+            let x = Tensor4::from_vec(
+                1,
+                2,
+                hw,
+                hw,
+                (0..len).map(|i| (i as f32 * 0.37).sin()).collect(),
+            );
+            testutil::check_input_gradient(&mut c, &x, 1e-2);
+        }
     }
 
     #[test]
