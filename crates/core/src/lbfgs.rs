@@ -99,16 +99,6 @@ impl LbfgsApprox {
         Self::from_checked(copy_rows(dws), copy_rows(dgs))
     }
 
-    /// [`LbfgsApprox::new`] over borrowed columns.
-    ///
-    /// # Errors
-    ///
-    /// As [`LbfgsApprox::new`].
-    pub fn from_slices(dws: &[&[f32]], dgs: &[&[f32]]) -> Result<Self, LbfgsError> {
-        check_pairs(dws, dgs)?;
-        Self::from_checked(copy_rows(dws), copy_rows(dgs))
-    }
-
     /// [`LbfgsApprox::new`] over shared rows: the approximation keeps the
     /// handles it is given, so it shares every row with whoever else holds
     /// them ([`PairBuffer::approximation`], a decoded checkpoint).

@@ -1,23 +1,12 @@
-//! Bench-regression gate: validates the recorded `BENCH_*.json`
-//! artifacts against their schemas and re-checks the invariants the
-//! benches asserted when the numbers were recorded.
+//! Bench-regression gate: validates the recorded `BENCH_micro.json`
+//! against its schema.
 //!
 //! Timings drift with hardware, so the gate never compares nanoseconds.
-//! What it *does* pin:
-//!
-//! - **schema** — every `BENCH_micro.json` epoch carries `meta`,
-//!   `speedups`, and `results` with positive `ns_per_iter` and at least
-//!   one sample, so a refresh that half-writes the file cannot land;
-//! - **exact byte accounting** — every `BENCH_net.json` row's recorded
-//!   payload and overhead bytes must still reconcile with
-//!   [`fuiov_fl::comms::round_bytes`] and the FUSG frame cost. These
-//!   were runtime asserts when the row was recorded; if the comms model
-//!   or wire format changes, the recorded rows go stale and this gate —
-//!   not a human reading a diff — says so.
+//! What it *does* pin is the **schema**: every epoch carries `meta`,
+//! `speedups`, and `results` with positive `ns_per_iter` and at least
+//! one sample, so a refresh that half-writes the file cannot land.
 
 use crate::json::Json;
-use fuiov_fl::comms::round_bytes;
-use fuiov_storage::segment::{HEADER_LEN, TRAILER_LEN};
 use std::fmt;
 
 /// Why a bench artifact failed the gate.
@@ -121,81 +110,6 @@ pub fn check_micro(src: &str) -> Result<MicroSummary, BenchGateError> {
     })
 }
 
-/// Summary of a valid `BENCH_net.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetSummary {
-    /// Reconciled rows.
-    pub rows: usize,
-}
-
-/// Bytes of FUSG framing per record (header + FNV trailer).
-const FRAME_OVERHEAD: u64 = (HEADER_LEN + TRAILER_LEN) as u64;
-
-/// Validates `BENCH_net.json` and re-checks every row's exact byte
-/// reconciliation against the comms model.
-///
-/// # Errors
-///
-/// Returns the first schema violation or stale invariant found.
-pub fn check_net(src: &str) -> Result<NetSummary, BenchGateError> {
-    let v = Json::parse(src).map_err(|e| BenchGateError::BadJson(e.to_string()))?;
-    v.get("meta")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| BenchGateError::Schema("missing 'meta' object".into()))?;
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| BenchGateError::Schema("missing 'rows' array".into()))?;
-    if rows.is_empty() {
-        return Err(BenchGateError::Schema("no rows recorded".into()));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let uint = |k: &str| -> Result<u64, BenchGateError> {
-            row.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| BenchGateError::Schema(format!("row {i}: missing uint '{k}'")))
-        };
-        let clients = uint("clients")?;
-        let dim = uint("dim")?;
-        let rounds = uint("rounds")?;
-        let mode = row
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| BenchGateError::Schema(format!("row {i}: missing 'mode'")))?;
-        let (down, up_full, up_sign) = round_bytes(dim as usize, clients as usize);
-        let up = match mode {
-            "full-f32" => up_full,
-            "sign-2bit" => up_sign,
-            other => {
-                return Err(BenchGateError::Schema(format!(
-                    "row {i}: unknown mode '{other}'"
-                )))
-            }
-        };
-        let expect = |k: &str, want: u64| -> Result<(), BenchGateError> {
-            let got = uint(k)?;
-            if got != want {
-                return Err(BenchGateError::Invariant(format!(
-                    "row {i} ({clients} clients, dim {dim}, {mode}): {k} = {got}, \
-                     comms model says {want}"
-                )));
-            }
-            Ok(())
-        };
-        expect("tx_payload_bytes", down as u64 * rounds)?;
-        expect("rx_payload_bytes", up as u64 * rounds)?;
-        expect("tx_overhead_bytes", FRAME_OVERHEAD * clients * rounds)?;
-        expect("rx_overhead_bytes", FRAME_OVERHEAD * clients * rounds)?;
-        let wall = uint("wall_ns")?;
-        if wall == 0 {
-            return Err(BenchGateError::Invariant(format!(
-                "row {i}: wall_ns is zero"
-            )));
-        }
-    }
-    Ok(NetSummary { rows: rows.len() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,50 +146,5 @@ mod tests {
             check_micro(&zero_samples).unwrap_err(),
             BenchGateError::Invariant(_)
         ));
-    }
-
-    fn net_row(tx: u64, rx: u64, overhead: u64) -> String {
-        format!(
-            concat!(
-                r#"{{"meta":{{"experiment":"exp_net"}},"rows":[{{"clients":2,"dim":100,"#,
-                r#""mode":"sign-2bit","hz":0,"rounds":3,"wall_ns":5,"tx_payload_bytes":{},"#,
-                r#""rx_payload_bytes":{},"tx_overhead_bytes":{},"rx_overhead_bytes":{}}}]}}"#
-            ),
-            tx, rx, overhead, overhead
-        )
-    }
-
-    #[test]
-    fn net_reconciles_exact_bytes() {
-        // dim 100, 2 clients, 3 rounds: down = 4·100·2·3 = 2400,
-        // up(sign) = ⌈100/4⌉·2·3 = 150, overhead = 35·2·3 = 210.
-        let ok = net_row(2400, 150, 210);
-        assert_eq!(check_net(&ok).unwrap(), NetSummary { rows: 1 });
-    }
-
-    #[test]
-    fn net_rejects_regressed_byte_accounting() {
-        for bad in [
-            net_row(2401, 150, 210),
-            net_row(2400, 151, 210),
-            net_row(2400, 150, 209),
-        ] {
-            assert!(
-                matches!(check_net(&bad).unwrap_err(), BenchGateError::Invariant(_)),
-                "should reject: {bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn net_gate_accepts_the_recorded_artifact_shape() {
-        // A full-f32 row mirroring BENCH_net.json's first recorded row.
-        let src = concat!(
-            r#"{"meta":{"experiment":"exp_net"},"rows":[{"clients":2,"dim":13692,"#,
-            r#""mode":"full-f32","hz":0,"rounds":3,"wall_ns":2139924,"#,
-            r#""tx_payload_bytes":328608,"rx_payload_bytes":328608,"#,
-            r#""tx_overhead_bytes":210,"rx_overhead_bytes":210}]}"#
-        );
-        assert!(check_net(src).is_ok());
     }
 }

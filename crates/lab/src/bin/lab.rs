@@ -3,7 +3,7 @@
 //! ```text
 //! lab run   [--matrix FILE] [--smoke] [--seed N] [--rows a,b] [--out DIR]
 //! lab plan  [--matrix FILE] [--smoke] [--seed N] [--rows a,b] [--fingerprint]
-//! lab check-bench [FILE...]
+//! lab check-bench [BENCH_micro.json]
 //! lab bench-smoke
 //! ```
 //!
@@ -18,11 +18,11 @@
 //! anything; `--fingerprint` prints only the FNV-1a fingerprint of the
 //! whole plan (what the determinism tests and CI logs pin).
 //!
-//! `check-bench` re-validates recorded `BENCH_*.json` artifacts;
-//! `bench-smoke` runs the bench suite in smoke mode (dispatcher on and
-//! forced off) plus the one-cell transport sweep, then gates the
-//! recorded artifacts — the single code path `scripts/tier1.sh
-//! bench_smoke` now routes through.
+//! `check-bench` re-validates the recorded `BENCH_micro.json` (the
+//! default, and the only artifact it accepts); `bench-smoke` runs the
+//! micro bench suite in smoke mode (dispatcher on and forced off), then
+//! gates the recorded artifact — the single code path
+//! `scripts/tier1.sh bench_smoke` routes through.
 
 use fuiov_lab::plan::{expand, plan_fingerprint, PlanFilter};
 use fuiov_lab::{
@@ -38,7 +38,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: lab run [--matrix FILE] [--smoke] [--seed N] [--rows a,b] [--out DIR]\n\
          \x20      lab plan [--matrix FILE] [--smoke] [--seed N] [--rows a,b] [--fingerprint]\n\
-         \x20      lab check-bench [FILE...]\n\
+         \x20      lab check-bench [BENCH_micro.json]\n\
          \x20      lab bench-smoke"
     );
     ExitCode::from(2)
@@ -173,46 +173,28 @@ fn cmd_plan(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn check_bench_file(path: &Path) -> Result<String, String> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    if name.contains("micro") {
-        let s = bench_gate::check_micro(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(format!(
-            "{}: ok ({} epoch(s), {} benchmark(s))",
-            path.display(),
-            s.epochs,
-            s.benchmarks
-        ))
-    } else if name.contains("net") {
-        let s = bench_gate::check_net(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(format!(
-            "{}: ok ({} row(s) byte-reconciled)",
-            path.display(),
-            s.rows
-        ))
-    } else {
-        Err(format!(
-            "{}: no gate for this artifact (expected a BENCH_micro or BENCH_net file)",
-            path.display()
-        ))
-    }
-}
+/// The one recorded bench artifact with a gate.
+const MICRO_ARTIFACT: &str = "BENCH_micro.json";
 
 fn cmd_check_bench(files: &[String]) -> Result<ExitCode, String> {
-    let defaults = ["BENCH_micro.json".to_string(), "BENCH_net.json".to_string()];
-    let files: Vec<&String> = if files.is_empty() {
-        defaults.iter().collect()
-    } else {
-        files.iter().collect()
+    let path = match files {
+        [] => Path::new(MICRO_ARTIFACT),
+        [f] if Path::new(f).file_name() == Some(MICRO_ARTIFACT.as_ref()) => Path::new(f),
+        _ => {
+            return Err(format!(
+                "check-bench takes at most one file, named {MICRO_ARTIFACT}"
+            ))
+        }
     };
-    for f in files {
-        println!("{}", check_bench_file(Path::new(f))?);
-    }
+    let src = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let s = bench_gate::check_micro(&src).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!(
+        "{}: ok ({} epoch(s), {} benchmark(s))",
+        path.display(),
+        s.epochs,
+        s.benchmarks
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -242,23 +224,7 @@ fn cmd_bench_smoke() -> Result<ExitCode, String> {
         &micro,
         &[("FUIOV_BENCH_SMOKE", "1"), ("FUIOV_SIMD", "0")],
     )?;
-    // One-cell transport sweep: its exact byte-reconciliation asserts
-    // run on every pass even though the full BENCH_net sweep does not.
-    println!("lab: transport smoke (exp_net)");
-    spawn(
-        "cargo",
-        &[
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "fuiov-bench",
-            "--bin",
-            "exp_net",
-        ],
-        &[("FUIOV_BENCH_SMOKE", "1")],
-    )?;
-    // And the recorded artifacts must still reconcile with the model.
+    // And the recorded artifact must still match its schema.
     cmd_check_bench(&[])
 }
 

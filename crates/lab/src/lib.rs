@@ -16,8 +16,8 @@
 //! 4. **aggregate** — trials fold into one comparison table per row
 //!    (mean ± spread across seeds) and machine-readable shape-claim
 //!    verdicts that gate CI;
-//! 5. **bench_gate** — recorded `BENCH_*.json` artifacts are re-checked
-//!    against their schemas and byte-accounting invariants.
+//! 5. **bench_gate** — the recorded `BENCH_micro.json` is re-checked
+//!    against its schema.
 //!
 //! The `lab` binary (`cargo run -p fuiov-lab --bin lab`) fronts all of
 //! this; `scripts/tier1.sh lab` runs the deterministic `--smoke` slice.
@@ -31,7 +31,7 @@ pub mod runner;
 pub mod scenario;
 
 pub use aggregate::{aggregate, check_asserts, outcomes_to_json, render_table, Aggregate};
-pub use bench_gate::{check_micro, check_net, BenchGateError};
+pub use bench_gate::{check_micro, BenchGateError};
 pub use json::{Json, JsonError};
 pub use matrix::{parse_matrix, render_matrix, MatrixError, ScenarioRow};
 pub use plan::{expand, plan_fingerprint, PlanFilter, TrialPlan};

@@ -10,6 +10,11 @@
 //!    connection drops, duplicate transmissions, dropouts), the observed
 //!    per-round participation replayed in-process reproduces every round
 //!    model bit for bit.
+//!
+//! The clean runs also balance the byte books exactly: payload bytes
+//! against `comms::round_bytes`, framing against the FUSG header and
+//! trailer per frame, and the `net.bytes_{tx,rx}` counters against the
+//! run report.
 
 use fuiov_data::{Dataset, DigitStyle};
 use fuiov_fl::{Client, FlConfig, HonestClient, Server, Upload};
@@ -18,12 +23,14 @@ use fuiov_net::wire::{
 };
 use fuiov_net::{NetAddr, NetConfig, NetServer, NetVehicle, UploadMode, VehicleConfig};
 use fuiov_nn::ModelSpec;
-use fuiov_storage::segment::{check_record, RecordKind};
+use fuiov_obs::Snapshot;
+use fuiov_storage::segment::{check_record, RecordKind, HEADER_LEN, TRAILER_LEN};
 use fuiov_storage::{GradientDirection, Round};
 use fuiov_testkit::{Fault, FaultPlan, FaultSpec};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::Shutdown;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const SPEC: ModelSpec = ModelSpec::Mlp {
@@ -45,9 +52,21 @@ fn dim() -> usize {
     SPEC.build(0).params().len()
 }
 
+/// Held around every `serve` in this file: the obs counters are
+/// process-wide and the tests run concurrently, so without it one
+/// test's traffic would land in another's counter delta. A test that
+/// fails while serving poisons it; the guarded `()` holds no state, so
+/// the others go on.
+fn serve_lock() -> MutexGuard<'static, ()> {
+    static SERVE: Mutex<()> = Mutex::new(());
+    SERVE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `n` vehicles over loopback for `rounds`, returning the mutated
 /// server.
 fn run_networked(n: usize, rounds: usize, mode: UploadMode, delta: f32) -> Server {
+    let _serving = serve_lock();
+    let before = Snapshot::capture();
     let cfg = NetConfig::new(NetAddr::parse("tcp:127.0.0.1:0"), n)
         .with_mode(mode)
         .with_deadline(Duration::from_secs(10));
@@ -80,6 +99,15 @@ fn run_networked(n: usize, rounds: usize, mode: UploadMode, delta: f32) -> Serve
         UploadMode::Sign2Bit => up_sign,
     };
     assert_eq!(report.rx_payload, (rounds * expected_up) as u64);
+    // Framing is exact: one header and one trailer per frame, one frame
+    // per vehicle per round in each direction.
+    let framing = ((HEADER_LEN + TRAILER_LEN) * n * rounds) as u64;
+    assert_eq!(report.tx_overhead, framing, "broadcast framing bytes");
+    assert_eq!(report.rx_overhead, framing, "upload framing bytes");
+    // The counters move by exactly what the report says the wire moved.
+    let moved = Snapshot::capture().delta(&before);
+    assert_eq!(moved.counter("net.bytes_tx"), report.tx_payload);
+    assert_eq!(moved.counter("net.bytes_rx"), report.rx_payload);
     assert_eq!(
         report.duplicates + report.stale + report.torn + report.timeouts,
         0
@@ -281,6 +309,7 @@ fn fault_seeds_replay_in_process_bitwise() {
             }
         }
 
+        let _serving = serve_lock();
         let cfg = NetConfig::new(NetAddr::parse("tcp:127.0.0.1:0"), n)
             .with_deadline(Duration::from_millis(800));
         let mut net = NetServer::bind(cfg).expect("bind");

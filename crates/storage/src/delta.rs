@@ -14,6 +14,11 @@
 //! small parameter movement yields small deltas and short varints; the
 //! mapping is a bijection, so the inverse transform is exact for every
 //! bit pattern including `-0.0` and NaN payloads.
+//!
+//! Encode and decode are each one scalar loop, with no SIMD dispatch:
+//! spilled model deltas are mostly 2- and 3-byte varints, which an
+//! 8-wide fast path over uniform 1- or 2-byte groups does not speed up
+//! (DESIGN.md §5, *SIMD dispatch & the determinism boundary*).
 
 /// Maps `f32` bits to a totally ordered `u32`: numeric order of the
 /// floats (with `-0.0 < +0.0`) becomes unsigned integer order.
@@ -44,6 +49,13 @@ fn zigzag(v: i64) -> u64 {
 #[inline]
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// The zigzag-mapped difference of `cur` from `base` in the ordered
+/// image: the value one varint carries.
+#[inline]
+fn zigzag_delta(base: f32, cur: f32) -> u64 {
+    zigzag(i64::from(to_ordered(cur.to_bits())) - i64::from(to_ordered(base.to_bits())))
 }
 
 /// Bytes the LEB128 encoding of `v` occupies (1..=10), from the bit
@@ -95,58 +107,23 @@ pub fn encoded_len(base: &[f32], cur: &[f32]) -> usize {
     assert_eq!(base.len(), cur.len(), "delta::encoded_len: length mismatch");
     base.iter()
         .zip(cur)
-        .map(|(b, c)| {
-            let d = i64::from(to_ordered(c.to_bits())) - i64::from(to_ordered(b.to_bits()));
-            varint_len(zigzag(d))
-        })
+        .map(|(&b, &c)| varint_len(zigzag_delta(b, c)))
         .sum()
 }
 
 /// Encodes `cur` as zigzag-varint deltas against `base`, appending to
 /// `out`. The full output capacity is reserved up front (one sizing pass
-/// over the bit widths, see [`encoded_len`]); the byte stream itself is
-/// runtime-dispatched — an AVX2 fast path batches the ordered-transform /
-/// zigzag arithmetic 8 elements wide and emits whole 8×1-byte or
-/// 8×2-byte groups when every delta in the group canonically encodes at
-/// that width — but LEB128 is canonical, so both paths append identical
-/// bytes.
+/// over the bit widths, see [`encoded_len`]), then each element appends
+/// its one canonical LEB128 varint.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn encode(base: &[f32], cur: &[f32], out: &mut Vec<u8>) {
     assert_eq!(base.len(), cur.len(), "delta::encode: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if fuiov_tensor::simd::enabled() {
-        // SAFETY: `simd::enabled()` implies the AVX2 probe passed.
-        unsafe {
-            out.reserve(x86::encoded_len_avx2(base, cur));
-            x86::encode_avx2(base, cur, out);
-        }
-        return;
-    }
     out.reserve(encoded_len(base, cur));
-    encode_tail(base, cur, out);
-}
-
-/// The pinned scalar reference for [`encode`]: same reservation, never
-/// dispatched to SIMD, byte-identical output.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn encode_scalar(base: &[f32], cur: &[f32], out: &mut Vec<u8>) {
-    assert_eq!(base.len(), cur.len(), "delta::encode: length mismatch");
-    out.reserve(encoded_len(base, cur));
-    encode_tail(base, cur, out);
-}
-
-/// Scalar element-at-a-time encode body (also the tail handler for the
-/// AVX2 path, which hands over the unprocessed suffix slices).
-fn encode_tail(base: &[f32], cur: &[f32], out: &mut Vec<u8>) {
-    for (b, c) in base.iter().zip(cur) {
-        let d = i64::from(to_ordered(c.to_bits())) - i64::from(to_ordered(b.to_bits()));
-        put_varint(out, zigzag(d));
+    for (&b, &c) in base.iter().zip(cur) {
+        put_varint(out, zigzag_delta(b, c));
     }
 }
 
@@ -161,27 +138,10 @@ fn decode_one(base_elem: f32, bytes: &mut &[u8]) -> Option<f32> {
 }
 
 /// Decodes `len` delta-coded elements against `base` (exact inverse of
-/// [`encode`]). Returns `None` on truncation, an out-of-range delta, or
-/// trailing bytes — never panics on malformed input. Runtime-dispatched:
-/// the AVX2 path scans the continuation-bit map a word at a time and
-/// decodes uniform all-1-byte and all-2-byte varint groups 8 elements
-/// wide, re-entering the scalar element step whenever a mixed-width run
-/// or longer varint interrupts; all error cases resolve to the same
-/// `None`s as the scalar reference.
-pub fn decode(base: &[f32], bytes: &[u8], len: usize) -> Option<Vec<f32>> {
-    if base.len() != len {
-        return None;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if fuiov_tensor::simd::enabled() {
-        // SAFETY: `simd::enabled()` implies the AVX2 probe passed.
-        return unsafe { x86::decode_avx2(base, bytes) };
-    }
-    decode_scalar(base, bytes, len)
-}
-
-/// The pinned scalar reference for [`decode`]: never dispatched to SIMD.
-pub fn decode_scalar(base: &[f32], mut bytes: &[u8], len: usize) -> Option<Vec<f32>> {
+/// [`encode`]). Returns `None` on a base of another length, truncation, a
+/// varint longer than 10 bytes, an out-of-range delta, or trailing bytes
+/// — never panics on malformed input.
+pub fn decode(base: &[f32], mut bytes: &[u8], len: usize) -> Option<Vec<f32>> {
     if base.len() != len {
         return None;
     }
@@ -190,271 +150,6 @@ pub fn decode_scalar(base: &[f32], mut bytes: &[u8], len: usize) -> Option<Vec<f
         out.push(decode_one(b, &mut bytes)?);
     }
     bytes.is_empty().then_some(out)
-}
-
-/// AVX2 fast paths for the delta codec. Only compiled on `x86_64`, only
-/// executed when the runtime probe passed. The float↔ordered transforms
-/// and the zigzag mapping are pure integer bijections, vectorized
-/// branchlessly (`x >> 31` / `0 > x` masks replace the sign branches);
-/// the variable-length part stays scalar except for the dominant
-/// all-single-byte case, which a continuation-bit mask test
-/// (`w & 0x8080…80 == 0`) detects 8 varints at a time. Byte streams and
-/// `None` semantics are identical to the scalar reference by
-/// construction: the vector lanes compute exactly the per-element
-/// integer ops, and any group that can't take the fast path (long
-/// varint, range overflow, truncation) is handed back to the scalar
-/// element step.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{decode_one, encode_tail, put_varint};
-    use std::arch::x86_64::*;
-
-    /// Continuation bit of every byte in a `u64` group.
-    const CONT_MASK: u64 = 0x8080_8080_8080_8080;
-
-    /// Continuation-bit image of four consecutive 2-byte varints: set on
-    /// the leading byte of each pair, clear on the closing byte.
-    const DOUBLE_MASK: u64 = 0x0080_0080_0080_0080;
-
-    /// `to_ordered` on 8 lanes: `b ^ ((b >>ₐ 31) | 0x8000_0000)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn to_ordered8(b: __m256i) -> __m256i {
-        _mm256_xor_si256(
-            b,
-            _mm256_or_si256(
-                _mm256_srai_epi32::<31>(b),
-                _mm256_set1_epi32(0x8000_0000u32 as i32),
-            ),
-        )
-    }
-
-    /// Zero-extends the low/high four `u32` lanes to `i64`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn widen(v: __m256i) -> (__m256i, __m256i) {
-        (
-            _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v)),
-            _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(v)),
-        )
-    }
-
-    /// Zigzag on 4 `i64` lanes: `(v << 1) ^ (v >> 63)`, with the missing
-    /// 64-bit arithmetic shift synthesized as `0 > v` (all-ones iff
-    /// negative).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn zigzag4(v: __m256i) -> __m256i {
-        _mm256_xor_si256(
-            _mm256_slli_epi64::<1>(v),
-            _mm256_cmpgt_epi64(_mm256_setzero_si256(), v),
-        )
-    }
-
-    /// Inverse of [`zigzag4`]: `(v >> 1) ^ (0 − (v & 1))`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn unzigzag4(v: __m256i) -> __m256i {
-        _mm256_xor_si256(
-            _mm256_srli_epi64::<1>(v),
-            _mm256_sub_epi64(
-                _mm256_setzero_si256(),
-                _mm256_and_si256(v, _mm256_set1_epi64x(1)),
-            ),
-        )
-    }
-
-    /// Completes one 8-wide decode group from its zigzag lanes: unzigzag,
-    /// add to the base's ordered image, range-check, inverse-transform,
-    /// append. Returns `false` when any lane leaves `u32` range — the
-    /// case where the scalar reference returns `None`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn emit_group8(
-        zz_lo: __m256i,
-        zz_hi: __m256i,
-        base: *const f32,
-        out: &mut Vec<f32>,
-    ) -> bool {
-        let d_lo = unzigzag4(zz_lo);
-        let d_hi = unzigzag4(zz_hi);
-        let ob = to_ordered8(_mm256_loadu_si256(base.cast()));
-        let (b_lo, b_hi) = widen(ob);
-        let ord_lo = _mm256_add_epi64(b_lo, d_lo);
-        let ord_hi = _mm256_add_epi64(b_hi, d_hi);
-        // In-range ⟺ the high 32 bits of every lane are zero; the scalar
-        // reference would return `None` otherwise.
-        let hi_bits = _mm256_set1_epi64x(0xFFFF_FFFF_0000_0000u64 as i64);
-        if _mm256_testz_si256(_mm256_or_si256(ord_lo, ord_hi), hi_bits) == 0 {
-            return false;
-        }
-        // Pack the (now 32-bit) lanes back into one register and invert
-        // `to_ordered` branchlessly: `o ^ ((!(o >>ₐ 31)) | 0x8000_0000)`
-        // selects `o ^ 0x8000_0000` for set sign bits and `!o` otherwise,
-        // exactly the scalar `from_ordered`.
-        let idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-        let lo32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(ord_lo, idx));
-        let hi32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(ord_hi, idx));
-        let ord8 = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(lo32), hi32);
-        let mask = _mm256_or_si256(
-            _mm256_xor_si256(_mm256_srai_epi32::<31>(ord8), _mm256_set1_epi32(-1)),
-            _mm256_set1_epi32(0x8000_0000u32 as i32),
-        );
-        let mut vals = [0.0f32; 8];
-        _mm256_storeu_ps(
-            vals.as_mut_ptr(),
-            _mm256_castsi256_ps(_mm256_xor_si256(ord8, mask)),
-        );
-        out.extend_from_slice(&vals);
-        true
-    }
-
-    /// Vectorized [`super::encoded_len`]: same exact byte count (so the
-    /// single up-front reservation is identical on both paths), with the
-    /// per-element `varint_len` replaced by threshold counting —
-    /// `len(v) = 1 + Σₖ (v > 2^{7k} − 1)`, four thresholds because a
-    /// zigzagged `u32`-image delta occupies at most 34 bits (5 bytes).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available; lengths must match (checked
-    /// by the public wrapper).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn encoded_len_avx2(base: &[f32], cur: &[f32]) -> usize {
-        let n = base.len();
-        let thresholds = [0x7Fi64, 0x3FFF, 0x1F_FFFF, 0x0FFF_FFFF];
-        // Lanes accumulate `len − 1` per element (compare masks are −1).
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 8 <= n {
-            let ob = to_ordered8(_mm256_loadu_si256(base.as_ptr().add(i).cast()));
-            let oc = to_ordered8(_mm256_loadu_si256(cur.as_ptr().add(i).cast()));
-            let (b_lo, b_hi) = widen(ob);
-            let (c_lo, c_hi) = widen(oc);
-            let zz_lo = zigzag4(_mm256_sub_epi64(c_lo, b_lo));
-            let zz_hi = zigzag4(_mm256_sub_epi64(c_hi, b_hi));
-            for t in thresholds {
-                let tv = _mm256_set1_epi64x(t);
-                acc = _mm256_sub_epi64(acc, _mm256_cmpgt_epi64(zz_lo, tv));
-                acc = _mm256_sub_epi64(acc, _mm256_cmpgt_epi64(zz_hi, tv));
-            }
-            i += 8;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        let extra: u64 = lanes.iter().sum();
-        i + extra as usize + super::encoded_len(&base[i..], &cur[i..])
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available; lengths must match (checked
-    /// by the public wrapper).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn encode_avx2(base: &[f32], cur: &[f32], out: &mut Vec<u8>) {
-        let n = base.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let ob = to_ordered8(_mm256_loadu_si256(base.as_ptr().add(i).cast()));
-            let oc = to_ordered8(_mm256_loadu_si256(cur.as_ptr().add(i).cast()));
-            let (b_lo, b_hi) = widen(ob);
-            let (c_lo, c_hi) = widen(oc);
-            let zz_lo = zigzag4(_mm256_sub_epi64(c_lo, b_lo));
-            let zz_hi = zigzag4(_mm256_sub_epi64(c_hi, b_hi));
-            let all = _mm256_or_si256(zz_lo, zz_hi);
-            let mut zz = [0u64; 8];
-            _mm256_storeu_si256(zz.as_mut_ptr().cast(), zz_lo);
-            _mm256_storeu_si256(zz.as_mut_ptr().add(4).cast(), zz_hi);
-            if _mm256_testz_si256(all, _mm256_set1_epi64x(!0x7Fi64)) != 0 {
-                // All eight deltas fit one varint byte each.
-                out.extend_from_slice(&zz.map(|v| v as u8));
-            } else {
-                // Uniform two-byte group? Needs every delta in
-                // `0x80..=0x3FFF`: within 14 bits and none small enough
-                // to canonically encode in one byte.
-                let fits14 = _mm256_testz_si256(all, _mm256_set1_epi64x(!0x3FFFi64)) != 0;
-                let low = _mm256_set1_epi64x(0x80);
-                let any_small = _mm256_movemask_epi8(_mm256_or_si256(
-                    _mm256_cmpgt_epi64(low, zz_lo),
-                    _mm256_cmpgt_epi64(low, zz_hi),
-                )) != 0;
-                if fits14 && !any_small {
-                    let mut pairs = [0u8; 16];
-                    for (pair, &v) in pairs.chunks_exact_mut(2).zip(&zz) {
-                        pair[0] = (v as u8 & 0x7F) | 0x80;
-                        pair[1] = (v >> 7) as u8;
-                    }
-                    out.extend_from_slice(&pairs);
-                } else {
-                    for &v in &zz {
-                        put_varint(out, v);
-                    }
-                }
-            }
-            i += 8;
-        }
-        encode_tail(&base[i..], &cur[i..], out);
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available; `base.len()` is the element
-    /// count (checked by the public wrapper).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_avx2(base: &[f32], mut bytes: &[u8]) -> Option<Vec<f32>> {
-        let n = base.len();
-        let mut out: Vec<f32> = Vec::with_capacity(n);
-        let mut i = 0;
-        while i < n {
-            if i + 8 <= n && bytes.len() >= 8 {
-                let w = bytes.as_ptr().cast::<u64>().read_unaligned();
-                if w & CONT_MASK == 0 {
-                    // Eight single-byte varints: widen bytes → u64 lanes
-                    // and finish through the shared group step.
-                    let grp = _mm_set_epi64x(0, w as i64);
-                    let zz_lo = _mm256_cvtepu8_epi64(grp);
-                    let zz_hi = _mm256_cvtepu8_epi64(_mm_srli_si128::<4>(grp));
-                    if !emit_group8(zz_lo, zz_hi, base.as_ptr().add(i), &mut out) {
-                        return None;
-                    }
-                    bytes = &bytes[8..];
-                    i += 8;
-                    continue;
-                }
-                if bytes.len() >= 16 {
-                    let w1 = bytes.as_ptr().add(8).cast::<u64>().read_unaligned();
-                    if w & CONT_MASK == DOUBLE_MASK && w1 & CONT_MASK == DOUBLE_MASK {
-                        // Eight two-byte varints (the dominant shape for
-                        // checkpoint-sized deltas): each u16 of the 16
-                        // bytes is one varint; reassemble the payload as
-                        // `(lo & 0x7F) | ((hi & 0x7F) << 7)` per lane.
-                        let grp = _mm_loadu_si128(bytes.as_ptr().cast());
-                        let g_lo = _mm256_cvtepu16_epi64(grp);
-                        let g_hi = _mm256_cvtepu16_epi64(_mm_srli_si128::<8>(grp));
-                        let lo7 = _mm256_set1_epi64x(0x7F);
-                        let hi7 = _mm256_set1_epi64x(0x7F00);
-                        let join = |g: __m256i| {
-                            _mm256_or_si256(
-                                _mm256_and_si256(g, lo7),
-                                _mm256_srli_epi64::<1>(_mm256_and_si256(g, hi7)),
-                            )
-                        };
-                        if !emit_group8(join(g_lo), join(g_hi), base.as_ptr().add(i), &mut out) {
-                            return None;
-                        }
-                        bytes = &bytes[16..];
-                        i += 8;
-                        continue;
-                    }
-                }
-            }
-            // A longer varint (or a short tail) interrupts the run: take
-            // one scalar step, then retry the vector path.
-            out.push(decode_one(*base.get_unchecked(i), &mut bytes)?);
-            i += 1;
-        }
-        bytes.is_empty().then_some(out)
-    }
 }
 
 #[cfg(test)]
@@ -581,9 +276,6 @@ mod tests {
         assert_eq!(buf.len(), predicted);
         // The single up-front reserve covered the whole stream.
         assert!(buf.capacity() >= predicted);
-        let mut scalar = Vec::new();
-        encode_scalar(&base, &cur, &mut scalar);
-        assert_eq!(buf, scalar, "dispatched and scalar streams must match");
     }
 
     #[test]
@@ -595,19 +287,18 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, zigzag(1));
         assert_eq!(decode(&[top], &buf, 1), None);
-        assert_eq!(decode_scalar(&[top], &buf, 1), None);
-        // Same overflow planted inside an 8-wide all-single-byte group,
-        // so the SIMD fast path's vectorized range check is what fires.
-        let base8 = [top; 8];
+        // The same overflow after seven in-range elements: no partial
+        // model comes back.
+        let mut base8 = [1.0f32; 8];
+        base8[7] = top;
         let buf8 = vec![zigzag(1) as u8; 8];
         assert_eq!(decode(&base8, &buf8, 8), None);
-        assert_eq!(decode_scalar(&base8, &buf8, 8), None);
-        // Underflow off the bottom of the range, mid-group.
+        // Underflow off the bottom of the range, mid-stream.
         let bottom = f32::from_bits(0xFFFF_FFFF); // ordered image == 0
-        let base_lo = [bottom; 8];
+        let mut base_lo = [1.0f32; 8];
+        base_lo[3] = bottom;
         let buf_lo = vec![zigzag(-1) as u8; 8];
         assert_eq!(decode(&base_lo, &buf_lo, 8), None);
-        assert_eq!(decode_scalar(&base_lo, &buf_lo, 8), None);
         // An over-long varint (11 continuation-heavy bytes) is malformed.
         let long = vec![0x80u8; 11];
         assert_eq!(decode(&[0.0], &long, 1), None);
@@ -616,10 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn mixed_varint_widths_roundtrip_through_both_paths() {
-        // Alternating short and long varints defeat the 8-wide fast path
-        // on some groups and admit it on others; both paths must agree
-        // with each other and with the input, bit for bit.
+    fn mixed_varint_widths_roundtrip() {
+        // Zero, one-ulp and huge deltas interleaved give 1- and 5-byte
+        // varints side by side; every prefix length 0..=67 must encode to
+        // its predicted size and decode bit for bit.
         let base: Vec<f32> = (0..67).map(|i| (i as f32) * 0.125 - 4.0).collect();
         let cur: Vec<f32> = base
             .iter()
@@ -630,17 +321,13 @@ mod tests {
                 _ => *v,
             })
             .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for n in 0..=base.len() {
             let mut buf = Vec::new();
             encode(&base[..n], &cur[..n], &mut buf);
-            let mut scalar = Vec::new();
-            encode_scalar(&base[..n], &cur[..n], &mut scalar);
-            assert_eq!(buf, scalar, "n={n}");
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            let fast = decode(&base[..n], &buf, n).unwrap();
-            let slow = decode_scalar(&base[..n], &buf, n).unwrap();
-            assert_eq!(bits(&fast), bits(&cur[..n]), "n={n}");
-            assert_eq!(bits(&slow), bits(&cur[..n]), "n={n}");
+            assert_eq!(buf.len(), encoded_len(&base[..n], &cur[..n]), "n={n}");
+            let back = decode(&base[..n], &buf, n).unwrap();
+            assert_eq!(bits(&back), bits(&cur[..n]), "n={n}");
         }
     }
 }

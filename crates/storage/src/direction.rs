@@ -153,27 +153,21 @@ impl GradientDirection {
         }
     }
 
-    /// Unpacks to a sign vector. Runtime-dispatched: 32 signs per
-    /// iteration through the AVX2 shuffle decode where available, 4 signs
-    /// per byte-LUT hit otherwise (`fuiov_tensor::simd` owns the choice;
-    /// both paths produce identical bytes).
+    /// Unpacks to a sign vector: one 4-sign table copy per packed byte,
+    /// then the final partial byte lane by lane. One scalar path with no
+    /// SIMD dispatch: the diagnostics and attacks that call it are off
+    /// every replay and training path, which decode through
+    /// [`decode_into`](Self::decode_into) and
+    /// [`decode_axpy`](Self::decode_axpy) instead.
     pub fn to_signs(&self) -> Vec<i8> {
         let mut out = vec![0i8; self.len];
-        #[cfg(target_arch = "x86_64")]
-        if fuiov_tensor::simd::enabled() {
-            // SAFETY: `simd::enabled()` implies the AVX2 probe passed.
-            unsafe { x86::signs_avx2(&self.packed, &mut out) };
-            return out;
+        let full_end = self.len / 4 * 4;
+        for (chunk, &byte) in out[..full_end].chunks_exact_mut(4).zip(&self.packed) {
+            chunk.copy_from_slice(&SIGN_LUT[byte as usize]);
         }
-        signs_tail(&self.packed, &mut out, 0);
-        out
-    }
-
-    /// The pinned scalar reference for [`GradientDirection::to_signs`]:
-    /// never dispatched to SIMD (word-level, 4 signs per byte LUT hit).
-    pub fn to_signs_scalar(&self) -> Vec<i8> {
-        let mut out = vec![0i8; self.len];
-        signs_tail(&self.packed, &mut out, 0);
+        for (lane, slot) in out[full_end..].iter_mut().enumerate() {
+            *slot = SIGN_LUT[self.packed[full_end / 4] as usize][lane];
+        }
         out
     }
 
@@ -300,24 +294,10 @@ impl GradientDirection {
     }
 }
 
-/// Scalar sign decode of elements `from..out.len()` (`from` must be a
-/// multiple of 4, i.e. byte-aligned): full bytes through [`SIGN_LUT`],
+/// Scalar `f32` decode of elements `from..out.len()` (`from` must be a
+/// multiple of 4, i.e. byte-aligned): full bytes through [`F32_LUT`],
 /// then the final partial byte lane by lane. With `from == 0` this *is*
-/// the scalar reference; the AVX2 kernels re-enter it for their tails.
-fn signs_tail(packed: &[u8], out: &mut [i8], from: usize) {
-    let full_end = out.len() / 4 * 4;
-    for (chunk, &byte) in out[from..full_end]
-        .chunks_exact_mut(4)
-        .zip(&packed[from / 4..])
-    {
-        chunk.copy_from_slice(&SIGN_LUT[byte as usize]);
-    }
-    for (lane, slot) in out[full_end..].iter_mut().enumerate() {
-        *slot = SIGN_LUT[packed[full_end / 4] as usize][lane];
-    }
-}
-
-/// `f32` twin of [`signs_tail`], through [`F32_LUT`].
+/// the scalar reference; the AVX2 kernel re-enters it for its tail.
 fn decode_f32_tail(packed: &[u8], out: &mut [f32], from: usize) {
     let full_end = out.len() / 4 * 4;
     for (chunk, &byte) in out[from..full_end]
@@ -331,9 +311,9 @@ fn decode_f32_tail(packed: &[u8], out: &mut [f32], from: usize) {
     }
 }
 
-/// Accumulating twin of [`signs_tail`]: `acc[i] += a · sign(i)` for
-/// elements `from..acc.len()`, zeros included (the exact scalar op
-/// sequence the AVX2 kernel reproduces).
+/// Accumulating twin of [`decode_f32_tail`], through [`SIGN_LUT`]:
+/// `acc[i] += a · sign(i)` for elements `from..acc.len()`, zeros
+/// included (the exact scalar op sequence the AVX2 kernel reproduces).
 fn axpy_tail(packed: &[u8], a: f64, acc: &mut [f64], from: usize) {
     let full_end = acc.len() / 4 * 4;
     for (chunk, &byte) in acc[from..full_end]
@@ -349,7 +329,7 @@ fn axpy_tail(packed: &[u8], a: f64, acc: &mut [f64], from: usize) {
     }
 }
 
-/// AVX2 decode kernels: 8 packed bytes → 32 signs per iteration. Only
+/// AVX2 decode kernels: 8 packed bytes → 32 elements per iteration. Only
 /// compiled on `x86_64`, only executed when the runtime probe passed
 /// (`fuiov_tensor::simd::enabled`). The decode itself is integer — byte
 /// replication via `vpshufb`, per-position 2-bit extraction via shifted
@@ -359,7 +339,7 @@ fn axpy_tail(packed: &[u8], a: f64, acc: &mut [f64], from: usize) {
 /// the same one `mul` + one `add` per element as the scalar loop.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{axpy_tail, decode_f32_tail, signs_tail};
+    use super::{axpy_tail, decode_f32_tail};
     use std::arch::x86_64::*;
 
     /// Decodes 8 packed bytes (one `u64`) into 32 sign bytes, lane `o`
@@ -406,19 +386,6 @@ mod x86 {
     /// Caller must ensure AVX2 is available; `out.len()` must equal the
     /// direction's element count for `packed`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn signs_avx2(packed: &[u8], out: &mut [i8]) {
-        let blocks = out.len() / 32;
-        for blk in 0..blocks {
-            let w = packed.as_ptr().add(blk * 8).cast::<u64>().read_unaligned();
-            _mm256_storeu_si256(out.as_mut_ptr().add(blk * 32).cast(), signs32(w));
-        }
-        signs_tail(packed, out, blocks * 32);
-    }
-
-    /// # Safety
-    ///
-    /// As [`signs_avx2`].
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn decode_f32_avx2(packed: &[u8], out: &mut [f32]) {
         // Straight from packed bits to floats, no byte-replication or
         // int→float conversion chain: broadcast 16 codes (a `u32` of the
@@ -454,7 +421,7 @@ mod x86 {
 
     /// # Safety
     ///
-    /// As [`signs_avx2`].
+    /// As [`decode_f32_avx2`].
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn axpy_avx2(packed: &[u8], a: f64, acc: &mut [f64]) {
         let av = _mm256_set1_pd(a);

@@ -14,6 +14,32 @@ fn arb_f32_bits() -> impl Strategy<Value = f32> {
     any::<u32>().prop_map(f32::from_bits)
 }
 
+/// `(base, cur)` at lengths 0..=67, each `cur` element nearby (a few
+/// ulps away: short varints), identical (zero deltas) or an arbitrary
+/// bit pattern (long varints).
+#[allow(clippy::type_complexity)]
+fn arb_delta_pair() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
+    (0usize..=67)
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec(arb_f32_bits(), n),
+                prop::collection::vec((any::<u8>(), any::<u32>()), n),
+            )
+        })
+        .prop_map(|(base, perturb)| {
+            let cur: Vec<f32> = base
+                .iter()
+                .zip(&perturb)
+                .map(|(b, &(kind, bits))| match kind % 4 {
+                    0 | 1 => f32::from_bits(b.to_bits() ^ u32::from(kind % 64)),
+                    2 => *b,
+                    _ => f32::from_bits(bits),
+                })
+                .collect();
+            (base, cur)
+        })
+}
+
 /// δ as the quantiser pins draw it: 0, 1e-6, any finite non-negative
 /// value, or +∞.
 fn arb_delta() -> impl Strategy<Value = f32> {
@@ -282,18 +308,24 @@ proptest! {
     }
 
     /// The raw delta codec round-trips *any* f32 bit patterns exactly —
-    /// including NaN payloads, ±0, infinities and subnormals.
+    /// including NaN payloads, ±0, infinities and subnormals — into a
+    /// stream of exactly its predicted length, and refuses that stream
+    /// one byte short or one byte long.
     #[test]
-    fn delta_codec_roundtrips_bitwise(
-        pairs in prop::collection::vec((arb_f32_bits(), arb_f32_bits()), 0..64),
-    ) {
-        let base: Vec<f32> = pairs.iter().map(|p| p.0).collect();
-        let cur: Vec<f32> = pairs.iter().map(|p| p.1).collect();
+    fn delta_codec_roundtrips_bitwise((base, cur) in arb_delta_pair()) {
         let mut buf = Vec::new();
         delta::encode(&base, &cur, &mut buf);
-        let back = delta::decode(&base, &buf, cur.len()).expect("decodes");
+        prop_assert_eq!(buf.len(), delta::encoded_len(&base, &cur));
+        let n = cur.len();
+        let back = delta::decode(&base, &buf, n).expect("decodes");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         prop_assert_eq!(bits(&back), bits(&cur));
+        if let Some((_, short)) = buf.split_last() {
+            prop_assert_eq!(delta::decode(&base, short, n), None);
+        }
+        let mut long = buf.clone();
+        long.push(0);
+        prop_assert_eq!(delta::decode(&base, &long, n), None);
     }
 
     /// Delta-checkpointed spill storage reconstructs every round bitwise

@@ -1,13 +1,12 @@
-//! SIMD == scalar bitwise pinning for the storage codecs: the 2-bit sign
-//! decode kernels and the zigzag-LEB128 delta codec.
+//! SIMD == scalar bitwise pinning for the storage kernels that dispatch:
+//! the 2-bit sign decode into `f32` and the fused decode-and-accumulate.
 //!
 //! Same discipline as `crates/tensor/tests/simd_props.rs`: the dispatched
 //! kernel runs with the SIMD path forced on (resolving to scalar on
 //! non-AVX2 hosts) and must match the pinned scalar reference bit for
 //! bit; lengths sweep `0..=67` to cover every tail-residue class of the
-//! 32-element sign blocks and 8-element varint groups.
+//! 32-element sign blocks.
 
-use fuiov_storage::delta;
 use fuiov_storage::direction::GradientDirection;
 use fuiov_tensor::simd;
 use proptest::prelude::*;
@@ -25,40 +24,6 @@ fn arb_signs() -> impl Strategy<Value = Vec<i8>> {
     prop::collection::vec((0u8..3).prop_map(|v| v as i8 - 1), 0..=67)
 }
 
-/// Every `f32` bit pattern — the delta codec must be lossless for NaN
-/// payloads, infinities, both zeros, and denormals alike.
-fn arb_f32_bits() -> impl Strategy<Value = f32> {
-    any::<u32>().prop_map(f32::from_bits)
-}
-
-/// `(base, cur)` with a mix of nearby values (short varints, the SIMD
-/// fast path) and arbitrary bit patterns (long varints, scalar re-entry).
-#[allow(clippy::type_complexity)]
-fn arb_delta_pair() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
-    (0usize..=67)
-        .prop_flat_map(|n| {
-            (
-                prop::collection::vec(arb_f32_bits(), n),
-                prop::collection::vec((any::<u8>(), any::<u32>()), n),
-            )
-        })
-        .prop_map(|(base, perturb)| {
-            let cur: Vec<f32> = base
-                .iter()
-                .zip(&perturb)
-                .map(|(b, &(kind, bits))| match kind % 4 {
-                    // Nearby: a few ulps away — single-byte varints.
-                    0 | 1 => f32::from_bits(b.to_bits() ^ u32::from(kind % 64)),
-                    // Identical: zero deltas.
-                    2 => *b,
-                    // Arbitrary: long varints interrupt the fast path.
-                    _ => f32::from_bits(bits),
-                })
-                .collect();
-            (base, cur)
-        })
-}
-
 fn f32_bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -71,9 +36,7 @@ proptest! {
         let d = GradientDirection::from_signs(&signs);
         let n = signs.len();
 
-        let fast_signs = with_forced_simd(|| d.to_signs());
-        prop_assert_eq!(&fast_signs, &d.to_signs_scalar());
-        prop_assert_eq!(&fast_signs, &signs);
+        prop_assert_eq!(&d.to_signs(), &signs);
 
         let mut fast_f32 = vec![7.0f32; n]; // poisoned: every slot written
         with_forced_simd(|| d.decode_into(&mut fast_f32));
@@ -93,32 +56,6 @@ proptest! {
             prop_assert_eq!(bits64(&fast_acc), bits64(&scalar_acc), "a={}", a);
         }
     }
-
-    #[test]
-    fn delta_codec_simd_matches_scalar_bitwise((base, cur) in arb_delta_pair()) {
-        let mut fast = Vec::new();
-        with_forced_simd(|| delta::encode(&base, &cur, &mut fast));
-        let mut scalar = Vec::new();
-        delta::encode_scalar(&base, &cur, &mut scalar);
-        prop_assert_eq!(&fast, &scalar, "encoded streams diverged");
-        prop_assert_eq!(fast.len(), delta::encoded_len(&base, &cur));
-
-        // Both decoders, both streams (they're equal, but decode each
-        // through each path), bitwise-exact roundtrip.
-        let n = base.len();
-        let fast_dec = with_forced_simd(|| delta::decode(&base, &fast, n)).expect("roundtrip");
-        let scalar_dec = delta::decode_scalar(&base, &scalar, n).expect("roundtrip");
-        prop_assert_eq!(f32_bits(&fast_dec), f32_bits(&cur));
-        prop_assert_eq!(f32_bits(&scalar_dec), f32_bits(&cur));
-
-        // Malformed inputs must agree on `None` too: truncate mid-stream.
-        if !fast.is_empty() {
-            let cut = &fast[..fast.len() - 1];
-            let a = with_forced_simd(|| delta::decode(&base, cut, n));
-            let b = delta::decode_scalar(&base, cut, n);
-            prop_assert_eq!(a.is_none(), b.is_none());
-        }
-    }
 }
 
 #[test]
@@ -128,11 +65,7 @@ fn direction_kernels_hit_every_tail_residue_class_deterministically() {
     for n in (0usize..=35).chain([63, 64, 65, 67]) {
         let signs: Vec<i8> = (0..n).map(|i| [1i8, -1, 0, 0, 1, -1][i % 6]).collect();
         let d = GradientDirection::from_signs(&signs);
-        assert_eq!(
-            with_forced_simd(|| d.to_signs()),
-            d.to_signs_scalar(),
-            "n={n}"
-        );
+        assert_eq!(d.to_signs(), signs, "n={n}");
         let mut fast = vec![1.0f32; n];
         with_forced_simd(|| d.decode_into(&mut fast));
         let mut scalar = vec![-1.0f32; n];

@@ -3,10 +3,11 @@
 //!
 //! Every vector kernel in this workspace (the stacked-HVP inbound sweep
 //! [`crate::matrix::row_dots`], the replay round's lane-parallel clip
-//! pass, the packed sign decode and the delta codec in `fuiov-storage`)
-//! is written twice: a scalar reference
-//! that *defines* the bits, and an AVX2 path that must reproduce them
-//! exactly. This module owns the decision of which one runs:
+//! pass, and the packed sign decode into `f32` and its fused
+//! decode-and-accumulate in `fuiov-storage`) is written twice: a scalar
+//! reference that *defines* the bits, and an AVX2 path that must
+//! reproduce them exactly. This module owns the decision of which one
+//! runs:
 //!
 //! 1. compile-time: non-`x86_64` targets have no AVX2 path at all — the
 //!    scalar reference is the only code that exists;

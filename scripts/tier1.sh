@@ -206,12 +206,10 @@ stage_lab() {
 
 stage_bench_smoke() {
   # One code path owns smoke execution: `lab bench-smoke` runs every
-  # benchmark (including its pre-timing bitwise differential assertions)
-  # once with a minimal budget — dispatcher on and FUIOV_SIMD=0, so both
-  # kernel paths stay exercised — plus the one-cell transport sweep
-  # whose exact byte-reconciliation asserts run on every CI pass, then
-  # gates the recorded BENCH_*.json artifacts (schema + byte-accounting
-  # invariants re-checked against the comms model).
+  # micro benchmark (including its pre-timing bitwise differential
+  # assertions) once with a minimal budget — dispatcher on and
+  # FUIOV_SIMD=0, so both kernel paths stay exercised — then gates the
+  # recorded BENCH_micro.json against its schema.
   cargo run --release -q -p fuiov-lab --bin lab -- bench-smoke
 }
 
