@@ -33,7 +33,8 @@ pub struct BacktrackResult {
 /// - [`UnlearnError::EmptyHistory`] if no models were recorded or the set
 ///   is empty;
 /// - [`UnlearnError::UnknownClient`] if any client never joined;
-/// - [`UnlearnError::MissingModel`] if `w_F` was not recorded.
+/// - [`UnlearnError::MissingModel`] if `w_F` was not recorded;
+/// - [`UnlearnError::Storage`] if its spilled record does not decode.
 pub fn backtrack_set(
     history: &HistoryStore,
     clients: &[ClientId],
@@ -50,7 +51,7 @@ pub fn backtrack_set(
         join_round = join_round.min(f);
     }
     let params = history
-        .model(join_round)
+        .try_model(join_round)?
         .ok_or(UnlearnError::MissingModel(join_round))?
         .to_vec();
     Ok(BacktrackResult {

@@ -1,6 +1,6 @@
 //! Error type for the unlearning pipeline.
 
-use fuiov_storage::{ClientId, Round};
+use fuiov_storage::{ClientId, Round, SegmentDecodeError};
 use std::error::Error;
 use std::fmt;
 
@@ -32,6 +32,10 @@ pub enum UnlearnError {
     },
     /// The history store is empty.
     EmptyHistory,
+    /// A spilled history record the forget needs no longer decodes (a
+    /// torn, rotted or stale record), so the replay cannot tell what the
+    /// round held.
+    Storage(SegmentDecodeError),
     /// A job checkpoint payload failed to parse (framing was FNV-clean but
     /// the state inside is not a valid replay snapshot — e.g. produced by
     /// an incompatible version).
@@ -66,6 +70,7 @@ impl fmt::Display for UnlearnError {
                 "no remaining client participated in rounds {start_round}..{end_round}: nothing to replay"
             ),
             UnlearnError::EmptyHistory => write!(f, "history store is empty"),
+            UnlearnError::Storage(e) => write!(f, "history record does not decode: {e}"),
             UnlearnError::BadJobCheckpoint(what) => {
                 write!(f, "job checkpoint payload is not a valid replay snapshot: {what}")
             }
@@ -78,6 +83,12 @@ impl fmt::Display for UnlearnError {
 }
 
 impl Error for UnlearnError {}
+
+impl From<SegmentDecodeError> for UnlearnError {
+    fn from(e: SegmentDecodeError) -> Self {
+        UnlearnError::Storage(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -92,6 +103,9 @@ mod tests {
             .to_string()
             .contains("round 7"));
         assert!(UnlearnError::EmptyHistory.to_string().contains("empty"));
+        assert!(UnlearnError::from(SegmentDecodeError::Truncated)
+            .to_string()
+            .contains("does not decode"));
         let e = UnlearnError::NothingToRecover {
             join_round: 9,
             latest_round: 9,

@@ -700,7 +700,6 @@ impl JobService {
         );
         self.dedup.insert(key, id);
         fuiov_obs::counter!("jobs.submitted").inc();
-        fuiov_obs::journal::instant("jobs.submit", id, forgotten.len() as u64);
         id
     }
 
@@ -798,7 +797,6 @@ impl JobService {
                 // preemption before the next seal.
                 Some(held) => {
                     fuiov_obs::counter!("jobs.resumed").inc();
-                    fuiov_obs::journal::instant("jobs.resume", id, held.next_round as u64);
                     job.phase = JobPhase::Running(held.clone());
                 }
                 None => match ReplayState::init(
@@ -899,11 +897,6 @@ impl JobService {
                         };
                         let outcome = state.finish();
                         fuiov_obs::counter!("jobs.completed").inc();
-                        fuiov_obs::journal::instant(
-                            "jobs.done",
-                            id,
-                            outcome.rounds_replayed as u64,
-                        );
                         job.end(JobPhase::Done(outcome));
                     } else if job.rounds_since_checkpoint >= self.config.checkpoint_interval {
                         self.seal(id);
@@ -941,7 +934,6 @@ impl JobService {
         job.checkpoint = Some(state.clone());
         job.rounds_since_checkpoint = 0;
         fuiov_obs::counter!("jobs.checkpoints_sealed").inc();
-        fuiov_obs::journal::instant("jobs.checkpoint", id, next_round as u64);
     }
 }
 

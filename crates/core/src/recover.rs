@@ -25,7 +25,7 @@ use crate::batch::{self, RoundScratch, StackedLbfgs};
 use crate::error::UnlearnError;
 use crate::lbfgs::{LbfgsApprox, PairBuffer};
 use fuiov_fl::Client;
-use fuiov_storage::{ClientId, GradientDirection, HistoryStore, Round};
+use fuiov_storage::{ClientId, GradientDirection, HistoryStore, Round, SegmentDecodeError};
 use fuiov_tensor::vector;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -312,8 +312,9 @@ pub struct RecoveryOutcome {
 ///
 /// Propagates [`UnlearnError`] from [`backtrack_set`](crate::backtrack_set)
 /// (including an empty set), plus [`UnlearnError::NothingToRecover`] when
-/// `F = T` and [`UnlearnError::MissingModel`] if a replay round's model is
-/// missing.
+/// `F = T`, [`UnlearnError::MissingModel`] if a replay round's model is
+/// missing, and [`UnlearnError::Storage`] if a spilled record of a seed or
+/// replay round does not decode. A missing seed round is skipped.
 pub fn recover_set(
     history: &HistoryStore,
     forgotten: &[ClientId],
@@ -414,11 +415,17 @@ impl ReplayState {
         // sequence of zero updates and hand back the backtracked model as
         // if it were recovered. Fail with a typed error instead so callers
         // can fall back (e.g. retrain).
-        let window_has_participant = (f_round..t_end).any(|t| {
-            history
-                .clients_in_round_iter(t)
-                .any(|c| !forgotten_set.contains(&c))
-        });
+        let mut window_has_participant = false;
+        for t in f_round..t_end {
+            if history
+                .try_directions(t)?
+                .keys()
+                .any(|c| !forgotten_set.contains(c))
+            {
+                window_has_participant = true;
+                break;
+            }
+        }
         if remaining.is_empty() || !window_has_participant {
             return Err(UnlearnError::EmptyMembershipWindow {
                 start_round: f_round,
@@ -426,7 +433,6 @@ impl ReplayState {
             });
         }
 
-        fuiov_obs::journal::begin("core.recover", f_round as u64);
         let mut oracle_queries = 0usize;
         let mut buffers: BTreeMap<ClientId, PairBuffer> = BTreeMap::new();
         let mut approxes: BTreeMap<ClientId, LbfgsApprox> = BTreeMap::new();
@@ -438,7 +444,7 @@ impl ReplayState {
         // in the decode cache); only a model that
         // `interpolate_missing_models` has to synthesise is ever owned.
         let w_f = history
-            .model(f_round)
+            .try_model(f_round)?
             .ok_or(UnlearnError::MissingModel(f_round))?;
         // The pairs are (ΔW, ΔGⁱ): a seed round's ΔW = w_r − w_F carries no
         // client index, so it is computed once, by the first client with a
@@ -459,10 +465,10 @@ impl ReplayState {
                 oracle,
                 &mut oracle_queries,
                 &mut g_f,
-            ) || nearest_direction(history, client, f_round, t_end, &mut g_f);
+            )? || nearest_direction(history, client, f_round, t_end, &mut g_f)?;
             if have_g_f {
                 for r in seed_start..f_round {
-                    let guard = history.model(r);
+                    let guard = history.try_model(r)?;
                     let interp;
                     let w_r: &[f32] = match guard.as_deref() {
                         Some(m) => m,
@@ -485,7 +491,7 @@ impl ReplayState {
                         oracle,
                         &mut oracle_queries,
                         &mut g_r,
-                    ) {
+                    )? {
                         continue;
                     }
                     let dw = seed_dws[r - seed_start]
@@ -555,7 +561,8 @@ impl ReplayState {
     ///
     /// # Errors
     ///
-    /// [`UnlearnError::MissingModel`] as in [`ReplayState::step`].
+    /// [`UnlearnError::MissingModel`] and [`UnlearnError::Storage`] as in
+    /// [`ReplayState::step`].
     pub(crate) fn prepare_sweep(
         &mut self,
         history: &HistoryStore,
@@ -563,7 +570,7 @@ impl ReplayState {
     ) -> Result<bool, UnlearnError> {
         let t = self.next_round;
         debug_assert!(t < self.t_end, "prepare_sweep on an exhausted state");
-        let view = history.round_view(t);
+        let view = history.try_round_view(t)?;
         let w_t: Cow<'_, [f32]> = match view.model() {
             Some(m) => Cow::Borrowed(m),
             None if self.config.interpolate_missing_models => history
@@ -587,7 +594,8 @@ impl ReplayState {
     /// # Errors
     ///
     /// [`UnlearnError::MissingModel`] if the round's model is gone and
-    /// interpolation is off.
+    /// interpolation is off; [`UnlearnError::Storage`] if the round's
+    /// spilled model or directions record does not decode.
     pub(crate) fn step(
         &mut self,
         history: &HistoryStore,
@@ -604,7 +612,7 @@ impl ReplayState {
         // stay pinned behind the view (hot rounds borrow, spilled rounds
         // decode once into the LRU) and stream straight into the LUT
         // kernels below — no intermediate `Vec<f32>` per client.
-        let view = history.round_view(t);
+        let view = history.try_round_view(t)?;
         // Warm the decode cache for the next replay round while this one
         // computes, so a cold (spilled) trajectory pays its segment read
         // off the critical path of round t+1.
@@ -754,7 +762,6 @@ impl ReplayState {
         }
 
         fuiov_obs::counter!("core.replay_rounds").inc();
-        fuiov_obs::journal::instant("core.recover.round", t as u64, n_part as u64);
         on_round(t, &self.params);
         self.next_round = t + 1;
         Ok(())
@@ -762,11 +769,6 @@ impl ReplayState {
 
     /// Consumes the exhausted state into its [`RecoveryOutcome`].
     pub(crate) fn finish(self) -> RecoveryOutcome {
-        fuiov_obs::journal::end(
-            "core.recover",
-            self.f_round as u64,
-            (self.t_end - self.f_round) as u64,
-        );
         RecoveryOutcome {
             params: self.params,
             clients: self.forgotten,
@@ -799,21 +801,21 @@ fn direction_or_oracle(
     oracle: &mut dyn GradientOracle,
     oracle_queries: &mut usize,
     out: &mut Vec<f32>,
-) -> bool {
-    if let Some(dir) = history.direction(round, client) {
+) -> Result<bool, SegmentDecodeError> {
+    if let Some(dir) = history.try_direction(round, client)? {
         out.resize(dir.len(), 0.0);
         dir.decode_into(out);
-        return true;
+        return Ok(true);
     }
     let Some(grad) = oracle.gradient_at(client, model) else {
-        return false;
+        return Ok(false);
     };
     *oracle_queries += 1;
     fuiov_obs::counter!("core.oracle_queries").inc();
     let dir = GradientDirection::quantize(&grad, history.delta());
     out.resize(dir.len(), 0.0);
     dir.decode_into(out);
-    true
+    Ok(true)
 }
 
 /// Decodes into `out` the client's direction from the round nearest to
@@ -825,13 +827,15 @@ fn nearest_direction(
     from: Round,
     until: Round,
     out: &mut Vec<f32>,
-) -> bool {
-    let Some(dir) = (from..=until).find_map(|r| history.direction(r, client)) else {
-        return false;
-    };
-    out.resize(dir.len(), 0.0);
-    dir.decode_into(out);
-    true
+) -> Result<bool, SegmentDecodeError> {
+    for r in from..=until {
+        if let Some(dir) = history.try_direction(r, client)? {
+            out.resize(dir.len(), 0.0);
+            dir.decode_into(out);
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 #[cfg(test)]

@@ -241,8 +241,8 @@ fn replay_heap_peak_holds_the_pairs_once() {
     let _g = serial();
     let h = history();
     let cfg = config();
-    // Warm-up: one-time allocations (metric registration, the journal)
-    // are not the replay's.
+    // Warm-up: one-time allocations (metric registration) are not the
+    // replay's.
     recover_set(&h, &[FORGOTTEN], &cfg, &mut NoOracle, |_, _| {}).expect("recovers");
     let (out, probe) = probed(|| recover_set(&h, &[FORGOTTEN], &cfg, &mut NoOracle, |_, _| {}));
     out.expect("recovers");

@@ -158,8 +158,8 @@ fn bytes_per_step(h: &HistoryStore, checkpoint_interval: usize) -> Vec<usize> {
 #[test]
 fn an_in_memory_seal_copies_no_pair_row() {
     pool::set_threads(1);
-    // The journal ring grows as events arrive, and the sealing run
-    // journals more of them, so collection stays off.
+    // Collection stays off, so no metric's first-touch registration
+    // lands in a measured step.
     fuiov_obs::set_enabled(false);
     let h = history();
     // Warm-up: one-time allocations are not the steps'.

@@ -111,17 +111,6 @@ impl ConfusionMatrix {
             Some(self.count(class, class) as f32 / col as f32)
         }
     }
-
-    /// Fraction of class `from` samples predicted as class `to` — the raw
-    /// quantity behind the label-flip attack success rate.
-    pub fn leakage(&self, from: usize, to: usize) -> Option<f32> {
-        let row: usize = (0..self.classes).map(|p| self.count(from, p)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(from, to) as f32 / row as f32)
-        }
-    }
 }
 
 impl std::fmt::Display for ConfusionMatrix {
@@ -171,13 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn recall_precision_leakage() {
+    fn recall_and_precision() {
         let cm = sample();
         assert!((cm.recall(0).unwrap() - 0.8).abs() < 1e-6);
         assert_eq!(cm.recall(2), None);
         assert!((cm.precision(1).unwrap() - 5.0 / 7.0).abs() < 1e-6);
         assert_eq!(cm.precision(2), None);
-        assert!((cm.leakage(0, 1).unwrap() - 0.2).abs() < 1e-6);
     }
 
     #[test]

@@ -48,36 +48,6 @@ pub fn sign_agreement_curve(history: &HistoryStore) -> Vec<(Round, f32)> {
         .collect()
 }
 
-/// Fraction of coordinates on which the *weighted majority* of clients
-/// agree in a round — the effective signal density of the sign-FedAvg.
-/// `None` if no clients participated.
-pub fn majority_coherence(history: &HistoryStore, round: Round) -> Option<f32> {
-    let clients = history.clients_in_round(round);
-    if clients.is_empty() {
-        return None;
-    }
-    let mut acc: Option<Vec<f64>> = None;
-    let mut wsum = 0.0f64;
-    for &c in &clients {
-        let d = history.direction(round, c)?;
-        let w = f64::from(history.weight(c));
-        wsum += w;
-        let signs = d.to_signs();
-        let acc = acc.get_or_insert_with(|| vec![0.0; signs.len()]);
-        for (a, s) in acc.iter_mut().zip(signs) {
-            *a += w * f64::from(s);
-        }
-    }
-    let acc = acc?;
-    if wsum == 0.0 {
-        return None;
-    }
-    // A coordinate is "coherent" when the weighted mean sign is decisive
-    // (|mean| > ½ — more than three quarters of the weight pulls one way).
-    let coherent = acc.iter().filter(|&&a| (a / wsum).abs() > 0.5).count();
-    Some(coherent as f32 / acc.len() as f32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,30 +67,24 @@ mod tests {
     fn identical_clients_agree_fully() {
         let h = store(&[&[1.0, -1.0, 1.0], &[2.0, -0.5, 3.0]]);
         assert_eq!(round_sign_agreement(&h, 0), Some(1.0));
-        assert_eq!(majority_coherence(&h, 0), Some(1.0));
     }
 
     #[test]
     fn opposite_clients_agree_never() {
         let h = store(&[&[1.0, -1.0], &[-1.0, 1.0]]);
         assert_eq!(round_sign_agreement(&h, 0), Some(0.0));
-        assert_eq!(majority_coherence(&h, 0), Some(0.0));
     }
 
     #[test]
     fn partial_agreement() {
         let h = store(&[&[1.0, 1.0, 1.0, -1.0], &[1.0, 1.0, -1.0, 1.0]]);
         assert_eq!(round_sign_agreement(&h, 0), Some(0.5));
-        // Two of four coordinates have a decisive majority.
-        assert_eq!(majority_coherence(&h, 0), Some(0.5));
     }
 
     #[test]
     fn single_client_round_is_none_for_agreement() {
         let h = store(&[&[1.0]]);
         assert_eq!(round_sign_agreement(&h, 0), None);
-        // Majority coherence is defined for one client.
-        assert_eq!(majority_coherence(&h, 0), Some(1.0));
     }
 
     #[test]
@@ -132,15 +96,5 @@ mod tests {
         let curve = sign_agreement_curve(&h);
         assert_eq!(curve.len(), 1);
         assert_eq!(curve[0].0, 0);
-    }
-
-    #[test]
-    fn weights_shift_the_majority() {
-        let mut h = store(&[&[1.0], &[-1.0], &[-1.0]]);
-        // Equal weights: mean sign = −1/3, not decisive.
-        assert_eq!(majority_coherence(&h, 0), Some(0.0));
-        // Client 0 dominates: mean ≈ +0.8, decisive.
-        h.set_weight(0, 18.0);
-        assert_eq!(majority_coherence(&h, 0), Some(1.0));
     }
 }

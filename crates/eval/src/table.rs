@@ -1,7 +1,8 @@
 //! Plain-text table rendering for experiment reports.
 //!
-//! The benches print their results with this so the output can be pasted
-//! straight into `EXPERIMENTS.md` next to the paper's tables.
+//! The scenario lab renders each row's `tables.md` with this, so the
+//! output can be pasted straight into `EXPERIMENTS.md` next to the
+//! paper's tables.
 
 use std::fmt;
 
@@ -47,16 +48,6 @@ impl Table {
         );
         self.rows.push(cells.to_vec());
         self
-    }
-
-    /// Appends a row of displayable values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let strings: Vec<String> = cells.iter().map(ToString::to_string).collect();
-        self.row(&strings)
     }
 
     /// Number of data rows.
@@ -117,16 +108,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats an `f32` with 3 decimal places (the paper's accuracy format).
-pub fn fmt3(v: f32) -> String {
-    format!("{v:.3}")
-}
-
-/// Formats a fraction as a percentage with one decimal.
-pub fn fmt_pct(v: f32) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,20 +131,6 @@ mod tests {
         t.row(&["1".into(), "2".into()]);
         let md = t.to_markdown();
         assert!(md.starts_with("| a | b |\n|---|---|\n| 1 | 2 |\n"));
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row_display(&[&1.5f32, &"hi"]);
-        assert!(t.to_string().contains("1.5"));
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt3(0.8594), "0.859");
-        assert_eq!(fmt_pct(0.561), "56.1%");
     }
 
     #[test]

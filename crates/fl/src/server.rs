@@ -252,7 +252,6 @@ impl Server {
     /// Panics if any upload's gradient dimension doesn't match the model.
     pub fn run_round_uploads(&mut self, uploads: Vec<Upload>) -> RoundSummary {
         let t = self.round;
-        fuiov_obs::journal::begin("fl.round", t as u64);
         self.history.record_model(t, self.params.clone());
 
         let mut participants = Vec::with_capacity(uploads.len());
@@ -329,7 +328,6 @@ impl Server {
                 fuiov_obs::counter!("hierarchy.down_inter_tier_bytes").add(tier.down_inter as u64);
             }
         }
-        fuiov_obs::journal::end("fl.round", t as u64, summary.participants.len() as u64);
         summary
     }
 

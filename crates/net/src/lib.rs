@@ -18,6 +18,12 @@
 //! round is bitwise identical to the in-process loop for the same
 //! participation set.
 //!
+//! The plane reads no environment: [`NetConfig`] and [`VehicleConfig`]
+//! take every setting by value, with the defaults
+//! [`server::DEFAULT_ROUND_DEADLINE`] and [`server::DEFAULT_MAX_THREADS`]
+//! changed through their `with_*` builders. A binary that wants an
+//! address from its environment parses it with [`NetAddr::parse`].
+//!
 //! # Example
 //!
 //! ```

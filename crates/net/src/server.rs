@@ -40,11 +40,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Environment knob bounding the handler pool (default 32).
-pub const ENV_THREADS: &str = "FUIOV_NET_THREADS";
-/// Environment knob for the per-round deadline in milliseconds
-/// (default 5000).
-pub const ENV_DEADLINE_MS: &str = "FUIOV_NET_DEADLINE_MS";
+/// Default handler-pool bound of [`NetConfig::new`].
+pub const DEFAULT_MAX_THREADS: usize = 32;
+/// Default per-round deadline of [`NetConfig::new`] and
+/// [`VehicleConfig::new`](crate::VehicleConfig::new).
+pub const DEFAULT_ROUND_DEADLINE: Duration = Duration::from_secs(5);
 
 const FRAME_OVERHEAD: u64 = (HEADER_LEN + TRAILER_LEN) as u64;
 
@@ -73,18 +73,15 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// Config for `expected_clients` vehicles at `addr`, with the
-    /// deadline and pool bound taken from [`ENV_DEADLINE_MS`] /
-    /// [`ENV_THREADS`] (defaults 5000 ms / 32).
+    /// Config for `expected_clients` vehicles at `addr`: full-precision
+    /// uploads, [`DEFAULT_ROUND_DEADLINE`] and [`DEFAULT_MAX_THREADS`].
     pub fn new(addr: NetAddr, expected_clients: usize) -> Self {
-        let deadline_ms = env_u64(ENV_DEADLINE_MS, 5000);
-        let max_threads = env_u64(ENV_THREADS, 32).max(1) as usize;
         NetConfig {
             addr,
             expected_clients,
             mode: UploadMode::FullF32,
-            round_deadline: Duration::from_millis(deadline_ms),
-            max_threads,
+            round_deadline: DEFAULT_ROUND_DEADLINE,
+            max_threads: DEFAULT_MAX_THREADS,
         }
     }
 
@@ -105,13 +102,6 @@ impl NetConfig {
         self.max_threads = n.max(1);
         self
     }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Networked-plane failure.

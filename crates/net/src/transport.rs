@@ -2,8 +2,8 @@
 //! enum, plus the vectored-write fast path the round broadcast rides on.
 //!
 //! Addresses are spelled `tcp:HOST:PORT` or `unix:/path/to.sock`; a bare
-//! `HOST:PORT` means TCP. `FUIOV_NET_ADDR` selects the address at runtime
-//! (default `tcp:127.0.0.1:0` — loopback, ephemeral port).
+//! `HOST:PORT` means TCP (`tcp:127.0.0.1:0` is loopback on an ephemeral
+//! port).
 
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
@@ -11,9 +11,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Environment knob naming the listen/dial address.
-pub const ENV_ADDR: &str = "FUIOV_NET_ADDR";
 
 /// A parsed transport address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,15 +31,6 @@ impl NetAddr {
             NetAddr::Tcp(hp.to_string())
         } else {
             NetAddr::Tcp(s.to_string())
-        }
-    }
-
-    /// Reads [`ENV_ADDR`], defaulting to loopback TCP on an ephemeral
-    /// port.
-    pub fn from_env() -> NetAddr {
-        match std::env::var(ENV_ADDR) {
-            Ok(s) if !s.is_empty() => NetAddr::parse(&s),
-            _ => NetAddr::Tcp("127.0.0.1:0".to_string()),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! capped-exponential retry whose jitter is *seeded* — a fault-matrix run
 //! at a given seed reconnects at exactly the same instants every time.
 
-use crate::server::{NetError, UploadMode, ENV_DEADLINE_MS};
+use crate::server::{NetError, UploadMode, DEFAULT_ROUND_DEADLINE};
 use crate::transport::{Conn, NetAddr};
 use crate::wire::{
     encode_control, encode_forget_request, encode_grad_upload_into, encode_register,
@@ -76,8 +76,9 @@ pub struct VehicleConfig {
     /// Reconnect policy.
     pub retry: RetryPolicy,
     /// Per-round deadline: the longest a read may block before the
-    /// vehicle treats the connection as dead and re-dials. Taken from
-    /// [`ENV_DEADLINE_MS`] by [`VehicleConfig::new`] (default 5000 ms).
+    /// vehicle treats the connection as dead and re-dials
+    /// ([`DEFAULT_ROUND_DEADLINE`] unless set with
+    /// [`VehicleConfig::with_deadline`]).
     pub round_deadline: Duration,
 }
 
@@ -85,16 +86,12 @@ impl VehicleConfig {
     /// Full-precision uploads to `addr` with the default retry policy
     /// seeded by `seed`.
     pub fn new(addr: NetAddr, seed: u64) -> Self {
-        let deadline_ms = std::env::var(ENV_DEADLINE_MS)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5000);
         VehicleConfig {
             addr,
             mode: UploadMode::FullF32,
             quantize_delta: 0.0,
             retry: RetryPolicy::new(seed),
-            round_deadline: Duration::from_millis(deadline_ms),
+            round_deadline: DEFAULT_ROUND_DEADLINE,
         }
     }
 

@@ -5,35 +5,28 @@
 //! replay loop is opaque while it runs. This crate makes a run *visible*
 //! without making it *different*:
 //!
-//! - [`registry`] — a lock-free static registry of atomic [`Counter`]s,
-//!   [`Gauge`]s and [`Histogram`]s, declared in place with the
+//! - [`registry`] — a static registry of atomic [`Counter`]s, [`Gauge`]s
+//!   and [`Histogram`]s, declared in place with the
 //!   [`counter!`]/[`gauge!`]/[`histogram!`] macros and exported as a human
-//!   summary table, JSON-lines, or Prometheus text ([`export`]).
-//! - [`journal`] — a bounded ring buffer of round events (span begin/end
-//!   with monotonic sequence numbers). **No wall-clock in deterministic
-//!   paths**: timestamps exist only behind the non-default `wallclock`
-//!   feature, so golden traces can never drift.
-//! - [`RunReport`] — an end-of-run snapshot the examples and experiment
-//!   binaries print.
+//!   summary table or Prometheus text ([`export`]).
+//! - [`RunReport`] — an end-of-run snapshot the examples print and the
+//!   scenario lab embeds in every trial line.
 //!
 //! ## Determinism contract
 //!
-//! Instrumentation is *observational*: no counter, gauge, histogram or
-//! journal event may feed back into model arithmetic, iteration order, or
-//! any recorded byte. Histogram sums are integer micro-units precisely so
-//! that concurrent observation is associative — the same set of events
-//! produces the same totals under any thread interleaving. The golden
-//! traces and replay fingerprints are byte-identical with observability
-//! compiled in, enabled, or disabled (`fuiov-testkit` pins this).
+//! Instrumentation is *observational*: no counter, gauge or histogram may
+//! feed back into model arithmetic, iteration order, or any recorded
+//! byte, and nothing here reads a clock. Histogram sums are integer
+//! micro-units precisely so that concurrent observation is associative —
+//! the same set of events produces the same totals under any thread
+//! interleaving. The golden traces and replay fingerprints are
+//! byte-identical with collection enabled or disabled (`fuiov-testkit`
+//! pins this).
 //!
-//! ## Knobs
+//! ## Knob
 //!
-//! | Knob | Effect |
-//! |------|--------|
-//! | `FUIOV_OBS` | `0`/`false`/`off` disables collection at runtime (default: on) |
-//! | `FUIOV_OBS_JOURNAL` | journal capacity in events (default 4096; `0` disables the journal) |
-//! | feature `enabled` | compile collection in at all (default feature) |
-//! | feature `wallclock` | attach nanosecond timestamps to journal events (non-default) |
+//! `FUIOV_OBS=0` (or `false`/`off`/`no`) disables collection at runtime;
+//! it is on by default. [`set_enabled`] overrides it in process.
 //!
 //! ## Example
 //!
@@ -48,7 +41,6 @@
 //! ```
 
 pub mod export;
-pub mod journal;
 pub mod registry;
 mod report;
 
@@ -60,18 +52,14 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Tri-state runtime switch: 0 = unresolved, 1 = off, 2 = on.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
-/// Whether collection is active: the `enabled` feature is compiled in and
-/// the `FUIOV_OBS` environment variable (read once, overridable with
-/// [`set_enabled`]) does not turn it off.
+/// Whether collection is active: the `FUIOV_OBS` environment variable
+/// (read once, overridable with [`set_enabled`]) does not turn it off.
 ///
 /// One relaxed atomic load on the hot path — cheap enough to gate every
 /// recording call, and instrumentation sites hoist it out of inner loops
 /// when the extra observation itself costs something (e.g. clip norms).
 #[inline]
 pub fn enabled() -> bool {
-    if !cfg!(feature = "enabled") {
-        return false;
-    }
     match ENABLED.load(Ordering::Relaxed) {
         0 => resolve_enabled(),
         1 => false,
@@ -90,8 +78,7 @@ fn resolve_enabled() -> bool {
 }
 
 /// Overrides the runtime switch (tests use this to compare obs-on and
-/// obs-off behaviour within one process). Compiled-out builds (`enabled`
-/// feature off) stay off regardless.
+/// obs-off behaviour within one process).
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
@@ -128,7 +115,7 @@ macro_rules! histogram {
 }
 
 /// Serialises tests that toggle the global switch or assert on global
-/// registry/journal state. Not part of the public API.
+/// registry state. Not part of the public API.
 #[doc(hidden)]
 pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

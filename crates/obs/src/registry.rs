@@ -1,9 +1,10 @@
-//! Lock-free static metric registry.
+//! Static metric registry.
 //!
 //! Metrics are `static`s declared in place by the [`counter!`],
 //! [`gauge!`] and [`histogram!`] macros. Recording is a relaxed atomic
-//! add; a metric links itself into one global Treiber stack the first
-//! time it is touched, so the registry holds exactly the metrics a run
+//! add; a metric appends itself to one global list the first time it is
+//! touched (the list's mutex is taken then and by [`Snapshot::capture`],
+//! never per update), so the registry holds exactly the metrics a run
 //! exercised and enumeration never scans dead instruments.
 //!
 //! Determinism: every accumulator is an integer. Integer atomic addition
@@ -17,7 +18,8 @@
 //! [`histogram!`]: crate::histogram
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Log2 histogram bucket count: bucket `i` holds values whose bit length
 /// is `i` (value 0 lands in bucket 0), the last bucket is a catch-all.
@@ -75,14 +77,7 @@ impl Counter {
     #[inline]
     fn ensure_registered(&'static self) {
         if !self.registered.load(Ordering::Acquire) {
-            self.register_slow();
-        }
-    }
-
-    #[cold]
-    fn register_slow(&'static self) {
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            push(AnyMetric::Counter(self));
+            register(&self.registered, AnyMetric::Counter(self));
         }
     }
 }
@@ -143,14 +138,7 @@ impl Gauge {
     #[inline]
     fn ensure_registered(&'static self) {
         if !self.registered.load(Ordering::Acquire) {
-            self.register_slow();
-        }
-    }
-
-    #[cold]
-    fn register_slow(&'static self) {
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            push(AnyMetric::Gauge(self));
+            register(&self.registered, AnyMetric::Gauge(self));
         }
     }
 }
@@ -227,14 +215,7 @@ impl Histogram {
     #[inline]
     fn ensure_registered(&'static self) {
         if !self.registered.load(Ordering::Acquire) {
-            self.register_slow();
-        }
-    }
-
-    #[cold]
-    fn register_slow(&'static self) {
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            push(AnyMetric::Histogram(self));
+            register(&self.registered, AnyMetric::Histogram(self));
         }
     }
 
@@ -295,52 +276,30 @@ enum AnyMetric {
     Histogram(&'static Histogram),
 }
 
-/// Treiber-stack node; leaked once per metric on first registration
-/// (bounded by the number of metric declarations in the program).
-struct Node {
-    metric: AnyMetric,
-    next: *const Node,
-}
+/// Every metric touched so far, oldest first. Each metric is appended
+/// once, at its first touch; the list is never shrunk. A push leaves the
+/// list valid at every step, so a lock poisoned by a panicking holder is
+/// taken over as is.
+static REGISTRY: Mutex<Vec<AnyMetric>> = Mutex::new(Vec::new());
 
-static HEAD: AtomicPtr<Node> = AtomicPtr::new(std::ptr::null_mut());
-
-fn push(metric: AnyMetric) {
-    let node = Box::leak(Box::new(Node {
-        metric,
-        next: std::ptr::null(),
-    }));
-    let mut head = HEAD.load(Ordering::Acquire);
-    loop {
-        node.next = head;
-        match HEAD.compare_exchange_weak(
-            head,
-            node as *mut Node,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => return,
-            Err(h) => head = h,
-        }
-    }
-}
-
-fn for_each(mut f: impl FnMut(AnyMetric)) {
-    let mut cur = HEAD.load(Ordering::Acquire) as *const Node;
-    while !cur.is_null() {
-        // SAFETY: nodes are leaked on push and never freed or mutated
-        // after the successful CAS that published them.
-        let node = unsafe { &*cur };
-        f(node.metric);
-        cur = node.next;
+/// Appends `metric` unless its `registered` flag was already set: of
+/// many threads racing on a metric's first touch, exactly one appends.
+#[cold]
+fn register(registered: &AtomicBool, metric: AnyMetric) {
+    if !registered.swap(true, Ordering::AcqRel) {
+        REGISTRY
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(metric);
     }
 }
 
 /// Point-in-time copy of every registered metric, keyed by name.
 ///
 /// Two macro call sites may share a name (e.g. the same logical event
-/// recorded from two code paths); their values merge — counters and
-/// histogram accumulators add, gauges keep the largest magnitude — so
-/// exports are deterministic regardless of registration order.
+/// recorded from two code paths); their values merge: counters and
+/// histogram accumulators add, and gauges keep the largest magnitude (of
+/// equal magnitudes, the first registered).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// Counter totals by name.
@@ -355,7 +314,10 @@ impl Snapshot {
     /// Captures the current state of the global registry.
     pub fn capture() -> Self {
         let mut snap = Snapshot::default();
-        for_each(|m| match m {
+        let registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        // Newest first: of same-name gauges of equal magnitude, the one
+        // registered first is visited last and wins.
+        registry.iter().rev().for_each(|&m| match m {
             AnyMetric::Counter(c) => {
                 *snap.counters.entry(c.name().to_string()).or_insert(0) += c.get();
             }
@@ -503,6 +465,15 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(Snapshot::capture().gauge("registry.test.gauge_levels"), 7);
+    }
+
+    #[test]
+    fn same_name_gauges_of_equal_magnitude_keep_the_first_registered() {
+        let _g = crate::test_lock();
+        crate::set_enabled(true);
+        crate::gauge!("registry.test.gauge_tie").set(-5);
+        crate::gauge!("registry.test.gauge_tie").set(5);
+        assert_eq!(Snapshot::capture().gauge("registry.test.gauge_tie"), -5);
     }
 
     #[test]

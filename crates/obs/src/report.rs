@@ -1,10 +1,8 @@
-//! End-of-run report: a metric snapshot plus journal state, printable as
-//! one block. Examples and experiment binaries print this after a
-//! forget→recover run so "what did this recovery actually do?" has a
-//! first-class answer.
+//! End-of-run report: a metric snapshot, printable as one block. Examples
+//! print this after a forget→recover run so "what did this recovery
+//! actually do?" has a first-class answer.
 
 use crate::export;
-use crate::journal;
 use crate::registry::Snapshot;
 
 /// A point-in-time run report.
@@ -12,33 +10,22 @@ use crate::registry::Snapshot;
 pub struct RunReport {
     /// Metric registry state (or a delta window of it).
     pub snapshot: Snapshot,
-    /// Events currently in the journal ring.
-    pub journal_len: usize,
-    /// Events evicted from the ring so far.
-    pub journal_dropped: u64,
 }
 
 impl RunReport {
-    /// Captures the global registry and journal.
+    /// Captures the global registry.
     pub fn capture() -> Self {
         RunReport {
             snapshot: Snapshot::capture(),
-            journal_len: journal::snapshot().len(),
-            journal_dropped: journal::dropped(),
         }
     }
 
     /// Captures, windowed against an earlier snapshot (counter and
     /// histogram values become the activity since `base`).
     pub fn since(base: &Snapshot) -> Self {
-        let mut r = Self::capture();
-        r.snapshot = r.snapshot.delta(base);
-        r
-    }
-
-    /// The metrics as a JSON-lines block (see [`export::to_jsonl`]).
-    pub fn to_jsonl(&self) -> String {
-        export::to_jsonl(&self.snapshot)
+        RunReport {
+            snapshot: Snapshot::capture().delta(base),
+        }
     }
 
     /// The metrics in Prometheus text format (see
@@ -52,15 +39,10 @@ impl std::fmt::Display for RunReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "== run report ==")?;
         if self.snapshot.is_empty() {
-            writeln!(f, "(no metrics recorded — is FUIOV_OBS=0?)")?;
+            write!(f, "(no metrics recorded — is FUIOV_OBS=0?)")
         } else {
-            write!(f, "{}", export::to_table(&self.snapshot))?;
+            write!(f, "{}", export::to_table(&self.snapshot).trim_end())
         }
-        write!(
-            f,
-            "journal: {} event(s) in ring, {} dropped",
-            self.journal_len, self.journal_dropped
-        )
     }
 }
 
@@ -69,15 +51,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_prints_metrics_and_journal_line() {
+    fn report_prints_a_header_and_the_metrics() {
         let _g = crate::test_lock();
         crate::set_enabled(true);
         crate::counter!("report.test.rounds").add(3);
         let r = RunReport::capture();
         let text = r.to_string();
-        assert!(text.contains("== run report =="));
+        assert!(text.starts_with("== run report ==\n"));
         assert!(text.contains("report.test.rounds"));
-        assert!(text.contains("journal:"));
+        assert!(!text.ends_with('\n'));
     }
 
     #[test]

@@ -648,19 +648,13 @@ impl HistoryStore {
     /// [`TierStats::decode_errors`] — use [`HistoryStore::try_model`] for
     /// the typed error).
     pub fn model(&self, round: Round) -> Option<ModelRef<'_>> {
-        match self.models.get(&round)? {
-            ModelSlot::Hot(v) => Some(ModelRef::Hot(v.as_slice())),
-            ModelSlot::Spilled { .. } => match self.load_model_chain(round) {
-                Ok(v) => Some(ModelRef::Cached(v)),
-                Err(_) => {
-                    Self::bump(
-                        &self.counters.decode_errors,
-                        fuiov_obs::counter!("storage.decode_errors"),
-                    );
-                    None
-                }
-            },
-        }
+        self.try_model(round).unwrap_or_else(|_| {
+            Self::bump(
+                &self.counters.decode_errors,
+                fuiov_obs::counter!("storage.decode_errors"),
+            );
+            None
+        })
     }
 
     /// Like [`HistoryStore::model`], but surfaces spill decode failures
@@ -679,25 +673,40 @@ impl HistoryStore {
         }
     }
 
-    /// Gradient direction recorded for `(round, client)`.
+    /// Gradient direction recorded for `(round, client)`. An undecodable
+    /// spilled record yields `None` (counted in
+    /// [`TierStats::decode_errors`] — use [`HistoryStore::try_direction`]
+    /// for the typed error).
     pub fn direction(&self, round: Round, client: ClientId) -> Option<DirectionRef<'_>> {
-        match self.directions.get(&round)? {
-            DirSlot::Mem(m) => m.get(&client).map(DirectionRef::Mem),
-            DirSlot::Spilled { offset, len, .. } => {
-                let map = match self.load_spilled_dirs(round, *offset, *len) {
-                    Ok(m) => m,
-                    Err(_) => {
-                        Self::bump(
-                            &self.counters.decode_errors,
-                            fuiov_obs::counter!("storage.decode_errors"),
-                        );
-                        return None;
-                    }
-                };
+        self.try_direction(round, client).unwrap_or_else(|_| {
+            Self::bump(
+                &self.counters.decode_errors,
+                fuiov_obs::counter!("storage.decode_errors"),
+            );
+            None
+        })
+    }
+
+    /// Like [`HistoryStore::direction`], but surfaces a spill decode
+    /// failure as a typed [`SegmentDecodeError`] instead of `None`.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SegmentDecodeError`] hit while reading the round's record.
+    pub fn try_direction(
+        &self,
+        round: Round,
+        client: ClientId,
+    ) -> Result<Option<DirectionRef<'_>>, SegmentDecodeError> {
+        Ok(match self.directions.get(&round) {
+            None => None,
+            Some(DirSlot::Mem(m)) => m.get(&client).map(DirectionRef::Mem),
+            Some(DirSlot::Spilled { offset, len, .. }) => {
+                let map = self.load_spilled_dirs(round, *offset, *len)?;
                 map.contains_key(&client)
                     .then_some(DirectionRef::Cached { map, client })
             }
-        }
+        })
     }
 
     /// An `Arc` snapshot of `round` for replay: the model (if any) and
@@ -745,9 +754,13 @@ impl HistoryStore {
         Ok(RoundView { round, model, dirs })
     }
 
-    /// `round`'s direction map (empty when none was recorded), with any
-    /// spill decode failure as a typed error.
-    pub(crate) fn try_directions(
+    /// `round`'s direction map, keyed by client (empty when none was
+    /// recorded).
+    ///
+    /// # Errors
+    ///
+    /// Any [`SegmentDecodeError`] hit while reading the round's record.
+    pub fn try_directions(
         &self,
         round: Round,
     ) -> Result<Arc<BTreeMap<ClientId, GradientDirection>>, SegmentDecodeError> {

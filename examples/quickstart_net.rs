@@ -6,10 +6,8 @@
 //! cargo run --release --example quickstart_net
 //! ```
 //!
-//! Knobs: `FUIOV_NET_ADDR` picks the listen address (`tcp:HOST:PORT` or
-//! `unix:/path.sock`; default loopback TCP, ephemeral port),
-//! `FUIOV_NET_THREADS` bounds the accept pool, `FUIOV_NET_DEADLINE_MS`
-//! caps how long the server waits on a round.
+//! Knob: `FUIOV_NET_ADDR` picks the listen address (`tcp:HOST:PORT` or
+//! `unix:/path.sock`; default loopback TCP, ephemeral port).
 
 use fuiov::data::{partition::partition_iid, Dataset, DigitStyle};
 use fuiov::fl::{FlConfig, HonestClient, Server};
@@ -33,8 +31,11 @@ fn main() {
 
     // 2. Server side: bind the listener first so vehicles have a live
     //    address to dial (port 0 = ephemeral; local_addr resolves it).
-    let cfg =
-        NetConfig::new(NetAddr::from_env(), n_vehicles).with_deadline(Duration::from_secs(10));
+    let addr = match std::env::var("FUIOV_NET_ADDR") {
+        Ok(s) if !s.is_empty() => NetAddr::parse(&s),
+        _ => NetAddr::parse("tcp:127.0.0.1:0"),
+    };
+    let cfg = NetConfig::new(addr, n_vehicles).with_deadline(Duration::from_secs(10));
     let mut net = NetServer::bind(cfg).expect("bind listener");
     let addr = net.local_addr().clone();
     println!("server listening on {addr}");

@@ -92,6 +92,90 @@ fn cold_spilled_history_recovers_bitwise_identically() {
 }
 
 #[test]
+fn damaged_spilled_records_fail_the_forget_with_a_typed_error() {
+    // A spilled record of the seed or replay window that no longer
+    // decodes fails the forget, through `recover_set` and through a
+    // `JobService` job alike: a round is never replayed without its
+    // directions, nor a seed pair skipped, because a checksum failed.
+    // F = 8 is on the default keyframe grid, so w_F is a keyframe and
+    // damaging seed round 7's delta record leaves it readable.
+    use fuiov_core::jobs::{JobConfig, JobService};
+    use fuiov_core::{recover_set, NoOracle};
+    use std::fs::OpenOptions;
+    use std::io::{Read, Seek, SeekFrom, Write};
+
+    let scenario = CanonicalRun {
+        rounds: 12,
+        forgotten_joins: 8,
+        ..CanonicalRun::standard()
+    };
+    let run = scenario.train();
+    let cfg = scenario.recovery_config(&run.history);
+    let forget = [scenario.forgotten];
+    let spilled = || {
+        let mut h = run.history.clone();
+        h.set_budget(Some(0));
+        h.force_spill_all();
+        h.invalidate_caches();
+        h
+    };
+    recover_set(&spilled(), &forget, &cfg, &mut NoOracle, |_, _| {})
+        .expect("the undamaged spilled history recovers");
+
+    // One payload byte flipped in replay round 10's directions record.
+    let dirs = spilled();
+    let (offset, len) = dirs
+        .spilled_directions_extent(10)
+        .expect("round 10's directions are spilled");
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dirs.spill_path())
+        .expect("spill file");
+    let pos = SeekFrom::Start(offset + u64::from(len) / 2);
+    let mut byte = [0u8; 1];
+    file.seek(pos)
+        .and_then(|_| file.read_exact(&mut byte))
+        .unwrap();
+    byte[0] ^= 0x01;
+    file.seek(pos).and_then(|_| file.write_all(&byte)).unwrap();
+    dirs.invalidate_caches();
+    assert!(matches!(
+        dirs.try_round_view(10),
+        Err(SegmentDecodeError::BadChecksum { .. })
+    ));
+
+    // Seed round 7's model record, its checksum trailer flipped.
+    let mut model = spilled();
+    assert!(Corruptor::corrupt_spill_checksum(&mut model, 7));
+    assert!(model.try_model(8).is_ok_and(|m| m.is_some()));
+
+    for (what, h) in [("directions", &dirs), ("seed model", &model)] {
+        let err = recover_set(h, &forget, &cfg, &mut NoOracle, |_, _| {}).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                UnlearnError::Storage(SegmentDecodeError::BadChecksum { .. })
+            ),
+            "{what}: recover_set returned {err}"
+        );
+        let mut jobs = JobService::new(JobConfig::new(cfg));
+        let id = jobs.submit(h, &forget);
+        jobs.run_to_completion(&mut NoOracle);
+        let job = jobs.take_outcome(id).expect("the job ended");
+        assert!(
+            matches!(
+                job,
+                Err(UnlearnError::Storage(
+                    SegmentDecodeError::BadChecksum { .. }
+                ))
+            ),
+            "{what}: the job ended with {job:?}"
+        );
+    }
+}
+
+#[test]
 fn fedrecover_baseline_is_tier_invariant() {
     // The FedRecover baseline streams rounds through the same RoundView
     // path as core recovery; spilling the whole history to disk must not

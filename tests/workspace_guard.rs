@@ -525,6 +525,44 @@ fn env_var_guard_counts_vendored_reads_and_flags_unread_names() {
     );
 }
 
+#[test]
+fn runtime_crates_read_only_their_listed_env_vars() {
+    // The libraries' environment surface, by crate: each name without its
+    // `FUIOV_` prefix, sorted. Tooling crates may read what they like. A
+    // new crate must be listed in one group or the other, and a list may
+    // only shrink: configuration reaches a library by value.
+    let tooling = ["bench", "lab", "testkit"];
+    let runtime: [(&str, &[&str]); 11] = [
+        ("attacks", &[]),
+        ("baselines", &[]),
+        ("core", &[]),
+        ("data", &[]),
+        ("eval", &[]),
+        ("fl", &[]),
+        ("net", &[]),
+        ("nn", &[]),
+        ("obs", &["OBS"]),
+        ("storage", &["HISTORY_BUDGET", "KEYFRAME_INTERVAL"]),
+        ("tensor", &["SIMD", "THREADS"]),
+    ];
+    let mut crates: Vec<String> = fs::read_dir(root().join("crates"))
+        .expect("crates dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    crates.sort();
+    let mut listed: Vec<&str> = runtime.iter().map(|&(k, _)| k).chain(tooling).collect();
+    listed.sort_unstable();
+    assert_eq!(crates, listed, "every crate is runtime or tooling");
+    for (krate, names) in runtime {
+        let mut read = Vec::new();
+        variables_in_code(&root().join("crates").join(krate).join("src"), &mut read);
+        read.sort();
+        read.dedup();
+        let expected: Vec<String> = names.iter().map(|n| format!("FUIOV_{n}")).collect();
+        assert_eq!(read, expected, "crates/{krate}/src reads these variables");
+    }
+}
+
 /// The `FUIOV_*` variables the code reads or sets, the vendored
 /// stand-ins for external crates included.
 fn variables_read() -> Vec<String> {
