@@ -154,12 +154,8 @@ pub fn fedrecover(
 
     for t in f_round..t_end {
         // Stream the historical model through the round's snapshot view
-        // (spilled rounds decode once into the LRU) and warm the cache for
-        // the next round before the heavy estimation work.
+        // (spilled rounds decode once into the LRU).
         let view = history.round_view(t);
-        if t + 1 < t_end {
-            history.prefetch(t + 1);
-        }
         let w_t = view.model().ok_or(UnlearnError::MissingModel(t))?;
         vector::sub_into_aligned(&params, w_t, &mut scratch.dw_t);
         let dw_t = &scratch.dw_t;

@@ -587,9 +587,9 @@ fn bench_delta_codec(c: &mut Criterion) {
 fn bench_history_tiering(c: &mut Criterion) {
     // The tiered-store claim: under a tight in-memory budget the history
     // keeps a small hot set resident (delta-coded cold rounds live in the
-    // spill file) and streaming replay through `RoundView` + `prefetch`
-    // stays within a small factor of the all-in-memory replay. Both
-    // replays are asserted bitwise identical before any timing.
+    // spill file) and streaming replay through `RoundView` stays within
+    // a small factor of the all-in-memory replay. Both replays are
+    // asserted bitwise identical before any timing.
     use fuiov_storage::{HistoryStore, TierConfig};
 
     let dim = 52_138; // paper MNIST CNN size
@@ -615,7 +615,7 @@ fn bench_history_tiering(c: &mut Criterion) {
     // round, dw_t = w̄ − w_t, one fused stacked inbound sweep, per-client
     // LUT direction decode + Eq. 6 correction + clip, FedAvg, step — the
     // exact `recover_set` round, sourcing every model and direction
-    // through the store's `RoundView` + `prefetch` path.
+    // through the store's `RoundView`.
     let dws = vec![random_vec(dim, 1), random_vec(dim, 2)];
     let dgs: Vec<Vec<f32>> = dws
         .iter()
@@ -634,9 +634,6 @@ fn bench_history_tiering(c: &mut Criterion) {
         let weights = vec![1.0f32; n];
         for t in 0..rounds {
             let view = h.round_view(t);
-            if t + 1 < rounds {
-                h.prefetch(t + 1);
-            }
             let w_t = view.model().expect("replay model");
             vector::sub_into(&params, w_t, &mut dw_t);
             stacked.fused_dots(&dw_t, &mut scratch.dots);
@@ -672,7 +669,7 @@ fn bench_history_tiering(c: &mut Criterion) {
     let hot = build(TierConfig::unbounded());
     // Budget ≈ two rounds of f32 checkpoints: everything older spills.
     let budget = 2 * dim * 4;
-    let cold = build(TierConfig::bounded(budget).with_keyframe_interval(8));
+    let cold = build(TierConfig::bounded(budget));
     assert!(
         cold.spilled_bytes() > 0,
         "budget must force the cold store to spill"

@@ -25,7 +25,9 @@ use crate::batch::{self, RoundScratch, StackedLbfgs};
 use crate::error::UnlearnError;
 use crate::lbfgs::{LbfgsApprox, PairBuffer};
 use fuiov_fl::Client;
-use fuiov_storage::{ClientId, GradientDirection, HistoryStore, Round, SegmentDecodeError};
+use fuiov_storage::{
+    ClientId, GradientDirection, HistoryStore, Round, RoundView, SegmentDecodeError,
+};
 use fuiov_tensor::vector;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -568,20 +570,37 @@ impl ReplayState {
         history: &HistoryStore,
         scratch: &mut RoundScratch,
     ) -> Result<bool, UnlearnError> {
-        let t = self.next_round;
-        debug_assert!(t < self.t_end, "prepare_sweep on an exhausted state");
-        let view = history.try_round_view(t)?;
-        let w_t: Cow<'_, [f32]> = match view.model() {
-            Some(m) => Cow::Borrowed(m),
-            None if self.config.interpolate_missing_models => history
-                .model_interpolated(t)
-                .map(Cow::Owned)
-                .ok_or(UnlearnError::MissingModel(t))?,
-            None => return Err(UnlearnError::MissingModel(t)),
-        };
-        vector::sub_into_aligned(&self.params, &w_t, &mut scratch.dw_t);
-        self.flush_stack();
+        debug_assert!(!self.is_done(), "prepare_sweep on an exhausted state");
+        self.open_round(history, scratch)?;
         Ok(self.config.hessian_correction && !self.stacked.is_empty())
+    }
+
+    /// The opening of round `next_round` that [`ReplayState::prepare_sweep`]
+    /// and [`ReplayState::step`] share: snapshot the round once (packed
+    /// direction words and the model stay pinned behind the view; hot
+    /// rounds borrow, spilled rounds decode once into the LRU), put
+    /// `w̄ₜ − wₜ` into `scratch.dw_t` (from the recorded model, or its
+    /// interpolation when that is on) and flush the stack.
+    fn open_round(
+        &mut self,
+        history: &HistoryStore,
+        scratch: &mut RoundScratch,
+    ) -> Result<RoundView, UnlearnError> {
+        let t = self.next_round;
+        let view = history.try_round_view(t)?;
+        {
+            let w_t: Cow<'_, [f32]> = match view.model() {
+                Some(m) => Cow::Borrowed(m),
+                None if self.config.interpolate_missing_models => history
+                    .model_interpolated(t)
+                    .map(Cow::Owned)
+                    .ok_or(UnlearnError::MissingModel(t))?,
+                None => return Err(UnlearnError::MissingModel(t)),
+            };
+            vector::sub_into_aligned(&self.params, &w_t, &mut scratch.dw_t); // w̄_t − w_t
+        }
+        self.flush_stack();
+        Ok(view)
     }
 
     /// Replays exactly one round (`next_round`), advancing the state.
@@ -608,28 +627,9 @@ impl ReplayState {
         let config = self.config;
         let dim = self.params.len();
 
-        // Snapshot the round once: packed direction words and the model
-        // stay pinned behind the view (hot rounds borrow, spilled rounds
-        // decode once into the LRU) and stream straight into the LUT
-        // kernels below — no intermediate `Vec<f32>` per client.
-        let view = history.try_round_view(t)?;
-        // Warm the decode cache for the next replay round while this one
-        // computes, so a cold (spilled) trajectory pays its segment read
-        // off the critical path of round t+1.
-        if t + 1 < self.t_end {
-            history.prefetch(t + 1);
-        }
-        let w_t: Cow<'_, [f32]> = match view.model() {
-            Some(m) => Cow::Borrowed(m),
-            None if config.interpolate_missing_models => history
-                .model_interpolated(t)
-                .map(Cow::Owned)
-                .ok_or(UnlearnError::MissingModel(t))?,
-            None => return Err(UnlearnError::MissingModel(t)),
-        };
-        vector::sub_into_aligned(&self.params, &w_t, &mut scratch.dw_t); // w̄_t − w_t
-
-        self.flush_stack();
+        // The view's direction words stream straight into the LUT kernels
+        // below — no intermediate `Vec<f32>` per client.
+        let view = self.open_round(history, scratch)?;
 
         // ---- Vector-pair refresh decision: periodic, plus the §IV-B
         // adaptive trigger when the recovered trajectory keeps drifting

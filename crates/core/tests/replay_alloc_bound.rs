@@ -12,7 +12,7 @@
 //! runs at pool width 1, so all of its work happens on the armed thread.
 
 use fuiov_core::{recover_set, LbfgsApprox, NoOracle, PairBuffer, RecoveryConfig, StackedLbfgs};
-use fuiov_storage::{ClientId, HistoryStore, TierConfig};
+use fuiov_storage::{ClientId, HistoryStore};
 use fuiov_tensor::{pool, vector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -148,10 +148,9 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// coordinate, so the stored directions keep changing and the seeded and
 /// refreshed pairs have positive curvature: every remaining client holds
 /// an approximation, and every refresh pushes a pair for each of them.
-/// The store is resident whatever the environment's tier settings, so
-/// replay reads borrow and allocate nothing.
+/// The store is resident, so replay reads borrow and allocate nothing.
 fn history() -> HistoryStore {
-    let mut h = HistoryStore::with_tier(1e-6, TierConfig::unbounded());
+    let mut h = HistoryStore::new(1e-6);
     for c in 0..CLIENTS {
         h.record_join(c, if c == FORGOTTEN { JOIN } else { 0 });
     }

@@ -16,7 +16,7 @@
 
 use fuiov_core::jobs::{JobConfig, JobService};
 use fuiov_core::{NoOracle, RecoveryConfig};
-use fuiov_storage::{ClientId, HistoryStore, TierConfig};
+use fuiov_storage::{ClientId, HistoryStore};
 use fuiov_tensor::{pool, vector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -98,11 +98,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A federation whose gradient signs alternate with period 3 per
 /// coordinate, so every remaining client holds an approximation and every
-/// refresh pushes a pair for each of them. The store is resident whatever
-/// the environment's tier settings, so replay reads borrow and allocate
-/// nothing.
+/// refresh pushes a pair for each of them. The store is resident, so
+/// replay reads borrow and allocate nothing.
 fn history() -> HistoryStore {
-    let mut h = HistoryStore::with_tier(1e-6, TierConfig::unbounded());
+    let mut h = HistoryStore::new(1e-6);
     for c in 0..CLIENTS {
         h.record_join(c, if c == FORGOTTEN { JOIN } else { 0 });
     }

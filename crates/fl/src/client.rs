@@ -48,7 +48,6 @@ pub struct HonestClient {
     model: Sequential,
     data: Dataset,
     batch_size: usize,
-    batches_per_round: Option<usize>,
     seed: u64,
 }
 
@@ -76,15 +75,8 @@ impl HonestClient {
             model: spec.build(seed),
             data,
             batch_size,
-            batches_per_round: None,
             seed,
         }
-    }
-
-    /// Limits mini-batches processed per round (speeds up experiments).
-    pub fn with_batches_per_round(mut self, n: usize) -> Self {
-        self.batches_per_round = Some(n);
-        self
     }
 
     /// Read-only view of the local dataset.
@@ -114,10 +106,7 @@ impl Client for HonestClient {
             self.seed,
             streams::CLIENT + self.id as u64 * 131 + round as u64,
         );
-        let mut batches = self.data.batches(self.batch_size, &mut rng);
-        if let Some(limit) = self.batches_per_round {
-            batches.truncate(limit.max(1));
-        }
+        let batches = self.data.batches(self.batch_size, &mut rng);
         let dim = self.model.param_count();
         let mut acc = vec![0.0f32; dim];
         let used = batches.len().max(1);
@@ -136,14 +125,19 @@ mod tests {
     use super::*;
     use fuiov_data::DigitStyle;
 
-    fn client(id: ClientId) -> HonestClient {
+    /// A client with 20 samples in mini-batches of `batch_size`.
+    fn client_with_batch(id: ClientId, batch_size: usize) -> HonestClient {
         let data = Dataset::digits(20, &DigitStyle::small(), 3);
         let spec = ModelSpec::Mlp {
             inputs: 144,
             hidden: 8,
             classes: 10,
         };
-        HonestClient::new(id, spec, data, 10, 7)
+        HonestClient::new(id, spec, data, batch_size, 7)
+    }
+
+    fn client(id: ClientId) -> HonestClient {
+        client_with_batch(id, 10)
     }
 
     #[test]
@@ -168,16 +162,17 @@ mod tests {
     fn gradient_varies_across_rounds() {
         let mut c = client(2);
         let params = vec![0.01; c.model.param_count()];
+        // Two equal batches: the mean of the batch means is the mean over
+        // the same 20 samples whichever way a round shuffles them.
         let g0 = c.gradient(&params, 0);
         let g1 = c.gradient(&params, 1);
-        // Different shuffles → different mini-batch ordering; with a batch
-        // limit the gradients differ.
-        let mut c2 = client(2).with_batches_per_round(1);
+        assert!(vector::l2_distance(&g0, &g1) < 1e-5);
+        // Batches of 7, 7 and 6: the mean of the batch means depends on
+        // which samples share a batch, so each round's own shuffle shows.
+        let mut c2 = client_with_batch(2, 7);
         let h0 = c2.gradient(&params, 0);
         let h1 = c2.gradient(&params, 1);
         assert_ne!(h0, h1);
-        // Full-epoch gradients are the same data either way.
-        assert!(vector::l2_distance(&g0, &g1) < 1e-5);
     }
 
     #[test]

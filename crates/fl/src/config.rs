@@ -47,8 +47,6 @@ pub struct FlConfig {
     pub lr: f32,
     /// Client mini-batch size.
     pub batch_size: usize,
-    /// Max mini-batches a client processes per round (`None` = full epoch).
-    pub batches_per_round: Option<usize>,
     /// Aggregation rule `𝒜`.
     pub aggregation: AggregationRule,
     /// Sign-quantisation threshold `δ` for the history store.
@@ -77,7 +75,6 @@ impl FlConfig {
             rounds,
             lr,
             batch_size: 128,
-            batches_per_round: None,
             aggregation: AggregationRule::FedAvg,
             sign_delta: 1e-6,
             keep_full_gradients: false,
@@ -93,12 +90,6 @@ impl FlConfig {
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0, "FlConfig: batch_size must be positive");
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Limits how many mini-batches each client processes per round.
-    pub fn batches_per_round(mut self, n: usize) -> Self {
-        self.batches_per_round = Some(n);
         self
     }
 
@@ -149,13 +140,11 @@ mod tests {
     fn builder_chains() {
         let cfg = FlConfig::new(10, 0.1)
             .batch_size(32)
-            .batches_per_round(2)
             .aggregation(AggregationRule::TrimmedMean { trim: 1 })
             .sign_delta(0.0)
             .keep_full_gradients(true)
             .parallel_clients(false);
         assert_eq!(cfg.batch_size, 32);
-        assert_eq!(cfg.batches_per_round, Some(2));
         assert_eq!(cfg.aggregation, AggregationRule::TrimmedMean { trim: 1 });
         assert!(cfg.keep_full_gradients);
         assert!(!cfg.parallel_clients);

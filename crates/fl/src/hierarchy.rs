@@ -6,14 +6,14 @@
 //!
 //! - [`AggregationTree`] is a fixed-shape reduction tree over the round's
 //!   participant list (contiguous ranges, ragged last nodes allowed).
-//! - [`aggregate_tree_into`] reduces through the tree with a *threaded*
-//!   `f64` accumulator: each node's FedAvg fold is seeded with its left
-//!   sibling subtree's accumulator, which makes the whole tree reduction
-//!   exactly the flat left-to-right fold of
-//!   [`aggregate_refs`](crate::aggregate::aggregate_refs). Tree shape
-//!   therefore changes communication and storage layout — never floating
-//!   point association, so flat vs tree is bitwise identical at any
-//!   fan-out.
+//!   A FedAvg reduction that threads one `f64` accumulator through the
+//!   nodes in participant order is exactly the flat left-to-right fold of
+//!   [`aggregate_refs_into`](crate::aggregate::aggregate_refs_into), so
+//!   the server runs that one fold and the tree only accounts: its node
+//!   count goes to `hierarchy.nodes_reduced` and its per-tier bytes come
+//!   from [`comms::tree_round_bytes`](crate::comms::tree_round_bytes).
+//!   Tree shape changes communication accounting, never floating-point
+//!   association: flat and tree are bitwise identical at any fan-out.
 //! - [`sampled`]/[`apply_sampling`] implement per-round client sampling
 //!   from a seeded hash stream (`Server::with_sample_frac`). A fraction
 //!   ≥ 1.0 takes the identical no-filter code path, so golden traces are
@@ -25,9 +25,6 @@
 
 use fuiov_storage::{ClientId, Round};
 use std::ops::Range;
-
-use crate::aggregate::aggregate_refs_into;
-use crate::config::AggregationRule;
 
 /// Seed salt for the sampling stream, disjoint from the `rng::streams`
 /// constants used elsewhere (CHURN is `0x0500_0000`).
@@ -167,102 +164,15 @@ impl AggregationTree {
         leaf * self.fanout..((leaf + 1) * self.fanout).min(self.n)
     }
 
-    /// Leaf participant ranges in ascending order.
-    pub fn leaves(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        (0..self.leaf_count()).map(|leaf| self.leaf_range(leaf))
-    }
-
     /// The leaf node a participant index reduces through.
     pub fn leaf_of(&self, participant: usize) -> usize {
         participant / self.fanout
     }
 }
 
-/// Tree-shaped [`aggregate_refs_into`]:
-/// bitwise identical output, `hierarchy.nodes_reduced` counts the nodes.
-///
-/// FedAvg reduces through the tree with the threaded accumulator (see the
-/// module docs); the robust rules (median, trimmed mean, SignSGD) are
-/// order-statistic computations that cannot be decomposed per subtree, so
-/// the tree degrades to forwarding raw gradients and the reduction runs
-/// flat at the root — identical by construction.
-///
-/// # Panics
-///
-/// Panics if `tree.participants() != grads.len()` or on the aggregation
-/// preconditions of [`aggregate_refs`](crate::aggregate::aggregate_refs).
-pub fn aggregate_tree_into(
-    rule: AggregationRule,
-    grads: &[&[f32]],
-    weights: &[f32],
-    tree: &AggregationTree,
-    acc: &mut Vec<f64>,
-    out: &mut Vec<f32>,
-) {
-    assert_eq!(
-        tree.participants(),
-        grads.len(),
-        "aggregate_tree: tree shape does not match participant count"
-    );
-    assert!(!grads.is_empty(), "aggregate: no gradients");
-    assert_eq!(
-        grads.len(),
-        weights.len(),
-        "aggregate: weight count mismatch"
-    );
-    match rule {
-        AggregationRule::FedAvg => {
-            let dim = grads[0].len();
-            let total: f64 = weights.iter().map(|w| f64::from(*w)).sum();
-            assert!(total != 0.0, "weighted_mean: weights sum to zero");
-            acc.clear();
-            acc.resize(dim, 0.0);
-            // Per-node reduction with the accumulator threaded through in
-            // ascending participant order — exactly the flat left fold.
-            for leaf in tree.leaves() {
-                for i in leaf {
-                    let (v, w) = (grads[i], weights[i]);
-                    assert_eq!(v.len(), dim, "weighted_mean: length mismatch");
-                    for (a, &x) in acc.iter_mut().zip(v) {
-                        *a += f64::from(w) * f64::from(x);
-                    }
-                }
-            }
-            out.clear();
-            out.extend(acc.iter().map(|a| (a / total) as f32));
-        }
-        _ => aggregate_refs_into(rule, grads, weights, acc, out),
-    }
-    fuiov_obs::counter!("hierarchy.nodes_reduced").add(tree.node_count() as u64);
-}
-
-/// Allocating wrapper over [`aggregate_tree_into`].
-pub fn aggregate_tree(
-    rule: AggregationRule,
-    grads: &[&[f32]],
-    weights: &[f32],
-    tree: &AggregationTree,
-) -> Vec<f32> {
-    let mut acc = Vec::new();
-    let mut out = Vec::new();
-    aggregate_tree_into(rule, grads, weights, tree, &mut acc, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::aggregate_refs;
-
-    fn grads(n: usize, dim: usize) -> Vec<Vec<f32>> {
-        (0..n)
-            .map(|i| {
-                (0..dim)
-                    .map(|j| ((i * 31 + j * 7) % 13) as f32 / 3.0 - 2.0)
-                    .collect()
-            })
-            .collect()
-    }
 
     #[test]
     fn tree_shapes() {
@@ -283,38 +193,6 @@ mod tests {
         let t = AggregationTree::build(9, 2);
         assert_eq!(t.level_widths(), &[5, 3, 2, 1]);
         assert_eq!(t.leaf_of(8), 4);
-    }
-
-    #[test]
-    fn tree_aggregation_is_bitwise_flat_for_fedavg() {
-        let gs = grads(11, 7);
-        let refs: Vec<&[f32]> = gs.iter().map(Vec::as_slice).collect();
-        let weights: Vec<f32> = (0..11).map(|i| 1.0 + 0.25 * (i % 4) as f32).collect();
-        let flat = aggregate_refs(AggregationRule::FedAvg, &refs, &weights);
-        for fanout in 2..=12 {
-            let tree = AggregationTree::build(refs.len(), fanout);
-            let out = aggregate_tree(AggregationRule::FedAvg, &refs, &weights, &tree);
-            let a: Vec<u32> = flat.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "fanout {fanout} broke bitwise identity");
-        }
-    }
-
-    #[test]
-    fn tree_aggregation_matches_flat_for_robust_rules() {
-        let gs = grads(9, 5);
-        let refs: Vec<&[f32]> = gs.iter().map(Vec::as_slice).collect();
-        let weights = vec![1.0f32; 9];
-        let tree = AggregationTree::build(9, 3);
-        for rule in [
-            AggregationRule::CoordinateMedian,
-            AggregationRule::TrimmedMean { trim: 2 },
-            AggregationRule::SignSgd { lambda: 0.1 },
-        ] {
-            let flat = aggregate_refs(rule, &refs, &weights);
-            let out = aggregate_tree(rule, &refs, &weights, &tree);
-            assert_eq!(flat, out, "{rule:?}");
-        }
     }
 
     #[test]

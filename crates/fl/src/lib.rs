@@ -40,7 +40,6 @@ pub mod rsa;
 pub mod server;
 
 pub use client::{Client, HonestClient};
-pub use comms::CommsReport;
 pub use config::{AggregationRule, FlConfig};
 pub use hierarchy::AggregationTree;
-pub use server::{ForgetRequest, Server, Upload};
+pub use server::{Server, Upload};

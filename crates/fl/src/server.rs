@@ -45,19 +45,6 @@ pub struct Upload {
     pub grad: Vec<f32>,
 }
 
-/// One queued request to unlearn a set of vehicles, stamped with the
-/// round it arrived in. The server only *queues* these — actually
-/// recovering the model is `core::jobs`' business (the `fuiov-core` crate
-/// sits above this one), so a driver drains the queue into a job service
-/// via [`Server::drain_forget_requests`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForgetRequest {
-    /// The vehicles to forget (deduplicated, ascending).
-    pub clients: Vec<ClientId>,
-    /// Training round at which the request was accepted.
-    pub round: Round,
-}
-
 /// The federated server.
 #[derive(Debug)]
 pub struct Server {
@@ -68,7 +55,6 @@ pub struct Server {
     full_store: FullGradientStore,
     summaries: Vec<RoundSummary>,
     sampling_seed: u64,
-    forget_requests: Vec<ForgetRequest>,
     tree_fanout: Option<usize>,
     sample_frac: f64,
     agg_acc: Vec<f64>,
@@ -95,47 +81,11 @@ impl Server {
             full_store: FullGradientStore::new(),
             summaries: Vec::new(),
             sampling_seed: 0,
-            forget_requests: Vec::new(),
             tree_fanout: None,
             sample_frac: 1.0,
             agg_acc: Vec::new(),
             agg_out: Vec::new(),
         }
-    }
-
-    /// Queues a request to forget `clients`, stamped with the current
-    /// round. The set is deduplicated and sorted; a request identical to
-    /// one already queued is dropped (and counted), so a vehicle
-    /// re-sending its departure cannot enqueue duplicate recovery work.
-    /// Returns whether the request was newly queued.
-    pub fn request_forget(&mut self, clients: &[ClientId]) -> bool {
-        let mut set: Vec<ClientId> = clients.to_vec();
-        set.sort_unstable();
-        set.dedup();
-        if set.is_empty() {
-            return false;
-        }
-        if self.forget_requests.iter().any(|r| r.clients == set) {
-            fuiov_obs::counter!("fl.forget_requests_duplicate").inc();
-            return false;
-        }
-        fuiov_obs::counter!("fl.forget_requests").inc();
-        self.forget_requests.push(ForgetRequest {
-            clients: set,
-            round: self.round,
-        });
-        true
-    }
-
-    /// Requests queued and not yet drained.
-    pub fn pending_forget_requests(&self) -> &[ForgetRequest] {
-        &self.forget_requests
-    }
-
-    /// Hands the queued requests to the caller (e.g. to submit into a
-    /// `core::jobs` service), leaving the queue empty.
-    pub fn drain_forget_requests(&mut self) -> Vec<ForgetRequest> {
-        std::mem::take(&mut self.forget_requests)
     }
 
     /// Sets the seed of the per-round hash sampler (only relevant when
@@ -147,8 +97,9 @@ impl Server {
 
     /// Sets the RSU/edge aggregation-tree fan-out (default `None` = flat;
     /// a fan-out below 2 never merges anything, so it is flat too). The
-    /// tree changes communication and storage layout only — its reduction
-    /// is bitwise identical to flat aggregation (see [`crate::hierarchy`]).
+    /// tree changes communication accounting only — its reduction is the
+    /// flat fold, so the bits are those of flat aggregation (see
+    /// [`crate::hierarchy`]).
     pub fn with_tree_fanout(mut self, fanout: Option<usize>) -> Self {
         self.tree_fanout = fanout.filter(|&f| f >= 2);
         self
@@ -282,23 +233,18 @@ impl Server {
         } else {
             // In-place aggregation: `agg_acc`/`agg_out` are recycled
             // across rounds, so the steady state allocates nothing here.
+            // A tree reduces in the same participant order (see
+            // `hierarchy`), so flat and tree rounds run this one fold.
             let refs: Vec<&[f32]> = uploads.iter().map(|u| u.grad.as_slice()).collect();
-            match &tree {
-                Some(tree) => hierarchy::aggregate_tree_into(
-                    self.cfg.aggregation,
-                    &refs,
-                    &weights,
-                    tree,
-                    &mut self.agg_acc,
-                    &mut self.agg_out,
-                ),
-                None => aggregate_refs_into(
-                    self.cfg.aggregation,
-                    &refs,
-                    &weights,
-                    &mut self.agg_acc,
-                    &mut self.agg_out,
-                ),
+            aggregate_refs_into(
+                self.cfg.aggregation,
+                &refs,
+                &weights,
+                &mut self.agg_acc,
+                &mut self.agg_out,
+            );
+            if let Some(tree) = &tree {
+                fuiov_obs::counter!("hierarchy.nodes_reduced").add(tree.node_count() as u64);
             }
             vector::axpy(-self.cfg.lr, &self.agg_out, &mut self.params);
             vector::l2_norm(&self.agg_out)

@@ -1,48 +1,32 @@
-//! Hand-computed byte-accounting checks for the comms report.
+//! Hand-computed byte-accounting checks for `comms::round_bytes`.
 //!
 //! The invariants the fault harness and the paper's overhead tables rely
-//! on: per round, `down_bytes == participants × 4·d`, `up_bytes_full ==
-//! participants × 4·d`, and `up_bytes_sign == participants × ⌈2·d/8⌉` (2
-//! bits per element, packed 4 per byte).
+//! on: per round, the download is `participants × 4·d`, the full-`f32`
+//! upload is `participants × 4·d`, and the sign upload is `participants
+//! × ⌈2·d/8⌉` (2 bits per element, packed 4 per byte).
 
-use fuiov_fl::comms::CommsReport;
-use fuiov_fl::server::RoundSummary;
-
-fn summary(round: usize, participants: &[usize]) -> RoundSummary {
-    RoundSummary {
-        round,
-        participants: participants.to_vec(),
-        update_norm: 1.0,
-    }
-}
+use fuiov_fl::comms::round_bytes;
 
 #[test]
 fn sign_upload_bytes_use_ceiling_division() {
     // d = 7: 2·7 = 14 bits → ⌈14/8⌉ = 2 bytes per vehicle.
-    let r = CommsReport::from_summaries(7, &[summary(0, &[0, 1, 2])]);
-    assert_eq!(r.rounds()[0].up_bytes_sign, 3 * 2);
+    assert_eq!(round_bytes(7, 3).2, 3 * 2);
     // d = 8: exactly 2 bytes.
-    let r = CommsReport::from_summaries(8, &[summary(0, &[0])]);
-    assert_eq!(r.rounds()[0].up_bytes_sign, 2);
+    assert_eq!(round_bytes(8, 1).2, 2);
     // d = 9: one ragged element forces a third byte.
-    let r = CommsReport::from_summaries(9, &[summary(0, &[0])]);
-    assert_eq!(r.rounds()[0].up_bytes_sign, 3);
+    assert_eq!(round_bytes(9, 1).2, 3);
     // d = 1: still a whole byte on the wire.
-    let r = CommsReport::from_summaries(1, &[summary(0, &[0, 1])]);
-    assert_eq!(r.rounds()[0].up_bytes_sign, 2);
+    assert_eq!(round_bytes(1, 2).2, 2);
 }
 
 #[test]
 fn per_round_invariants_hold_for_every_dimension() {
     for d in 1usize..40 {
         for n in 0usize..5 {
-            let participants: Vec<usize> = (0..n).collect();
-            let r = CommsReport::from_summaries(d, &[summary(0, &participants)]);
-            let rc = r.rounds()[0];
-            assert_eq!(rc.participants, n);
-            assert_eq!(rc.down_bytes, n * 4 * d, "d={d} n={n}");
-            assert_eq!(rc.up_bytes_full, n * 4 * d, "d={d} n={n}");
-            assert_eq!(rc.up_bytes_sign, n * (2 * d).div_ceil(8), "d={d} n={n}");
+            let (down, up_full, up_sign) = round_bytes(d, n);
+            assert_eq!(down, n * 4 * d, "d={d} n={n}");
+            assert_eq!(up_full, n * 4 * d, "d={d} n={n}");
+            assert_eq!(up_sign, n * (2 * d).div_ceil(8), "d={d} n={n}");
         }
     }
 }
@@ -51,32 +35,24 @@ fn per_round_invariants_hold_for_every_dimension() {
 fn hand_computed_multi_round_totals() {
     // d = 10 → model 40 B, signs ⌈20/8⌉ = 3 B.
     // Round 0: 3 vehicles, round 1: 1 vehicle, round 2: nobody.
-    let r = CommsReport::from_summaries(
-        10,
-        &[summary(0, &[0, 1, 2]), summary(1, &[2]), summary(2, &[])],
-    );
-    assert_eq!(r.total_participations(), 4);
-    assert_eq!(r.total_down(), 4 * 40);
-    assert_eq!(r.total_up_full(), 4 * 40);
-    assert_eq!(r.total_up_sign(), 4 * 3);
+    let (mut down, mut up_full, mut up_sign) = (0, 0, 0);
+    for n in [3, 1, 0] {
+        let (d, f, s) = round_bytes(10, n);
+        down += d;
+        up_full += f;
+        up_sign += s;
+    }
+    assert_eq!(down, 4 * 40);
+    assert_eq!(up_full, 4 * 40);
+    assert_eq!(up_sign, 4 * 3);
     // Savings: 1 − 12/160 = 0.925.
-    assert!((r.uplink_savings() - 0.925).abs() < 1e-12);
+    assert!((1.0 - up_sign as f64 / up_full as f64 - 0.925).abs() < 1e-12);
 }
 
 #[test]
 fn zero_participant_rounds_cost_nothing() {
-    let r = CommsReport::from_summaries(100, &[summary(0, &[]), summary(1, &[]), summary(2, &[7])]);
-    assert_eq!(r.rounds()[0].down_bytes, 0);
-    assert_eq!(r.rounds()[0].up_bytes_full, 0);
-    assert_eq!(r.rounds()[0].up_bytes_sign, 0);
-    assert_eq!(r.rounds()[1].down_bytes, 0);
-    // Only the populated round contributes to the totals.
-    assert_eq!(r.total_down(), 400);
-    assert_eq!(r.total_up_sign(), 25);
-    // An all-empty run has zero savings by convention (no division by 0).
-    let empty = CommsReport::from_summaries(100, &[summary(0, &[]), summary(1, &[])]);
-    assert_eq!(empty.total_up_full(), 0);
-    assert_eq!(empty.uplink_savings(), 0.0);
+    assert_eq!(round_bytes(100, 0), (0, 0, 0));
+    assert_eq!(round_bytes(100, 1), (400, 400, 25));
 }
 
 #[test]
@@ -95,6 +71,5 @@ fn accounting_matches_recorded_history_bytes() {
     h.record_join(1, 0);
     h.record_gradient(0, 0, &grad);
     h.record_gradient(0, 1, &grad);
-    let r = CommsReport::from_summaries(d, &[summary(0, &[0, 1])]);
-    assert_eq!(r.rounds()[0].up_bytes_sign, h.direction_bytes());
+    assert_eq!(round_bytes(d, 2).2, h.direction_bytes());
 }

@@ -23,10 +23,10 @@
 //! byte-identical with collection enabled or disabled (`fuiov-testkit`
 //! pins this).
 //!
-//! ## Knob
+//! ## Switch
 //!
-//! `FUIOV_OBS=0` (or `false`/`off`/`no`) disables collection at runtime;
-//! it is on by default. [`set_enabled`] overrides it in process.
+//! Collection is on from the start of a process; [`set_enabled`] turns
+//! it off or on again. No environment variable is read.
 //!
 //! ## Example
 //!
@@ -47,40 +47,25 @@ mod report;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Snapshot};
 pub use report::RunReport;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Tri-state runtime switch: 0 = unresolved, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+/// The runtime switch; on until [`set_enabled`] turns it off.
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether collection is active: the `FUIOV_OBS` environment variable
-/// (read once, overridable with [`set_enabled`]) does not turn it off.
+/// Whether collection is active.
 ///
 /// One relaxed atomic load on the hot path — cheap enough to gate every
 /// recording call, and instrumentation sites hoist it out of inner loops
 /// when the extra observation itself costs something (e.g. clip norms).
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => resolve_enabled(),
-        1 => false,
-        _ => true,
-    }
-}
-
-#[cold]
-fn resolve_enabled() -> bool {
-    let on = match std::env::var("FUIOV_OBS") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    };
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Overrides the runtime switch (tests use this to compare obs-on and
 /// obs-off behaviour within one process).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Declares (statically, in place) and returns a `&'static` [`Counter`].

@@ -39,7 +39,7 @@ impl std::fmt::Display for RunReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "== run report ==")?;
         if self.snapshot.is_empty() {
-            write!(f, "(no metrics recorded — is FUIOV_OBS=0?)")
+            write!(f, "(no metrics recorded — was collection turned off?)")
         } else {
             write!(f, "{}", export::to_table(&self.snapshot).trim_end())
         }

@@ -8,22 +8,22 @@
 //! 3. which rounds each vehicle participated in (its join round `F` is
 //!    what unlearning backtracks to).
 //!
-//! [`HistoryStore`] is that record, kept under a configurable in-memory
-//! byte budget ([`TierConfig`]). Rounds live in one of two tiers:
+//! [`HistoryStore`] is that record, kept under an in-memory byte budget
+//! its caller passes ([`TierConfig`], or [`HistoryStore::set_budget`]
+//! later); a store built with [`HistoryStore::new`] is unbounded. Rounds
+//! live in one of two tiers:
 //!
 //! - **Hot** — decoded in memory (`Arc`-shared, so clones, caches and
 //!   [`RoundView`] snapshots never copy the buffer), or
 //! - **Spilled** — encoded into the append-only segment file
-//!   ([`segment`]): models as a full `f32` keyframe
-//!   every `keyframe_interval` rounds with varint-zigzag
-//!   [`delta`](crate::delta) residuals between (losslessly, so replay is
-//!   bitwise identical at any budget), directions as their packed 2-bit
-//!   words verbatim.
+//!   ([`segment`]): models as a full `f32` keyframe every 8 rounds with
+//!   varint-zigzag [`delta`](crate::delta) residuals between (losslessly,
+//!   so replay is bitwise identical at any budget), directions as their
+//!   packed 2-bit words verbatim.
 //!
 //! Spilled rounds decode back through a small LRU of recently used
 //! rounds; replay walks the store through [`HistoryStore::round_view`]
-//! (an `Arc` snapshot safe to hand to worker threads) and warms round
-//! `t+1` with [`HistoryStore::prefetch`] while round `t` computes.
+//! (an `Arc` snapshot safe to hand to worker threads).
 //!
 //! [`FullGradientStore`] is the same record with *full* `f32` gradients —
 //! what FedRecover-style baselines need — and exists mainly so the
@@ -47,8 +47,10 @@ pub type Round = usize;
 /// Rounds of decoded models/directions the per-store LRU keeps.
 const CACHE_ROUNDS: usize = 4;
 
-/// Default keyframe interval `k` (full `f32` model every `k` rounds).
-pub const DEFAULT_KEYFRAME_INTERVAL: usize = 8;
+/// Keyframe interval `k`: a spilled model is a full `f32` keyframe every
+/// `k` rounds and a delta residual against its window predecessor
+/// otherwise.
+const KEYFRAME_INTERVAL: usize = 8;
 
 /// A client's membership interval in the federation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,26 +61,19 @@ pub struct Participation {
     pub left: Option<Round>,
 }
 
-/// Storage-tiering knobs for a [`HistoryStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The in-memory byte budget of a [`HistoryStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierConfig {
     /// In-memory byte budget for resident slots; `None` keeps everything
     /// hot (the pre-tiering behaviour). `Some(0)` forces every recorded
     /// round through the spill tier.
     pub budget_bytes: Option<usize>,
-    /// Spill a full `f32` model keyframe every `k` rounds; rounds between
-    /// spill as delta residuals against their window predecessor. `1`
-    /// means every spilled model is a keyframe.
-    pub keyframe_interval: usize,
 }
 
 impl TierConfig {
-    /// Unbounded memory, default keyframe interval.
+    /// Unbounded memory.
     pub fn unbounded() -> Self {
-        TierConfig {
-            budget_bytes: None,
-            keyframe_interval: DEFAULT_KEYFRAME_INTERVAL,
-        }
+        TierConfig { budget_bytes: None }
     }
 
     /// A bounded store: resident slots are spilled (coldest round first)
@@ -86,47 +81,7 @@ impl TierConfig {
     pub fn bounded(budget_bytes: usize) -> Self {
         TierConfig {
             budget_bytes: Some(budget_bytes),
-            ..Self::unbounded()
         }
-    }
-
-    /// Sets the keyframe interval (clamped to ≥ 1).
-    pub fn with_keyframe_interval(mut self, k: usize) -> Self {
-        self.keyframe_interval = k.max(1);
-        self
-    }
-
-    /// Reads `FUIOV_HISTORY_BUDGET` (bytes; unset, unparsable or `0`
-    /// means unbounded) and `FUIOV_KEYFRAME_INTERVAL` (default
-    /// [`DEFAULT_KEYFRAME_INTERVAL`]). [`HistoryStore::new`] calls this,
-    /// so every store created through the normal server path honours the
-    /// environment knobs without any API change upstream.
-    pub fn from_env() -> Self {
-        Self::parse(
-            std::env::var("FUIOV_HISTORY_BUDGET").ok().as_deref(),
-            std::env::var("FUIOV_KEYFRAME_INTERVAL").ok().as_deref(),
-        )
-    }
-
-    /// Pure parsing backend of [`TierConfig::from_env`] (testable without
-    /// touching process environment).
-    pub fn parse(budget: Option<&str>, keyframe: Option<&str>) -> Self {
-        let budget_bytes = budget
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&b| b > 0);
-        let keyframe_interval = keyframe
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map_or(DEFAULT_KEYFRAME_INTERVAL, |k| k.max(1));
-        TierConfig {
-            budget_bytes,
-            keyframe_interval,
-        }
-    }
-}
-
-impl Default for TierConfig {
-    fn default() -> Self {
-        Self::unbounded()
     }
 }
 
@@ -323,8 +278,7 @@ impl PartialEq for DirectionRef<'_> {
 /// borrows, and the packed 2-bit direction words feed
 /// [`GradientDirection::decode_axpy`]/[`GradientDirection::decode_into`]
 /// directly — no intermediate `Vec<f32>` per client. The snapshot is
-/// `Send + Sync`, so replay loops can hand it to pooled workers while the
-/// store prefetches the next round.
+/// `Send + Sync`, so replay loops can hand it to pooled workers.
 #[derive(Debug, Clone)]
 pub struct RoundView {
     round: Round,
@@ -438,14 +392,13 @@ impl Clone for HistoryStore {
 }
 
 impl HistoryStore {
-    /// Creates an empty store with sign threshold `delta`, tiered per
-    /// [`TierConfig::from_env`].
+    /// Creates an empty, unbounded store with sign threshold `delta`.
     ///
     /// # Panics
     ///
     /// Panics if `delta` is negative or NaN.
     pub fn new(delta: f32) -> Self {
-        Self::with_tier(delta, TierConfig::from_env())
+        Self::with_tier(delta, TierConfig::unbounded())
     }
 
     /// Creates an empty store with an explicit tier configuration.
@@ -458,10 +411,7 @@ impl HistoryStore {
         HistoryStore {
             delta,
             dim: None,
-            tier: TierConfig {
-                keyframe_interval: tier.keyframe_interval.max(1),
-                ..tier
-            },
+            tier,
             models: BTreeMap::new(),
             shadow_models: BTreeMap::new(),
             directions: BTreeMap::new(),
@@ -481,11 +431,6 @@ impl HistoryStore {
     /// Model dimension, once the first model/gradient has been recorded.
     pub fn dim(&self) -> Option<usize> {
         self.dim
-    }
-
-    /// The tier configuration in force.
-    pub fn tier_config(&self) -> TierConfig {
-        self.tier
     }
 
     /// A snapshot-isolated copy for a concurrent reader (e.g. one recovery
@@ -770,30 +715,6 @@ impl HistoryStore {
                 self.load_spilled_dirs(round, *offset, *len)
             }
             None => Ok(Arc::new(BTreeMap::new())),
-        }
-    }
-
-    /// Warms the decode LRU with `round`'s model and directions — called
-    /// by replay loops for round `t+1` while round `t` computes, so the
-    /// next [`HistoryStore::round_view`] is a pure cache hit. Decode
-    /// failures are counted, not raised.
-    pub fn prefetch(&self, round: Round) {
-        fuiov_obs::counter!("storage.prefetches").inc();
-        if let Some(ModelSlot::Spilled { .. }) = self.models.get(&round) {
-            if self.load_model_chain(round).is_err() {
-                Self::bump(
-                    &self.counters.decode_errors,
-                    fuiov_obs::counter!("storage.decode_errors"),
-                );
-            }
-        }
-        if let Some(DirSlot::Spilled { offset, len, .. }) = self.directions.get(&round) {
-            if self.load_spilled_dirs(round, *offset, *len).is_err() {
-                Self::bump(
-                    &self.counters.decode_errors,
-                    fuiov_obs::counter!("storage.decode_errors"),
-                );
-            }
         }
     }
 
@@ -1145,9 +1066,8 @@ impl HistoryStore {
     /// decodes), otherwise a delta against the greatest recorded round in
     /// the same keyframe window.
     fn encode_model_record(&self, round: Round, value: &[f32]) -> (Vec<u8>, Option<Round>) {
-        let k = self.tier.keyframe_interval;
-        if k > 1 && !round.is_multiple_of(k) {
-            let window_start = round - round % k;
+        if !round.is_multiple_of(KEYFRAME_INTERVAL) {
+            let window_start = round - round % KEYFRAME_INTERVAL;
             if let Some((&b, _)) = self.models.range(window_start..round).next_back() {
                 if let Ok(Some(base)) = self.decode_model_value(b) {
                     return (segment::encode_delta(round, b, &base, value), Some(b));
@@ -1523,7 +1443,7 @@ mod tests {
     use super::*;
 
     fn store_with_two_rounds() -> HistoryStore {
-        let mut h = HistoryStore::with_tier(1e-6, TierConfig::unbounded());
+        let mut h = HistoryStore::new(1e-6);
         h.record_model(0, vec![0.0; 4]);
         h.record_model(1, vec![0.1; 4]);
         h.record_join(7, 0);
@@ -1712,63 +1632,40 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn tier_config_parsing() {
-        let c = TierConfig::parse(Some("1024"), Some("4"));
-        assert_eq!(c.budget_bytes, Some(1024));
-        assert_eq!(c.keyframe_interval, 4);
-        // 0 / garbage / unset budget means unbounded.
-        assert_eq!(TierConfig::parse(Some("0"), None).budget_bytes, None);
-        assert_eq!(TierConfig::parse(Some("nope"), None).budget_bytes, None);
-        assert_eq!(TierConfig::parse(None, None), TierConfig::unbounded());
-        // Keyframe interval is clamped to >= 1 and defaults otherwise.
-        assert_eq!(TierConfig::parse(None, Some("0")).keyframe_interval, 1);
-        assert_eq!(
-            TierConfig::parse(None, Some("bad")).keyframe_interval,
-            DEFAULT_KEYFRAME_INTERVAL
-        );
-    }
-
-    #[test]
     fn zero_budget_forces_spill_and_reloads_bitwise() {
-        for k in [1usize, 2, 5, 8] {
-            let tier = TierConfig::bounded(0).with_keyframe_interval(k);
-            let mut h = HistoryStore::with_tier(1e-6, tier);
-            let mut reference: Vec<Vec<f32>> = Vec::new();
-            for t in 0..12 {
-                let mut m = fake_model(t, 9);
-                if t == 3 {
-                    m[0] = f32::NAN; // exactness must hold for odd payloads too
-                    m[1] = -0.0;
-                }
-                h.record_model(t, m.clone());
-                h.record_gradient(t, 1, &fake_model(t + 100, 9));
-                reference.push(m);
+        let mut h = HistoryStore::with_tier(1e-6, TierConfig::bounded(0));
+        let mut reference: Vec<Vec<f32>> = Vec::new();
+        // Rounds 0 and 8 spill as keyframes, every other round as a delta
+        // against its window predecessor.
+        for t in 0..12 {
+            let mut m = fake_model(t, 9);
+            if t == 3 {
+                m[0] = f32::NAN; // exactness must hold for odd payloads too
+                m[1] = -0.0;
             }
-            for t in 0..12 {
-                assert_eq!(h.model_tier(t), Some(Tier::Spilled), "k={k} t={t}");
-                assert_eq!(
-                    h.directions_tier(t),
-                    Some(Tier::Hot).filter(|_| false).or(Some(Tier::Spilled)),
-                    "k={k} t={t}"
-                );
-            }
-            // Random-access every round: chain decode must be exact.
-            for t in (0..12).rev() {
-                let m = h.model(t).expect("spilled round decodes");
-                assert_eq!(bits(&m), bits(&reference[t]), "k={k} t={t}");
-            }
-            let stats = h.tier_stats();
-            assert!(stats.spill_writes >= 24, "k={k}: {stats:?}");
-            assert!(stats.spill_loads > 0, "k={k}: {stats:?}");
-            assert_eq!(stats.decode_errors, 0, "k={k}");
-            assert!(h.spilled_bytes() > 0);
+            h.record_model(t, m.clone());
+            h.record_gradient(t, 1, &fake_model(t + 100, 9));
+            reference.push(m);
         }
+        for t in 0..12 {
+            assert_eq!(h.model_tier(t), Some(Tier::Spilled), "t={t}");
+            assert_eq!(h.directions_tier(t), Some(Tier::Spilled), "t={t}");
+        }
+        // Random-access every round: chain decode must be exact.
+        for t in (0..12).rev() {
+            let m = h.model(t).expect("spilled round decodes");
+            assert_eq!(bits(&m), bits(&reference[t]), "t={t}");
+        }
+        let stats = h.tier_stats();
+        assert!(stats.spill_writes >= 24, "{stats:?}");
+        assert!(stats.spill_loads > 0, "{stats:?}");
+        assert_eq!(stats.decode_errors, 0);
+        assert!(h.spilled_bytes() > 0);
     }
 
     #[test]
     fn delta_records_shrink_model_storage_at_k8() {
-        let tier = TierConfig::bounded(0).with_keyframe_interval(8);
-        let mut h = HistoryStore::with_tier(0.0, tier);
+        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0));
         for t in 0..16 {
             // A slowly-drifting trajectory, like SGD between keyframes.
             let m: Vec<f32> = (0..256)
@@ -1811,7 +1708,7 @@ mod tests {
 
     #[test]
     fn round_view_after_spill_matches_hot_view_bitwise() {
-        let mut h = HistoryStore::with_tier(1e-6, TierConfig::unbounded());
+        let mut h = HistoryStore::new(1e-6);
         for t in 0..6 {
             h.record_model(t, fake_model(t, 11));
             h.record_gradient(t, 3, &fake_model(t + 50, 11));
@@ -1837,22 +1734,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_warms_the_cache() {
-        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0).with_keyframe_interval(4));
-        for t in 0..4 {
-            h.record_model(t, fake_model(t, 6));
-            h.record_gradient(t, 1, &fake_model(t + 9, 6));
-        }
-        h.invalidate_caches();
-        h.prefetch(2);
-        let loads_after_prefetch = h.tier_stats().spill_loads;
-        assert!(loads_after_prefetch > 0);
-        // The prefetched round is now a pure cache hit.
-        let _ = h.round_view(2);
-        assert_eq!(h.tier_stats().spill_loads, loads_after_prefetch);
-    }
-
-    #[test]
     fn iterator_variants_match_vec_variants() {
         let mut h = store_with_two_rounds();
         assert_eq!(h.rounds_iter().collect::<Vec<_>>(), h.rounds());
@@ -1868,7 +1749,7 @@ mod tests {
 
     #[test]
     fn thinning_does_not_reload_spilled_segments() {
-        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0).with_keyframe_interval(8));
+        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0));
         let mut reference: Vec<Vec<f32>> = Vec::new();
         for t in 0..=10 {
             let m = fake_model(t, 7);
@@ -1898,7 +1779,7 @@ mod tests {
 
     #[test]
     fn clone_shares_spill_but_isolates_mutation() {
-        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0).with_keyframe_interval(4));
+        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0));
         for t in 0..4 {
             h.record_model(t, fake_model(t, 5));
         }
@@ -1915,13 +1796,13 @@ mod tests {
 
     #[test]
     fn overwrite_and_remove_preserve_dependent_rounds() {
-        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0).with_keyframe_interval(4));
+        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0));
         for t in 0..8 {
             h.record_model(t, fake_model(t, 6));
         }
         let old5 = h.model(5).unwrap().to_vec();
         let old6 = h.model(6).unwrap().to_vec();
-        // Round 5 is delta-coded against 4 (k=4 window [4,8)).
+        // Round 5 is delta-coded against 4 (keyframe window [0, 8)).
         h.record_model(4, vec![7.0; 6]);
         assert_eq!(bits(&h.model(5).unwrap()), bits(&old5));
         assert_eq!(bits(&h.model(6).unwrap()), bits(&old6));
@@ -1937,8 +1818,7 @@ mod tests {
     fn budget_enforcement_keeps_recent_rounds_hot() {
         let dim = 64usize;
         let round_bytes = dim * 4;
-        let tier = TierConfig::bounded(3 * round_bytes).with_keyframe_interval(4);
-        let mut h = HistoryStore::with_tier(0.0, tier);
+        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(3 * round_bytes));
         for t in 0..10 {
             h.record_model(t, fake_model(t, dim));
         }
@@ -1956,7 +1836,7 @@ mod tests {
 
     #[test]
     fn corrupt_spill_record_is_typed_never_panics() {
-        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0).with_keyframe_interval(1));
+        let mut h = HistoryStore::with_tier(0.0, TierConfig::bounded(0));
         h.record_model(0, vec![1.0, 2.0, 3.0]);
         let (offset, len) = h.spilled_model_extent(0).expect("spilled");
         // Flip a payload byte in place on disk.

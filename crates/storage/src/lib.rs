@@ -11,8 +11,8 @@
 //!   ([`GradientDirection`]).
 //! - [`history`]: the per-round record a server keeps
 //!   ([`HistoryStore`]), now *tiered*: hot rounds in memory, cold rounds
-//!   delta-coded and spilled to an append-only segment file under a
-//!   configurable byte budget ([`TierConfig`]), plus the full-precision
+//!   delta-coded and spilled to an append-only segment file under a byte
+//!   budget its caller passes ([`TierConfig`]), plus the full-precision
 //!   [`history::FullGradientStore`] used by the baselines and the storage
 //!   comparison experiment.
 //! - [`delta`]: lossless varint-zigzag delta coding of `f32` checkpoints.
@@ -41,6 +41,6 @@ pub mod segment;
 pub use direction::GradientDirection;
 pub use history::{
     ClientId, ClientsIter, DirectionRef, HistoryStore, ModelRef, Participation, Round, RoundView,
-    Tier, TierConfig, TierStats, DEFAULT_KEYFRAME_INTERVAL,
+    Tier, TierConfig, TierStats,
 };
 pub use segment::SegmentDecodeError;

@@ -599,6 +599,8 @@ fn next_record<'a>(stream: &mut &'a [u8]) -> &'a [u8] {
 
 /// Decodes a history written by [`encode_history`], accepting only the
 /// layout the encoder writes, so a file decodes to one history or none.
+/// The store it returns is unbounded; a caller that wants a byte budget
+/// sets one with [`HistoryStore::set_budget`].
 ///
 /// # Errors
 ///

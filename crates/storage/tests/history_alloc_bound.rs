@@ -13,7 +13,7 @@
 
 use fuiov_storage::segment::{decode_history, encode_history, reseal, SegmentDecodeError};
 use fuiov_storage::segment::{framed_len, HEADER_LEN, ROUND_FIELD_OFFSET};
-use fuiov_storage::{GradientDirection, HistoryStore, TierConfig};
+use fuiov_storage::{GradientDirection, HistoryStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -91,7 +91,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Three clients, one 128-element model and one round of directions: a
 /// roster, a keyframe and a directions record.
 fn stream() -> Vec<u8> {
-    let mut h = HistoryStore::with_tier(1e-6, TierConfig::unbounded());
+    let mut h = HistoryStore::new(1e-6);
     for c in 0..3 {
         h.record_join(c, 0);
     }
@@ -170,7 +170,7 @@ fn quantising_asks_only_for_the_packed_directions() {
     assert_eq!(dir.byte_size(), PACKED);
     assert_eq!(largest, PACKED, "quantize");
 
-    let mut h = HistoryStore::with_tier(0.5, TierConfig::unbounded());
+    let mut h = HistoryStore::new(0.5);
     h.record_model(0, vec![0.0; DIM]);
     h.record_join(0, 0);
     let ((), largest) = largest_request(|| h.record_gradient(0, 0, &grad));

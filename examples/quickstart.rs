@@ -89,6 +89,6 @@ fn main() {
     );
 
     // 5. What did that run actually do? The obs registry kept count
-    //    (set FUIOV_OBS=0 to turn collection off).
+    //    (`fuiov::obs::set_enabled(false)` turns collection off).
     println!("\n{}", fuiov::obs::RunReport::capture());
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, examples, full test suite, lint-clean,
-# golden traces, fault matrix, tier invariance, scenario-lab smoke, bench
-# smoke, the end-to-end benchmark's own suite.
+# golden traces, fault matrix, scenario-lab smoke, bench smoke, the
+# end-to-end benchmark's own suite.
 #
 # Every stage is a function so CI (.github/workflows/ci.yml) and local runs
 # execute the *same* commands: `scripts/tier1.sh` runs them all in order,
@@ -140,15 +140,6 @@ stage_fault_matrix() {
   done
 }
 
-stage_tier_invariance() {
-  # The same golden trace with the history forced out to the spill tier
-  # (tight byte budget, short keyframe interval so delta chains are
-  # exercised). The pinned FNV digests must survive spill + reload
-  # unchanged — bitwise tier invariance, not approximate agreement.
-  FUIOV_HISTORY_BUDGET=4096 FUIOV_KEYFRAME_INTERVAL=3 \
-    cargo test -p fuiov-testkit -q --test golden_trace
-}
-
 stage_jobs() {
   # Job-service crash/resume oracles under the fault matrix (CI fans the
   # seeds out via FUIOV_FAULT_SEED), plus one pass with the SIMD kill
@@ -227,7 +218,7 @@ stage_perfbench() {
   )
 }
 
-ALL_STAGES="guard build examples test nn_native core_native fmt clippy doc golden fault_matrix tier_invariance jobs net simd_off lab bench_smoke perfbench"
+ALL_STAGES="guard build examples test nn_native core_native fmt clippy doc golden fault_matrix jobs net simd_off lab bench_smoke perfbench"
 
 stages() {
   echo "$ALL_STAGES" | tr ' ' '\n'

@@ -19,7 +19,13 @@
 //! aggregation tree of that fan-out; below 2 means flat) and
 //! `FUIOV_SAMPLE_FRAC` (per-round client sampling; a fraction outside
 //! `(0, 1)` samples everyone). Neither changes a bit of the trained model
-//! at its identity value.
+//! at its identity value. `train` keeps its history resident.
+//!
+//! `info` and `unlearn` read `FUIOV_HISTORY_BUDGET` (bytes; unset,
+//! unparsable or 0 means unbounded) once, when they load the history, and
+//! hand it to `HistoryStore::set_budget`: rounds beyond the budget spill
+//! to a segment file and decode back losslessly, so the recovered model's
+//! bytes do not depend on it.
 
 use fuiov::data::{partition::partition_iid, Dataset, DigitStyle};
 use fuiov::eval::test_accuracy;
@@ -158,7 +164,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 fn load_history(args: &Args) -> Result<fuiov::storage::HistoryStore, String> {
     let path = args.require("history")?;
     let blob = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    decode_history(&blob).map_err(|e| format!("decoding {path}: {e}"))
+    let mut h = decode_history(&blob).map_err(|e| format!("decoding {path}: {e}"))?;
+    h.set_budget(env_parse("FUIOV_HISTORY_BUDGET").filter(|&b: &usize| b > 0));
+    Ok(h)
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
@@ -167,6 +175,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     println!("model dimension:   {}", h.dim().unwrap_or(0));
     println!("sign threshold δ:  {}", h.delta());
     println!("model bytes:       {}", h.model_bytes());
+    println!("spilled bytes:     {}", h.spilled_bytes());
     println!(
         "direction bytes:   {} ({:.1}% savings vs f32)",
         h.direction_bytes(),

@@ -310,3 +310,71 @@ fn train_refuses_zero_rounds() {
     assert!(stderr.contains("error: invalid --rounds"), "{stderr}");
     assert!(!hist.exists());
 }
+
+#[test]
+fn unlearn_under_a_history_budget_writes_identical_bytes() {
+    let hist = tmp("hist-budget.bin");
+    let out = bin()
+        .args([
+            "train",
+            "--out",
+            hist.to_str().unwrap(),
+            "--clients",
+            "4",
+            "--rounds",
+            "8",
+            "--seed",
+            "3",
+        ])
+        .output()
+        .expect("run train");
+    assert!(out.status.success());
+
+    // 8 KiB is less than one model of the CLI's MLP (4,970 parameters),
+    // so the budgeted run spills every round and replays it from the
+    // segment file; the unbounded run keeps it all resident.
+    let mut checkpoints = Vec::new();
+    for budget in [Some("8192"), None] {
+        let run = |args: &[&str]| {
+            let mut cmd = bin();
+            cmd.args(args);
+            match budget {
+                Some(b) => cmd.env("FUIOV_HISTORY_BUDGET", b),
+                None => cmd.env_remove("FUIOV_HISTORY_BUDGET"),
+            };
+            cmd.output().expect("run fuiov")
+        };
+        let out = run(&["info", "--history", hist.to_str().unwrap()]);
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let spilled = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("spilled bytes:"))
+            .map(|v| v.trim().parse::<usize>().expect("a byte count"))
+            .expect("info reports spilled bytes");
+        assert_eq!(spilled > 0, budget.is_some(), "{budget:?}: {stdout}");
+
+        let ckpt = tmp(&format!("budget-{}.ckpt", budget.unwrap_or("none")));
+        let out = run(&[
+            "unlearn",
+            "--history",
+            hist.to_str().unwrap(),
+            "--client",
+            "3",
+            "--out",
+            ckpt.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{budget:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        checkpoints.push(std::fs::read(&ckpt).expect("checkpoint written"));
+        let _ = std::fs::remove_file(&ckpt);
+    }
+    assert_eq!(
+        checkpoints[0], checkpoints[1],
+        "the history budget must not change the recovered model's bytes"
+    );
+    let _ = std::fs::remove_file(&hist);
+}

@@ -65,22 +65,14 @@ fn recovery_from_restored_history_is_bit_identical() {
     assert_eq!(live.rounds_replayed, cold.rounds_replayed);
 }
 
-/// The full RSU restart story through the job service: a forget request
-/// arrives at the server, the recovery job checkpoints to an on-disk log,
+/// The full RSU restart story through the job service: a forget of
+/// vehicle 3 is submitted, the recovery job checkpoints to an on-disk log,
 /// the RSU dies mid-replay, and the restarted process — restored history
 /// blob plus reopened job log — resumes to the exact bits the live
 /// uninterrupted path produces.
 #[test]
 fn job_service_resumes_across_a_server_restart_bit_identically() {
-    let mut server = trained_server(34);
-    assert!(
-        server.request_forget(&[3]),
-        "intake accepts a fresh request"
-    );
-    assert!(!server.request_forget(&[3]), "duplicate intake is rejected");
-    let requests = server.drain_forget_requests();
-    assert_eq!(requests.len(), 1);
-
+    let server = trained_server(34);
     let cfg = RecoveryConfig::new(0.01);
     let live =
         recover_set(server.history(), &[3], &cfg, &mut NoOracle, |_, _| {}).expect("live recovery");
@@ -90,16 +82,12 @@ fn job_service_resumes_across_a_server_restart_bit_identically() {
         std::env::temp_dir().join(format!("fuiov-restart-joblog-{}.seg", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
 
-    // First process: ingest the request, replay a few rounds, crash.
+    // First process: submit the forget, replay a few rounds, crash.
     {
         let (log, logged) = JobLog::open(&log_path).expect("fresh log");
         assert!(logged.is_empty());
         let mut svc = JobService::with_log(JobConfig::new(cfg).checkpoint_interval(2), log, logged);
-        let ids: Vec<_> = requests
-            .iter()
-            .map(|req| svc.submit(server.history(), &req.clients))
-            .collect();
-        assert_eq!(ids.len(), 1);
+        svc.submit(server.history(), &[3]);
         for _ in 0..4 {
             svc.step(&mut NoOracle);
         }
@@ -110,13 +98,10 @@ fn job_service_resumes_across_a_server_restart_bit_identically() {
     let (log, logged) = JobLog::open(&log_path).expect("reopen log");
     assert!(!logged.is_empty(), "crash must leave sealed checkpoints");
     let mut svc = JobService::with_log(JobConfig::new(cfg).checkpoint_interval(2), log, logged);
-    let ids: Vec<_> = requests
-        .iter()
-        .map(|req| svc.submit(&restored, &req.clients))
-        .collect();
+    let id = svc.submit(&restored, &[3]);
     svc.run_to_completion(&mut NoOracle);
     let resumed = svc
-        .take_outcome(ids[0])
+        .take_outcome(id)
         .expect("job finished")
         .expect("job succeeded");
 

@@ -541,8 +541,8 @@ fn runtime_crates_read_only_their_listed_env_vars() {
         ("fl", &[]),
         ("net", &[]),
         ("nn", &[]),
-        ("obs", &["OBS"]),
-        ("storage", &["HISTORY_BUDGET", "KEYFRAME_INTERVAL"]),
+        ("obs", &[]),
+        ("storage", &[]),
         ("tensor", &["SIMD", "THREADS"]),
     ];
     let mut crates: Vec<String> = fs::read_dir(root().join("crates"))
